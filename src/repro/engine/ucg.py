@@ -17,8 +17,12 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    ``p`` when its neighbour set is ``A ∪ S``.  All ``2^n`` values of
    ``D_p(·)`` come from one vertex-deleted all-pairs distance pass (batched
    boolean matmuls, exactly the :mod:`repro.engine.batch` frontier idiom)
-   followed by a subset-min DP, and the per-``A`` interval endpoints reduce
-   to size-grouped superset minima (an n-pass sum-over-subsets transform).
+   followed by a mask-major subset-min DP.  Distance sums are small
+   integers, so they live in ``uint8`` with 255 as ∞, and the per-``A``
+   interval endpoints reduce to size-grouped superset minima taken on a
+   mask-major ``uint8`` tensor (an n-pass sum-over-subsets transform).  Only
+   then does a float64 fold turn the minima into quotients, and only for the
+   opponent masks ``A ⊆ N(p)`` that can occur (batched by degree).
    Division by the (positive) purchase-count difference is weakly monotone,
    so taking the group extremum *before* the division produces bit-identical
    endpoints to the reference's per-subset fold.
@@ -72,9 +76,15 @@ INFINITY = float("inf")
 #: Largest ``n`` the table pipeline handles (2^n-entry tables per player).
 _MAX_TABLE_N = 12
 
-#: Row budget per internal batch: bounds the (rows, 2^n, n) float32 DP
-#: tensor and the (rows, n, 2^n) float64 superset-min tensor to ~tens of MB.
+#: Row budget per internal batch: bounds the mask-major 2^n × rows × n uint8
+#: DP and superset-min tensors and the float64 fold over A ⊆ N(p) to ~tens
+#: of MB.
 _TABLE_BYTE_BUDGET = 96 << 20
+
+#: ∞ in the uint8 distance-sum tables.  A finite ``D_p(B)`` adds ``n - 1``
+#: hop counts of at most ``n - 1`` each, so it is at most ``(n - 1)² = 121``
+#: for ``n ≤ _MAX_TABLE_N = 12`` and never reaches the sentinel.
+_INF8 = 255
 
 
 def ucg_engine_available() -> bool:
@@ -169,12 +179,33 @@ def _popcounts(n: int):
     return pop
 
 
+def _submask_matrix(masks, d: int):
+    """``subs[i]`` = every submask of ``masks[i]`` (all of popcount ``d``).
+
+    Row-wise :func:`_submasks`: empty set first, doubled by each low bit.
+    """
+    np = _np
+    subs = np.zeros((len(masks), 1), dtype=np.int64)
+    rest = np.asarray(masks, dtype=np.int64).copy()
+    for _ in range(d):
+        low = rest & -rest
+        rest ^= low
+        subs = np.concatenate([subs, subs | low[:, None]], axis=1)
+    return subs
+
+
+def _float_sums(table):
+    """float64 copy of a uint8 distance-sum table (``inf`` for ``_INF8``)."""
+    return _np.where(table == _INF8, _np.inf, table)
+
+
 def _vertex_deleted_distances(graphs, rows_idx, n: int):
     """Hop distances within ``G - p`` for every requested ``(graph, p)`` row.
 
-    Returns ``dist[r, k, j]`` (``inf`` when unreachable) computed by the
-    lock-step frontier matmul of :func:`repro.engine.batch._batch_group`,
-    with row/column ``p`` zeroed out of each adjacency copy.
+    Returns ``dist[r, k, j]`` as uint8 (``_INF8`` when unreachable) computed
+    by the lock-step frontier matmul of
+    :func:`repro.engine.batch._batch_group`, with row/column ``p`` zeroed out
+    of each adjacency copy.
     """
     np = _np
     R = len(rows_idx)
@@ -189,91 +220,106 @@ def _vertex_deleted_distances(graphs, rows_idx, n: int):
     eye = np.eye(n, dtype=bool)
     visited = np.broadcast_to(eye, (R, n, n)).copy()
     frontier = visited.astype(np.uint8)
-    dist = np.full((R, n, n), np.inf)
-    dist[:, eye] = 0.0
+    dist = np.full((R, n, n), _INF8, dtype=np.uint8)
+    dist[:, eye] = 0
     for level in range(1, n):
         nxt = (np.matmul(frontier, A) > 0) & ~visited
         if not nxt.any():
             break
-        dist[nxt] = float(level)
+        dist[nxt] = level
         visited |= nxt
         frontier = nxt.astype(np.uint8)
     return dist, p_arr
 
 
 def _distance_sum_tables(graphs, rows_idx, n: int):
-    """``Dsum[r, B]`` = Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j)) as float64.
+    """``dsum[B, r]`` = Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j)), mask-major.
 
     ``D_p(B)`` is the distance sum from ``p`` when its neighbour set is
     exactly ``B`` (shortest paths from ``p`` never revisit ``p``, so the
-    remainder of each path lives in ``G - p``); integer-valued (or ``inf``)
-    and therefore exact in the float32 min-DP and the float64 sum.
+    remainder of each path lives in ``G - p``).  It is a small integer or
+    ∞, held exactly as uint8 with ``_INF8`` for ∞ (:func:`_float_sums`
+    gives the float64 values).  The subset-min DP runs mask-major, so each
+    of its ``2^n - 1`` steps is one contiguous ``(n, rows)`` slab, and the
+    sum over ``j`` adds whole ``(2^n, rows)`` planes.
     """
     np = _np
     dist, p_arr = _vertex_deleted_distances(graphs, rows_idx, n)
     R = dist.shape[0]
     size = 1 << n
-    rows16 = (1.0 + dist).astype(np.float32)
     rr = np.arange(R)
-    rows16[rr, p_arr, :] = np.float32(np.inf)  # masks containing p: poisoned
-    table = np.full((R, size, n), np.inf, dtype=np.float32)
+    hops = dist + 1
+    hops[dist == _INF8] = _INF8
+    hops[rr, p_arr, :] = _INF8  # masks containing p: poisoned
+    hops = np.ascontiguousarray(hops.transpose(1, 2, 0))  # (k, j, rows)
+    table = np.empty((size, n, R), dtype=np.uint8)
+    table[0] = _INF8
     for mask in range(1, size):
         low = mask & -mask
         np.minimum(
-            table[:, mask ^ low, :],
-            rows16[:, low.bit_length() - 1, :],
-            out=table[:, mask, :],
+            table[mask ^ low], hops[low.bit_length() - 1], out=table[mask]
         )
     # j = p contributes nothing to the sum (and makes D_p(∅) = 0 at n = 1).
-    table[rr, :, p_arr] = 0.0
-    dsum = table.sum(axis=2, dtype=np.float64)
-    return dsum, p_arr
+    table[:, p_arr, rr] = 0
+    dsum = np.minimum(table.sum(axis=1, dtype=np.uint16), _INF8)
+    return dsum.astype(np.uint8), p_arr
 
 
 # --------------------------------------------------------------------------- #
-# Scalar interval tables: lo/hi/empty per (player row, opponent mask A)
+# Scalar interval tables: lo/hi/ok per (player row, opponent mask A)
 # --------------------------------------------------------------------------- #
 
 
 def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
-    """Per-row ``(lo, hi, empty)`` tables over every opponent mask ``A``.
+    """Per-row ``(lo, hi, ok)`` tables over the opponent masks ``A``.
 
     Exactly :func:`repro.core.unilateral.ownership_best_response_interval`
     vectorised: constraints are grouped by the size ``m`` of the deviation
-    neighbour set ``B ⊇ A`` and reduced through per-size superset minima —
-    ``-Δ_min/(m - deg)`` reproduces the reference quotients bit-for-bit
-    because IEEE division by a fixed signed integer is monotone in the
-    numerator and ``(-x)/(-d) ≡ x/d``.
+    neighbour set ``B ⊇ A`` and reduced through per-size superset minima on
+    the uint8 sums — ``-Δ_min/(m - deg)`` reproduces the reference quotients
+    bit-for-bit because IEEE division by a fixed signed integer is monotone
+    in the numerator and ``(-x)/(-d) ≡ x/d``.  The float64 fold runs only
+    for ``A ⊆ N(p)``, one batch per degree: no other mask is an ownership
+    split, so every other entry stays not-``ok``.
     """
     np = _np
-    R, size = dsum.shape
+    size, R = dsum.shape
     pop = _popcounts(n)
     masks = np.arange(size, dtype=np.int64)
-    contains_p = ((masks[None, :] >> p_arr[:, None]) & 1).astype(bool)
-    dvalid = np.where(contains_p, np.inf, dsum)
-    sizes = np.arange(n, dtype=np.int64)
-    selector = pop[None, :] == sizes[:, None]  # (n, size)
-    grouped = np.where(selector[None, :, :], dvalid[:, None, :], np.inf)
+    rr = np.arange(R)
+    contains_p = ((masks[:, None] >> p_arr[None, :]) & 1).astype(bool)
+    dvalid = np.where(contains_p, _INF8, dsum)
+    # grouped[B, r, m] = D_p(B) when |B| = m, else ∞.  The full mask always
+    # contains p, so no entry needs the size m = n.
+    grouped = np.full((size, R, n), _INF8, dtype=np.uint8)
+    grouped[masks[:-1, None], rr, pop[:-1, None]] = dvalid[:-1]
     for b in range(n):  # superset-min sum-over-subsets, one bit per pass
-        view = grouped.reshape(R, n, size >> (b + 1), 2, 1 << b)
-        np.minimum(view[..., 0, :], view[..., 1, :], out=view[..., 0, :])
-    base = dsum[np.arange(R), nbr_arr]
+        view = grouped.reshape(size >> (b + 1), 2, -1)
+        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
+    base = _float_sums(dsum[nbr_arr, rr])
     deg = pop[nbr_arr]
-    with np.errstate(invalid="ignore"):
-        delta = grouped - base[:, None, None]
-    np.nan_to_num(delta, copy=False, nan=0.0, posinf=np.inf, neginf=-np.inf)
-    denom = (sizes[None, :, None] - deg[:, None, None]).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotients = np.negative(delta) / denom
-    above = sizes[None, :, None] > deg[:, None, None]
-    below = sizes[None, :, None] < deg[:, None, None]
-    lo = np.maximum(
-        np.where(above, quotients, -np.inf).max(axis=1), 0.0
-    )
-    hi = np.where(below, quotients, np.inf).min(axis=1)
-    equal = np.take_along_axis(delta, deg[:, None, None], axis=1)[:, 0, :]
-    empty = equal < -1e-12
-    return lo, hi, empty
+    sizes = np.arange(n, dtype=np.float64)
+    lo = np.zeros((R, size))
+    hi = np.zeros((R, size))
+    ok = np.zeros((R, size), dtype=bool)
+    for d in range(n):
+        rows = np.flatnonzero(deg == d)
+        if not len(rows):
+            continue
+        opp = _submask_matrix(nbr_arr[rows], d)
+        minima = _float_sums(grouped[opp, rows[:, None]])  # (rows, 2^d, n)
+        with np.errstate(invalid="ignore"):
+            delta = minima - base[rows, None, None]
+        np.nan_to_num(delta, copy=False, nan=0.0, posinf=np.inf, neginf=-np.inf)
+        grow = np.negative(delta[..., d + 1 :]) / (sizes[d + 1 :] - d)
+        shrink = np.negative(delta[..., :d]) / (sizes[:d] - d)
+        lo_d = np.maximum(grow.max(axis=2, initial=-np.inf), 0.0)
+        hi_d = shrink.min(axis=2, initial=np.inf)
+        empty = delta[..., d] < -1e-12
+        lo[rows[:, None], opp] = lo_d
+        hi[rows[:, None], opp] = hi_d
+        ok[rows[:, None], opp] = ~empty & (lo_d <= hi_d)
+    return lo, hi, ok
 
 
 def _expand_rows(tables, plans, row_of, n: int):
@@ -355,44 +401,50 @@ def _vertex_classes(v: int, nbr: int, lo_row, hi_row, ok_row):
     Two inherited masks ``I, I'`` (earlier neighbours that deferred their
     shared edge to ``v``) are interchangeable for the rest of the search iff
     they generate the same set of ``(interval, deferred-mask)`` options
-    under *every* further deferral ``D``: the class signature is the tuple
-    of option-set ids of ``I ∪ D`` over all ``D``.  This is compositional
-    (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so transitions live on class ids.  Returns
-    ``(options_by_class, transitions)`` where ``transitions[cls][src]`` is
-    the class after vertex ``src`` defers its shared edge, and class 0 is
-    always the empty inherited mask.
+    under *every* further deferral ``D``.  The partition is refined one
+    earlier-neighbour bit ``b`` at a time, ``class(I) ← (class(I),
+    class(I ∪ {b}))``, starting from option-set ids: after every bit, two
+    masks share a class iff ``I ∪ D`` and ``I' ∪ D`` have equal option sets
+    for all ``D`` — O(e·2^e) for ``e`` earlier neighbours.  Each round
+    numbers classes by first appearance in :func:`_submasks` order.  The
+    relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so transitions live
+    on class ids.  Returns ``(options_by_class, transitions)`` where
+    ``transitions[cls][src]`` is the class after vertex ``src`` defers its
+    shared edge, and class 0 is always the empty inherited mask.
     """
     below = (1 << v) - 1
     earlier = nbr & below
     local = nbr & ~below & ~(1 << v)
     j_list = _submasks(earlier)
-    local_subs = _submasks(local)
-    sig_ids: Dict = {}
-    sig_of: Dict[int, int] = {}
+    # Earlier and local neighbours are disjoint, so the opponents of
+    # ``inherited | kept`` are ``(nbr ^ inherited) ^ kept``.
+    splits = [(kept, local ^ kept) for kept in _submasks(local)]
+    option_ids: Dict = {}
+    cls_of = [0] * (earlier + 1)
     opts_of: Dict[int, list] = {}
     for inherited in j_list:
+        free = nbr ^ inherited
         options = []
-        for kept in local_subs:
-            owned = inherited | kept
-            opponents = nbr ^ owned
+        for kept, deferred in splits:
+            opponents = free ^ kept
             if ok_row[opponents]:
-                options.append(
-                    (lo_row[opponents], hi_row[opponents], local ^ kept)
-                )
-        key = frozenset(options)
-        sig_of[inherited] = sig_ids.setdefault(key, len(sig_ids))
+                options.append((lo_row[opponents], hi_row[opponents], deferred))
+        cls_of[inherited] = option_ids.setdefault(
+            frozenset(options), len(option_ids)
+        )
         opts_of[inherited] = options
-    if len(sig_ids) == len(j_list):
-        # Every mask behaves distinctly: identity quotient, skip the
-        # (quadratic in 2^|earlier|) signature-tuple construction.
-        cls_of = {inherited: idx for idx, inherited in enumerate(j_list)}
-    else:
-        class_ids: Dict = {}
-        cls_of = {}
+    count = len(option_ids)
+    rest = earlier
+    while rest and count < len(j_list):  # a discrete partition stays so
+        bit = rest & -rest
+        rest ^= bit
+        pair_ids: Dict = {}
+        refined = [0] * (earlier + 1)
         for inherited in j_list:
-            signature = tuple(sig_of[inherited | d] for d in j_list)
-            cls_of[inherited] = class_ids.setdefault(signature, len(class_ids))
-    count = max(cls_of.values()) + 1
+            pair = cls_of[inherited] * count + cls_of[inherited | bit]
+            refined[inherited] = pair_ids.setdefault(pair, len(pair_ids))
+        cls_of = refined
+        count = len(pair_ids)
     options_by_class = [None] * count
     transitions = [dict() for _ in range(count)]
     for inherited in j_list:
@@ -496,13 +548,9 @@ def _chunk_rows(graphs, use_orbits):
     return plans, rows_idx, row_of
 
 
-def _hulls_and_masks(lo_full, hi_full, empty_full, nbr_full, n: int):
-    """Validity masks, per-player hulls and the per-graph feasibility test."""
+def _hulls_and_masks(lo_full, hi_full, ok, n: int):
+    """Per-player hulls and the per-graph feasibility test."""
     np = _np
-    size = lo_full.shape[1]
-    masks = np.arange(size, dtype=np.int64)
-    valid = (masks[None, :] & ~nbr_full[:, None]) == 0
-    ok = valid & ~empty_full & (lo_full <= hi_full)
     G = lo_full.shape[0] // n
     player_ok = ok.any(axis=1).reshape(G, n)
     hull_lo = np.where(ok, lo_full, np.inf).min(axis=1).reshape(G, n)
@@ -510,7 +558,7 @@ def _hulls_and_masks(lo_full, hi_full, empty_full, nbr_full, n: int):
     graph_ok = player_ok.all(axis=1) & (
         hull_lo.max(axis=1) <= hull_hi.min(axis=1)
     )
-    return ok, hull_lo, hull_hi, graph_ok
+    return hull_lo, hull_hi, graph_ok
 
 
 def _search_graph(graph, gi, n, lo_full, hi_full, ok_full, hull_lo, hull_hi):
@@ -549,17 +597,9 @@ def _scalar_chunk_sets(graphs, use_orbits):
     nbr_arr = np.asarray(
         [graphs[gi].adjacency_rows()[p] for gi, p in rows_idx], dtype=np.int64
     )
-    lo, hi, empty = _scalar_interval_tables(dsum, p_arr, nbr_arr, n)
-    lo_full, hi_full, empty_full = _expand_rows(
-        [lo, hi, empty], plans, row_of, n
-    )
-    nbr_full = np.asarray(
-        [g.adjacency_rows()[p] for g in graphs for p in range(n)],
-        dtype=np.int64,
-    )
-    ok_full, hull_lo, hull_hi, graph_ok = _hulls_and_masks(
-        lo_full, hi_full, empty_full, nbr_full, n
-    )
+    lo, hi, ok = _scalar_interval_tables(dsum, p_arr, nbr_arr, n)
+    lo_full, hi_full, ok_full = _expand_rows([lo, hi, ok], plans, row_of, n)
+    hull_lo, hull_hi, graph_ok = _hulls_and_masks(lo_full, hi_full, ok_full, n)
     results = []
     for gi, graph in enumerate(graphs):
         if not graph_ok[gi]:
@@ -573,7 +613,7 @@ def _scalar_chunk_sets(graphs, use_orbits):
 
 
 def _row_budget(n: int) -> int:
-    per_row = (1 << n) * n * 12  # float32 DP tensor + float64 superset-min
+    per_row = (1 << n) * n * 12  # uint8 DP + superset-min, float64 fold
     return max(n, min(4096, _TABLE_BYTE_BUDGET // max(per_row, 1)))
 
 
@@ -734,9 +774,7 @@ def _weighted_chunk_sets(graphs, model, use_orbits):
     pop = _popcounts(n)
     plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
     dsum, _ = _distance_sum_tables(graphs, rows_idx, n)
-    (dsum_full,) = _expand_rows([dsum], plans, row_of, n)
-    with np.errstate(invalid="ignore"):
-        pass
+    (dsum_full,) = _expand_rows([_float_sums(dsum).T], plans, row_of, n)
     results = []
     submask_cache: Dict[int, object] = {}
     wsum_tables = [

@@ -35,6 +35,7 @@ Counts are cross-checked in the test suite against the OEIS:
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -250,10 +251,6 @@ def iter_connected_graphs(n: int) -> Iterator[Graph]:
 
 def _iter_connected_counted(n: int) -> Iterator[Graph]:
     """Generator body of the instrumented :func:`iter_connected_graphs`."""
-    import time
-
-    from .. import obs
-
     yielded = 0
     start = time.perf_counter()
     try:
@@ -262,14 +259,21 @@ def _iter_connected_counted(n: int) -> Iterator[Graph]:
                 yielded += 1
                 yield g
     finally:
-        obs.counter(
-            "repro_enumeration_graphs_total",
-            "Connected graph classes streamed by the enumerator",
-        ).inc(yielded)
-        obs.histogram(
-            "repro_enumeration_seconds",
-            "Wall seconds per iter_connected_graphs stream",
-        ).observe(time.perf_counter() - start)
+        _record_enumeration(yielded, time.perf_counter() - start)
+
+
+def _record_enumeration(classes: int, seconds: float) -> None:
+    """Tally one connected-class enumeration (no-op with telemetry off)."""
+    from .. import obs
+
+    obs.counter(
+        "repro_enumeration_graphs_total",
+        "Connected graph classes enumerated",
+    ).inc(classes)
+    obs.histogram(
+        "repro_enumeration_seconds",
+        "Wall seconds per connected-graph enumeration",
+    ).observe(seconds)
 
 
 def iter_graphs_from(root: Graph, n: int) -> Iterator[Graph]:
@@ -348,8 +352,15 @@ def enumerate_graphs(n: int) -> List[Graph]:
 
 
 def enumerate_connected_graphs(n: int) -> List[Graph]:
-    """All connected graphs on ``n`` vertices up to isomorphism."""
-    return [g for g in enumerate_graphs(n) if is_connected(g)]
+    """All connected graphs on ``n`` vertices up to isomorphism.
+
+    Each call tallies its classes and wall seconds into the same telemetry
+    as :func:`iter_connected_graphs`.
+    """
+    start = time.perf_counter()
+    graphs = [g for g in enumerate_graphs(n) if is_connected(g)]
+    _record_enumeration(len(graphs), time.perf_counter() - start)
+    return graphs
 
 
 def enumerate_trees(n: int) -> List[Graph]:

@@ -162,7 +162,25 @@ class ArtifactServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except HTTPError as error:
+                    # The body was left unread, so the stream cannot carry
+                    # another request: answer, then close.
+                    obs.counter(
+                        "repro_http_requests_total",
+                        "HTTP requests served",
+                        path=_UNROUTED,
+                        status=str(error.status),
+                    ).inc()
+                    await self._write_response(
+                        writer,
+                        error.status,
+                        _error_bytes(error.status, str(error)),
+                        "application/json",
+                        keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -206,7 +224,10 @@ class ArtifactServer:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HTTPError(400, f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY:
             raise HTTPError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -251,13 +272,11 @@ class ArtifactServer:
             )
         except HTTPError as error:
             status = error.status
-            payload = _json_bytes({"error": str(error), "status": status})
+            payload = _error_bytes(status, str(error))
             content_type = "application/json"
         except Exception as error:  # noqa: BLE001 - served as 500
             status = 500
-            payload = _json_bytes(
-                {"error": f"{type(error).__name__}: {error}", "status": 500}
-            )
+            payload = _error_bytes(500, f"{type(error).__name__}: {error}")
             content_type = "application/json"
         finally:
             self._inflight -= 1
@@ -418,6 +437,10 @@ class ArtifactServer:
 
 def _json_bytes(payload) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _error_bytes(status: int, message: str) -> bytes:
+    return _json_bytes({"error": message, "status": status})
 
 
 def _parse_json(body: bytes) -> Dict[str, object]:

@@ -389,6 +389,26 @@ def test_run_shards_survives_raising_progress_callback():
 
 
 # --------------------------------------------------------------------------- #
+# Census-build counters
+# --------------------------------------------------------------------------- #
+
+
+def test_census_build_counts_enumerated_classes():
+    # CensusStore.build enumerates through the materialised
+    # enumerate_connected_graphs, and every class enters the batch kernel once.
+    pytest.importorskip("numpy")
+    from repro.analysis.store import CensusStore
+
+    store = CensusStore.build(5, include_ucg=False, jobs=1)
+    enumerated = obs.counter("repro_enumeration_graphs_total").value
+    assert enumerated == len(store) == 21
+    assert enumerated == obs.counter(
+        "repro_kernel_graphs_total", kernel="batch_stability_deltas"
+    ).value
+    assert obs.histogram("repro_enumeration_seconds").count == 1
+
+
+# --------------------------------------------------------------------------- #
 # Progress reporter
 # --------------------------------------------------------------------------- #
 

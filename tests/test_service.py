@@ -7,6 +7,8 @@ the direct single-threaded store/kernel call element for element.
 """
 
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -27,6 +29,7 @@ from repro.service import (
     start_in_thread,
 )
 from repro.service.batching import _merge_grids, _slice_columns
+from repro.service.http import MAX_BODY
 
 
 @pytest.fixture(scope="module")
@@ -457,3 +460,33 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as wrong_method:
             self._get(server, "/v1/query/grid")
         assert wrong_method.value.code == 405
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), ("", 200), (str(MAX_BODY + 1), 413)],
+        ids=["non-numeric", "negative", "empty", "too-large"],
+    )
+    def test_content_length_errors_get_a_status_line(
+        self, server, caplog, length, status
+    ):
+        request = (
+            "GET /healthz HTTP/1.1\r\n"
+            f"Content-Length: {length}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(request.encode("latin-1"))
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        assert json.loads(body)["status"] == ("ok" if status == 200 else status)
+        assert not caplog.records  # nothing escaped to the event loop
+        # The server keeps serving after every malformed request.
+        assert json.loads(self._get(server, "/healthz"))["status"] == "ok"

@@ -10,8 +10,11 @@ per-``Graph`` memo obeys the staleness contract (mutations build new
 instances, so a memo can never go stale).
 """
 
+import hashlib
 import importlib.util
 import math
+import os
+import random
 
 import pytest
 
@@ -107,6 +110,50 @@ class TestScalarParity:
             assert endpoints(engine_set) == endpoints(ucg_nash_alpha_set(fresh(graph)))
 
 
+#: sha256 over the ``float.hex`` endpoints of ``ucg_alpha_sets`` on every
+#: connected class of ``enumerate_connected_graphs(n)``, one line per class in
+#: census order.  The enumerated graphs carry memoised canonical records, so
+#: these pin the orbit-pruned path that the ``fresh()`` parity tests skip.
+#: Pinned from the float64 superset-min engine.
+ALPHA_SET_DIGESTS = {
+    1: "f1d0fd456de2b9f596d4dd1df121a334b987dde617f32dd6325bf7d1081c4ceb",
+    2: "f1d0fd456de2b9f596d4dd1df121a334b987dde617f32dd6325bf7d1081c4ceb",
+    3: "a50763fef98ddb75e78e64399e617d2b6c178e128b81eb962ad601fe2a5155b4",
+    4: "1f47fea901e1fa9bd35c358452f90b683c060ffe1f15d997bced5cdfa58bf6a9",
+    5: "d743aea96eecf90bb95fea09e02ee99e2ea16529846f6ed8ec3e4ad9e8e93f42",
+    6: "c7c22f01ce17894128c19546dedbbe5b14ea41aa511f9c591c1e3748595c5781",
+    7: "4ab8ea87b42f6a52cc62e2de51926fb2fdf1670b45979296a2935ffa652cc684",
+    8: "5ef1fc10759894836aab4c130e01e0d6a80a0b713d4a79e1feafae8ed082b70a",
+}
+
+
+def alpha_set_digest(n: int) -> str:
+    graphs = enumerate_connected_graphs(n)
+    for graph in graphs:
+        graph._ucg_set = None  # recompute through the engine, not the memo
+    digest = hashlib.sha256()
+    for interval_set in ucg_alpha_sets(graphs):
+        line = ";".join(
+            f"{float.hex(lo)},{float.hex(hi)}" for lo, hi in endpoints(interval_set)
+        )
+        digest.update(line.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedCensusDigests:
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerated_classes(self, n):
+        assert alpha_set_digest(n) == ALPHA_SET_DIGESTS[n]
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="the n=8 census takes ~20s; set REPRO_SLOW_TESTS=1 to run",
+    )
+    def test_enumerated_classes_n8(self):
+        assert alpha_set_digest(8) == ALPHA_SET_DIGESTS[8]
+
+
 class TestWeightedParity:
 
     @pytest.mark.parametrize("name", sorted(available_scenarios()))
@@ -140,6 +187,79 @@ class TestWeightedParity:
             assert endpoints(engine_set) == endpoints(
                 weighted_ucg_nash_t_set(graph, model)
             )
+
+
+# --------------------------------------------------------------------------- #
+# Future-equivalence classes of the orientation DP
+# --------------------------------------------------------------------------- #
+
+
+def signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row):
+    """Brute-force oracle for :func:`repro.engine.ucg._vertex_classes`.
+
+    The class of an inherited mask ``I`` is the tuple of option-set ids of
+    ``I ∪ D`` over every earlier-neighbour mask ``D`` (O(4^e) work for ``e``
+    earlier neighbours), numbered by first appearance in ``_submasks`` order.
+    """
+    from repro.engine.ucg import _submasks
+
+    earlier = nbr & ((1 << v) - 1)
+    local = nbr & ~((1 << (v + 1)) - 1)
+    j_list = _submasks(earlier)
+    option_ids, option_id, options_of = {}, {}, {}
+    for inherited in j_list:
+        options = []
+        for kept in _submasks(local):
+            opponents = nbr ^ (inherited | kept)
+            if ok_row[opponents]:
+                options.append((lo_row[opponents], hi_row[opponents], local ^ kept))
+        key = frozenset(options)
+        option_id[inherited] = option_ids.setdefault(key, len(option_ids))
+        options_of[inherited] = options
+    class_ids, cls_of = {}, {}
+    for inherited in j_list:
+        signature = tuple(option_id[inherited | d] for d in j_list)
+        cls_of[inherited] = class_ids.setdefault(signature, len(class_ids))
+    options_by_class = [None] * len(class_ids)
+    transitions = [dict() for _ in class_ids]
+    for inherited in j_list:
+        cls = cls_of[inherited]
+        if options_by_class[cls] is None:
+            options_by_class[cls] = options_of[inherited]
+        for u in range(v):
+            if (earlier & ~inherited) >> u & 1:
+                transitions[cls][u] = cls_of[inherited | (1 << u)]
+    return options_by_class, transitions
+
+
+class TestVertexClasses:
+
+    def test_matches_signature_tuple_oracle(self):
+        from repro.engine.ucg import _vertex_classes
+
+        rng = random.Random(20050717)
+        merged = 0
+        for draw in range(600):
+            n = rng.randint(1, 8)
+            v = rng.randrange(n)
+            nbr = rng.getrandbits(n) & ~(1 << v)
+            size = 1 << n
+            if draw % 2:
+                # Tables that depend only on |A| (as on K_n) merge many masks.
+                key = [bin(mask).count("1") for mask in range(size)]
+            else:
+                key = [rng.randrange(4) for _ in range(size)]
+            lo_vals = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n + 4)]
+            hi_vals = [rng.choice([1.0, 2.0, INF]) for _ in range(n + 4)]
+            ok_vals = [rng.random() < 0.7 for _ in range(n + 4)]
+            lo_row = [lo_vals[k] for k in key]
+            hi_row = [hi_vals[k] for k in key]
+            ok_row = [ok_vals[k] for k in key]
+            got = _vertex_classes(v, nbr, lo_row, hi_row, ok_row)
+            assert got == signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row)
+            earlier = bin(nbr & ((1 << v) - 1)).count("1")
+            merged += len(got[0]) < (1 << earlier)
+        assert merged >= 50  # the draws exercise non-trivial quotients
 
 
 # --------------------------------------------------------------------------- #
