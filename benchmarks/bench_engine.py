@@ -1017,7 +1017,7 @@ def bench_service(n: int = 6, grid: int = 24, rounds: int = 12) -> Dict[str, flo
 
         clear_store_cache()
         api = QueryAPI(
-            ArtifactCatalog(root=tmp), batcher=GridBatcher(window=0.005)
+            ArtifactCatalog(root=tmp), batcher=GridBatcher()
         )
         server, thread = start_in_thread(api=api)
         base = f"http://127.0.0.1:{server.port}"

@@ -59,6 +59,7 @@ from ..engine import (
     ucg_alpha_sets,
 )
 from ..engine.columnar import (
+    addition_frontier,
     bcg_stable_mask,
     canonical_sort_indices,
     certificate_to_graph,
@@ -153,7 +154,8 @@ class CensusStore:
         self.ucg_hi = ucg_hi
         self.ucg_indptr = ucg_indptr
         self._rem_min = None  # lazy per-class α_max column
-        self._m64 = None  # lazy float64 view of num_edges
+        self._frontier = None  # lazy per-class Pareto frontier of add pairs
+        self._m64 = None  # lazy float64 copy of num_edges
         self._artifact_checksum = None  # checksum stamped on the loaded artifact
 
     # ------------------------------------------------------------------ #
@@ -354,6 +356,18 @@ class CensusStore:
             self._rem_min = segment_min(self.rem_values, self.rem_indptr)
         return self._rem_min
 
+    def _frontier_columns(self):
+        """``(lo, hi, indptr)`` of the per-class addition frontier.
+
+        The pairs :func:`bcg_stable_mask` can decide on — at n = 8, 13,011
+        of the 151,056 stored pairs.
+        """
+        if self._frontier is None:
+            self._frontier = addition_frontier(
+                self.add_lo, self.add_hi, self.add_indptr
+            )
+        return self._frontier
+
     def stable_mask(self, alphas: Sequence[float], game: str = "bcg"):
         """``bool[n_classes, n_alphas]`` equilibrium membership on a grid.
 
@@ -365,11 +379,7 @@ class CensusStore:
         game = _check_game(game)
         if game == "bcg":
             return bcg_stable_mask(
-                self._rem_min_column(),
-                self.add_lo,
-                self.add_hi,
-                self.add_indptr,
-                alphas,
+                self._rem_min_column(), *self._frontier_columns(), alphas
             )
         if not self.include_ucg:
             raise ValueError("census was built without the UCG analysis")
@@ -383,8 +393,8 @@ class CensusStore:
         """Per-class Lemma 2 ``(α_min, α_max)`` arrays (BCG)."""
         return stability_windows(self._rem_min_column(), self.add_lo, self.add_indptr)
 
-    def _poa_column(self, alpha: float, game: str):
-        """Per-class ``ρ(G, α)``, replicating the scalar float expressions.
+    def _poa_entries(self, alphas: List[float], points, rows, game: str):
+        """``ρ(G, α)`` for each ``(alphas[points[i]], class rows[i])`` entry.
 
         ``social_cost`` is ``per_edge·α·m + Σd`` evaluated elementwise with
         the exact operation order of :func:`repro.core.costs.social_cost_bcg`
@@ -393,13 +403,21 @@ class CensusStore:
         """
         np = _np
         if self._m64 is None:
-            self._m64 = self.num_edges.astype(np.float64)
+            self._m64 = np.asarray(self.num_edges, dtype=np.float64)
         per_edge = 2.0 if game == "bcg" else 1.0
-        optimum = efficient_social_cost(self.n, alpha, game)
-        cost = (per_edge * alpha) * self._m64 + self.dist_total
-        if optimum == 0:
-            return np.ones_like(cost)
-        return cost / optimum
+        optimum = np.array(
+            [efficient_social_cost(self.n, alpha, game) for alpha in alphas],
+            dtype=np.float64,
+        )
+        free = optimum == 0
+        optimum[free] = 1.0
+        # np.asarray: index a plain view, not the (possibly mapped) column.
+        cost = (per_edge * np.asarray(alphas))[points] * self._m64[rows] + (
+            np.asarray(self.dist_total)[rows]
+        )
+        poa = cost / optimum[points]
+        poa[free[points]] = 1.0
+        return poa
 
     def grid_aggregates(self, alphas: Sequence[float], game: str) -> Dict[str, list]:
         """Whole-grid Figure 2/3 aggregates in one vectorised pass.
@@ -409,32 +427,47 @@ class CensusStore:
         the corresponding :class:`EquilibriumCensus` aggregate — including
         the sequential left-to-right float summation of the record path,
         so averages match to the last bit, and ``nan`` for empty
-        equilibrium sets.
+        equilibrium sets.  Only the equilibrium rows of each grid point
+        are read.
         """
         np = _np
         game = _check_game(game)
-        mask = self.stable_mask(alphas, game)
+        alphas = [float(alpha) for alpha in alphas]
+        rows, points = np.divmod(
+            np.flatnonzero(self.stable_mask(alphas, game)), len(alphas)
+        )
+        # Group by grid point; a stable sort keeps each point's equilibrium
+        # rows ascending, i.e. in record order.
+        by_point = np.argsort(points, kind="stable")
+        rows, points = rows[by_point], points[by_point]
+        sizes = np.bincount(points, minlength=len(alphas))
+        starts = np.cumsum(sizes) - sizes
+        filled = starts[sizes > 0]
+        poa = self._poa_entries(alphas, points, rows, game)
+        worst = np.maximum.reduceat(poa, filled)
+        links = np.add.reduceat(
+            np.asarray(self.num_edges)[rows].astype(np.int64), filled
+        )
+        values = poa.tolist()
         counts: List[int] = []
         average_poa: List[float] = []
         worst_poa: List[float] = []
         average_links: List[float] = []
-        for column, alpha in enumerate(alphas):
-            selected = mask[:, column]
-            count = int(selected.sum())
+        k = 0
+        for start, count in zip(starts.tolist(), sizes.tolist()):
             counts.append(count)
             if count == 0:
                 average_poa.append(float("nan"))
                 worst_poa.append(float("nan"))
                 average_links.append(float("nan"))
                 continue
-            poa = self._poa_column(float(alpha), game)[selected]
             total = 0
-            for value in poa.tolist():  # class order == record order
+            for value in values[start:start + count]:
                 total = total + value
             average_poa.append(total / count)
-            worst_poa.append(float(poa.max()))
-            links = int(self.num_edges[selected].sum(dtype=np.int64))
-            average_links.append(links / count)
+            worst_poa.append(float(worst[k]))
+            average_links.append(int(links[k]) / count)
+            k += 1
         return {
             "counts": counts,
             "average_poa": average_poa,

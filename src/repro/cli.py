@@ -1020,14 +1020,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="compute threads answering queries (default: 4)",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help=(
-            "how long the first of a burst of grid requests waits for "
-            "companions before computing; 0 disables coalescing "
-            "(default: 0.005)"
-        ),
-    )
-    parser.add_argument(
         "--no-mmap", action="store_true",
         help="load directory artifacts resident instead of memory-mapped",
     )
@@ -1050,7 +1042,6 @@ def serve_main(argv: List[str]) -> int:
             host=args.host,
             port=args.port,
             threads=args.threads,
-            batch_window=args.batch_window,
             mmap=not args.no_mmap,
             drain_grace=args.drain_grace,
         )

@@ -14,7 +14,9 @@ The numeric contract is **bit-identity** with the record path:
 * every comparison uses exactly the scalar expression of
   :meth:`PairwiseStabilityProfile.violations_at` /
   :meth:`AlphaInterval.contains` (including which side of the comparison the
-  tolerance is folded into), evaluated elementwise in float64;
+  tolerance is folded into), on the same float64 values — the mask kernels
+  sort the grid once and place each comparison with ``searchsorted``
+  instead of repeating it per grid point;
 * value columns may be stored as float32 — every BCG deviation payoff is an
   integer-valued float (or ``±inf``) far below 2**24, so the float32 round
   trip is exact — and are upcast to float64 before any comparison.
@@ -72,13 +74,14 @@ def segment_any(flags, indptr):
     return out
 
 
-def _segment_reduce(values, indptr, ufunc, empty: float):
+def _segment_reduce(values, indptr, ufunc, empty, dtype=None):
     np = _require_numpy()
+    dtype = np.float64 if dtype is None else dtype
     counts = np.diff(indptr)
-    out = np.full(counts.shape[0], empty, dtype=np.float64)
+    out = np.full(counts.shape[0], empty, dtype=dtype)
     if values.shape[0] == 0 or counts.shape[0] == 0:
         return out
-    values = values.astype(np.float64, copy=False)
+    values = values.astype(dtype, copy=False)
     nonempty = counts > 0
     reduced = ufunc.reduceat(values, indptr[:-1][nonempty])
     out[nonempty] = reduced
@@ -168,6 +171,43 @@ BCG_TOL = 1e-12
 #: Tolerance of the UCG interval membership test (matches AlphaInterval.contains).
 UCG_TOL = 1e-9
 
+#: Classes per block of :func:`addition_frontier`; bounds its temporaries.
+FRONTIER_BLOCK = 1024
+
+
+def _sorted_grid(alphas):
+    """``(ordered, position, nan)`` for a query grid.
+
+    ``ordered`` holds the grid's non-NaN points in ascending order,
+    ``position[j]`` is the index of request point ``j`` in ``ordered``
+    (``-1``, inside no run, for a NaN point), and ``nan`` indexes the NaN
+    points, which no comparison can place.
+    """
+    np = _require_numpy()
+    grid = np.array([float(a) for a in alphas], dtype=np.float64)
+    nan = np.isnan(grid)
+    order = np.flatnonzero(~nan)
+    order = order[np.argsort(grid[order], kind="stable")]
+    position = np.full(grid.shape[0], -1, dtype=np.intp)
+    position[order] = np.arange(order.shape[0])
+    return grid[order], position, np.flatnonzero(nan)
+
+
+def _fill_runs(out, rows, start, stop, position) -> None:
+    """OR ``start <= position < stop`` into ``out[rows]`` (``rows`` ascending).
+
+    Each entry is one run of the sorted grid, mapped back to request order
+    through ``position``; rows may repeat.
+    """
+    np = _require_numpy()
+    live = start < stop
+    if not bool(live.any()):
+        return
+    rows = rows[live]
+    flags = (position >= start[live, None]) & (position < stop[live, None])
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    out[rows[first]] |= np.logical_or.reduceat(flags, first, axis=0)
+
 
 @obs.timed_kernel("bcg_stable_mask")
 def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
@@ -180,9 +220,10 @@ def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
         (``inf`` for edgeless classes).
     add_lo, add_hi, add_indptr:
         Ragged per-non-edge ``(min, max)`` addition-saving pairs in CSR
-        layout, one segment per class.
+        layout, one segment per class — all of them, or any subset that
+        keeps each class's :func:`addition_frontier`.
     alphas:
-        Link-cost grid.
+        Link-cost grid, in any order.
 
     Returns
     -------
@@ -190,19 +231,37 @@ def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
     :meth:`PairwiseStabilityProfile.is_stable_at` per class per grid point:
     a class is stable at ``α`` iff no removal increase is below ``α - tol``
     and no non-edge has ``max > α + tol`` with ``min >= α - tol``.
+
+    The grid is sorted once.  Rounding is monotone, so the float64 values
+    ``α - tol`` and ``α + tol`` the comparisons use are sorted with it:
+    a removal violation holds on a suffix of the sorted grid and an
+    addition violation on a prefix, and one ``searchsorted`` per probe
+    places both.  Each class is then stable on one contiguous run of the
+    sorted grid.
     """
     np = _require_numpy()
     rem_min = np.asarray(rem_min, dtype=np.float64)
     lo = np.asarray(add_lo).astype(np.float64, copy=False)
     hi = np.asarray(add_hi).astype(np.float64, copy=False)
-    alpha_list = [float(a) for a in alphas]
-    out = np.empty((rem_min.shape[0], len(alpha_list)), dtype=bool)
-    for column, alpha in enumerate(alpha_list):
-        below = alpha - BCG_TOL
-        above = alpha + BCG_TOL
-        severs = rem_min < below
-        adds = segment_any((hi > above) & (lo >= below), add_indptr)
-        np.logical_not(severs | adds, out=out[:, column])
+    ordered, position, nan = _sorted_grid(alphas)
+    below = ordered - BCG_TOL
+    above = ordered + BCG_TOL
+    # A non-edge adds at sorted column j iff above[j] < hi and below[j] <= lo,
+    # i.e. for j < reach; a NaN payoff fails both comparisons everywhere.
+    reach = np.minimum(
+        np.searchsorted(above, hi, side="left"),
+        np.searchsorted(below, lo, side="right"),
+    )
+    reach[np.isnan(lo) | np.isnan(hi)] = 0
+    stable_from = _segment_reduce(reach, add_indptr, np.maximum, 0, np.intp)
+    # A class severs at sorted column j iff rem_min < below[j].
+    stable_to = np.searchsorted(below, rem_min, side="right")
+    out = np.zeros((rem_min.shape[0], position.shape[0]), dtype=bool)
+    _fill_runs(
+        out, np.arange(rem_min.shape[0]), stable_from, stable_to, position
+    )
+    # At a NaN α every comparison is false: nothing violates stability.
+    out[:, nan] = True
     return out
 
 
@@ -213,17 +272,73 @@ def ucg_nash_mask(iv_lo, iv_hi, iv_indptr, alphas):
     Bit-identical to :meth:`AlphaIntervalSet.contains` per class per grid
     point: membership in any stored closed interval, with the tolerance
     folded into the *endpoint* side of each comparison exactly as
-    :meth:`AlphaInterval.contains` does.
+    :meth:`AlphaInterval.contains` does.  Each interval covers one
+    contiguous run of the sorted grid, placed by ``searchsorted``; a class
+    is supportable on the union of its runs.
     """
     np = _require_numpy()
     lo = np.asarray(iv_lo, dtype=np.float64) - UCG_TOL
     hi = np.asarray(iv_hi, dtype=np.float64) + UCG_TOL
-    alpha_list = [float(a) for a in alphas]
+    ordered, position, _nan = _sorted_grid(alphas)
+    # Interval p holds at sorted column j iff start[p] <= j < stop[p]; a
+    # NaN endpoint fails its comparison everywhere.
+    start = np.searchsorted(ordered, lo, side="left")
+    stop = np.searchsorted(ordered, hi, side="right")
+    stop[np.isnan(hi)] = 0
     n_classes = iv_indptr.shape[0] - 1
-    out = np.empty((n_classes, len(alpha_list)), dtype=bool)
-    for column, alpha in enumerate(alpha_list):
-        out[:, column] = segment_any((lo <= alpha) & (alpha <= hi), iv_indptr)
+    owner = np.repeat(np.arange(n_classes), np.diff(iv_indptr))
+    # No interval contains a NaN α, so those columns stay False.
+    out = np.zeros((n_classes, position.shape[0]), dtype=bool)
+    _fill_runs(out, owner, start, stop, position)
     return out
+
+
+def addition_frontier(add_lo, add_hi, add_indptr):
+    """Per-class Pareto frontier of the ``(lo, hi)`` addition-saving pairs.
+
+    A pair ``(lo, hi)`` of a class is dropped when another pair of the same
+    class has ``lo' >= lo`` and ``hi' >= hi``: wherever the dropped pair
+    adds (``hi > α + tol`` and ``lo >= α - tol``), the other one adds too,
+    so :func:`bcg_stable_mask` answers the same on the frontier as on the
+    full columns.  Pairs with a NaN payoff never add and are dropped as
+    well; of equal pairs one is kept.
+
+    Returns float64 ``(lo, hi, indptr)`` in CSR layout, one segment per
+    class.  Classes are processed :data:`FRONTIER_BLOCK` at a time, so the
+    sort temporaries stay small however large the census is.
+    """
+    np = _require_numpy()
+    add_indptr = np.asarray(add_indptr, dtype=np.int64)
+    n_classes = add_indptr.shape[0] - 1
+    kept_lo = [np.zeros(0, dtype=np.float64)]
+    kept_hi = [np.zeros(0, dtype=np.float64)]
+    counts = np.zeros(n_classes, dtype=np.int64)
+    for first in range(0, n_classes, FRONTIER_BLOCK):
+        last = min(first + FRONTIER_BLOCK, n_classes)
+        begin, end = int(add_indptr[first]), int(add_indptr[last])
+        lo = np.asarray(add_lo[begin:end], dtype=np.float64)
+        hi = np.asarray(add_hi[begin:end], dtype=np.float64)
+        owner = np.repeat(
+            np.arange(last - first), np.diff(add_indptr[first:last + 1])
+        )
+        valid = ~(np.isnan(lo) | np.isnan(hi))
+        lo, hi, owner = lo[valid], hi[valid], owner[valid]
+        # Within each class, by lo then hi descending: a pair survives iff
+        # its hi beats every hi before it.  Ranking hi and offsetting by
+        # class makes that one running maximum over the whole block.
+        order = np.lexsort((-hi, -lo, owner))
+        lo, hi, owner = lo[order], hi[order], owner[order]
+        ranks = np.unique(hi, return_inverse=True)[1].reshape(-1)
+        key = owner * (ranks.max(initial=0) + 1) + ranks
+        before = np.maximum.accumulate(key)
+        keep = np.ones(key.shape[0], dtype=bool)
+        keep[1:] = key[1:] > before[:-1]
+        kept_lo.append(lo[keep])
+        kept_hi.append(hi[keep])
+        counts[first:last] = np.bincount(owner[keep], minlength=last - first)
+    indptr = np.zeros(n_classes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return np.concatenate(kept_lo), np.concatenate(kept_hi), indptr
 
 
 def ucg_interval_columns(interval_sets) -> Tuple:

@@ -130,8 +130,7 @@ class QueryAPI:
         ``game="ucg"`` Nash supportability — the store's own
         :meth:`~repro.analysis.store.CensusStore.stable_mask`.
         """
-        store = self.catalog.get_census(ref)
-        info = self.catalog.info(ref)
+        info, store = self.catalog.get(ref, kind="census")
         return self._batched(
             (info.id, "census-mask", game),
             alphas,
@@ -142,8 +141,10 @@ class QueryAPI:
         self, ref: str, alphas: Sequence[float], game: str = "bcg"
     ) -> Dict[str, list]:
         """Whole-grid Figure 2/3 aggregates (counts, PoA, link counts)."""
-        store = self.catalog.get_census(ref)
-        info = self.catalog.info(ref)
+        info, store = self.catalog.get(ref, kind="census")
+        return self._aggregates(info, store, alphas, game)
+
+    def _aggregates(self, info, store, alphas, game: str) -> Dict[str, list]:
         result = self._batched(
             (info.id, "census-agg", game),
             alphas,
@@ -164,16 +165,17 @@ class QueryAPI:
         same :func:`~repro.analysis.figure_series.census_figure_series`
         construction — with the aggregates routed through the batcher, so
         concurrent figure requests share kernel calls without changing a
-        single output element.
+        single output element.  The artifact is resolved once for both
+        games.
         """
-        store = self.catalog.get_census(ref)
+        info, store = self.catalog.get(ref, kind="census")
         costs = log_spaced_alphas(0.4, 2.0 * store.n * store.n, max(2, points))
         figure = census_figure_series(
             store,
             quantity,
             costs,
-            aggregates=lambda alphas, game: self.grid_aggregates(
-                ref, alphas, game
+            aggregates=lambda alphas, game: self._aggregates(
+                info, store, alphas, game
             ),
         )
         payload = figure_to_payload(figure)
@@ -234,8 +236,7 @@ class QueryAPI:
         UCG Nash counts when ``ucg`` is requested and the artifact
         carries the columns.
         """
-        store = self.catalog.get_weighted(ref)
-        info = self.catalog.info(ref)
+        info, store = self.catalog.get(ref, kind="weighted")
         if ts is None:
             ts = default_t_grid(store.n, points)
         result = self._batched(
@@ -275,7 +276,7 @@ class QueryAPI:
         """
         from ..analysis.scenarios import build_scenario
 
-        delta = self.catalog.get_delta(ref)
+        _info, delta = self.catalog.get(ref, kind="delta")
         if ts is None:
             ts = default_t_grid(delta.n, points)
         ts = [float(t) for t in ts]
@@ -319,7 +320,7 @@ class QueryAPI:
             )
         kwargs = {}
         if delta is not None:
-            kwargs["delta"] = self.catalog.get_delta(delta)
+            kwargs["delta"] = self.catalog.get(delta, kind="delta")[1]
         result = run_ensemble(
             scenario=scenario,
             n=n,

@@ -6,18 +6,18 @@ around them) answers each grid point as an **independent column**: the mask
 for α-column ``j`` is a function of the stored probe columns and ``alphas[j]``
 alone.  That makes coalescing free and exact — evaluating the union of two
 requests' grids in one kernel call and handing each caller its own columns
-back is bit-identical to two separate calls, and the PR-6 stacked-``K``
-kernels already pay near-nothing for the extra columns.
+back is bit-identical to two separate calls.
 
-:class:`GridBatcher` exploits this for the query service: concurrent
-requests against the same ``(artifact, game)`` pair that arrive within a
-bounded wait window are merged into **one** vectorised kernel call.  The
-first thread to arrive becomes the batch *leader*: it waits up to
-``window`` seconds (returning early once ``max_batch`` requests joined),
-deduplicates the union grid, runs the compute callable once, and
-distributes per-caller column slices.  Followers block on the batch event
-and never touch the kernel.  A compute error propagates to every caller in
-the batch.
+:class:`GridBatcher` exploits this for the query service with **group
+commit**: a request whose ``(artifact, game)`` key has no kernel call in
+flight computes at once — a lone request never waits.  Requests that arrive
+while a call for their key is in flight join one queued batch; the moment
+that call returns, the queued batch starts as the next call, its first
+request's thread (the batch *leader*) deduplicates the union grid, runs the
+compute callable once and distributes per-caller column slices.  Followers
+block on the batch event and never touch the kernel.  A batch holds at most
+one request per thread the caller runs requests on, so the compute pool
+bounds its size.  A compute error propagates to every caller in the batch.
 
 The batcher is transport-free — :class:`~repro.service.api.QueryAPI` calls
 it from whatever threads the server (or a test hammer) runs requests on.
@@ -55,17 +55,16 @@ def _slice_columns(result, indices: List[int]):
 
 
 class _Batch:
-    """One in-flight coalescing window for a single key."""
+    """The requests that share one kernel call for a single key."""
 
-    __slots__ = ("requests", "event", "result", "error", "closed", "full")
+    __slots__ = ("requests", "turn", "event", "result", "error")
 
     def __init__(self) -> None:
         self.requests: List[List[float]] = []
+        self.turn = threading.Event()  # set when the batch may compute
         self.event = threading.Event()  # set when the result is ready
-        self.full = threading.Event()  # set when max_batch was reached
         self.result = None
         self.error: BaseException | None = None
-        self.closed = False
 
 
 class BatchStats:
@@ -85,27 +84,12 @@ class BatchStats:
 
 
 class GridBatcher:
-    """Coalesce concurrent per-key grid requests into shared kernel calls.
+    """Coalesce concurrent per-key grid requests into shared kernel calls."""
 
-    Parameters
-    ----------
-    window:
-        Seconds the batch leader waits for followers before computing.
-        ``0`` disables coalescing entirely (every submit computes
-        immediately) — the parity-testing baseline.
-    max_batch:
-        Requests per batch at which the leader stops waiting early.
-    """
-
-    def __init__(self, window: float = 0.005, max_batch: int = 64) -> None:
-        if window < 0:
-            raise ValueError("window must be non-negative")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        self.window = float(window)
-        self.max_batch = int(max_batch)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pending: Dict[object, _Batch] = {}
+        self._running: Dict[object, _Batch] = {}  # key -> batch computing
+        self._queued: Dict[object, _Batch] = {}  # key -> batch up next
         self._batches = 0
         self._requests = 0
         self._coalesced = 0
@@ -129,29 +113,22 @@ class GridBatcher:
         — however many requests were coalesced.
         """
         alphas = [float(a) for a in alphas]
-        if self.window == 0.0:
-            with self._lock:
-                self._batches += 1
-                self._requests += 1
-            self._observe(1)
-            return compute(alphas)
-
         with self._lock:
             self._requests += 1
-            batch = self._pending.get(key)
-            if batch is None or batch.closed:
-                batch = _Batch()
-                self._pending[key] = batch
-                leader = True
-            else:
+            leader = True
+            if key not in self._running:
+                batch = self._running[key] = _Batch()
+                batch.turn.set()
+            elif key in self._queued:
+                batch = self._queued[key]
                 leader = False
+            else:
+                batch = self._queued[key] = _Batch()
             index = len(batch.requests)
             batch.requests.append(alphas)
-            if len(batch.requests) >= self.max_batch:
-                batch.closed = True
-                batch.full.set()
 
         if leader:
+            batch.turn.wait()
             self._run_batch(key, batch, compute)
         else:
             batch.event.wait()
@@ -163,23 +140,15 @@ class GridBatcher:
     # ------------------------------------------------------------------ #
 
     def _run_batch(self, key: object, batch: _Batch, compute) -> None:
-        """Leader body: wait out the window, compute once, publish.
+        """Leader body: compute once, hand the key on, publish.
 
         Every request in a batch carries an equivalent compute closure by
         construction (the key pins artifact + game + query type); the
-        leader's closure is the one that runs.
+        leader's closure is the one that runs.  The batch stopped taking
+        requests when its turn came, so ``batch.requests`` is final here.
         """
-        batch.full.wait(self.window)
-        with self._lock:
-            batch.closed = True
-            if self._pending.get(key) is batch:
-                del self._pending[key]
-            requests = list(batch.requests)
-            self._batches += 1
-            if len(requests) > 1:
-                self._coalesced += len(requests)
-        grid, slices = _merge_grids(requests)
         try:
+            grid, slices = _merge_grids(batch.requests)
             start = time.perf_counter()
             result = compute(grid)
             obs.histogram(
@@ -190,7 +159,19 @@ class GridBatcher:
         except BaseException as error:  # propagate to every caller
             batch.error = error
         finally:
-            self._observe(len(requests))
+            size = len(batch.requests)
+            with self._lock:
+                self._batches += 1
+                if size > 1:
+                    self._coalesced += size
+                following = self._queued.pop(key, None)
+                if following is None:
+                    del self._running[key]
+                else:
+                    self._running[key] = following
+            if following is not None:
+                following.turn.set()
+            self._observe(size)
             batch.event.set()
 
     def _observe(self, size: int) -> None:

@@ -180,15 +180,18 @@ class ArtifactCatalog:
             return sorted(self._artifacts.values(), key=lambda a: a.id)
 
     def info(self, ref: str) -> ArtifactInfo:
-        """The registry entry for ``ref`` (an id, or a registerable path)."""
+        """The registry entry for ``ref``.
+
+        A rooted catalog knows only what its directory scan and :meth:`add`
+        registered, so a served ref can never reach outside the root.  A
+        root-less catalog (the CLI's ``--load`` mode) also treats ``ref``
+        as a filesystem path and registers it on first use.
+        """
         with self._lock:
             found = self._artifacts.get(ref)
             if found is not None:
                 return found
-            # Fall back to treating the ref as a filesystem path; this is
-            # what lets the CLI run against a bare artifact file with no
-            # serve directory configured.
-            if os.path.exists(ref):
+            if self.root is None and os.path.exists(ref):
                 return self.add(ref)
             raise KeyError(f"unknown artifact {ref!r}")
 
@@ -211,39 +214,25 @@ class ArtifactCatalog:
     # Loading (through the shared thread-safe LRUs)
     # ------------------------------------------------------------------ #
 
-    def get(self, ref: str):
+    def get(self, ref: str, kind: Optional[str] = None):
         """``(info, store)`` for ``ref``, loaded through the shared LRU.
 
         Directory-format artifacts are memory-mapped when the catalog was
         built with ``mmap=True`` (the default); npz artifacts load
         resident — both land in the same bounded cache, so repeated
-        queries against one artifact never re-read the disk.
+        queries against one artifact never re-read the disk.  With
+        ``kind``, an artifact of another kind raises :class:`ValueError`
+        before anything is loaded.
         """
         info = self.info(ref)
+        if kind is not None and info.kind != kind:
+            raise ValueError(
+                f"artifact {info.id!r} is a {info.kind} store; this query "
+                f"needs a {kind} store"
+            )
         mmap = self.mmap and info.format == "dir"
         if info.kind == "census":
             return info, cached_store(path=info.path, mmap=mmap)
         if info.kind == "weighted":
             return info, cached_weighted_store(info.path, mmap=mmap)
         return info, cached_delta_store(path=info.path, mmap=mmap)
-
-    def get_census(self, ref: str):
-        """The :class:`CensusStore` at ``ref`` (kind-checked)."""
-        return self._get_kind(ref, "census")
-
-    def get_weighted(self, ref: str):
-        """The :class:`WeightedStore` at ``ref`` (kind-checked)."""
-        return self._get_kind(ref, "weighted")
-
-    def get_delta(self, ref: str):
-        """The :class:`DeltaStore` at ``ref`` (kind-checked)."""
-        return self._get_kind(ref, "delta")
-
-    def _get_kind(self, ref: str, kind: str):
-        info, store = self.get(ref)
-        if info.kind != kind:
-            raise ValueError(
-                f"artifact {info.id!r} is a {info.kind} store; this query "
-                f"needs a {kind} store"
-            )
-        return store

@@ -48,6 +48,18 @@ __all__ = ["ArtifactServer", "start_in_thread"]
 #: Upper bound on request body size (JSON query payloads are tiny).
 MAX_BODY = 4 * 1024 * 1024
 
+#: Upper bound on header fields per request.
+MAX_HEADERS = 100
+
+#: Upper bounds on the sizes a query body sets, each checked before any work
+#: starts.  Figures in the paper use a few dozen grid points and censuses
+#: stop at n = 8; every limit leaves room well above that.
+MAX_ALPHAS = 4096  # explicit grid points of /v1/query/grid
+MAX_POINTS = 4096  # figure grid points of /v1/query/grid
+MAX_ENSEMBLE_N = 8  # players of /v1/query/ensemble-stats (n = 9: 261k classes)
+MAX_DRAWS = 10_000  # seeded draws of /v1/query/ensemble-stats
+MAX_GRID = 256  # scale-grid points of /v1/query/ensemble-stats
+
 #: Path label used for unrouted requests so the metrics cardinality stays
 #: bounded no matter what clients probe.
 _UNROUTED = "<unrouted>"
@@ -67,6 +79,8 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -209,8 +223,10 @@ class ArtifactServer:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
             request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+        except ConnectionError:
             return None
+        except ValueError:  # the line outgrew the stream limit
+            raise HTTPError(414, "request line too long")
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
@@ -218,12 +234,17 @@ class ArtifactServer:
             return None
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise HTTPError(431, "header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise HTTPError(431, f"more than {MAX_HEADERS} header fields")
         raw_length = headers.get("content-length") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise HTTPError(400, f"invalid Content-Length {raw_length!r}")
@@ -329,12 +350,8 @@ class ArtifactServer:
             return 200, _json_bytes(result), "application/json"
         if path == "/artifacts":
             _require(method, "GET")
-            self.api.catalog.refresh()
-            return (
-                200,
-                _json_bytes({"artifacts": self.api.artifacts()}),
-                "application/json",
-            )
+            result = await self._compute(self._list_artifacts)
+            return 200, _json_bytes(result), "application/json"
         if path.startswith("/artifacts/"):
             _require(method, "GET")
             ref = path[len("/artifacts/"):]
@@ -386,6 +403,10 @@ class ArtifactServer:
             "uptime_seconds": time.monotonic() - self._start_time,
         }
 
+    def _list_artifacts(self) -> Dict[str, object]:
+        self.api.catalog.refresh()
+        return {"artifacts": self.api.artifacts()}
+
     def _artifact_detail(self, ref: str) -> Dict[str, object]:
         info = self.api.catalog.info(ref)
         return {
@@ -406,13 +427,14 @@ class ArtifactServer:
             alphas = request["alphas"]
             if not isinstance(alphas, list) or not alphas:
                 raise HTTPError(400, "'alphas' must be a non-empty list")
+            _check_limit("alphas", len(alphas), MAX_ALPHAS)
             return self.api.grid_aggregates(
                 ref, alphas, str(request.get("game", "bcg"))
             )
         return self.api.figure(
             ref,
             quantity=str(request.get("quantity", "average_poa")),
-            points=int(request.get("points", 24)),
+            points=_int_field(request, "points", 24, MAX_POINTS),
         )
 
     def _query_windows(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -422,10 +444,10 @@ class ArtifactServer:
     def _query_ensemble(self, request: Dict[str, object]) -> Dict[str, object]:
         return self.api.ensemble_stats(
             scenario=str(request.get("scenario", "random_weights")),
-            n=int(request.get("n", 6)),
-            draws=int(request.get("draws", 8)),
+            n=_int_field(request, "n", 6, MAX_ENSEMBLE_N),
+            draws=_int_field(request, "draws", 8, MAX_DRAWS),
             seed=int(request.get("seed", 0)),
-            grid=int(request.get("grid", 8)),
+            grid=_int_field(request, "grid", 8, MAX_GRID),
             delta=request.get("delta"),
         )
 
@@ -459,6 +481,24 @@ def _required_field(request: Dict[str, object], name: str):
     value = request.get(name)
     if value is None:
         raise HTTPError(400, f"missing required field {name!r}")
+    return value
+
+
+def _check_limit(name: str, size: int, limit: int) -> None:
+    """Refuse a client-set size above its limit, before any work starts."""
+    if size > limit:
+        raise HTTPError(400, f"{name!r} is {size}; the limit is {limit}")
+
+
+def _int_field(
+    request: Dict[str, object], name: str, default: int, limit: int
+) -> int:
+    """An integer body field, refused above ``limit``."""
+    try:
+        value = int(request.get(name, default))
+    except (TypeError, ValueError):
+        raise HTTPError(400, f"{name!r} must be an integer")
+    _check_limit(name, value, limit)
     return value
 
 
@@ -499,14 +539,12 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 8973,
     threads: int = 4,
-    batch_window: float = 0.005,
     mmap: bool = True,
     drain_grace: float = 5.0,
 ) -> int:
     """Blocking entry point behind ``repro serve`` (installs signal handlers)."""
     catalog = ArtifactCatalog(root=root, mmap=mmap)
-    batcher = GridBatcher(window=batch_window) if batch_window > 0 else None
-    api = QueryAPI(catalog, batcher=batcher)
+    api = QueryAPI(catalog, batcher=GridBatcher())
     server = ArtifactServer(
         api=api, host=host, port=port, threads=threads, drain_grace=drain_grace
     )

@@ -412,7 +412,7 @@ class TestServeAndQuery:
         CensusStore.build(4, include_ucg=True).save(str(tmp_path / "c4.npz"))
         api = QueryAPI(
             ArtifactCatalog(root=str(tmp_path)),
-            batcher=GridBatcher(window=0.005),
+            batcher=GridBatcher(),
         )
         server, thread = start_in_thread(api=api)
         yield f"http://127.0.0.1:{server.port}", str(tmp_path / "c4.npz")

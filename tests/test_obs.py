@@ -116,6 +116,44 @@ def test_histogram_p2_quantiles_close_to_exact():
         assert estimate == pytest.approx(exact, rel=0.15), q
 
 
+@pytest.mark.parametrize("stream", ["lognormal", "uniform", "ties", "wide"])
+def test_histogram_p2_bank_equals_vectorised_sketch(stream):
+    """The scalar sketch behind histogram quantiles is the vectorised
+    engine sketch, one position wide: estimates agree bit for bit."""
+    np = pytest.importorskip("numpy")
+    from repro.engine.streaming import _P2Sketch
+    from repro.obs.metrics import _ScalarP2Bank
+
+    quantiles = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
+    rng = random.Random(stream)
+    draw = {
+        "lognormal": lambda: rng.lognormvariate(0.0, 1.0),
+        "uniform": rng.random,
+        "ties": lambda: float(rng.randrange(5)),
+        "wide": lambda: rng.gauss(0.0, 1e6),
+    }[stream]
+    bank = _ScalarP2Bank(quantiles)
+    sketches = [_P2Sketch(q, 1) for q in quantiles]
+    first = []
+    for count in range(1, 2001):
+        value = draw()
+        bank.add(value)
+        if count <= 5:
+            first.append(value)
+            if count == 5:
+                block = np.sort(np.asarray(first))[:, None]
+                for sketch in sketches:
+                    sketch.init_columns(np.zeros(1, dtype=np.int64), block)
+            continue
+        for sketch in sketches:
+            sketch.add(
+                np.asarray([value]), np.ones(1, dtype=bool), np.asarray([count])
+            )
+        if count % 50 == 0:
+            for q, sketch in zip(quantiles, sketches):
+                assert bank.estimate(q) == float(sketch.estimate()[0]), (count, q)
+
+
 def test_histogram_time_context_manager():
     h = obs.histogram("t_timer", "h")
     with h.time():

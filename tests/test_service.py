@@ -9,7 +9,9 @@ the direct single-threaded store/kernel call element for element.
 import json
 import logging
 import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -29,7 +31,15 @@ from repro.service import (
     start_in_thread,
 )
 from repro.service.batching import _merge_grids, _slice_columns
-from repro.service.http import MAX_BODY
+from repro.service.http import (
+    MAX_ALPHAS,
+    MAX_BODY,
+    MAX_DRAWS,
+    MAX_ENSEMBLE_N,
+    MAX_GRID,
+    MAX_HEADERS,
+    MAX_POINTS,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +76,8 @@ class TestCatalog:
     def test_get_is_kind_checked(self, artifact_dir):
         catalog = ArtifactCatalog(root=str(artifact_dir))
         with pytest.raises(ValueError, match="weighted"):
-            catalog.get_census("weighted4.npz")
-        assert catalog.get_census("census4.npz").n == 4
+            catalog.get("weighted4.npz", kind="census")
+        assert catalog.get("census4.npz", kind="census")[1].n == 4
 
     def test_unknown_ref_raises_keyerror(self, artifact_dir):
         catalog = ArtifactCatalog(root=str(artifact_dir))
@@ -79,6 +89,19 @@ class TestCatalog:
         info = catalog.info(str(artifact_dir / "census4.npz"))
         assert info.kind == "census"
         assert len(catalog) == 1
+
+    def test_rooted_catalog_refuses_paths_outside_the_root(
+        self, artifact_dir, tmp_path
+    ):
+        outside = CensusStore.build(3, include_ucg=False).save(
+            str(tmp_path / "c3.npz")
+        )
+        catalog = ArtifactCatalog(root=str(artifact_dir))
+        listing = catalog.list()
+        for lookup in (catalog.info, catalog.get):
+            with pytest.raises(KeyError):
+                lookup(outside)
+        assert catalog.list() == listing
 
     def test_refresh_tracks_the_directory(self, tmp_path):
         CensusStore.build(3, include_ucg=False).save(str(tmp_path / "c3.npz"))
@@ -208,72 +231,186 @@ class TestGridBatcher:
         sliced = _slice_columns({"a": [10, 11, 12], "b": "keep"}, [1])
         assert sliced == {"a": [11], "b": "keep"}
 
-    def test_coalesced_equals_uncoalesced_bitwise(self, artifact_dir):
-        """≥8 concurrent requests share kernels yet answer bit-identically."""
-        store = CensusStore.load(str(artifact_dir / "census4.npz"))
-        grids = [
-            log_spaced_alphas(0.4 + 0.1 * k, 16.0 + k, 7) for k in range(10)
-        ]
-        expected = [store.grid_aggregates(grid, "bcg") for grid in grids]
+    @staticmethod
+    def _batch_metrics():
+        """(batch-size count, batch-size sum, coalesced total) so far."""
+        from repro import obs
 
-        batcher = GridBatcher(window=0.05)
-        barrier = threading.Barrier(len(grids))
-        results = [None] * len(grids)
+        count = total = coalesced = 0.0
+        for entry in obs.snapshot()["metrics"]:
+            if entry["name"] == "repro_service_batch_size":
+                count, total = entry["count"], entry["sum"]
+            elif entry["name"] == "repro_service_coalesced_requests_total":
+                coalesced = entry["value"]
+        return count, total, coalesced
+
+    @staticmethod
+    def _queue_behind_leader(batcher, key, grids, compute):
+        """Submit ``grids[0]``, hold its call, queue the rest, release.
+
+        ``compute(merged)`` answers every kernel call; the leader's call
+        is held until every other grid has joined the queued batch.
+        Returns each caller's result or error, and every merged grid.
+        """
+        entered, release = threading.Event(), threading.Event()
+        outcomes = [None] * len(grids)
+        calls = []
+
+        def kernel(merged):
+            calls.append(list(merged))
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(10.0)
+            return compute(merged)
 
         def worker(k):
-            barrier.wait()
-            results[k] = batcher.submit(
-                ("census4", "agg", "bcg"),
-                grids[k],
-                lambda merged: store.grid_aggregates(merged, "bcg"),
-            )
+            try:
+                outcomes[k] = batcher.submit(key, grids[k], kernel)
+            except Exception as error:  # noqa: BLE001 - checked by callers
+                outcomes[k] = error
 
         threads = [
             threading.Thread(target=worker, args=(k,))
             for k in range(len(grids))
         ]
-        for thread in threads:
+        threads[0].start()
+        assert entered.wait(10.0)
+        for thread in threads[1:]:
             thread.start()
+        deadline = time.monotonic() + 10.0
+        while batcher.stats().requests < len(grids):
+            assert time.monotonic() < deadline, "followers never queued"
+            time.sleep(0.001)
+        release.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        return outcomes, calls
+
+    def test_group_commit_merges_queued_requests_bitwise(self, artifact_dir):
+        """A lone leader computes at once; the 8 requests queued behind its
+        call share exactly one merged call and answer bit-identically."""
+        store = CensusStore.load(str(artifact_dir / "census4.npz"))
+        grids = [
+            log_spaced_alphas(0.4 + 0.1 * k, 16.0 + k, 7) for k in range(9)
+        ]
+        expected = [store.grid_aggregates(grid, "bcg") for grid in grids]
+        batcher = GridBatcher()
+        before = self._batch_metrics()
+
+        results, calls = self._queue_behind_leader(
+            batcher,
+            ("census4", "agg", "bcg"),
+            grids,
+            lambda merged: store.grid_aggregates(merged, "bcg"),
+        )
 
         assert results == expected
+        assert len(calls) == 2, "expected the solo leader, then one batch"
+        assert calls[0] == grids[0]
+        assert sorted(calls[1]) == sorted(set().union(*grids[1:]))
         stats = batcher.stats()
-        assert stats.requests == len(grids)
-        assert stats.coalesced >= 8, "requests did not actually coalesce"
-        assert stats.batches < len(grids)
+        assert (stats.batches, stats.requests, stats.coalesced) == (2, 9, 8)
+        after = self._batch_metrics()
+        assert [a - b for a, b in zip(after, before)] == [
+            stats.batches,
+            stats.requests,
+            stats.coalesced,
+        ]
 
-    def test_zero_window_disables_coalescing(self):
-        batcher = GridBatcher(window=0.0)
-        calls = []
-        out = batcher.submit("k", [1.0, 2.0], lambda g: {"v": list(g)})
-        assert out == {"v": [1.0, 2.0]}
+    def test_lone_submit_computes_at_once(self):
+        batcher = GridBatcher()
+        out = batcher.submit("k", [1.0, 2.0, 1.0], lambda g: {"v": list(g)})
+        assert out == {"v": [1.0, 2.0, 1.0]}
         stats = batcher.stats()
         assert (stats.batches, stats.requests, stats.coalesced) == (1, 1, 0)
-        assert calls == []
+
+    def test_keys_never_share_a_call(self):
+        """A call in flight for one key does not hold up another key."""
+        batcher = GridBatcher()
+        entered, release = threading.Event(), threading.Event()
+
+        def held(grid):
+            entered.set()
+            assert release.wait(10.0)
+            return {"v": list(grid)}
+
+        leader = threading.Thread(
+            target=batcher.submit, args=("a", [1.0], held)
+        )
+        leader.start()
+        assert entered.wait(10.0)
+        assert batcher.submit("b", [2.0], lambda g: {"v": list(g)}) == {
+            "v": [2.0]
+        }
+        release.set()
+        leader.join(timeout=10.0)
+        assert not leader.is_alive()
+        assert batcher.stats().as_dict() == {
+            "batches": 2, "requests": 2, "coalesced": 0,
+        }
+
+    def test_stress_every_request_answered_once(self):
+        """More threads than cores, three keys, a tiny switch interval:
+        every caller gets exactly its own columns and no request is lost
+        or answered twice."""
+        batcher = GridBatcher()
+        threads, rounds = 12, 25
+        answered = [0] * threads
+        failures = []
+        before = self._batch_metrics()
+
+        def compute(grid):
+            return {"v": [2.0 * alpha for alpha in grid], "n": len(grid)}
+
+        def worker(k):
+            for r in range(rounds):
+                grid = [float(k), float(r), float(k * rounds + r)]
+                got = batcher.submit(("key", k % 3), grid, compute)
+                if got["v"] != [2.0 * alpha for alpha in grid]:
+                    failures.append((k, r, got))
+                answered[k] += 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [
+                threading.Thread(target=worker, args=(k,))
+                for k in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        assert answered == [rounds] * threads
+        stats = batcher.stats()
+        assert stats.requests == threads * rounds
+        after = self._batch_metrics()
+        # Every request sits in exactly one batch.
+        assert after[1] - before[1] == stats.requests
+        assert after[0] - before[0] == stats.batches
 
     def test_errors_propagate_to_every_caller(self):
-        batcher = GridBatcher(window=0.05)
-        barrier = threading.Barrier(3)
-        errors = []
+        """A failing merged call raises in each of its callers; the next
+        call for the key starts afresh."""
+        batcher = GridBatcher()
 
-        def worker():
-            barrier.wait()
-            try:
-                batcher.submit(
-                    "k", [1.0], lambda g: (_ for _ in ()).throw(
-                        RuntimeError("kernel broke")
-                    )
-                )
-            except RuntimeError as error:
-                errors.append(str(error))
+        def compute(merged):
+            raise RuntimeError("kernel broke")
 
-        threads = [threading.Thread(target=worker) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == ["kernel broke"] * 3
+        outcomes, calls = self._queue_behind_leader(
+            batcher, "k", [[1.0], [2.0], [3.0], [2.0]], compute
+        )
+        assert len(calls) == 2
+        assert [str(error) for error in outcomes] == ["kernel broke"] * 4
+        assert all(isinstance(error, RuntimeError) for error in outcomes)
+        assert batcher.submit("k", [5.0], lambda g: {"v": list(g)}) == {
+            "v": [5.0]
+        }
 
 
 class TestConcurrentMixedQueries:
@@ -299,7 +436,7 @@ class TestConcurrentMixedQueries:
 
         api = QueryAPI(
             ArtifactCatalog(root=str(artifact_dir)),
-            batcher=GridBatcher(window=0.01),
+            batcher=GridBatcher(),
         )
         outcomes = []
         lock = threading.Lock()
@@ -345,7 +482,7 @@ class TestHTTPServer:
         clear_store_cache()
         api = QueryAPI(
             ArtifactCatalog(root=str(artifact_dir)),
-            batcher=GridBatcher(window=0.005),
+            batcher=GridBatcher(),
         )
         server, thread = start_in_thread(api=api)
         yield server
@@ -461,6 +598,29 @@ class TestHTTPServer:
             self._get(server, "/v1/query/grid")
         assert wrong_method.value.code == 405
 
+    def _exchange(self, server, request: bytes):
+        """Send raw bytes on a fresh connection; ``(head lines, body)``."""
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return head.decode("latin-1").split("\r\n"), body
+
+    def _assert_status_line(self, server, caplog, request: bytes, status: int):
+        """The request gets ``status`` with ``Connection: close``, nothing
+        escapes to the event loop, and the server keeps serving."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            lines, body = self._exchange(server, request)
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        assert json.loads(body)["status"] == ("ok" if status == 200 else status)
+        assert not caplog.records  # nothing escaped to the event loop
+        assert json.loads(self._get(server, "/healthz"))["status"] == "ok"
+
     @pytest.mark.parametrize(
         "length, status",
         [("abc", 400), ("-5", 400), ("", 200), (str(MAX_BODY + 1), 413)],
@@ -474,19 +634,123 @@ class TestHTTPServer:
             f"Content-Length: {length}\r\n"
             "Connection: close\r\n\r\n"
         )
-        with caplog.at_level(logging.ERROR, logger="asyncio"):
-            with socket.create_connection(
-                ("127.0.0.1", server.port), timeout=10
-            ) as sock:
-                sock.sendall(request.encode("latin-1"))
-                reply = b""
-                while chunk := sock.recv(65536):
-                    reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        assert lines[0].startswith(f"HTTP/1.1 {status} ")
-        assert "Connection: close" in lines
-        assert json.loads(body)["status"] == ("ok" if status == 200 else status)
-        assert not caplog.records  # nothing escaped to the event loop
-        # The server keeps serving after every malformed request.
-        assert json.loads(self._get(server, "/healthz"))["status"] == "ok"
+        self._assert_status_line(
+            server, caplog, request.encode("latin-1"), status
+        )
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Long: "
+                + b"b" * 70_000
+                + b"\r\n\r\n",
+                431,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % k for k in range(MAX_HEADERS))
+                + b"Connection: close\r\n\r\n",
+                431,
+            ),
+        ],
+        ids=[
+            "long-request-line",
+            "long-header-line",
+            "too-many-headers",
+        ],
+    )
+    def test_oversized_request_heads_get_a_status_line(
+        self, server, caplog, request_bytes, status
+    ):
+        before = self._unrouted_count(str(status))
+        self._assert_status_line(server, caplog, request_bytes, status)
+        assert self._unrouted_count(str(status)) == before + 1
+
+    def test_header_count_at_the_limit_is_served(self, server):
+        request = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % k for k in range(MAX_HEADERS - 1))
+            + b"Connection: close\r\n\r\n"
+        )
+        lines, body = self._exchange(server, request)
+        assert lines[0].startswith("HTTP/1.1 200 ")
+        assert json.loads(body)["status"] == "ok"
+
+    @staticmethod
+    def _unrouted_count(status: str) -> float:
+        from repro import obs
+
+        return sum(
+            entry["value"]
+            for entry in obs.snapshot()["metrics"]
+            if entry["name"] == "repro_http_requests_total"
+            and entry["labels"] == {"path": "<unrouted>", "status": status}
+        )
+
+    def _reply(self, server, path, payload):
+        """``(status, parsed body)`` of one POST, error statuses included."""
+        try:
+            return 200, self._post(server, path, payload)
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, json.loads(error.read())
+
+    @pytest.mark.parametrize(
+        "field, limit, payload",
+        [
+            ("alphas", MAX_ALPHAS, lambda size: {
+                "artifact": "census4.npz",
+                "alphas": [1.0 + k for k in range(size)],
+            }),
+            ("points", MAX_POINTS, lambda size: {
+                "artifact": "census4.npz", "points": size,
+            }),
+        ],
+        ids=["alphas", "points"],
+    )
+    def test_grid_sizes_are_bounded(self, server, field, limit, payload):
+        assert self._reply(server, "/v1/query/grid", payload(limit))[0] == 200
+        status, body = self._reply(server, "/v1/query/grid", payload(limit + 1))
+        assert status == 400
+        assert field in body["error"] and str(limit) in body["error"]
+
+    @pytest.mark.parametrize(
+        "field, limit",
+        [("n", MAX_ENSEMBLE_N), ("draws", MAX_DRAWS), ("grid", MAX_GRID)],
+    )
+    def test_ensemble_sizes_are_bounded(
+        self, server, monkeypatch, field, limit
+    ):
+        """Limit + 1 is refused before any work starts; the limit itself
+        reaches the API (stubbed: an n = 8 or 10,000-draw run is slow)."""
+        body = {"n": 4, "draws": 1, "grid": 2, "delta": "delta4.npz"}
+        status, refused = self._reply(
+            server, "/v1/query/ensemble-stats", dict(body, **{field: limit + 1})
+        )
+        assert status == 400
+        assert field in refused["error"] and str(limit) in refused["error"]
+        monkeypatch.setattr(server.api, "ensemble_stats", lambda **kw: kw)
+        status, served = self._reply(
+            server, "/v1/query/ensemble-stats", dict(body, **{field: limit})
+        )
+        assert (status, served[field]) == (200, limit)
+
+    def test_refs_outside_the_root_are_404_and_never_listed(
+        self, server, tmp_path
+    ):
+        outside = CensusStore.build(3, include_ucg=False).save(
+            str(tmp_path / "c3"), format="dir"
+        )
+        listing = json.loads(self._get(server, "/artifacts"))
+        for path, body in (
+            ("/v1/query/windows", {"artifact": outside}),
+            ("/v1/query/grid", {"artifact": outside, "points": 4}),
+        ):
+            assert self._reply(server, path, body)[0] == 404
+        with pytest.raises(urllib.error.HTTPError) as detail:
+            self._get(server, "/artifacts/" + outside)
+        detail.value.close()
+        assert detail.value.code == 404
+        assert json.loads(self._get(server, "/artifacts")) == listing
