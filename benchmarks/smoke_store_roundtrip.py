@@ -26,7 +26,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.census import EquilibriumCensus
-from repro.analysis.store import CensusStore, store_available
+from repro.analysis.store import CensusStore
 from repro.analysis.sweeps import log_spaced_alphas
 
 _CHILD_SCRIPT = """
@@ -58,10 +58,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=6)
     parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args(argv)
-
-    if not store_available():
-        print("SKIP: NumPy unavailable, census store cannot be exercised")
-        return 0
 
     census = EquilibriumCensus.build(args.n, jobs=args.jobs)
     store = CensusStore.build(args.n, jobs=args.jobs)

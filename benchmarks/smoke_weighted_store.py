@@ -29,7 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.scenarios import build_scenario, default_t_grid
 from repro.analysis.weighted import weighted_census
-from repro.analysis.weighted_store import WeightedStore, weighted_store_available
+from repro.analysis.weighted_store import WeightedStore
 
 _CHILD_SCRIPT = """
 import json, sys
@@ -63,10 +63,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args(argv)
-
-    if not weighted_store_available():
-        print("SKIP: NumPy unavailable, the weighted store cannot be exercised")
-        return 0
 
     scenario = build_scenario("random_weights", args.n, seed=args.seed)
     ts = default_t_grid(args.n, 10) + [1.0]

@@ -16,21 +16,18 @@ Run with::
 import sys
 
 from repro.analysis import (
-    cached_census,
     cached_store,
     census_figure_series,
     format_ascii_series,
     format_figure,
-    store_available,
 )
 
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     print(f"Building the equilibrium census for n = {n} ...")
-    # The columnar store answers the whole α-grid vectorised; the record
-    # census is the dependency-free fallback with identical output.
-    census = cached_store(n) if store_available() else cached_census(n)
+    # The columnar store answers the whole α-grid vectorised.
+    census = cached_store(n)
     print(f"{len(census)} connected topologies analysed\n")
 
     figure2 = census_figure_series(census, "average_poa")

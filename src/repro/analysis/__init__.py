@@ -36,13 +36,7 @@ from .report import (
     format_store_summary,
     format_table,
 )
-from .store import (
-    CensusStore,
-    bcg_alpha_columns,
-    cached_store,
-    clear_store_cache,
-    store_available,
-)
+from .store import CensusStore, bcg_alpha_columns, cached_store, clear_store_cache
 from .sampling import (
     SampledEquilibria,
     deduplicate_up_to_isomorphism,
@@ -62,12 +56,8 @@ from .weighted import (
     weighted_t_windows,
     weighted_ucg_grid_mask,
 )
-from .weighted_store import WeightedStore, weighted_store_available
-from .delta_store import (
-    DeltaStore,
-    cached_delta_store,
-    delta_store_available,
-)
+from .weighted_store import WeightedStore
+from .delta_store import DeltaStore, cached_delta_store
 from .ensembles import (
     EnsembleResult,
     ensemble_seeds,
@@ -110,7 +100,6 @@ __all__ = [
     "bcg_alpha_columns",
     "cached_store",
     "clear_store_cache",
-    "store_available",
     "FigureData",
     "FigureSeries",
     "SeriesPoint",
@@ -136,10 +125,8 @@ __all__ = [
     "weighted_t_windows",
     "weighted_ucg_grid_mask",
     "WeightedStore",
-    "weighted_store_available",
     "DeltaStore",
     "cached_delta_store",
-    "delta_store_available",
     "EnsembleResult",
     "ensemble_seeds",
     "run_ensemble",

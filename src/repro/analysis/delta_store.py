@@ -21,12 +21,11 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   :meth:`stable_counts_multi` / :meth:`stability_windows_multi`, each row
   bit-identical to the per-draw weighted kernels over that draw's own
   :class:`~repro.analysis.weighted_store.WeightedStore`;
-* **same persistence story as the census stores** — one versioned ``.npz``
-  or an mmap-able directory of ``.npy`` columns (schema tag,
-  :data:`FORMAT_VERSION`, ``n``), shard-resumable :meth:`build_streamed`,
-  and a process-wide LRU (:func:`cached_delta_store`) sharing the
-  :data:`~repro.analysis.store.STORE_CACHE_MAX` budget with
-  :func:`~repro.analysis.store.cached_store`.
+* **same persistence story as the census stores** — the shared
+  :class:`~repro.analysis.artifact.ColumnArtifact` base: one versioned
+  ``.npz`` or an mmap-able directory of ``.npy`` columns, shard-resumable
+  :meth:`build_streamed`, and the one process-wide store LRU
+  (:func:`cached_delta_store`).
 
 :meth:`WeightedStore.from_delta <repro.analysis.weighted_store.WeightedStore.from_delta>`
 turns (DeltaStore, cost model) back into a full per-draw artifact —
@@ -36,46 +35,19 @@ delta artifact composes with every existing kernel, file format and test.
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy backs every column; the store refuses to build without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
-from .. import obs
-from ..engine import (
-    chunk_evenly,
-    content_checksum,
-    parallel_map,
-    resolve_jobs,
-    run_shards,
-)
 from ..engine.batch import batch_delta_columns
-from ..engine.oracle import DistanceOracle
 from ..engine.columnar import (
-    canonical_sort_indices,
-    certificate_to_graph,
-    concat_csr,
-    csr_invariant_errors,
-    gather_segments,
     pack_certificates,
     stacked_weight_columns,
     weighted_bcg_stable_mask_multi,
     weighted_stability_windows_multi,
 )
-from ..graphs import (
-    Graph,
-    canonical_graph,
-    enumerate_connected_graphs,
-    enumerate_graphs,
-    is_connected,
-    iter_graphs_from,
-)
-from ..graphs.isomorphism import clear_canonical_record
+from ..graphs import Graph
+from .artifact import ColumnArtifact, ColumnSpec, cached, cached_load
 
 #: On-disk format version; bump on any incompatible schema change.
 FORMAT_VERSION = 1
@@ -83,30 +55,8 @@ FORMAT_VERSION = 1
 #: Schema tag written into every artifact (guards against loading foreign files).
 SCHEMA = "repro-delta-store"
 
-#: Dense per-class columns.
-_DENSE_COLUMNS = ("num_edges", "dist_total", "cert_words")
-#: Ragged probe columns in the batch_delta_columns CSR layout.
-_PROBE_COLUMNS = (
-    "rem_delta", "rem_pay", "rem_other", "rem_indptr",
-    "add_s_u", "add_s_v", "add_u", "add_v", "add_indptr",
-)
 
-
-def delta_store_available() -> bool:
-    """Whether the delta store can be used (NumPy importable)."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "DeltaStore requires NumPy; use the per-graph "
-            "WeightedStabilityProfile path instead"
-        )
-    return _np
-
-
-class DeltaStore:
+class DeltaStore(ColumnArtifact):
     """Model-independent Δdist probe columns for every connected class on n.
 
     Instances are produced by :meth:`build`, :meth:`build_streamed` or
@@ -117,37 +67,42 @@ class DeltaStore:
     describe the same isomorphism class.
     """
 
-    def __init__(
-        self,
-        n: int,
-        num_edges,
-        dist_total,
-        cert_words,
-        rem_delta,
-        rem_pay,
-        rem_other,
-        rem_indptr,
-        add_s_u,
-        add_s_v,
-        add_u,
-        add_v,
-        add_indptr,
-    ) -> None:
-        _require_numpy()
-        self.n = int(n)
-        self.num_edges = num_edges
-        self.dist_total = dist_total
-        self.cert_words = cert_words
-        self.rem_delta = rem_delta
-        self.rem_pay = rem_pay
-        self.rem_other = rem_other
-        self.rem_indptr = rem_indptr
-        self.add_s_u = add_s_u
-        self.add_s_v = add_s_v
-        self.add_u = add_u
-        self.add_v = add_v
-        self.add_indptr = add_indptr
-        self._artifact_checksum = None  # checksum stamped on the loaded artifact
+    KIND = "delta"
+    SCHEMA = SCHEMA
+    FORMAT_VERSION = FORMAT_VERSION
+    SHARD_PREFIX = "dshard"
+    #: The :func:`~repro.engine.batch.batch_delta_columns` layout: removal
+    #: ``(Δ, payer, other)`` triples, two per edge, and per-non-edge
+    #: ``(save_u, save_v, u, v)`` 4-tuples.
+    SPEC = ColumnSpec(
+        dense={"num_edges": "int32", "dist_total": "float64", "cert_words": "uint64"},
+        groups={
+            "rem_indptr": {"rem_delta": "float32", "rem_pay": "int32", "rem_other": "int32"},
+            "add_indptr": {
+                "add_s_u": "float32",
+                "add_s_v": "float32",
+                "add_u": "int32",
+                "add_v": "int32",
+            },
+        },
+        removal_per_edge=2,
+    )
+
+    def _describe(self) -> Dict[str, object]:
+        return {
+            "removal_probes": int(self.rem_indptr[-1]),
+            "addition_probes": int(self.add_indptr[-1]),
+            "format_version": FORMAT_VERSION,
+        }
+
+    def _verify_kind(self) -> List[str]:
+        """Probe endpoint indices must lie within ``[0, n)``."""
+        errors = []
+        for name in ("rem_pay", "rem_other", "add_u", "add_v"):
+            indices = np.asarray(getattr(self, name))
+            if bool(np.any(indices < 0)) or bool(np.any(indices >= self.n)):
+                errors.append(f"{name}: endpoint indices outside [0, {self.n})")
+        return errors
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -161,15 +116,7 @@ class DeltaStore:
         :meth:`WeightedStore.build` — minus the coefficients, which is the
         point: one build serves every cost model on ``n`` players.
         """
-        _require_numpy()
-        graphs = enumerate_connected_graphs(n)
-        workers = resolve_jobs(jobs)
-        chunks = chunk_evenly(graphs, max(1, workers * 4))
-        tasks = [(chunk, n) for chunk in chunks]
-        parts = parallel_map(_delta_columns_chunk, tasks, jobs=jobs)
-        # enumerate_connected_graphs is already canonically sorted and the
-        # chunks preserve order, so no global sort is needed here.
-        return cls._from_parts(n, parts)
+        return cls._build(n, _delta_part, {}, jobs)
 
     @classmethod
     def build_streamed(
@@ -186,89 +133,27 @@ class DeltaStore:
     ) -> "DeltaStore":
         """Build the columns by streaming the canonical-augmentation tree.
 
-        Same sharding scheme as the census/weighted stores (disjoint,
-        jointly exhaustive subtrees below level-``shard_level`` roots); the
-        fan-out runs through :func:`repro.engine.run_shards`, so with
-        ``shard_dir`` finished shards persist checksummed and an
-        interrupted build resumes from every shard that verifies (corrupt
-        files recomputed, wrong-config shards rejected), with progress and
-        retry tallies in the directory's ``manifest.json``.  Shards are
-        fingerprinted on ``n`` only — delta columns are model-independent,
-        so one shard directory serves every cost model.  The merged store
-        is sorted into canonical census order, element-for-element
-        identical to :meth:`build`.
+        Same sharding, resume and ordering contract as the census store
+        (:meth:`ColumnArtifact._build_streamed
+        <repro.analysis.artifact.ColumnArtifact._build_streamed>`), with
+        ``dshard_XXXX_of_YYYY.npz`` shard files.  Shards are fingerprinted
+        on ``n`` only — delta columns are model-independent, so one shard
+        directory serves every cost model.  The result is
+        element-for-element identical to :meth:`build`.
         """
-        _require_numpy()
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        workers = resolve_jobs(jobs)
-        if shard_level is None:
-            shard_level = max(0, min(6, n - 2))
-        shard_level = max(0, min(shard_level, n))
-        roots = enumerate_graphs(shard_level)
-        chunks = chunk_evenly(roots, max(1, workers * 4))
-        tasks = [(chunk, n, batch_size) for chunk in chunks]
-
-        report = run_shards(
-            _stream_delta_chunk,
-            tasks,
+        return cls._build_streamed(
+            n,
+            _delta_part,
+            {},
+            {},
             jobs=jobs,
+            shard_level=shard_level,
+            batch_size=batch_size,
             shard_dir=shard_dir,
-            prefix="dshard",
-            fingerprint={
-                "kind": SCHEMA,
-                "format_version": FORMAT_VERSION,
-                "n": int(n),
-            },
             timeout=timeout,
             max_retries=max_retries,
             progress=progress,
             fault_plan=fault_plan,
-        )
-
-        store = cls._from_parts(n, report.parts)
-        return store.sort_canonical()
-
-    @classmethod
-    def _from_parts(cls, n: int, parts: List[dict]) -> "DeltaStore":
-        return cls(n=n, **_merge_parts(parts, n))
-
-    # ------------------------------------------------------------------ #
-    # Ordering
-    # ------------------------------------------------------------------ #
-
-    def sort_canonical(self) -> "DeltaStore":
-        """A copy of the store in canonical census order (stable no-op key)."""
-        order = canonical_sort_indices(self.num_edges, self.cert_words, self.n)
-        return self.permute(order)
-
-    def permute(self, order) -> "DeltaStore":
-        """A copy with class ``order[i]`` moved to row ``i`` (all columns)."""
-        rem_delta, rem_indptr = gather_segments(
-            self.rem_delta, self.rem_indptr, order
-        )
-        rem_pay, _ = gather_segments(self.rem_pay, self.rem_indptr, order)
-        rem_other, _ = gather_segments(self.rem_other, self.rem_indptr, order)
-        add_s_u, add_indptr = gather_segments(
-            self.add_s_u, self.add_indptr, order
-        )
-        add_s_v, _ = gather_segments(self.add_s_v, self.add_indptr, order)
-        add_u, _ = gather_segments(self.add_u, self.add_indptr, order)
-        add_v, _ = gather_segments(self.add_v, self.add_indptr, order)
-        return DeltaStore(
-            n=self.n,
-            num_edges=self.num_edges[order],
-            dist_total=self.dist_total[order],
-            cert_words=self.cert_words[order],
-            rem_delta=rem_delta,
-            rem_pay=rem_pay,
-            rem_other=rem_other,
-            rem_indptr=rem_indptr,
-            add_s_u=add_s_u,
-            add_s_v=add_s_v,
-            add_u=add_u,
-            add_v=add_v,
-            add_indptr=add_indptr,
         )
 
     # ------------------------------------------------------------------ #
@@ -296,7 +181,6 @@ class DeltaStore:
 
     def stable_counts_multi(self, weight_matrices, ts: Sequence[float]):
         """``int64[K, n_ts]`` stable-class counts for K draws at once."""
-        np = _require_numpy()
         return self.stable_mask_multi(weight_matrices, ts).sum(
             axis=1, dtype=np.int64
         )
@@ -310,326 +194,21 @@ class DeltaStore:
             rem_w, add_w_u, add_w_v,
         )
 
-    # ------------------------------------------------------------------ #
-    # Introspection and decoding
-    # ------------------------------------------------------------------ #
-
-    def graph_at(self, index: int) -> Graph:
-        """Rebuild the canonical representative stored at row ``index``."""
-        return certificate_to_graph(self.cert_words[index], self.n)
-
-    def __len__(self) -> int:
-        return int(self.num_edges.shape[0])
-
-    def _columns(self) -> Dict[str, object]:
-        return {
-            name: getattr(self, name)
-            for name in _DENSE_COLUMNS + _PROBE_COLUMNS
-        }
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes across every column."""
-        return sum(array.nbytes for array in self._columns().values())
-
-    def content_checksum(self) -> str:
-        """sha256 over every column's name, dtype, shape and bytes."""
-        return content_checksum(self._columns())
-
-    def verify(self) -> Dict[str, object]:
-        """Audit the artifact: checksum + structural invariants.
-
-        Returns ``{"ok", "classes", "checksum", "errors"}`` (see
-        :meth:`CensusStore.verify <repro.analysis.store.CensusStore.verify>`
-        for the contract).  Structural checks: CSR layout of the probe
-        columns, per-class probe counts against the edge counts (two
-        ordered removal probes per edge, one addition probe per non-edge),
-        endpoint indices within ``[0, n)``, and finite distance totals.
-        """
-        np = _require_numpy()
-        classes = len(self)
-        errors: List[str] = []
-        errors += csr_invariant_errors(
-            "rem", self.rem_delta.shape[0], self.rem_indptr, classes
-        )
-        errors += csr_invariant_errors(
-            "add", self.add_s_u.shape[0], self.add_indptr, classes
-        )
-        for name in ("rem_pay", "rem_other"):
-            if getattr(self, name).shape != self.rem_delta.shape:
-                errors.append(f"rem: {name} and rem_delta lengths differ")
-        for name in ("add_s_v", "add_u", "add_v"):
-            if getattr(self, name).shape != self.add_s_u.shape:
-                errors.append(f"add: {name} and add_s_u lengths differ")
-        pairs = self.n * (self.n - 1) // 2
-        edges = np.asarray(self.num_edges, dtype=np.int64)
-        if classes:
-            if bool(np.any(edges < 0)) or bool(np.any(edges > pairs)):
-                errors.append(f"num_edges outside [0, {pairs}]")
-            elif not errors:
-                # Two ordered removal probes per edge (one per endpoint),
-                # one addition probe per unordered non-edge.
-                if bool(np.any(np.diff(self.rem_indptr) != 2 * edges)):
-                    errors.append("rem: per-class probe counts != 2*num_edges")
-                if bool(np.any(np.diff(self.add_indptr) != pairs - edges)):
-                    errors.append("add: per-class probe counts != non-edges")
-            if not bool(np.all(np.isfinite(np.asarray(self.dist_total)))):
-                errors.append("dist_total contains non-finite values")
-        for name in ("rem_pay", "rem_other", "add_u", "add_v"):
-            indices = np.asarray(getattr(self, name))
-            if indices.shape[0] and (
-                bool(np.any(indices < 0)) or bool(np.any(indices >= self.n))
-            ):
-                errors.append(f"{name}: endpoint indices outside [0, {self.n})")
-        if self._artifact_checksum is None:
-            checksum = "absent"
-        elif self.content_checksum() == self._artifact_checksum:
-            checksum = "ok"
-        else:
-            checksum = "mismatch"
-            errors.append("content checksum does not match the saved stamp")
-        return {
-            "ok": not errors,
-            "classes": classes,
-            "checksum": checksum,
-            "errors": errors,
-        }
-
-    def summary(self) -> Dict[str, object]:
-        """Artifact metadata (used by the CLI and the smoke scripts)."""
-        return {
-            "n": self.n,
-            "classes": len(self),
-            "removal_probes": int(self.rem_indptr[-1]),
-            "addition_probes": int(self.add_indptr[-1]),
-            "format_version": FORMAT_VERSION,
-            "nbytes": self.nbytes,
-            "column_bytes": {
-                name: array.nbytes for name, array in self._columns().items()
-            },
-        }
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def save(
-        self, path: str, format: Optional[str] = None, compress: bool = False
-    ) -> str:
-        """Write the artifact to ``path``; returns the path written.
-
-        ``format="npz"`` (default for ``*.npz`` paths) writes one NumPy
-        archive; ``format="dir"`` writes a directory of raw ``.npy``
-        columns plus ``meta.json`` — loadable with ``mmap=True`` so pool
-        workers can share one resident copy of the columns.
-        """
-        start = time.perf_counter()
-        written = self._save_impl(path, format, compress)
-        obs.record_artifact_io(
-            "save", "delta", written, time.perf_counter() - start
-        )
-        return written
-
-    def _save_impl(
-        self, path: str, format: Optional[str], compress: bool
-    ) -> str:
-        np = _require_numpy()
-        if format is None:
-            format = "npz" if str(path).endswith(".npz") else "dir"
-        if format not in ("npz", "dir"):
-            raise ValueError("format must be 'npz' or 'dir'")
-        if format == "npz":
-            if not str(path).endswith(".npz"):
-                # np.savez appends the suffix itself; make that explicit so
-                # the returned path is the file actually written.
-                path = f"{path}.npz"
-            payload = dict(self._columns())
-            payload["schema"] = np.str_(SCHEMA)
-            payload["format_version"] = np.int64(FORMAT_VERSION)
-            payload["n"] = np.int64(self.n)
-            payload["checksum"] = np.str_(self.content_checksum())
-            writer = np.savez_compressed if compress else np.savez
-            writer(path, **payload)
-            return path
-        os.makedirs(path, exist_ok=True)
-        columns = self._columns()
-        meta = {
-            "schema": SCHEMA,
-            "format_version": FORMAT_VERSION,
-            "n": self.n,
-            "columns": sorted(columns),
-            "checksum": self.content_checksum(),
-        }
-        with open(os.path.join(path, "meta.json"), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        for name, array in columns.items():
-            np.save(os.path.join(path, f"{name}.npy"), array)
-        return path
-
-    @classmethod
-    def load(cls, path: str, mmap: bool = False) -> "DeltaStore":
-        """Load an artifact written by :meth:`save`.
-
-        ``mmap=True`` memory-maps the columns and is only supported for the
-        directory format (zip archives cannot be mapped page-aligned).
-        """
-        start = time.perf_counter()
-        store = cls._load_impl(path, mmap)
-        obs.record_artifact_io(
-            "load", "delta", path, time.perf_counter() - start
-        )
-        return store
-
-    @classmethod
-    def _load_impl(cls, path: str, mmap: bool) -> "DeltaStore":
-        np = _require_numpy()
-        if os.path.isdir(path):
-            with open(os.path.join(path, "meta.json")) as handle:
-                meta = json.load(handle)
-            cls._check_meta(meta.get("schema"), meta.get("format_version"), path)
-            mmap_mode = "r" if mmap else None
-            columns = {
-                name: np.load(
-                    os.path.join(path, f"{name}.npy"), mmap_mode=mmap_mode
-                )
-                for name in meta["columns"]
-            }
-            store = cls(n=meta["n"], **columns)
-            store._artifact_checksum = meta.get("checksum")
-            return store
-        if mmap:
-            raise ValueError(
-                "mmap loading requires the directory format; save with "
-                "format='dir' for memory-mappable artifacts"
-            )
-        with np.load(path, allow_pickle=False) as data:
-            schema = str(data["schema"]) if "schema" in data else None
-            version = (
-                int(data["format_version"]) if "format_version" in data else None
-            )
-            cls._check_meta(schema, version, path)
-            columns = {
-                name: data[name] for name in _DENSE_COLUMNS + _PROBE_COLUMNS
-            }
-            store = cls(n=int(data["n"]), **columns)
-            if "checksum" in data:
-                store._artifact_checksum = str(data["checksum"])
-            return store
-
-    @staticmethod
-    def _check_meta(schema: Optional[str], version: Optional[int], path: str) -> None:
-        if schema != SCHEMA:
-            raise ValueError(f"{path!r} is not a delta-store artifact")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path!r} has delta-store format version {version}; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
-
 
 # --------------------------------------------------------------------------- #
-# Column assembly + pool workers (module-level for pickling)
+# Per-chunk analysis (module-level for pickling)
 # --------------------------------------------------------------------------- #
 
 
-def _merge_parts(parts: List[dict], n: int) -> dict:
-    """Concatenate column-chunk dicts (CSR offsets rebased) into one dict."""
-    np = _require_numpy()
-    parts = [part for part in parts if part["num_edges"].shape[0]] or [
-        _empty_part(n)
-    ]
-    rem_delta, rem_indptr = concat_csr(
-        [(p["rem_delta"], p["rem_indptr"]) for p in parts]
-    )
-    add_s_u, add_indptr = concat_csr(
-        [(p["add_s_u"], p["add_indptr"]) for p in parts]
-    )
-    merged = {
-        name: np.concatenate([p[name] for p in parts])
-        for name in (
-            "num_edges", "dist_total", "cert_words",
-            "rem_pay", "rem_other", "add_s_v", "add_u", "add_v",
-        )
-    }
-    merged.update(
-        rem_delta=rem_delta,
-        rem_indptr=rem_indptr,
-        add_s_u=add_s_u,
-        add_indptr=add_indptr,
-    )
-    return merged
-
-
-def _empty_part(n: int) -> dict:
-    np = _require_numpy()
-    return {
-        "num_edges": np.zeros(0, dtype=np.int32),
-        "dist_total": np.zeros(0, dtype=np.float64),
-        "cert_words": pack_certificates([], n),
-        "rem_delta": np.zeros(0, dtype=np.float32),
-        "rem_pay": np.zeros(0, dtype=np.int32),
-        "rem_other": np.zeros(0, dtype=np.int32),
-        "rem_indptr": np.zeros(1, dtype=np.int64),
-        "add_s_u": np.zeros(0, dtype=np.float32),
-        "add_s_v": np.zeros(0, dtype=np.float32),
-        "add_u": np.zeros(0, dtype=np.int32),
-        "add_v": np.zeros(0, dtype=np.int32),
-        "add_indptr": np.zeros(1, dtype=np.int64),
-    }
-
-
-def _delta_part(
-    graphs: List[Graph], n: int, oracle: Optional[DistanceOracle]
-) -> dict:
+def _delta_part(graphs: List[Graph], n: int, oracle) -> dict:
     """One column chunk: delta probe columns + certificates for ``graphs``."""
     if not graphs:
-        return _empty_part(n)
+        return DeltaStore._empty_part(n)
     part = batch_delta_columns(graphs, oracle=oracle)
     part["cert_words"] = pack_certificates(
         [graph.adjacency_bitstring() for graph in graphs], n
     )
     return part
-
-
-def _delta_columns_chunk(task: Tuple) -> dict:
-    graphs, n = task
-    return _delta_part(graphs, n, DistanceOracle())
-
-
-def _stream_delta_chunk(task: Tuple) -> dict:
-    """Generate-and-probe one generation-tree shard into delta columns."""
-    roots, n, batch_size = task
-    oracle = DistanceOracle()
-    parts: List[dict] = []
-    pending: List[Graph] = []
-
-    def flush() -> None:
-        parts.append(_delta_part(pending, n, oracle))
-        for graph in pending:
-            clear_canonical_record(graph)
-        obs.counter(
-            "repro_stream_classes_total",
-            "Graph classes analysed by streamed store builds",
-            store="delta",
-        ).inc(len(pending))
-        pending.clear()
-
-    for root in roots:
-        for graph in iter_graphs_from(root, n):
-            if not is_connected(graph):
-                continue
-            pending.append(canonical_graph(graph))
-            if len(pending) >= batch_size:
-                flush()
-    if pending:
-        flush()
-    return _merge_parts(parts, n)
-
-
-# --------------------------------------------------------------------------- #
-# Process-wide delta-store cache (shares the census-store LRU budget)
-# --------------------------------------------------------------------------- #
 
 
 def cached_delta_store(
@@ -642,40 +221,18 @@ def cached_delta_store(
 
     The :func:`~repro.analysis.store.cached_store` pattern applied to delta
     artifacts: with ``n`` the store is built in process; with ``path`` it
-    is loaded (optionally memory-mapped).  Load keys carry the absolute
-    path, the ``mmap`` flag and the artifact's ``(mtime_ns, size)`` stamp,
-    so a regenerated artifact misses the cache instead of serving stale
-    columns; ``jobs`` only affects how a build miss is computed and is not
-    part of the key.  Entries share one bounded LRU (and its
-    :data:`~repro.analysis.store.STORE_CACHE_MAX` budget) with the census
-    stores — repeated ensembles on one machine never reload the delta
-    artifact, and a process cycling through many artifacts stays bounded.
+    is loaded (optionally memory-mapped) through
+    :func:`~repro.analysis.artifact.cached_load`, so a regenerated artifact
+    misses the cache instead of serving stale columns.  ``jobs`` only
+    affects how a build miss is computed and is not part of the key.
+    Entries share one bounded LRU with every other store — repeated
+    ensembles on one machine never reload the delta artifact, and a
+    process cycling through many artifacts stays bounded.
     """
-    from .store import (
-        _STORE_CACHE,
-        _STORE_CACHE_LOCK,
-        _artifact_stamp,
-        _cache_store,
-        _count_cache_lookup,
-    )
-
     if (n is None) == (path is None):
         raise ValueError("exactly one of n and path is required")
     if path is not None:
-        key = (
-            "delta-load", os.path.abspath(path), bool(mmap), _artifact_stamp(path)
-        )
-        with _STORE_CACHE_LOCK:
-            store = _STORE_CACHE.get(key)
-            _count_cache_lookup("delta-store", hit=store is not None)
-            if store is None:
-                store = DeltaStore.load(path, mmap=mmap)
-            return _cache_store(key, store)
-
-    key = ("delta-build", int(n))
-    with _STORE_CACHE_LOCK:
-        store = _STORE_CACHE.get(key)
-        _count_cache_lookup("delta-store", hit=store is not None)
-        if store is None:
-            store = DeltaStore.build(n, jobs=jobs)
-        return _cache_store(key, store)
+        return cached_load(DeltaStore, path, mmap)
+    return cached(
+        ("delta-build", int(n)), "delta-store", lambda: DeltaStore.build(n, jobs=jobs)
+    )

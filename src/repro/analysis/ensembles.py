@@ -41,19 +41,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy backs the stacked kernels and the streaming aggregation.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from .. import obs
 from ..engine import run_shards
 from ..engine.columnar import ensemble_stats
 from ..engine.streaming import DEFAULT_EXACT_BUFFER, StreamingEnsembleStats
+from .artifact import LOAD_ERRORS
 from .delta_store import DeltaStore, cached_delta_store
 from .scenarios import build_scenario, default_t_grid
-from .store import LOAD_ERRORS
-from .weighted_store import WeightedStore, weighted_store_available
+from .weighted_store import WeightedStore
 
 #: Quantiles reported by default (quartiles: lower, median, upper).
 DEFAULT_QUANTILES = (0.25, 0.5, 0.75)
@@ -247,12 +244,6 @@ def run_ensemble(
     ``save_dir``, a ``manifest.json`` there tracks block progress and retry
     tallies; ``progress`` receives each manifest snapshot.
     """
-    if not weighted_store_available():
-        raise RuntimeError(
-            "the ensemble runner requires NumPy (it aggregates weighted "
-            "store columns); install numpy or sweep draws one at a time "
-            "with weighted_python_sweep_bcg"
-        )
     params = dict(params or {})
     for reserved in ("name", "n", "seed"):
         params.pop(reserved, None)

@@ -87,40 +87,21 @@ def format_figure(figure: FigureData, title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def store_summary_dict(store, source: Optional[str] = None) -> dict:
-    """Machine-readable :class:`~repro.analysis.store.CensusStore` summary.
+def summary_dict(store, source: Optional[str] = None) -> dict:
+    """Machine-readable summary of any census, delta or weighted store.
 
-    The one JSON-safe summary shape the service layer, the ``census``
-    subcommand and :func:`format_store_summary` all share: the store's own
-    :meth:`~repro.analysis.store.CensusStore.summary` plus a ``kind`` tag
-    and the ``source`` provenance, so no consumer has to parse the
-    rendered table.
+    The one JSON-safe summary shape the service layer, the CLI and the
+    ``format_*_summary`` renderers all share: the store's own ``summary()``
+    plus its ``kind`` tag and the ``source`` provenance, so no consumer has
+    to parse the rendered table.
     """
     summary = dict(store.summary())
-    summary["kind"] = "census"
+    summary["kind"] = store.KIND
     summary["source"] = source
     return summary
 
 
-def weighted_store_summary_dict(store, source: Optional[str] = None) -> dict:
-    """Machine-readable :class:`~repro.analysis.weighted_store.WeightedStore`
-    summary (same shape contract as :func:`store_summary_dict`)."""
-    summary = dict(store.summary())
-    summary["kind"] = "weighted"
-    summary["source"] = source
-    return summary
-
-
-def delta_store_summary_dict(store, source: Optional[str] = None) -> dict:
-    """Machine-readable :class:`~repro.analysis.delta_store.DeltaStore`
-    summary (same shape contract as :func:`store_summary_dict`)."""
-    summary = dict(store.summary())
-    summary["kind"] = "delta"
-    summary["source"] = source
-    return summary
-
-
-def _as_summary(store_or_summary, kind_builder, source: Optional[str]) -> dict:
+def _as_summary(store_or_summary, source: Optional[str]) -> dict:
     """Accept either a store object or an already-built summary dict.
 
     Rendering from the dict keeps presentation code off store internals —
@@ -132,7 +113,7 @@ def _as_summary(store_or_summary, kind_builder, source: Optional[str]) -> dict:
         if source is not None:
             summary["source"] = source
         return summary
-    return kind_builder(store_or_summary, source=source)
+    return summary_dict(store_or_summary, source=source)
 
 
 def format_store_summary(store, source: Optional[str] = None) -> str:
@@ -141,10 +122,10 @@ def format_store_summary(store, source: Optional[str] = None) -> str:
     One line of provenance plus a per-column size table — what the CLI
     ``census`` subcommand prints so operators can see what an artifact
     holds (and costs in resident memory) without loading records.
-    ``store`` may be the store itself or a :func:`store_summary_dict`
-    payload (the machine-readable twin of this table).
+    ``store`` may be the store itself or a :func:`summary_dict` payload
+    (the machine-readable twin of this table).
     """
-    summary = _as_summary(store, store_summary_dict, source)
+    summary = _as_summary(store, source)
     source = summary.get("source")
     lines = [
         (
@@ -170,9 +151,9 @@ def format_weighted_store_summary(store, source: Optional[str] = None) -> str:
     Mirrors :func:`format_store_summary` for the weighted artifacts: one
     provenance line (scenario recipe included when the artifact carries
     one) plus the per-column size table.  ``store`` may be the store
-    itself or a :func:`weighted_store_summary_dict` payload.
+    itself or a :func:`summary_dict` payload.
     """
-    summary = _as_summary(store, weighted_store_summary_dict, source)
+    summary = _as_summary(store, source)
     source = summary.get("source")
     scenario = summary["scenario"] or "ad-hoc model"
     seed = summary["seed"]

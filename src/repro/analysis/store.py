@@ -32,78 +32,37 @@ in a separate process.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
-import zipfile
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy backs every column; the store refuses to build without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
-from .. import obs
 from ..core.efficiency import efficient_social_cost
 from ..core.stability_intervals import AlphaIntervalSet, PairwiseStabilityProfile
 from ..engine import (
     batch_stability_deltas,
     chunk_evenly,
-    content_checksum,
     get_default_oracle,
     parallel_map,
     resolve_jobs,
-    run_shards,
     ucg_alpha_sets,
 )
 from ..engine.columnar import (
     addition_frontier,
     bcg_stable_mask,
-    canonical_sort_indices,
-    certificate_to_graph,
-    certificate_words,
-    concat_csr,
-    csr_invariant_errors,
-    gather_segments,
     pack_certificates,
     segment_min,
     stability_windows,
     ucg_nash_mask,
 )
-from ..graphs import Graph, enumerate_connected_graphs, enumerate_graphs, is_connected
-from ..graphs import canonical_graph, iter_graphs_from, total_distance
-from ..graphs.isomorphism import clear_canonical_record
+from ..graphs import Graph, enumerate_connected_graphs, total_distance
+from .artifact import ColumnArtifact, ColumnSpec, cached, cached_load
+from .artifact import clear_store_cache  # noqa: F401 - re-exported beside cached_store
 
 #: On-disk format version; bump on any incompatible schema change.
 FORMAT_VERSION = 1
 
 #: Schema tag written into every artifact (guards against loading foreign files).
 SCHEMA = "repro-census-store"
-
-#: Everything a store ``load`` can raise on a missing/corrupt/foreign
-#: artifact — the one tuple CLI handlers and resume paths should catch.
-LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
-
-#: Dense per-class columns (name → dtype); ragged columns are listed below.
-_DENSE_COLUMNS = ("num_edges", "dist_total", "cert_words")
-_BCG_COLUMNS = ("rem_values", "rem_indptr", "add_lo", "add_hi", "add_indptr")
-_UCG_COLUMNS = ("ucg_lo", "ucg_hi", "ucg_indptr")
-
-
-def store_available() -> bool:
-    """Whether the columnar store can be used (NumPy importable)."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "CensusStore requires NumPy; install numpy or use the "
-            "per-record EquilibriumCensus path instead"
-        )
-    return _np
 
 
 def _check_game(game: str) -> str:
@@ -113,7 +72,7 @@ def _check_game(game: str) -> str:
     return game
 
 
-class CensusStore:
+class CensusStore(ColumnArtifact):
     """All connected topologies on ``n`` vertices, as queryable columns.
 
     Instances are produced by :meth:`build`, :meth:`build_streamed`,
@@ -123,40 +82,34 @@ class CensusStore:
     store and ``census.records[i]`` describe the same isomorphism class.
     """
 
-    def __init__(
-        self,
-        n: int,
-        include_ucg: bool,
-        num_edges,
-        dist_total,
-        cert_words,
-        rem_values,
-        rem_indptr,
-        add_lo,
-        add_hi,
-        add_indptr,
-        ucg_lo=None,
-        ucg_hi=None,
-        ucg_indptr=None,
-    ) -> None:
-        _require_numpy()
-        self.n = int(n)
-        self.include_ucg = bool(include_ucg)
-        self.num_edges = num_edges
-        self.dist_total = dist_total
-        self.cert_words = cert_words
-        self.rem_values = rem_values
-        self.rem_indptr = rem_indptr
-        self.add_lo = add_lo
-        self.add_hi = add_hi
-        self.add_indptr = add_indptr
-        self.ucg_lo = ucg_lo
-        self.ucg_hi = ucg_hi
-        self.ucg_indptr = ucg_indptr
+    KIND = "census"
+    SCHEMA = SCHEMA
+    FORMAT_VERSION = FORMAT_VERSION
+    SHARD_PREFIX = "shard"
+    #: Per class: certificate, edge count, distance total, the minimum
+    #: removal increase per edge, the ``(min, max)`` addition saving per
+    #: non-edge and (optionally) the UCG α-interval endpoints.
+    SPEC = ColumnSpec(
+        dense={"num_edges": "int32", "dist_total": "float64", "cert_words": "uint64"},
+        groups={
+            "rem_indptr": {"rem_values": "float32"},
+            "add_indptr": {"add_lo": "float32", "add_hi": "float32"},
+            "ucg_indptr": {"ucg_lo": "float64", "ucg_hi": "float64"},
+        },
+        optional="ucg_indptr",
+    )
+
+    def __init__(self, n: int, columns: Dict[str, object]) -> None:
+        super().__init__(n, columns)
         self._rem_min = None  # lazy per-class α_max column
         self._frontier = None  # lazy per-class Pareto frontier of add pairs
         self._m64 = None  # lazy float64 copy of num_edges
-        self._artifact_checksum = None  # checksum stamped on the loaded artifact
+
+    def _meta(self) -> Dict[str, object]:
+        return {"include_ucg": self.include_ucg}
+
+    def _describe(self) -> Dict[str, object]:
+        return {"include_ucg": self.include_ucg, "format_version": FORMAT_VERSION}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -175,7 +128,6 @@ class CensusStore:
         ``GraphRecord`` objects, so the artifact never exists in
         array-of-objects form.
         """
-        _require_numpy()
         graphs = enumerate_connected_graphs(n)
         workers = resolve_jobs(jobs)
         chunks = chunk_evenly(graphs, max(1, workers * 4))
@@ -183,7 +135,7 @@ class CensusStore:
         parts = parallel_map(_columns_chunk, tasks, jobs=jobs)
         # enumerate_connected_graphs is already canonically sorted and the
         # chunks preserve order, so no global sort is needed here.
-        return cls._from_parts(n, include_ucg, parts)
+        return cls._from_parts(n, parts, include_ucg)
 
     @classmethod
     def build_streamed(
@@ -202,52 +154,28 @@ class CensusStore:
         """Build the columns by streaming the canonical-augmentation tree.
 
         The sharding scheme is identical to
-        :meth:`EquilibriumCensus.build_streamed` (disjoint, jointly
-        exhaustive subtrees below level-``shard_level`` roots), but workers
-        return column chunks.  The fan-out runs through
-        :func:`repro.engine.run_shards`: with ``shard_dir`` every finished
-        shard persists as a checksummed, config-fingerprinted
-        ``shard_XXXX_of_YYYY.npz`` and an interrupted build **resumes**
-        from every shard that verifies (corrupt files are recomputed, a
-        shard from a different configuration is rejected), with progress
-        and retry tallies in the directory's ``manifest.json``.  Worker
-        crashes and per-shard ``timeout`` expiries re-queue only the
-        incomplete shards (``max_retries`` pool attempts, then an in-parent
-        serial fallback).  The merged store is sorted into canonical census
-        order, element-for-element identical to :meth:`build` regardless of
-        ``jobs``, retries or resume history.
+        :meth:`EquilibriumCensus.build_streamed`; shards are fingerprinted
+        on ``n`` and ``include_ucg`` and persist as
+        ``shard_XXXX_of_YYYY.npz`` under ``shard_dir`` (see
+        :meth:`ColumnArtifact._build_streamed
+        <repro.analysis.artifact.ColumnArtifact._build_streamed>` for the
+        resume, retry and ordering contract).  The result is
+        element-for-element identical to :meth:`build`.
         """
-        _require_numpy()
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        workers = resolve_jobs(jobs)
-        if shard_level is None:
-            shard_level = max(0, min(6, n - 2))
-        shard_level = max(0, min(shard_level, n))
-        roots = enumerate_graphs(shard_level)
-        chunks = chunk_evenly(roots, max(1, workers * 4))
-        tasks = [(chunk, n, include_ucg, batch_size) for chunk in chunks]
-
-        report = run_shards(
-            _stream_columns_chunk,
-            tasks,
+        return cls._build_streamed(
+            n,
+            _analyse_columns,
+            {"include_ucg": include_ucg},
+            {"include_ucg": bool(include_ucg)},
             jobs=jobs,
+            shard_level=shard_level,
+            batch_size=batch_size,
             shard_dir=shard_dir,
-            prefix="shard",
-            fingerprint={
-                "kind": SCHEMA,
-                "format_version": FORMAT_VERSION,
-                "n": int(n),
-                "include_ucg": bool(include_ucg),
-            },
             timeout=timeout,
             max_retries=max_retries,
             progress=progress,
             fault_plan=fault_plan,
         )
-
-        store = cls._from_parts(n, include_ucg, report.parts)
-        return store.sort_canonical()
 
     @classmethod
     def from_census(cls, census) -> "CensusStore":
@@ -257,7 +185,6 @@ class CensusStore:
         does not matter); the deviation data is read straight out of the
         record profiles.
         """
-        _require_numpy()
         cols = _ColumnAccumulator(census.include_ucg)
         for record in census.records:
             cols.append(
@@ -267,85 +194,7 @@ class CensusStore:
                 total_distance(record.graph),
                 record.ucg_alpha_set,
             )
-        return cls._from_parts(census.n, census.include_ucg, [cols.arrays(census.n)])
-
-    @classmethod
-    def _from_parts(cls, n: int, include_ucg: bool, parts: List[dict]) -> "CensusStore":
-        np = _require_numpy()
-        parts = [part for part in parts if part["num_edges"].shape[0]] or [
-            _ColumnAccumulator(include_ucg).arrays(n)
-        ]
-        rem_values, rem_indptr = concat_csr(
-            [(p["rem_values"], p["rem_indptr"]) for p in parts]
-        )
-        add_lo, add_indptr = concat_csr(
-            [(p["add_lo"], p["add_indptr"]) for p in parts]
-        )
-        add_hi = np.concatenate([p["add_hi"] for p in parts])
-        kwargs = {}
-        if include_ucg:
-            ucg_lo, ucg_indptr = concat_csr(
-                [(p["ucg_lo"], p["ucg_indptr"]) for p in parts]
-            )
-            kwargs = {
-                "ucg_lo": ucg_lo,
-                "ucg_hi": np.concatenate([p["ucg_hi"] for p in parts]),
-                "ucg_indptr": ucg_indptr,
-            }
-        return cls(
-            n=n,
-            include_ucg=include_ucg,
-            num_edges=np.concatenate([p["num_edges"] for p in parts]),
-            dist_total=np.concatenate([p["dist_total"] for p in parts]),
-            cert_words=np.concatenate([p["cert_words"] for p in parts]),
-            rem_values=rem_values,
-            rem_indptr=rem_indptr,
-            add_lo=add_lo,
-            add_hi=add_hi,
-            add_indptr=add_indptr,
-            **kwargs,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Ordering
-    # ------------------------------------------------------------------ #
-
-    def sort_canonical(self) -> "CensusStore":
-        """A copy of the store in canonical census order (stable no-op key)."""
-        order = canonical_sort_indices(self.num_edges, self.cert_words, self.n)
-        return self.permute(order)
-
-    def permute(self, order) -> "CensusStore":
-        """A copy with class ``order[i]`` moved to row ``i`` (all columns)."""
-        rem_values, rem_indptr = gather_segments(
-            self.rem_values, self.rem_indptr, order
-        )
-        add_lo, add_indptr = gather_segments(self.add_lo, self.add_indptr, order)
-        add_hi, _ = gather_segments(self.add_hi, self.add_indptr, order)
-        kwargs = {}
-        if self.include_ucg:
-            ucg_lo, ucg_indptr = gather_segments(
-                self.ucg_lo, self.ucg_indptr, order
-            )
-            ucg_hi, _ = gather_segments(self.ucg_hi, self.ucg_indptr, order)
-            kwargs = {
-                "ucg_lo": ucg_lo,
-                "ucg_hi": ucg_hi,
-                "ucg_indptr": ucg_indptr,
-            }
-        return CensusStore(
-            n=self.n,
-            include_ucg=self.include_ucg,
-            num_edges=self.num_edges[order],
-            dist_total=self.dist_total[order],
-            cert_words=self.cert_words[order],
-            rem_values=rem_values,
-            rem_indptr=rem_indptr,
-            add_lo=add_lo,
-            add_hi=add_hi,
-            add_indptr=add_indptr,
-            **kwargs,
-        )
+        return cls._from_parts(census.n, [cols.arrays(census.n)], census.include_ucg)
 
     # ------------------------------------------------------------------ #
     # Vectorised α-grid queries
@@ -401,7 +250,6 @@ class CensusStore:
         (IEEE elementwise ops equal the scalar ops, so each entry is
         bit-identical to :func:`repro.core.anarchy.price_of_anarchy`).
         """
-        np = _np
         if self._m64 is None:
             self._m64 = np.asarray(self.num_edges, dtype=np.float64)
         per_edge = 2.0 if game == "bcg" else 1.0
@@ -430,7 +278,6 @@ class CensusStore:
         equilibrium sets.  Only the equilibrium rows of each grid point
         are read.
         """
-        np = _np
         game = _check_game(game)
         alphas = [float(alpha) for alpha in alphas]
         rows, points = np.divmod(
@@ -497,22 +344,12 @@ class CensusStore:
 
     def edge_count_histogram(self, alpha: float, game: str) -> Dict[int, int]:
         """Histogram of edge counts over the equilibrium topologies."""
-        np = _np
         selected = self.stable_mask([alpha], game)[:, 0]
         values, counts = np.unique(self.num_edges[selected], return_counts=True)
         return {int(v): int(c) for v, c in zip(values.tolist(), counts.tolist())}
 
-    def graph_at(self, index: int) -> Graph:
-        """Rebuild the canonical representative stored at row ``index``."""
-        return certificate_to_graph(self.cert_words[index], self.n)
-
-    def graphs(self) -> List[Graph]:
-        """Rebuild every stored representative (canonical census order)."""
-        return [self.graph_at(i) for i in range(len(self))]
-
     def equilibrium_graphs(self, alpha: float, game: str) -> List[Graph]:
         """Equilibrium topologies of either game at ``alpha`` (decoded)."""
-        np = _np
         selected = self.stable_mask([alpha], game)[:, 0]
         return [self.graph_at(int(i)) for i in np.nonzero(selected)[0]]
 
@@ -523,227 +360,6 @@ class CensusStore:
     def nash_graphs_ucg(self, alpha: float) -> List[Graph]:
         """All UCG-Nash topologies at link cost ``alpha``."""
         return self.equilibrium_graphs(alpha, "ucg")
-
-    def __len__(self) -> int:
-        return int(self.num_edges.shape[0])
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def _columns(self) -> Dict[str, object]:
-        columns = {name: getattr(self, name) for name in _DENSE_COLUMNS}
-        columns.update({name: getattr(self, name) for name in _BCG_COLUMNS})
-        if self.include_ucg:
-            columns.update({name: getattr(self, name) for name in _UCG_COLUMNS})
-        return columns
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes across every column."""
-        return sum(array.nbytes for array in self._columns().values())
-
-    def content_checksum(self) -> str:
-        """sha256 over every column's name, dtype, shape and bytes."""
-        return content_checksum(self._columns())
-
-    def verify(self) -> Dict[str, object]:
-        """Audit the artifact: checksum + structural invariants.
-
-        Returns ``{"ok", "classes", "checksum", "errors"}`` where
-        ``checksum`` is ``"ok"`` / ``"mismatch"`` (vs the stamp written by
-        :meth:`save`, when the artifact carries one) / ``"absent"``.
-        Structural checks: CSR layout of every ragged column, per-class
-        probe counts against the edge counts (each class has one removal
-        probe per edge and one addition probe per non-edge), edge counts
-        within ``[0, C(n,2)]``, finite distance totals, and ordered UCG
-        interval endpoints.  A corrupt artifact is caught here, at audit
-        time, instead of mid-query.
-        """
-        np = _require_numpy()
-        classes = len(self)
-        errors: List[str] = []
-        errors += csr_invariant_errors(
-            "rem", self.rem_values.shape[0], self.rem_indptr, classes
-        )
-        errors += csr_invariant_errors(
-            "add", self.add_lo.shape[0], self.add_indptr, classes
-        )
-        if self.add_hi.shape != self.add_lo.shape:
-            errors.append("add: add_hi and add_lo lengths differ")
-        pairs = self.n * (self.n - 1) // 2
-        edges = np.asarray(self.num_edges, dtype=np.int64)
-        if classes:
-            if bool(np.any(edges < 0)) or bool(np.any(edges > pairs)):
-                errors.append(f"num_edges outside [0, {pairs}]")
-            elif not errors:
-                # One removal probe per edge, one addition probe per non-edge.
-                if bool(np.any(np.diff(self.rem_indptr) != edges)):
-                    errors.append("rem: per-class probe counts != num_edges")
-                if bool(np.any(np.diff(self.add_indptr) != pairs - edges)):
-                    errors.append("add: per-class probe counts != non-edges")
-            if not bool(np.all(np.isfinite(np.asarray(self.dist_total)))):
-                errors.append("dist_total contains non-finite values")
-        if self.include_ucg:
-            errors += csr_invariant_errors(
-                "ucg", self.ucg_lo.shape[0], self.ucg_indptr, classes
-            )
-            if self.ucg_hi.shape != self.ucg_lo.shape:
-                errors.append("ucg: ucg_hi and ucg_lo lengths differ")
-            elif self.ucg_lo.shape[0] and bool(
-                np.any(np.asarray(self.ucg_lo) > np.asarray(self.ucg_hi))
-            ):
-                errors.append("ucg: interval lo > hi")
-        if self._artifact_checksum is None:
-            checksum = "absent"
-        elif self.content_checksum() == self._artifact_checksum:
-            checksum = "ok"
-        else:
-            checksum = "mismatch"
-            errors.append("content checksum does not match the saved stamp")
-        return {
-            "ok": not errors,
-            "classes": classes,
-            "checksum": checksum,
-            "errors": errors,
-        }
-
-    def summary(self) -> Dict[str, object]:
-        """Artifact metadata (used by the CLI and the report renderer)."""
-        return {
-            "n": self.n,
-            "classes": len(self),
-            "include_ucg": self.include_ucg,
-            "format_version": FORMAT_VERSION,
-            "nbytes": self.nbytes,
-            "column_bytes": {
-                name: array.nbytes for name, array in self._columns().items()
-            },
-        }
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def save(self, path: str, format: Optional[str] = None, compress: bool = False) -> str:
-        """Write the store to ``path``; returns the path written.
-
-        ``format="npz"`` (default for ``*.npz`` paths) writes one NumPy
-        archive; ``format="dir"`` writes a directory of raw ``.npy``
-        columns plus ``meta.json`` — the directory layout can be loaded
-        with ``mmap=True`` so multi-hundred-MB artifacts never enter
-        resident memory at once.  Both carry the schema tag and
-        :data:`FORMAT_VERSION`.
-        """
-        start = time.perf_counter()
-        written = self._save_impl(path, format, compress)
-        obs.record_artifact_io(
-            "save", "census", written, time.perf_counter() - start
-        )
-        return written
-
-    def _save_impl(self, path: str, format: Optional[str], compress: bool) -> str:
-        np = _require_numpy()
-        format = self._resolve_format(path, format)
-        if format == "npz":
-            if not str(path).endswith(".npz"):
-                # np.savez appends the suffix itself; make that explicit so
-                # the returned path is the file actually written.
-                path = f"{path}.npz"
-            payload = dict(self._columns())
-            payload["schema"] = np.str_(SCHEMA)
-            payload["format_version"] = np.int64(FORMAT_VERSION)
-            payload["n"] = np.int64(self.n)
-            payload["include_ucg"] = np.bool_(self.include_ucg)
-            payload["checksum"] = np.str_(self.content_checksum())
-            writer = np.savez_compressed if compress else np.savez
-            writer(path, **payload)
-            return path
-        os.makedirs(path, exist_ok=True)
-        columns = self._columns()
-        meta = {
-            "schema": SCHEMA,
-            "format_version": FORMAT_VERSION,
-            "n": self.n,
-            "include_ucg": self.include_ucg,
-            "columns": sorted(columns),
-            "checksum": self.content_checksum(),
-        }
-        with open(os.path.join(path, "meta.json"), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        for name, array in columns.items():
-            np.save(os.path.join(path, f"{name}.npy"), array)
-        return path
-
-    @staticmethod
-    def _resolve_format(path: str, format: Optional[str]) -> str:
-        if format is None:
-            format = "npz" if str(path).endswith(".npz") else "dir"
-        if format not in ("npz", "dir"):
-            raise ValueError("format must be 'npz' or 'dir'")
-        return format
-
-    @classmethod
-    def load(cls, path: str, mmap: bool = False) -> "CensusStore":
-        """Load a store written by :meth:`save`.
-
-        ``mmap=True`` memory-maps the columns and is only supported for the
-        directory format (zip archives cannot be mapped page-aligned).
-        """
-        start = time.perf_counter()
-        store = cls._load_impl(path, mmap)
-        obs.record_artifact_io(
-            "load", "census", path, time.perf_counter() - start
-        )
-        return store
-
-    @classmethod
-    def _load_impl(cls, path: str, mmap: bool) -> "CensusStore":
-        np = _require_numpy()
-        if os.path.isdir(path):
-            with open(os.path.join(path, "meta.json")) as handle:
-                meta = json.load(handle)
-            cls._check_meta(meta.get("schema"), meta.get("format_version"), path)
-            mmap_mode = "r" if mmap else None
-            columns = {
-                name: np.load(
-                    os.path.join(path, f"{name}.npy"), mmap_mode=mmap_mode
-                )
-                for name in meta["columns"]
-            }
-            store = cls(n=meta["n"], include_ucg=meta["include_ucg"], **columns)
-            store._artifact_checksum = meta.get("checksum")
-            return store
-        if mmap:
-            raise ValueError(
-                "mmap loading requires the directory format; save with "
-                "format='dir' for memory-mappable artifacts"
-            )
-        with np.load(path, allow_pickle=False) as data:
-            schema = str(data["schema"]) if "schema" in data else None
-            version = (
-                int(data["format_version"]) if "format_version" in data else None
-            )
-            cls._check_meta(schema, version, path)
-            include_ucg = bool(data["include_ucg"])
-            columns = {name: data[name] for name in _DENSE_COLUMNS + _BCG_COLUMNS}
-            if include_ucg:
-                columns.update({name: data[name] for name in _UCG_COLUMNS})
-            store = cls(n=int(data["n"]), include_ucg=include_ucg, **columns)
-            if "checksum" in data:
-                store._artifact_checksum = str(data["checksum"])
-            return store
-
-    @staticmethod
-    def _check_meta(schema: Optional[str], version: Optional[int], path: str) -> None:
-        if schema != SCHEMA:
-            raise ValueError(f"{path!r} is not a census-store artifact")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path!r} has store format version {version}; this build "
-                f"reads version {FORMAT_VERSION}"
-            )
 
 
 # --------------------------------------------------------------------------- #
@@ -810,8 +426,6 @@ class _ColumnAccumulator:
             self.ucg_counts.append(len(intervals))
 
     def arrays(self, n: int) -> dict:
-        np = _require_numpy()
-
         def indptr(counts: List[int]):
             out = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
@@ -844,7 +458,6 @@ def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
     at ``n``) — this is how the Figure 1 experiment pushes its six named
     graphs through the same vectorised kernels as the censuses.
     """
-    np = _require_numpy()
     rem_min: List[float] = []
     add_lo: List[float] = []
     add_hi: List[float] = []
@@ -871,7 +484,9 @@ def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
 # --------------------------------------------------------------------------- #
 
 
-def _analyse_columns(graphs: List[Graph], n: int, include_ucg: bool, oracle) -> dict:
+def _analyse_columns(
+    graphs: List[Graph], n: int, oracle, include_ucg: bool
+) -> dict:
     """Column chunk for a batch of graphs (same analysis as ``_make_records``)."""
     results = batch_stability_deltas(graphs, oracle=oracle, return_totals=True)
     cols = _ColumnAccumulator(include_ucg)
@@ -887,118 +502,7 @@ def _analyse_columns(graphs: List[Graph], n: int, include_ucg: bool, oracle) -> 
 
 def _columns_chunk(task: Tuple[List[Graph], int, bool]) -> dict:
     graphs, n, include_ucg = task
-    return _analyse_columns(graphs, n, include_ucg, get_default_oracle())
-
-
-def _stream_columns_chunk(task: Tuple[List[Graph], int, bool, int]) -> dict:
-    """Generate-and-analyse one generation-tree shard into columns."""
-    roots, n, include_ucg, batch_size = task
-    oracle = get_default_oracle()
-    cols = _ColumnAccumulator(include_ucg)
-    pending: List[Graph] = []
-
-    def flush() -> None:
-        results = batch_stability_deltas(pending, oracle=oracle, return_totals=True)
-        # Graphs arrive canonical with their automorphism record memoised,
-        # so the batched UCG engine orbit-prunes automatically.
-        ucg_sets = (
-            ucg_alpha_sets(pending, oracle=oracle)
-            if include_ucg
-            else [None] * len(pending)
-        )
-        for graph, ((removal, addition), total), ucg_set in zip(
-            pending, results, ucg_sets
-        ):
-            cols.append(graph, removal, addition, total, ucg_set)
-            clear_canonical_record(graph)
-        obs.counter(
-            "repro_stream_classes_total",
-            "Graph classes analysed by streamed store builds",
-            store="census",
-        ).inc(len(pending))
-        pending.clear()
-
-    for root in roots:
-        for graph in iter_graphs_from(root, n):
-            if not is_connected(graph):
-                continue
-            pending.append(canonical_graph(graph))
-            if len(pending) >= batch_size:
-                flush()
-    if pending:
-        flush()
-    return cols.arrays(n)
-
-
-# --------------------------------------------------------------------------- #
-# Process-wide store cache (mirrors cached_census)
-# --------------------------------------------------------------------------- #
-
-
-_STORE_CACHE: "OrderedDict[tuple, CensusStore]" = OrderedDict()
-
-#: One re-entrant lock guards every mutation of :data:`_STORE_CACHE` — the
-#: cache is shared by :func:`cached_store`, :func:`cached_delta_store` and
-#: :func:`cached_weighted_store`, and the service layer calls all three from
-#: concurrent request threads.  The lock is held across a whole miss
-#: (including the build/load) so the hit/miss/eviction counters stay exact
-#: and two threads never build the same artifact twice; artifact loads are
-#: milliseconds, and the expensive kernel queries run outside the lock.
-_STORE_CACHE_LOCK = threading.RLock()
-
-#: Upper bound on cached stores.  Small on purpose: an n = 8 store is a few
-#: MB resident but an n = 9 store is tens of MB, and a long-lived process
-#: cycling through artifacts (the ensemble/experiment runners) must not
-#: accumulate every store it ever touched.
-STORE_CACHE_MAX = 8
-
-
-def _artifact_stamp(path: str) -> tuple:
-    """``(mtime_ns, size)`` of an artifact, so rewrites miss the cache.
-
-    Load-keyed cache entries are not determined by the path alone — a
-    long-lived process may regenerate an artifact in place and must not
-    keep being served the old columns.  The directory format aggregates
-    over every file in the directory (newest mtime, total size), so
-    rewriting any single column in place also invalidates the entry.
-    """
-    if os.path.isdir(path):
-        # Per-file stamps, not an aggregate: a same-clock-tick in-place
-        # rewrite of one column leaves the directory-wide max mtime (and
-        # total size) unchanged but never that file's own pre-write mtime.
-        return tuple(
-            (name,) + _artifact_stamp(os.path.join(path, name))
-            for name in sorted(os.listdir(path))
-        )
-    stat = os.stat(path)
-    return (stat.st_mtime_ns, stat.st_size)
-
-
-def _cache_store(key: tuple, store: CensusStore) -> CensusStore:
-    """Insert (or touch) one cache entry, evicting least-recently-used.
-
-    Callers must hold :data:`_STORE_CACHE_LOCK`.
-    """
-    _STORE_CACHE[key] = store
-    _STORE_CACHE.move_to_end(key)
-    while len(_STORE_CACHE) > max(1, STORE_CACHE_MAX):
-        _STORE_CACHE.popitem(last=False)
-        obs.counter(
-            "repro_cache_evictions_total", "LRU evictions from the store cache",
-            cache="store-lru",
-        ).inc()
-    return store
-
-
-def _count_cache_lookup(cache: str, hit: bool) -> None:
-    """One hit-or-miss tick for a store-cache lookup."""
-    obs.counter(
-        "repro_cache_hits_total" if hit else "repro_cache_misses_total",
-        "Store-cache lookups served from memory"
-        if hit
-        else "Store-cache lookups that had to build or load",
-        cache=cache,
-    ).inc()
+    return _analyse_columns(graphs, n, get_default_oracle(), include_ucg)
 
 
 def cached_store(
@@ -1008,72 +512,32 @@ def cached_store(
     path: Optional[str] = None,
     mmap: bool = False,
 ) -> CensusStore:
-    """Build, load or fetch the columnar store (bounded LRU cache).
+    """Build, load or fetch the columnar store (the shared store LRU).
 
     With ``n`` the store is built in process (or converted from a record
     census already sitting in the census cache —
     :meth:`CensusStore.from_census` skips the whole deviation + UCG
     orientation pass).  With ``path`` it is loaded from an on-disk
-    artifact instead, optionally memory-mapped.
+    artifact instead, optionally memory-mapped
+    (:func:`~repro.analysis.artifact.cached_load`).
 
     Every option that changes what the returned *object* is — ``n`` and
     ``include_ucg`` for builds; the absolute path, ``mmap`` and the file's
-    modification stamp for loads — is part of the cache key, so a resident
-    store can never be handed out where a mapped view was requested (or
-    vice versa), and an artifact rewritten in place on disk misses the
-    cache instead of serving its old columns.  ``jobs`` only
+    modification stamp for loads — is part of the cache key.  ``jobs`` only
     affects how a build miss is computed; the contents are identical for
-    any value and it is therefore *not* part of the key.  The cache keeps
-    at most :data:`STORE_CACHE_MAX` stores, evicting least-recently-used.
+    any value and it is therefore *not* part of the key.
     """
     if (n is None) == (path is None):
         raise ValueError("exactly one of n and path is required")
     if path is not None:
-        key = ("load", os.path.abspath(path), bool(mmap), _artifact_stamp(path))
-        with _STORE_CACHE_LOCK:
-            store = _STORE_CACHE.get(key)
-            _count_cache_lookup("census-store", hit=store is not None)
-            if store is None:
-                store = CensusStore.load(path, mmap=mmap)
-            return _cache_store(key, store)
+        return cached_load(CensusStore, path, mmap)
 
-    from .census import _CENSUS_CACHE
+    def make() -> CensusStore:
+        from .census import _CENSUS_CACHE
 
-    key = ("build", int(n), bool(include_ucg))
-    with _STORE_CACHE_LOCK:
-        store = _STORE_CACHE.get(key)
-        _count_cache_lookup("census-store", hit=store is not None)
-        if store is None:
-            cached = _CENSUS_CACHE.get((int(n), bool(include_ucg)))
-            if cached is not None:
-                store = CensusStore.from_census(cached)
-            else:
-                store = CensusStore.build(n, include_ucg=include_ucg, jobs=jobs)
-        return _cache_store(key, store)
+        census = _CENSUS_CACHE.get((int(n), bool(include_ucg)))
+        if census is not None:
+            return CensusStore.from_census(census)
+        return CensusStore.build(n, include_ucg=include_ucg, jobs=jobs)
 
-
-def clear_store_cache() -> None:
-    """Drop the store cache (used by cold-start benchmarks and tests)."""
-    with _STORE_CACHE_LOCK:
-        _STORE_CACHE.clear()
-
-
-# Pre-register the cache counter families at import so a fresh exposition
-# always carries them — a build-only run never performs a cache lookup,
-# and a dashboard watching hit rate needs the zero series to exist.
-if obs.metrics_enabled():
-    obs.counter(
-        "repro_cache_hits_total",
-        "Store-cache lookups served from memory",
-        cache="census-store",
-    )
-    obs.counter(
-        "repro_cache_misses_total",
-        "Store-cache lookups that had to build or load",
-        cache="census-store",
-    )
-    obs.counter(
-        "repro_cache_evictions_total",
-        "LRU evictions from the store cache",
-        cache="store-lru",
-    )
+    return cached(("census-build", int(n), bool(include_ucg)), "census-store", make)

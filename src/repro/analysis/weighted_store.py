@@ -29,56 +29,31 @@ model)`` pair, persisted once and queried forever:
   :func:`repro.analysis.scenarios.scenario_from_params` can rebuild the
   model bit-for-bit.
 
-Builds mirror the census store: :meth:`build` chunks the canonical class
-list over pool workers; :meth:`build_streamed` walks the sharded
-canonical-augmentation tree (resumable via ``shard_dir``) and sorts the
-merged columns into canonical census order, element-for-element identical
-to :meth:`build`.
+Persistence, the audit, ordering, part merging and the streamed build
+come from the shared :class:`~repro.analysis.artifact.ColumnArtifact`
+base: :meth:`build` chunks the canonical class list over pool workers;
+:meth:`build_streamed` walks the sharded canonical-augmentation tree
+(resumable via ``shard_dir``) and sorts the merged columns into canonical
+census order, element-for-element identical to :meth:`build`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy backs every column; the store refuses to build without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
-from .. import obs
 from ..costmodels.models import CostModel
-from ..engine import (
-    chunk_evenly,
-    content_checksum,
-    parallel_map,
-    resolve_jobs,
-    run_shards,
-)
-from ..engine.oracle import DistanceOracle
 from ..engine.columnar import (
-    canonical_sort_indices,
     certificate_to_graph,
-    concat_csr,
-    csr_invariant_errors,
-    gather_segments,
     pack_certificates,
     ucg_nash_mask,
     weighted_bcg_stable_mask,
     weighted_stability_windows,
     weighted_ucg_windows,
 )
-from ..graphs import (
-    Graph,
-    canonical_graph,
-    enumerate_connected_graphs,
-    enumerate_graphs,
-    is_connected,
-    iter_graphs_from,
-)
-from ..graphs.isomorphism import clear_canonical_record
+from ..graphs import Graph
+from .artifact import ColumnArtifact, ColumnSpec
 
 #: On-disk format version; bump on any incompatible schema change.
 #: v2: optional UCG t-interval CSR columns (``ucg_lo``/``ucg_hi``/``ucg_indptr``).
@@ -87,32 +62,8 @@ FORMAT_VERSION = 2
 #: Schema tag written into every artifact (guards against loading foreign files).
 SCHEMA = "repro-weighted-store"
 
-#: Dense per-class columns (``weight_matrix`` is per-artifact, not per-class).
-_DENSE_COLUMNS = ("num_edges", "dist_total", "edge_cost_total", "cert_words")
-#: Ragged probe columns in the batch_weighted_columns CSR layout.
-_PROBE_COLUMNS = (
-    "rem_w", "rem_delta", "rem_indptr",
-    "add_w_u", "add_s_u", "add_w_v", "add_s_v", "add_indptr",
-)
-#: Optional UCG t-interval columns (present iff built with ``include_ucg``).
-_UCG_COLUMNS = ("ucg_lo", "ucg_hi", "ucg_indptr")
 
-
-def weighted_store_available() -> bool:
-    """Whether the weighted store can be used (NumPy importable)."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "WeightedStore requires NumPy; use the per-graph "
-            "WeightedStabilityProfile path instead"
-        )
-    return _np
-
-
-class WeightedStore:
+class WeightedStore(ColumnArtifact):
     """One weighted sweep's coefficient columns, persistent and queryable.
 
     Instances are produced by :meth:`build`, :meth:`build_streamed`,
@@ -122,52 +73,74 @@ class WeightedStore:
     ``i`` of :func:`weighted_census` describe the same isomorphism class.
     """
 
+    KIND = "weighted"
+    SCHEMA = SCHEMA
+    FORMAT_VERSION = FORMAT_VERSION
+    SHARD_PREFIX = "wshard"
+    META_KEYS = ("scenario",)
+    #: The :func:`~repro.engine.batch.batch_weighted_columns` layout —
+    #: removal ``(w, Δ)`` pairs, two per edge, and per-non-edge endpoint
+    #: ``(w, save)`` 4-tuples — plus the per-class link spend, optional UCG
+    #: t-intervals and the dense weight matrix the artifact was priced under.
+    SPEC = ColumnSpec(
+        dense={
+            "num_edges": "int32",
+            "dist_total": "float64",
+            "edge_cost_total": "float64",
+            "cert_words": "uint64",
+        },
+        groups={
+            "rem_indptr": {"rem_w": "float64", "rem_delta": "float64"},
+            "add_indptr": {
+                "add_w_u": "float64",
+                "add_s_u": "float64",
+                "add_w_v": "float64",
+                "add_s_v": "float64",
+            },
+            "ucg_indptr": {"ucg_lo": "float64", "ucg_hi": "float64"},
+        },
+        optional="ucg_indptr",
+        constants=("weight_matrix",),
+        removal_per_edge=2,
+    )
+
     def __init__(
         self,
         n: int,
-        weight_matrix,
-        num_edges,
-        dist_total,
-        edge_cost_total,
-        cert_words,
-        rem_w,
-        rem_delta,
-        rem_indptr,
-        add_w_u,
-        add_s_u,
-        add_w_v,
-        add_s_v,
-        add_indptr,
-        ucg_lo=None,
-        ucg_hi=None,
-        ucg_indptr=None,
+        columns: Dict[str, object],
         scenario_params: Optional[Dict[str, object]] = None,
     ) -> None:
-        _require_numpy()
-        self.n = int(n)
-        self.weight_matrix = weight_matrix
-        self.num_edges = num_edges
-        self.dist_total = dist_total
-        self.edge_cost_total = edge_cost_total
-        self.cert_words = cert_words
-        self.rem_w = rem_w
-        self.rem_delta = rem_delta
-        self.rem_indptr = rem_indptr
-        self.add_w_u = add_w_u
-        self.add_s_u = add_s_u
-        self.add_w_v = add_w_v
-        self.add_s_v = add_s_v
-        self.add_indptr = add_indptr
-        self.ucg_lo = ucg_lo
-        self.ucg_hi = ucg_hi
-        self.ucg_indptr = ucg_indptr
+        super().__init__(n, columns)
         self.scenario_params = dict(scenario_params) if scenario_params else None
-        self._artifact_checksum = None  # checksum stamped on the loaded artifact
 
-    @property
-    def include_ucg(self) -> bool:
-        """Whether the artifact carries UCG t-interval columns."""
-        return self.ucg_indptr is not None
+    def _meta(self) -> Dict[str, object]:
+        return {"scenario": self.scenario_params}
+
+    @classmethod
+    def _restore(cls, n: int, columns: Dict[str, object], meta: Dict[str, object]):
+        return cls(n, columns, meta.get("scenario"))
+
+    def _describe(self) -> Dict[str, object]:
+        scenario = self.scenario_params or {}
+        return {
+            "scenario": scenario.get("name"),
+            "seed": scenario.get("seed"),
+            "scenario_params": dict(scenario) or None,
+            "format_version": FORMAT_VERSION,
+            "include_ucg": self.include_ucg,
+        }
+
+    def _verify_kind(self) -> List[str]:
+        """The weight matrix must be a finite ``(n, n)`` array."""
+        matrix = np.asarray(self.weight_matrix)
+        if matrix.shape != (self.n, self.n):
+            return [
+                f"weight_matrix has shape {matrix.shape}, expected "
+                f"({self.n}, {self.n})"
+            ]
+        if not bool(np.all(np.isfinite(matrix))):
+            return ["weight_matrix contains non-finite values"]
+        return []
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -192,16 +165,15 @@ class WeightedStore:
         UCG Nash t-interval endpoints (float-exact against
         :func:`~repro.costmodels.stability.weighted_ucg_nash_t_set`).
         """
-        _require_numpy()
         matrix = model.coefficient_matrix(n)
-        graphs = enumerate_connected_graphs(n)
-        workers = resolve_jobs(jobs)
-        chunks = chunk_evenly(graphs, max(1, workers * 4))
-        tasks = [(chunk, model, matrix, n, include_ucg) for chunk in chunks]
-        parts = parallel_map(_weighted_columns_chunk, tasks, jobs=jobs)
-        # enumerate_connected_graphs is already canonically sorted and the
-        # chunks preserve order, so no global sort is needed here.
-        return cls._from_parts(n, matrix, parts, scenario_params, include_ucg)
+        return cls._build(
+            n,
+            _weighted_part,
+            {"model": model, "matrix": matrix, "include_ucg": include_ucg},
+            jobs,
+            constants={"weight_matrix": np.asarray(matrix, dtype=np.float64)},
+            meta={"scenario": scenario_params},
+        )
 
     @classmethod
     def from_scenario(
@@ -259,75 +231,34 @@ class WeightedStore:
     ) -> "WeightedStore":
         """Build the columns by streaming the canonical-augmentation tree.
 
-        The sharding scheme is the census store's (disjoint, jointly
-        exhaustive subtrees below level-``shard_level`` roots); workers
-        canonicalise each generated graph before pricing it, so the
-        weights land on the same labelled representatives as :meth:`build`.
-        The fan-out runs through :func:`repro.engine.run_shards`: with
-        ``shard_dir`` every finished shard persists checksummed and
-        fingerprinted over ``n`` *and* the weight matrix — an interrupted
-        build resumes from every shard that verifies, corrupt files are
-        recomputed, and a directory reused with a different cost model
-        raises instead of merging silently — with progress/retry tallies in
-        the directory's ``manifest.json``.  Worker crashes and per-shard
-        ``timeout`` expiries re-queue only the incomplete shards.  The
-        merged store is sorted into canonical census order,
-        element-for-element identical to :meth:`build`.
+        Same sharding, resume and ordering contract as the census store
+        (:meth:`ColumnArtifact._build_streamed
+        <repro.analysis.artifact.ColumnArtifact._build_streamed>`), with
+        ``wshard_XXXX_of_YYYY.npz`` shard files.  Workers canonicalise each
+        generated graph before pricing it, so the weights land on the same
+        labelled representatives as :meth:`build`; shards are fingerprinted
+        over ``n``, ``include_ucg`` *and* the weight matrix, so a directory
+        reused with a different cost model raises instead of merging
+        silently.  The result is element-for-element identical to
+        :meth:`build`.
         """
-        _require_numpy()
-        if n < 0:
-            raise ValueError("n must be non-negative")
         matrix = model.coefficient_matrix(n)
-        workers = resolve_jobs(jobs)
-        if shard_level is None:
-            shard_level = max(0, min(6, n - 2))
-        shard_level = max(0, min(shard_level, n))
-        roots = enumerate_graphs(shard_level)
-        chunks = chunk_evenly(roots, max(1, workers * 4))
-        tasks = [
-            (chunk, model, matrix, n, batch_size, include_ucg)
-            for chunk in chunks
-        ]
-
-        report = run_shards(
-            _stream_weighted_chunk,
-            tasks,
+        weights = np.asarray(matrix, dtype=np.float64)
+        return cls._build_streamed(
+            n,
+            _weighted_part,
+            {"model": model, "matrix": matrix, "include_ucg": include_ucg},
+            {"include_ucg": bool(include_ucg), "matrix": weights},
             jobs=jobs,
+            shard_level=shard_level,
+            batch_size=batch_size,
             shard_dir=shard_dir,
-            prefix="wshard",
-            fingerprint={
-                "kind": SCHEMA,
-                "format_version": FORMAT_VERSION,
-                "n": int(n),
-                "include_ucg": bool(include_ucg),
-                "matrix": _np.asarray(matrix, dtype=_np.float64),
-            },
             timeout=timeout,
             max_retries=max_retries,
             progress=progress,
             fault_plan=fault_plan,
-        )
-
-        store = cls._from_parts(
-            n, matrix, report.parts, scenario_params, include_ucg
-        )
-        return store.sort_canonical()
-
-    @classmethod
-    def _from_parts(
-        cls,
-        n: int,
-        matrix,
-        parts: List[dict],
-        scenario_params: Optional[Dict[str, object]],
-        include_ucg: bool = False,
-    ) -> "WeightedStore":
-        np = _require_numpy()
-        return cls(
-            n=n,
-            weight_matrix=np.asarray(matrix, dtype=np.float64),
-            scenario_params=scenario_params,
-            **_merge_parts(parts, n, include_ucg),
+            constants={"weight_matrix": weights},
+            meta={"scenario": scenario_params},
         )
 
     @classmethod
@@ -351,7 +282,6 @@ class WeightedStore:
         view: every existing kernel, artifact format and test keeps
         working, while ensembles pay the delta pass once per ``n``.
         """
-        np = _require_numpy()
         matrix = np.asarray(model.coefficient_matrix(delta.n), dtype=np.float64)
         players = max(delta.n, 1)
         # reshape keeps the n = 0 edge case indexable (asarray([]) is 1-D)
@@ -369,73 +299,23 @@ class WeightedStore:
                 for i in range(int(np.asarray(delta.num_edges).shape[0]))
             ]
             ucg = batch_ucg_columns(graphs, model=model)
-        return cls(
-            n=delta.n,
-            weight_matrix=matrix,
-            num_edges=np.asarray(delta.num_edges),
-            dist_total=np.asarray(delta.dist_total),
-            edge_cost_total=_edge_cost_totals(delta, model, rem_w),
-            cert_words=np.asarray(delta.cert_words),
-            rem_w=rem_w,
-            rem_delta=np.asarray(delta.rem_delta).astype(np.float64),
-            rem_indptr=np.asarray(delta.rem_indptr),
-            add_w_u=matrix[delta.add_u, delta.add_v] if delta.n else np.zeros(0),
-            add_s_u=np.asarray(delta.add_s_u).astype(np.float64),
-            add_w_v=matrix[delta.add_v, delta.add_u] if delta.n else np.zeros(0),
-            add_s_v=np.asarray(delta.add_s_v).astype(np.float64),
-            add_indptr=np.asarray(delta.add_indptr),
-            scenario_params=scenario_params,
+        columns = {
+            "weight_matrix": matrix,
+            "num_edges": np.asarray(delta.num_edges),
+            "dist_total": np.asarray(delta.dist_total),
+            "edge_cost_total": _edge_cost_totals(delta, model, rem_w),
+            "cert_words": np.asarray(delta.cert_words),
+            "rem_w": rem_w,
+            "rem_delta": np.asarray(delta.rem_delta).astype(np.float64),
+            "rem_indptr": np.asarray(delta.rem_indptr),
+            "add_w_u": matrix[delta.add_u, delta.add_v] if delta.n else np.zeros(0),
+            "add_s_u": np.asarray(delta.add_s_u).astype(np.float64),
+            "add_w_v": matrix[delta.add_v, delta.add_u] if delta.n else np.zeros(0),
+            "add_s_v": np.asarray(delta.add_s_v).astype(np.float64),
+            "add_indptr": np.asarray(delta.add_indptr),
             **ucg,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Ordering
-    # ------------------------------------------------------------------ #
-
-    def sort_canonical(self) -> "WeightedStore":
-        """A copy of the store in canonical census order (stable no-op key)."""
-        order = canonical_sort_indices(self.num_edges, self.cert_words, self.n)
-        return self.permute(order)
-
-    def permute(self, order) -> "WeightedStore":
-        """A copy with class ``order[i]`` moved to row ``i`` (all columns)."""
-        rem_w, rem_indptr = gather_segments(self.rem_w, self.rem_indptr, order)
-        rem_delta, _ = gather_segments(self.rem_delta, self.rem_indptr, order)
-        add_w_u, add_indptr = gather_segments(
-            self.add_w_u, self.add_indptr, order
-        )
-        add_s_u, _ = gather_segments(self.add_s_u, self.add_indptr, order)
-        add_w_v, _ = gather_segments(self.add_w_v, self.add_indptr, order)
-        add_s_v, _ = gather_segments(self.add_s_v, self.add_indptr, order)
-        ucg = {}
-        if self.include_ucg:
-            ucg_lo, ucg_indptr = gather_segments(
-                self.ucg_lo, self.ucg_indptr, order
-            )
-            ucg_hi, _ = gather_segments(self.ucg_hi, self.ucg_indptr, order)
-            ucg = {
-                "ucg_lo": ucg_lo,
-                "ucg_hi": ucg_hi,
-                "ucg_indptr": ucg_indptr,
-            }
-        return WeightedStore(
-            n=self.n,
-            weight_matrix=self.weight_matrix,
-            num_edges=self.num_edges[order],
-            dist_total=self.dist_total[order],
-            edge_cost_total=self.edge_cost_total[order],
-            cert_words=self.cert_words[order],
-            rem_w=rem_w,
-            rem_delta=rem_delta,
-            rem_indptr=rem_indptr,
-            add_w_u=add_w_u,
-            add_s_u=add_s_u,
-            add_w_v=add_w_v,
-            add_s_v=add_s_v,
-            add_indptr=add_indptr,
-            scenario_params=self.scenario_params,
-            **ucg,
-        )
+        }
+        return cls(delta.n, columns, scenario_params)
 
     # ------------------------------------------------------------------ #
     # Vectorised scale-grid queries (no recomputation, ever)
@@ -528,323 +408,15 @@ class WeightedStore:
         """The dense weight matrix the artifact was priced under."""
         return [[float(w) for w in row] for row in self.weight_matrix]
 
-    def graph_at(self, index: int) -> Graph:
-        """Rebuild the canonical representative stored at row ``index``."""
-        return certificate_to_graph(self.cert_words[index], self.n)
-
-    def graphs(self) -> List[Graph]:
-        """Rebuild every stored representative (canonical census order)."""
-        return [self.graph_at(i) for i in range(len(self))]
-
     def stable_graphs_at(self, t: float) -> List[Graph]:
         """The stable topologies under ``t·W`` (decoded from certificates)."""
-        np = _np
         selected = self.stable_mask([t])[:, 0]
         return [self.graph_at(int(i)) for i in np.nonzero(selected)[0]]
 
-    def __len__(self) -> int:
-        return int(self.num_edges.shape[0])
-
-    def _columns(self) -> Dict[str, object]:
-        columns = {name: getattr(self, name) for name in _DENSE_COLUMNS}
-        columns.update({name: getattr(self, name) for name in _PROBE_COLUMNS})
-        if self.include_ucg:
-            columns.update(
-                {name: getattr(self, name) for name in _UCG_COLUMNS}
-            )
-        columns["weight_matrix"] = self.weight_matrix
-        return columns
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes across every column."""
-        return sum(array.nbytes for array in self._columns().values())
-
-    def content_checksum(self) -> str:
-        """sha256 over every column's name, dtype, shape and bytes."""
-        return content_checksum(self._columns())
-
-    def verify(self) -> Dict[str, object]:
-        """Audit the artifact: checksum + structural invariants.
-
-        Returns ``{"ok", "classes", "checksum", "errors"}`` (see
-        :meth:`CensusStore.verify <repro.analysis.store.CensusStore.verify>`
-        for the contract).  Structural checks: CSR layout of the probe
-        columns, per-class probe counts against the edge counts (two
-        ordered removal probes per edge, one addition probe per non-edge),
-        a finite ``(n, n)`` weight matrix, and finite distance/spend
-        totals.
-        """
-        np = _require_numpy()
-        classes = len(self)
-        errors: List[str] = []
-        errors += csr_invariant_errors(
-            "rem", self.rem_w.shape[0], self.rem_indptr, classes
-        )
-        errors += csr_invariant_errors(
-            "add", self.add_w_u.shape[0], self.add_indptr, classes
-        )
-        if self.include_ucg:
-            errors += csr_invariant_errors(
-                "ucg", self.ucg_lo.shape[0], self.ucg_indptr, classes
-            )
-            if self.ucg_hi.shape != self.ucg_lo.shape:
-                errors.append("ucg: ucg_hi and ucg_lo lengths differ")
-            elif self.ucg_lo.shape[0] and bool(
-                np.any(np.asarray(self.ucg_lo) > np.asarray(self.ucg_hi))
-            ):
-                errors.append("ucg: interval with lo > hi")
-        for name in ("rem_delta",):
-            if getattr(self, name).shape != self.rem_w.shape:
-                errors.append(f"rem: {name} and rem_w lengths differ")
-        for name in ("add_s_u", "add_w_v", "add_s_v"):
-            if getattr(self, name).shape != self.add_w_u.shape:
-                errors.append(f"add: {name} and add_w_u lengths differ")
-        pairs = self.n * (self.n - 1) // 2
-        edges = np.asarray(self.num_edges, dtype=np.int64)
-        if classes:
-            if bool(np.any(edges < 0)) or bool(np.any(edges > pairs)):
-                errors.append(f"num_edges outside [0, {pairs}]")
-            elif not errors:
-                # Two ordered removal probes per edge (one per endpoint),
-                # one addition probe per unordered non-edge.
-                if bool(np.any(np.diff(self.rem_indptr) != 2 * edges)):
-                    errors.append("rem: per-class probe counts != 2*num_edges")
-                if bool(np.any(np.diff(self.add_indptr) != pairs - edges)):
-                    errors.append("add: per-class probe counts != non-edges")
-            for name in ("dist_total", "edge_cost_total"):
-                if not bool(np.all(np.isfinite(np.asarray(getattr(self, name))))):
-                    errors.append(f"{name} contains non-finite values")
-        matrix = np.asarray(self.weight_matrix)
-        if matrix.shape != (self.n, self.n):
-            errors.append(
-                f"weight_matrix has shape {matrix.shape}, expected "
-                f"({self.n}, {self.n})"
-            )
-        elif not bool(np.all(np.isfinite(matrix))):
-            errors.append("weight_matrix contains non-finite values")
-        if self._artifact_checksum is None:
-            checksum = "absent"
-        elif self.content_checksum() == self._artifact_checksum:
-            checksum = "ok"
-        else:
-            checksum = "mismatch"
-            errors.append("content checksum does not match the saved stamp")
-        return {
-            "ok": not errors,
-            "classes": classes,
-            "checksum": checksum,
-            "errors": errors,
-        }
-
-    def summary(self) -> Dict[str, object]:
-        """Artifact metadata (used by the CLI and the report renderer)."""
-        scenario = self.scenario_params or {}
-        return {
-            "n": self.n,
-            "classes": len(self),
-            "scenario": scenario.get("name"),
-            "seed": scenario.get("seed"),
-            "scenario_params": dict(scenario) or None,
-            "format_version": FORMAT_VERSION,
-            "include_ucg": self.include_ucg,
-            "nbytes": self.nbytes,
-            "column_bytes": {
-                name: array.nbytes for name, array in self._columns().items()
-            },
-        }
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def save(
-        self, path: str, format: Optional[str] = None, compress: bool = False
-    ) -> str:
-        """Write the artifact to ``path``; returns the path written.
-
-        ``format="npz"`` (default for ``*.npz`` paths) writes one NumPy
-        archive; ``format="dir"`` writes a directory of raw ``.npy``
-        columns plus ``meta.json`` — loadable with ``mmap=True`` so large
-        ensembles of artifacts can be queried without resident copies.
-        Both carry the schema tag, :data:`FORMAT_VERSION` and the scenario
-        recipe.
-        """
-        start = time.perf_counter()
-        written = self._save_impl(path, format, compress)
-        obs.record_artifact_io(
-            "save", "weighted", written, time.perf_counter() - start
-        )
-        return written
-
-    def _save_impl(
-        self, path: str, format: Optional[str], compress: bool
-    ) -> str:
-        np = _require_numpy()
-        if format is None:
-            format = "npz" if str(path).endswith(".npz") else "dir"
-        if format not in ("npz", "dir"):
-            raise ValueError("format must be 'npz' or 'dir'")
-        scenario_json = json.dumps(self.scenario_params, sort_keys=True)
-        if format == "npz":
-            if not str(path).endswith(".npz"):
-                # np.savez appends the suffix itself; make that explicit so
-                # the returned path is the file actually written.
-                path = f"{path}.npz"
-            payload = dict(self._columns())
-            payload["schema"] = np.str_(SCHEMA)
-            payload["format_version"] = np.int64(FORMAT_VERSION)
-            payload["n"] = np.int64(self.n)
-            payload["scenario_json"] = np.str_(scenario_json)
-            payload["checksum"] = np.str_(self.content_checksum())
-            writer = np.savez_compressed if compress else np.savez
-            writer(path, **payload)
-            return path
-        os.makedirs(path, exist_ok=True)
-        columns = self._columns()
-        meta = {
-            "schema": SCHEMA,
-            "format_version": FORMAT_VERSION,
-            "n": self.n,
-            "scenario": self.scenario_params,
-            "columns": sorted(columns),
-            "checksum": self.content_checksum(),
-        }
-        with open(os.path.join(path, "meta.json"), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        for name, array in columns.items():
-            np.save(os.path.join(path, f"{name}.npy"), array)
-        return path
-
-    @classmethod
-    def load(cls, path: str, mmap: bool = False) -> "WeightedStore":
-        """Load an artifact written by :meth:`save`.
-
-        ``mmap=True`` memory-maps the columns and is only supported for the
-        directory format (zip archives cannot be mapped page-aligned).
-        """
-        start = time.perf_counter()
-        store = cls._load_impl(path, mmap)
-        obs.record_artifact_io(
-            "load", "weighted", path, time.perf_counter() - start
-        )
-        return store
-
-    @classmethod
-    def _load_impl(cls, path: str, mmap: bool) -> "WeightedStore":
-        np = _require_numpy()
-        if os.path.isdir(path):
-            with open(os.path.join(path, "meta.json")) as handle:
-                meta = json.load(handle)
-            cls._check_meta(meta.get("schema"), meta.get("format_version"), path)
-            mmap_mode = "r" if mmap else None
-            columns = {
-                name: np.load(
-                    os.path.join(path, f"{name}.npy"), mmap_mode=mmap_mode
-                )
-                for name in meta["columns"]
-            }
-            store = cls(
-                n=meta["n"], scenario_params=meta.get("scenario"), **columns
-            )
-            store._artifact_checksum = meta.get("checksum")
-            return store
-        if mmap:
-            raise ValueError(
-                "mmap loading requires the directory format; save with "
-                "format='dir' for memory-mappable artifacts"
-            )
-        with np.load(path, allow_pickle=False) as data:
-            schema = str(data["schema"]) if "schema" in data else None
-            version = (
-                int(data["format_version"]) if "format_version" in data else None
-            )
-            cls._check_meta(schema, version, path)
-            scenario = json.loads(str(data["scenario_json"]))
-            names = _DENSE_COLUMNS + _PROBE_COLUMNS + ("weight_matrix",)
-            if "ucg_indptr" in data:
-                names = names + _UCG_COLUMNS
-            columns = {name: data[name] for name in names}
-            store = cls(n=int(data["n"]), scenario_params=scenario, **columns)
-            if "checksum" in data:
-                store._artifact_checksum = str(data["checksum"])
-            return store
-
-    @staticmethod
-    def _check_meta(schema: Optional[str], version: Optional[int], path: str) -> None:
-        if schema != SCHEMA:
-            raise ValueError(f"{path!r} is not a weighted-store artifact")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path!r} has weighted-store format version {version}; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
-
 
 # --------------------------------------------------------------------------- #
-# Column assembly + pool workers (module-level for pickling)
+# Per-chunk analysis (module-level for pickling)
 # --------------------------------------------------------------------------- #
-
-
-def _merge_parts(parts: List[dict], n: int, include_ucg: bool = False) -> dict:
-    """Concatenate column-chunk dicts (CSR offsets rebased) into one dict.
-
-    The single merge site for every build path — in-process chunks, shard
-    files, streamed in-worker batches — so the column set cannot drift
-    between them.
-    """
-    np = _require_numpy()
-    parts = [part for part in parts if part["num_edges"].shape[0]] or [
-        _empty_part(n, include_ucg)
-    ]
-    rem_w, rem_indptr = concat_csr([(p["rem_w"], p["rem_indptr"]) for p in parts])
-    add_w_u, add_indptr = concat_csr(
-        [(p["add_w_u"], p["add_indptr"]) for p in parts]
-    )
-    merged = {
-        name: np.concatenate([p[name] for p in parts])
-        for name in (
-            "num_edges", "dist_total", "edge_cost_total", "cert_words",
-            "rem_delta", "add_s_u", "add_w_v", "add_s_v",
-        )
-    }
-    merged.update(
-        rem_w=rem_w,
-        rem_indptr=rem_indptr,
-        add_w_u=add_w_u,
-        add_indptr=add_indptr,
-    )
-    if include_ucg:
-        ucg_lo, ucg_indptr = concat_csr(
-            [(p["ucg_lo"], p["ucg_indptr"]) for p in parts]
-        )
-        ucg_hi, _ = concat_csr([(p["ucg_hi"], p["ucg_indptr"]) for p in parts])
-        merged.update(ucg_lo=ucg_lo, ucg_hi=ucg_hi, ucg_indptr=ucg_indptr)
-    return merged
-
-
-def _empty_part(n: int, include_ucg: bool = False) -> dict:
-    np = _require_numpy()
-    part = {
-        "num_edges": np.zeros(0, dtype=np.int32),
-        "dist_total": np.zeros(0, dtype=np.float64),
-        "edge_cost_total": np.zeros(0, dtype=np.float64),
-        "cert_words": pack_certificates([], n),
-        "rem_w": np.zeros(0, dtype=np.float64),
-        "rem_delta": np.zeros(0, dtype=np.float64),
-        "rem_indptr": np.zeros(1, dtype=np.int64),
-        "add_w_u": np.zeros(0, dtype=np.float64),
-        "add_s_u": np.zeros(0, dtype=np.float64),
-        "add_w_v": np.zeros(0, dtype=np.float64),
-        "add_s_v": np.zeros(0, dtype=np.float64),
-        "add_indptr": np.zeros(1, dtype=np.int64),
-    }
-    if include_ucg:
-        part["ucg_lo"] = np.zeros(0, dtype=np.float64)
-        part["ucg_hi"] = np.zeros(0, dtype=np.float64)
-        part["ucg_indptr"] = np.zeros(1, dtype=np.int64)
-    return part
 
 
 def _edge_cost_totals(delta, model: CostModel, rem_w):
@@ -858,7 +430,6 @@ def _edge_cost_totals(delta, model: CostModel, rem_w):
     closed form.  The edge-rank loop is bounded by ``n(n-1)/2``, not the
     class count, so it stays cheap at any census size.
     """
-    np = _require_numpy()
     alpha = model.uniform_alpha()
     num_edges = np.asarray(delta.num_edges)
     if alpha is not None:
@@ -876,10 +447,10 @@ def _edge_cost_totals(delta, model: CostModel, rem_w):
 
 def _weighted_part(
     graphs: List[Graph],
+    n: int,
+    oracle,
     model: CostModel,
     matrix,
-    n: int,
-    oracle: Optional[DistanceOracle],
     include_ucg: bool = False,
 ) -> dict:
     """One column chunk: probe columns + dense provenance for ``graphs``.
@@ -891,9 +462,8 @@ def _weighted_part(
     """
     from ..engine.batch import batch_ucg_columns, batch_weighted_columns
 
-    np = _require_numpy()
     if not graphs:
-        return _empty_part(n, include_ucg)
+        return WeightedStore._empty_part(n, include_ucg)
     part = batch_weighted_columns(graphs, matrix, oracle=oracle)
     part["edge_cost_total"] = np.asarray(
         [model.bcg_edge_cost_total(graph) for graph in graphs], dtype=np.float64
@@ -904,78 +474,3 @@ def _weighted_part(
     if include_ucg:
         part.update(batch_ucg_columns(graphs, model=model, oracle=oracle))
     return part
-
-
-def _weighted_columns_chunk(task: Tuple) -> dict:
-    graphs, model, matrix, n, include_ucg = task
-    return _weighted_part(graphs, model, matrix, n, DistanceOracle(), include_ucg)
-
-
-def _stream_weighted_chunk(task: Tuple) -> dict:
-    """Generate-and-price one generation-tree shard into weighted columns."""
-    roots, model, matrix, n, batch_size, include_ucg = task
-    oracle = DistanceOracle()
-    parts: List[dict] = []
-    pending: List[Graph] = []
-
-    def flush() -> None:
-        parts.append(
-            _weighted_part(pending, model, matrix, n, oracle, include_ucg)
-        )
-        for graph in pending:
-            clear_canonical_record(graph)
-        obs.counter(
-            "repro_stream_classes_total",
-            "Graph classes analysed by streamed store builds",
-            store="weighted",
-        ).inc(len(pending))
-        pending.clear()
-
-    for root in roots:
-        for graph in iter_graphs_from(root, n):
-            if not is_connected(graph):
-                continue
-            pending.append(canonical_graph(graph))
-            if len(pending) >= batch_size:
-                flush()
-    if pending:
-        flush()
-    return _merge_parts(parts, n, include_ucg)
-
-
-# --------------------------------------------------------------------------- #
-# Process-wide weighted-store cache (shares the census-store LRU budget)
-# --------------------------------------------------------------------------- #
-
-
-def cached_weighted_store(path: str, mmap: bool = False) -> WeightedStore:
-    """Load (or fetch) a weighted artifact through the shared store LRU.
-
-    The :func:`~repro.analysis.store.cached_store` pattern for weighted
-    artifacts — load-only, since a weighted build needs a full scenario
-    recipe and belongs to :meth:`WeightedStore.from_scenario`.  Keys carry
-    the absolute path, the ``mmap`` flag and the artifact's
-    ``(mtime_ns, size)`` stamp, so an artifact regenerated in place misses
-    the cache instead of serving stale columns.  Entries share one bounded
-    LRU (and its :data:`~repro.analysis.store.STORE_CACHE_MAX` budget, and
-    its lock — lookups are thread-safe) with the census and delta stores,
-    which is what lets the long-running query service keep its working set
-    of mixed artifacts hot without unbounded growth.
-    """
-    from .store import (
-        _STORE_CACHE,
-        _STORE_CACHE_LOCK,
-        _artifact_stamp,
-        _cache_store,
-        _count_cache_lookup,
-    )
-
-    key = (
-        "weighted-load", os.path.abspath(path), bool(mmap), _artifact_stamp(path)
-    )
-    with _STORE_CACHE_LOCK:
-        store = _STORE_CACHE.get(key)
-        _count_cache_lookup("weighted-store", hit=store is not None)
-        if store is None:
-            store = WeightedStore.load(path, mmap=mmap)
-        return _cache_store(key, store)

@@ -367,15 +367,12 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
         default_t_grid,
         scenario_sweep,
     )
-    from .analysis.weighted_store import WeightedStore, weighted_store_available
+    from .analysis.weighted_store import WeightedStore
 
     if args.list:
         for name in available_scenarios():
             print(name)
         return 0
-    if (args.save or args.load) and not weighted_store_available():
-        print("weighted-store artifacts require NumPy", file=sys.stderr)
-        return 2
     if args.verify and not (args.save or args.load):
         print("--verify audits an artifact; add --save or --load", file=sys.stderr)
         return 2
@@ -600,11 +597,7 @@ def _ensemble_run(parser: argparse.ArgumentParser, args) -> int:
     from .analysis.ensembles import run_ensemble
     from .analysis.report import format_table
     from .analysis.scenarios import available_scenarios
-    from .analysis.weighted_store import weighted_store_available
 
-    if not weighted_store_available():
-        print("the ensemble runner requires NumPy", file=sys.stderr)
-        return 2
     if args.scenario not in available_scenarios():
         print(
             f"unknown scenario {args.scenario!r}; available: "
@@ -692,12 +685,9 @@ def census_main(argv: List[str]) -> int:
 def _census_run(parser: argparse.ArgumentParser, args) -> int:
     from .analysis.figure_series import census_figure_series
     from .analysis.report import format_figure, format_store_summary
-    from .analysis.store import CensusStore, store_available
+    from .analysis.store import CensusStore
     from .analysis.sweeps import log_spaced_alphas
 
-    if not store_available():
-        print("the census store requires NumPy", file=sys.stderr)
-        return 2
     if (args.n is None) == (args.load is None):
         parser.print_usage(sys.stderr)
         print("exactly one of --n and --load is required", file=sys.stderr)
@@ -795,7 +785,7 @@ def _open_query_api(path: str, kind: str, mmap: bool = False):
     :class:`~repro.service.QueryAPI` the HTTP server runs on, so the CLI
     table and the served JSON are computed by one code path.
     """
-    from .analysis.store import LOAD_ERRORS
+    from .analysis.artifact import LOAD_ERRORS
     from .service import ArtifactCatalog, QueryAPI
 
     api = QueryAPI(ArtifactCatalog(mmap=mmap))

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..analysis.store import bcg_alpha_columns, store_available
+from ..analysis.store import bcg_alpha_columns
 from ..core.convexity import is_link_convex
 from ..core.stability_intervals import pairwise_stability_profile
+from ..engine.columnar import stability_windows
 from ..graphs import (
     Graph,
     desargues_graph,
@@ -86,21 +87,15 @@ def _stability_midpoint(alpha_min: float, alpha_max: float) -> Optional[float]:
 
 
 def _stability_windows(profiles) -> list:
-    """Per-graph Lemma 2 windows, via the columnar kernels when available.
+    """Per-graph Lemma 2 windows, via the columnar kernels.
 
-    With NumPy the profiles are flattened into the same ragged α-decision
-    columns the :class:`~repro.analysis.store.CensusStore` uses and the
-    windows fall out of one segmented reduction
-    (:func:`repro.engine.columnar.stability_windows`); the pure-Python
-    fallback reads the identical values off the profile properties.
+    The profiles are flattened into the same ragged α-decision columns the
+    :class:`~repro.analysis.store.CensusStore` uses and the windows fall out
+    of one segmented reduction (:func:`repro.engine.columnar.stability_windows`).
     """
-    if store_available():
-        from ..engine.columnar import stability_windows
-
-        rem_min, add_lo, _, add_indptr = bcg_alpha_columns(profiles)
-        alpha_mins, alpha_maxs = stability_windows(rem_min, add_lo, add_indptr)
-        return list(zip(alpha_mins.tolist(), alpha_maxs.tolist()))
-    return [(profile.alpha_min, profile.alpha_max) for profile in profiles]
+    rem_min, add_lo, _, add_indptr = bcg_alpha_columns(profiles)
+    alpha_mins, alpha_maxs = stability_windows(rem_min, add_lo, add_indptr)
+    return list(zip(alpha_mins.tolist(), alpha_maxs.tolist()))
 
 
 def run(include_hoffman_singleton: bool = True) -> ExperimentResult:
@@ -120,8 +115,7 @@ def run(include_hoffman_singleton: bool = True) -> ExperimentResult:
         if include_hoffman_singleton or name != "hoffman_singleton"
     ]
     # One deviation analysis per graph; the windows are answered through
-    # the same columnar kernels as the census store (pure-Python fallback
-    # reads the identical values off the profiles).
+    # the same columnar kernels as the census store.
     profiles = [pairwise_stability_profile(graph) for _, graph in selected]
     windows = _stability_windows(profiles)
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..analysis.census import cached_census
 from ..analysis.figure_series import FigureData, census_figure_series, sampled_figure_series
 from ..analysis.report import format_figure
 from ..analysis.sampling import sample_equilibria_over_grid
-from ..analysis.store import cached_store, store_available
+from ..analysis.store import cached_store
 from ..analysis.sweeps import log_spaced_alphas
 from .base import ExperimentResult
 
@@ -35,15 +34,12 @@ DEFAULT_EXHAUSTIVE_N = 6
 def exhaustive_census_source(n: int, jobs: Optional[int] = None):
     """The exhaustive equilibrium source for the figure experiments.
 
-    The columnar :class:`~repro.analysis.store.CensusStore` when NumPy is
-    available (whole α-grids answered vectorised), otherwise the per-record
-    :class:`~repro.analysis.census.EquilibriumCensus` — the two are
-    asserted element-for-element identical by the test suite, so the figure
-    output does not depend on the backend.
+    The columnar :class:`~repro.analysis.store.CensusStore` (whole α-grids
+    answered vectorised); the test suite asserts it element-for-element
+    identical to the per-record
+    :class:`~repro.analysis.census.EquilibriumCensus`.
     """
-    if store_available():
-        return cached_store(n, jobs=jobs)
-    return cached_census(n, jobs=jobs)
+    return cached_store(n, jobs=jobs)
 
 
 def compute_figure2(

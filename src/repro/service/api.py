@@ -22,11 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from .. import obs
 from .._version import __version__
 from ..analysis.figure_series import census_figure_series, figure_to_payload
-from ..analysis.report import (
-    delta_store_summary_dict,
-    store_summary_dict,
-    weighted_store_summary_dict,
-)
+from ..analysis.report import summary_dict
 from ..analysis.scenarios import available_scenarios, default_t_grid
 from ..analysis.sweeps import log_spaced_alphas
 from .batching import GridBatcher
@@ -99,11 +95,7 @@ class QueryAPI:
         renders, so the CLI table and the service JSON can never drift.
         """
         info, store = self.catalog.get(ref)
-        if info.kind == "census":
-            return store_summary_dict(store, source=info.path)
-        if info.kind == "weighted":
-            return weighted_store_summary_dict(store, source=info.path)
-        return delta_store_summary_dict(store, source=info.path)
+        return summary_dict(store, source=info.path)
 
     def verify(self, ref: str) -> Dict[str, object]:
         """The artifact's own audit (checksum + structural invariants)."""

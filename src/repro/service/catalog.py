@@ -3,46 +3,42 @@
 :class:`ArtifactCatalog` is the I/O layer of census-as-a-service: it owns
 *which* artifacts exist (a directory scan keyed by each artifact's embedded
 schema tag) and *how* they are materialised (the process-wide, thread-safe
-store LRUs — :func:`~repro.analysis.store.cached_store`,
-:func:`~repro.analysis.delta_store.cached_delta_store` and
-:func:`~repro.analysis.weighted_store.cached_weighted_store` — with
-memory-mapped columns by default, so a multi-hundred-MB artifact never
-enters resident memory for the sake of one query).  Everything above it
+store LRU, :func:`~repro.analysis.artifact.cached_load`, keyed by each
+store class's ``KIND`` — with memory-mapped columns by default, so a
+multi-hundred-MB artifact never enters resident memory for the sake of
+one query).  Everything above it
 (:class:`~repro.service.api.QueryAPI`, the HTTP server, the CLI) talks in
 artifact **ids** and never touches paths, formats or store constructors.
 
-Discovery is cheap: the directory format reads ``meta.json`` and the npz
-format reads only the zip's header entries for the small metadata arrays —
-no column data is loaded until a query actually asks for the artifact.
+Discovery is cheap: :func:`~repro.analysis.artifact.read_meta` reads a
+directory artifact's ``meta.json`` or an npz archive's small header members
+only — no column data is loaded until a query actually asks for the
+artifact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..analysis import delta_store as _delta_store
-from ..analysis import store as _store
-from ..analysis import weighted_store as _weighted_store
-from ..analysis.delta_store import cached_delta_store
-from ..analysis.store import LOAD_ERRORS, cached_store
-from ..analysis.weighted_store import cached_weighted_store
+from ..analysis.artifact import LOAD_ERRORS, cached_load, read_meta
+from ..analysis.delta_store import DeltaStore
+from ..analysis.store import CensusStore
+from ..analysis.weighted_store import WeightedStore
 
 __all__ = ["ArtifactCatalog", "ArtifactInfo", "KINDS"]
 
-#: Schema tag → catalog kind for every artifact family the service mounts.
-_SCHEMA_KINDS = {
-    _store.SCHEMA: "census",
-    _weighted_store.SCHEMA: "weighted",
-    _delta_store.SCHEMA: "delta",
-}
+#: Catalog kind → store class for every artifact family the service mounts.
+_CLASSES = {cls.KIND: cls for cls in (CensusStore, DeltaStore, WeightedStore)}
+
+#: Schema tag → catalog kind.
+_SCHEMA_KINDS = {cls.SCHEMA: kind for kind, cls in _CLASSES.items()}
 
 #: The artifact kinds a catalog can hold.
-KINDS = tuple(sorted(_SCHEMA_KINDS.values()))
+KINDS = tuple(sorted(_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -72,30 +68,15 @@ def _peek_artifact(path: str) -> Optional[Tuple[str, str, int]]:
     directory may legitimately hold manifests, metrics dumps or shard
     spools next to the artifacts.
     """
+    format = "dir" if os.path.isdir(path) else "npz"
+    if format == "npz" and not str(path).endswith(".npz"):
+        return None
     try:
-        if os.path.isdir(path):
-            meta_path = os.path.join(path, "meta.json")
-            if not os.path.isfile(meta_path):
-                return None
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            kind = _SCHEMA_KINDS.get(meta.get("schema"))
-            if kind is None or "n" not in meta:
-                return None
-            return kind, "dir", int(meta["n"])
-        if not str(path).endswith(".npz"):
+        meta = read_meta(path)
+        kind = _SCHEMA_KINDS.get(meta.get("schema"))
+        if kind is None or "n" not in meta:
             return None
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - minimal installs
-            return None
-        with np.load(path, allow_pickle=False) as data:
-            if "schema" not in data or "n" not in data:
-                return None
-            kind = _SCHEMA_KINDS.get(str(data["schema"]))
-            if kind is None:
-                return None
-            return kind, "npz", int(data["n"])
+        return kind, format, int(meta["n"])
     except LOAD_ERRORS:
         return None
 
@@ -104,7 +85,7 @@ class ArtifactCatalog:
     """Discovers artifacts under a root and serves loaded stores by id.
 
     All methods are thread-safe: an :class:`threading.RLock` guards the
-    registry and the underlying store caches carry their own shared lock.
+    registry and the store LRU carries its own lock.
     Ids are paths relative to ``root`` (or absolute for artifacts
     registered explicitly with :meth:`add`), so they are stable across
     restarts of the server process.
@@ -211,7 +192,7 @@ class ArtifactCatalog:
             ).set(count)
 
     # ------------------------------------------------------------------ #
-    # Loading (through the shared thread-safe LRUs)
+    # Loading (through the shared thread-safe LRU)
     # ------------------------------------------------------------------ #
 
     def get(self, ref: str, kind: Optional[str] = None):
@@ -231,8 +212,4 @@ class ArtifactCatalog:
                 f"needs a {kind} store"
             )
         mmap = self.mmap and info.format == "dir"
-        if info.kind == "census":
-            return info, cached_store(path=info.path, mmap=mmap)
-        if info.kind == "weighted":
-            return info, cached_weighted_store(info.path, mmap=mmap)
-        return info, cached_delta_store(path=info.path, mmap=mmap)
+        return info, cached_load(_CLASSES[info.kind], info.path, mmap)

@@ -253,12 +253,10 @@ class TestCachedDeltaStore:
 
     def test_shares_budget_with_census_cache(self):
         """Delta entries live in the same LRU as cached_store entries."""
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact
 
         cached_delta_store(n=3)
-        assert any(
-            key[0] == "delta-build" for key in store_module._STORE_CACHE
-        )
+        assert any(key[0] == "delta-build" for key in artifact._STORE_CACHE)
 
 
 class TestOrdering:

@@ -209,7 +209,7 @@ class TestStoreCache:
     def test_load_options_are_part_of_the_key(self, tmp_path):
         """A resident load and a mapped load of one artifact must not
         collide — a cache hit used to hand back whichever came first."""
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact
 
         path = CensusStore.build(4, include_ucg=False).save(
             str(tmp_path / "census4_dir"), format="dir"
@@ -222,7 +222,7 @@ class TestStoreCache:
         assert not isinstance(resident.num_edges, np.memmap)
         assert cached_store(path=path) is resident
         assert cached_store(path=path, mmap=True) is mapped
-        assert len(store_module._STORE_CACHE) == 2
+        assert len(artifact._STORE_CACHE) == 2
         clear_store_cache()
 
     def test_rewritten_artifact_misses_the_cache(self, tmp_path):
@@ -248,32 +248,32 @@ class TestStoreCache:
         clear_store_cache()
 
     def test_cache_is_lru_bounded(self, tmp_path, monkeypatch):
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact
 
         path = CensusStore.build(3, include_ucg=False).save(
             str(tmp_path / "census3.npz")
         )
-        monkeypatch.setattr(store_module, "STORE_CACHE_MAX", 2)
+        monkeypatch.setattr(artifact, "STORE_CACHE_MAX", 2)
         clear_store_cache()
         first = cached_store(3, include_ucg=False)
         second = cached_store(path=path)
-        assert len(store_module._STORE_CACHE) == 2
+        assert len(artifact._STORE_CACHE) == 2
         # Touch `first` so `second` is the least recently used entry…
         assert cached_store(3, include_ucg=False) is first
         cached_store(4, include_ucg=False)  # …and gets evicted here.
-        assert len(store_module._STORE_CACHE) == 2
+        assert len(artifact._STORE_CACHE) == 2
         assert cached_store(3, include_ucg=False) is first
         assert cached_store(path=path) is not second
         clear_store_cache()
 
     def test_clear_store_cache_empties(self):
-        from repro.analysis import store as store_module
+        from repro.analysis import artifact
 
         clear_store_cache()
         cached_store(4)
-        assert store_module._STORE_CACHE
+        assert artifact._STORE_CACHE
         clear_store_cache()
-        assert not store_module._STORE_CACHE
+        assert not artifact._STORE_CACHE
 
     def test_requires_exactly_one_of_n_and_path(self, tmp_path):
         with pytest.raises(ValueError):
@@ -608,10 +608,10 @@ class TestCacheThreadSafety:
     def test_hammered_cached_store_counts_every_lookup_exactly(self, tmp_path):
         """N threads × M lookups: one shared object, hits+misses == lookups.
 
-        Without the cache lock two racing misses would both build (object
+        Without single-flight two racing misses would both build (object
         identity breaks) and the hit/miss counters would drift from the
-        true lookup count; holding the lock across the whole miss keeps
-        both exact.
+        true lookup count; lookups that arrive during the one miss wait for
+        its outcome and count as hits, which keeps both exact.
         """
         import threading
         from concurrent.futures import ThreadPoolExecutor
@@ -644,11 +644,9 @@ class TestCacheThreadSafety:
         """The delta and weighted twins share the same lock discipline."""
         from concurrent.futures import ThreadPoolExecutor
 
+        from repro.analysis.artifact import cached_load
         from repro.analysis.delta_store import DeltaStore, cached_delta_store
-        from repro.analysis.weighted_store import (
-            WeightedStore,
-            cached_weighted_store,
-        )
+        from repro.analysis.weighted_store import WeightedStore
         from repro.analysis.scenarios import build_scenario
 
         delta_path = str(tmp_path / "delta4.npz")
@@ -664,8 +662,153 @@ class TestCacheThreadSafety:
                 pool.map(lambda _: cached_delta_store(path=delta_path), range(40))
             )
             weighteds = list(
-                pool.map(lambda _: cached_weighted_store(weighted_path), range(40))
+                pool.map(
+                    lambda _: cached_load(WeightedStore, weighted_path), range(40)
+                )
             )
         assert len({id(store) for store in deltas}) == 1
         assert len({id(store) for store in weighteds}) == 1
+        clear_store_cache()
+
+    @staticmethod
+    def _block_builds(monkeypatch, started, release, error=None):
+        """``CensusStore.build`` waits for ``release`` (then raises ``error``);
+        returns the list of ``n`` it was called with."""
+        calls = []
+        real_build = CensusStore.build
+
+        def build(n, include_ucg=True, jobs=None):
+            calls.append(n)
+            started.set()
+            assert release.wait(timeout=30)
+            if error is not None:
+                raise error
+            return real_build(n, include_ucg=include_ucg, jobs=jobs)
+
+        monkeypatch.setattr(CensusStore, "build", build)
+        return calls
+
+    def test_build_in_flight_never_blocks_other_keys(self, tmp_path, monkeypatch):
+        """A cold build holds no lock: a hit on another key returns at once."""
+        import threading
+
+        from repro.analysis.census import clear_census_cache
+
+        path = CensusStore.build(3, include_ucg=False).save(
+            str(tmp_path / "census3.npz")
+        )
+        clear_store_cache()
+        clear_census_cache()
+        loaded = cached_store(path=path)
+        started, release = threading.Event(), threading.Event()
+        self._block_builds(monkeypatch, started, release)
+        build_thread = threading.Thread(
+            target=cached_store, args=(4,), kwargs={"include_ucg": False}
+        )
+        answers = []
+        lookup = threading.Thread(
+            target=lambda: answers.append(cached_store(path=path))
+        )
+        build_thread.start()
+        try:
+            assert started.wait(timeout=30)
+            lookup.start()
+            lookup.join(timeout=5)
+            assert answers and answers[0] is loaded, (
+                "a lookup of another key waited for the build"
+            )
+        finally:
+            release.set()
+            build_thread.join(timeout=60)
+            if lookup.ident is not None:
+                lookup.join(timeout=60)
+        assert not build_thread.is_alive() and not lookup.is_alive()
+        clear_store_cache()
+
+    def test_waiters_share_the_first_miss_outcome(self, monkeypatch):
+        """Same-key lookups during a miss wait for it: one build, counted
+        as hits, its exception re-raised, and nothing cached on failure."""
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.analysis import artifact
+        from repro.analysis.census import clear_census_cache
+
+        clear_store_cache()
+        clear_census_cache()
+        started, release = threading.Event(), threading.Event()
+        failure = RuntimeError("build failed")
+        calls = self._block_builds(monkeypatch, started, release, error=failure)
+        hits_before, misses_before = self._lookup_totals("census-store")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            leader = pool.submit(cached_store, 4, include_ucg=False)
+            assert started.wait(timeout=30)
+            followers = [
+                pool.submit(cached_store, 4, include_ucg=False) for _ in range(3)
+            ]
+            deadline = time.monotonic() + 30
+            while (
+                self._lookup_totals("census-store")[0] - hits_before < 3
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            release.set()
+            errors = [future.exception(timeout=30) for future in [leader] + followers]
+        assert calls == [4]
+        assert all(error is failure for error in errors)
+        hits, misses = self._lookup_totals("census-store")
+        assert (hits - hits_before, misses - misses_before) == (3.0, 1.0)
+        assert not artifact._STORE_CACHE and not artifact._IN_FLIGHT
+        # Nothing was cached, so the next lookup builds again.
+        with pytest.raises(RuntimeError):
+            cached_store(4, include_ucg=False)
+        assert calls == [4, 4]
+        clear_store_cache()
+
+    def test_switch_interval_stress_keeps_the_lru_exact(self, tmp_path, monkeypatch):
+        """12 threads over three keys with a 2-entry budget: evictions,
+        waits and misses interleave at a 1 µs switch interval, yet every
+        lookup is counted once, each answer is its own key's store, nothing
+        stays in flight and the budget holds."""
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.analysis import artifact
+
+        sizes = {}
+        for n in (3, 4, 5):
+            path = CensusStore.build(n, include_ucg=False).save(
+                str(tmp_path / f"census{n}.npz")
+            )
+            sizes[path] = n
+        paths = sorted(sizes)
+        monkeypatch.setattr(artifact, "STORE_CACHE_MAX", 2)
+        clear_store_cache()
+        hits_before, misses_before = self._lookup_totals("census-store")
+        threads, lookups_each = 12, 30
+        barrier = threading.Barrier(threads)
+
+        def hammer(worker):
+            barrier.wait()
+            answers = []
+            for i in range(lookups_each):
+                path = paths[(worker + i) % len(paths)]
+                answers.append((path, cached_store(path=path).n))
+            return answers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(hammer, worker) for worker in range(threads)]
+                batches = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(n == sizes[path] for batch in batches for path, n in batch)
+        hits, misses = self._lookup_totals("census-store")
+        assert (hits - hits_before) + (misses - misses_before) == threads * lookups_each
+        assert not artifact._IN_FLIGHT
+        assert len(artifact._STORE_CACHE) <= 2
         clear_store_cache()
