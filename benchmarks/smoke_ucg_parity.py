@@ -27,7 +27,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.analysis.scenarios import build_scenario
 from repro.core.unilateral import ucg_nash_alpha_set
 from repro.costmodels.stability import weighted_ucg_nash_t_set
-from repro.engine import ucg_alpha_sets, ucg_engine_available, weighted_ucg_t_sets
+from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
 from repro.graphs import Graph, empty_graph, enumerate_connected_graphs
 
 
@@ -45,10 +45,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--weighted-n", type=int, default=5)
     args = parser.parse_args(argv)
-
-    if not ucg_engine_available():
-        print("SKIP: NumPy unavailable, the vectorised UCG engine cannot run")
-        return 0
 
     total = 0
     start = time.perf_counter()

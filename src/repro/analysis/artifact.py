@@ -502,7 +502,9 @@ class ColumnArtifact:
                 "format='dir' for memory-mappable artifacts"
             )
         else:
-            with np.load(path, allow_pickle=False) as data:
+            with open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as data:
                 meta = _npz_header(data, _HEADER + cls.META_KEYS)
                 cls._check_header(meta, path)
                 known = cls.SPEC.names(optional=True)
@@ -569,7 +571,7 @@ def read_meta(path: str, keys: Iterable[str] = ("schema", "n")) -> Dict[str, obj
         if not isinstance(meta, dict):
             raise ValueError(f"{path!r}: meta.json is not a JSON object")
         return meta
-    with np.load(path, allow_pickle=False) as data:
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
         return _npz_header(data, keys)
 
 

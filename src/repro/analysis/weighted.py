@@ -126,9 +126,9 @@ def _weighted_ucg_intervals_chunk(task):
     """Pool worker: weighted UCG Nash t-intervals of a chunk of graphs.
 
     Runs the vectorised orientation engine (:mod:`repro.engine.ucg`) over
-    the whole chunk — which itself falls back to the per-graph
-    :func:`weighted_ucg_nash_t_set` backtracking when NumPy is missing, so
-    the worker is exact in every environment.
+    the whole chunk — float-exact against the per-graph
+    :func:`weighted_ucg_nash_t_set` backtracking, its fallback beyond the
+    table range.
     """
     graphs, model = task
     from ..engine.ucg import weighted_ucg_t_sets

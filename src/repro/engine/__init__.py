@@ -71,7 +71,7 @@ from .batch import (
 )
 from .oracle import DistanceOracle, get_default_oracle
 from .pool import chunk_evenly, parallel_map, resolve_jobs
-from .ucg import ucg_alpha_sets, ucg_engine_available, weighted_ucg_t_sets
+from .ucg import ucg_alpha_sets, weighted_ucg_t_sets
 from .shardwork import (
     ShardRunReport,
     config_fingerprint,
@@ -98,7 +98,6 @@ __all__ = [
     "run_shards",
     "streaming_available",
     "ucg_alpha_sets",
-    "ucg_engine_available",
     "validate_weight_matrix",
     "weighted_ucg_t_sets",
 ]

@@ -437,8 +437,8 @@ def batch_ucg_columns(
     into the ``ucg_lo``/``ucg_hi``/``ucg_indptr`` layout both stores
     persist.  Endpoints are element-for-element float-exact against the
     per-graph backtracking references (``ucg_nash_alpha_set`` /
-    ``weighted_ucg_nash_t_set``), which remain the NumPy-less fallback of
-    the engine itself.
+    ``weighted_ucg_nash_t_set``), which remain the engine's fallback
+    beyond its table range.
     """
     if _np is None:  # pragma: no cover - exercised only on minimal installs
         raise RuntimeError(

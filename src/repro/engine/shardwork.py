@@ -276,7 +276,9 @@ def load_shard(
     if not os.path.exists(path):
         return ("missing", None)
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as data:
             if "__schema__" not in data or str(data["__schema__"]) != SHARD_SCHEMA:
                 return ("corrupt", None)
             if str(data["__fingerprint__"]) != fingerprint_hash:

@@ -28,45 +28,53 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    endpoints to the reference's per-subset fold.
 
 2. **Vertex-orbit pruning.**  ``D_p`` tables (and, in the scalar game, the
-   final interval tables) of automorphic players are permuted copies of each
+   final option tables) of automorphic players are permuted copies of each
    other: ``table_{σp}[σ(A)] = table_p[A]``.  When a graph carries a
    memoised canonical record (the census generator always does), tables are
    computed for one representative per vertex orbit and expanded by a
    mask-permutation gather.
 
-3. **Frontier-DP orientation search.**  Backtracking over orientations is
-   replaced by a dynamic program over vertices: the state is, for every
-   not-yet-processed vertex, the set of earlier neighbours whose shared edge
-   was deferred to it (``n`` bits per vertex, packed into one int), and the
-   value is the exact union of the running α-interval intersections over
-   every orientation prefix reaching that state.  States are additionally
-   quotiented by a per-vertex *future-equivalence*: two inherited masks that
-   generate the same (interval, deferral) options under every possible
-   further deferral are interchangeable, which collapses the state space of
-   vertex-transitive dense graphs (``K_8`` drops from ~10^6 raw states to a
-   few hundred).  Suffix hull pruning drops — never trims — intervals that
-   cannot intersect the remaining players' feasible hulls.
+3. **Chunk-batched, bit-parallel orientation search.**  Backtracking over
+   orientations is replaced by a dynamic program over vertices that runs in
+   lock-step over every graph of a chunk.  The search only ever *selects*
+   interval endpoints (max lo, min hi, gluing of touching intervals), so
+   each graph's distinct endpoints are ranked once and an interval
+   ``[lo, hi]`` becomes a run of bits in a small bitset — one bit per
+   endpoint and one per open gap between consecutive endpoints.
+   Intersection is AND, union is OR, and decoding turns runs back into the
+   original floats.  Every option is first trimmed to the graph's hull
+   (the intersection of all players' feasible hulls): any complete
+   orientation's intersection lies inside it, so trimming never changes
+   the final point set.  The DP state is, per graph, the class vector of
+   the not-yet-processed vertices — each vertex's set of earlier
+   neighbours whose shared edge was deferred to it, quotiented by
+   *future-equivalence* (two inherited masks that generate the same
+   options under every further deferral are interchangeable, which
+   collapses ``K_8`` from ~10^6 raw states to a few hundred) — and the
+   value is the bitset union over every orientation prefix reaching it.
+   The classes of every ``(graph, vertex)`` row are built at once by
+   pair-id refinement with 1-D :func:`numpy.unique`; each DP step expands
+   all states by their options, ANDs the bitsets, applies the deferral
+   transitions and merges equal ``(graph, state)`` keys with one sort and a
+   ``bitwise_or.reduceat``.
 
 The weighted game (:func:`weighted_ucg_t_sets`) shares the model-independent
 ``D_p`` tables (distances are unweighted hops) and replaces purchase counts
 by exact link-cost sums: a high-bit DP replays
 :meth:`CostModel.player_link_cost`'s ascending left fold bit-for-bit, with
 :class:`UniformCost`'s ``α·|S|`` closed form special-cased, so the weighted
-endpoints match the per-graph reference exactly as well.
+endpoints match the per-graph reference exactly as well.  Its option tables
+feed the same class kernel and DP.
 
-Everything falls back to the backtracking reference when NumPy is missing
-or ``n`` is outside the table-friendly range — the reference path is always
-available and is what every test asserts against.
+Graphs with ``n`` outside the table-friendly range fall back to the
+backtracking reference, which is also what every test asserts against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-try:  # soft dependency, mirroring repro.engine.batch
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from .. import obs
 from ..graphs.isomorphism import cached_canonical_record, canonical_record
@@ -76,20 +84,19 @@ INFINITY = float("inf")
 #: Largest ``n`` the table pipeline handles (2^n-entry tables per player).
 _MAX_TABLE_N = 12
 
-#: Row budget per internal batch: bounds the mask-major 2^n × rows × n uint8
-#: DP and superset-min tensors and the float64 fold over A ⊆ N(p) to ~tens
-#: of MB.
-_TABLE_BYTE_BUDGET = 96 << 20
+#: Byte budget per internal batch: bounds the mask-major 2^n × rows × n
+#: uint8 DP and superset-min tensors, the float64 fold over A ⊆ N(p), the
+#: int64 option codes and the class-kernel and DP arrays (see
+#: :func:`_row_budget`).
+_TABLE_BYTE_BUDGET = 24 << 20
 
 #: ∞ in the uint8 distance-sum tables.  A finite ``D_p(B)`` adds ``n - 1``
 #: hop counts of at most ``n - 1`` each, so it is at most ``(n - 1)² = 121``
 #: for ``n ≤ _MAX_TABLE_N = 12`` and never reaches the sentinel.
 _INF8 = 255
 
-
-def ucg_engine_available() -> bool:
-    """Whether the vectorised UCG engine can run (NumPy importable)."""
-    return _np is not None
+#: ``_LOW_BITS[k]`` has the ``k`` lowest bits of a 64-bit word set.
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
 
 # --------------------------------------------------------------------------- #
@@ -97,29 +104,30 @@ def ucg_engine_available() -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def _mask_image(perm: Sequence[int], n: int) -> List[int]:
-    """``img[mask]`` = image of ``mask`` under the vertex permutation."""
-    size = 1 << n
-    img = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        img[mask] = img[mask ^ low] | (1 << perm[low.bit_length() - 1])
-    return img
+def _mask_images(perms, n: int):
+    """``images[k, mask]`` = image of ``mask`` under vertex permutation ``k``."""
+    perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    images = np.zeros((len(perms), 1 << n), dtype=np.int64)
+    for b in range(n):
+        images |= ((masks >> b) & 1) << perms[:, b, None]
+    return images
 
 
-def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
-    """``(reps, per_player)`` for one graph.
+def _orbit_plan(graph, use_orbits: Optional[bool], image_ids: Dict):
+    """``(reps, rep_of, image_of)`` for one graph.
 
     ``reps`` lists the players whose tables must actually be computed;
-    ``per_player[p]`` is ``(rep, gather)`` where ``gather`` is the
-    ``σ^{-1}`` mask-image array turning the representative's table into
-    ``p``'s (``None`` for representatives).  ``use_orbits`` mirrors
+    player ``p`` reads representative ``rep_of[p]``'s table through the
+    ``σ^{-1}`` vertex permutation numbered ``image_of[p]`` in ``image_ids``
+    (which maps permutation tuples to ids and starts with the identity as
+    id 0).  ``use_orbits`` mirrors
     :func:`repro.engine.batch.batch_stability_deltas`: ``None`` prunes only
     when the canonical record is already memoised, ``True`` forces the
     canonical search, ``False`` disables pruning.
     """
     n = graph.n
-    trivial = list(range(n)), [(p, None) for p in range(n)]
+    trivial = list(range(n)), list(range(n)), [0] * n
     if use_orbits is False or n <= 1:
         return trivial
     record = (
@@ -148,22 +156,42 @@ def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
                     queue.append(y)
     if len(reps) == n:
         return trivial
-    per_player = []
+    rep_of, image_of = [], []
     for p in range(n):
         rep, sigma = assign[p]
-        if p == rep:
-            per_player.append((rep, None))
-            continue
+        rep_of.append(rep)
         inverse = [0] * n
         for i, image in enumerate(sigma):
             inverse[image] = i
-        key = (n, tuple(inverse))
-        gather = image_cache.get(key)
-        if gather is None:
-            gather = _np.asarray(_mask_image(inverse, n), dtype=_np.int64)
-            image_cache[key] = gather
-        per_player.append((rep, gather))
-    return reps, per_player
+        image_of.append(image_ids.setdefault(tuple(inverse), len(image_ids)))
+    return reps, rep_of, image_of
+
+
+def _chunk_rows(graphs, use_orbits):
+    """Representative rows and the orbit gather for one same-``n`` chunk.
+
+    Returns ``(rows_idx, src, image_of, images)``: ``rows_idx`` lists the
+    ``(graph, player)`` rows whose tables are computed, and entry ``A`` of
+    full row ``r = g·n + p`` of a per-player table is entry
+    ``images[image_of[r], A]`` of representative row ``src[r]``.
+    """
+    n = graphs[0].n
+    image_ids = {tuple(range(n)): 0}
+    rows_idx: List[Tuple[int, int]] = []
+    src: List[int] = []
+    image_of: List[int] = []
+    for gi, graph in enumerate(graphs):
+        reps, rep_of, images = _orbit_plan(graph, use_orbits, image_ids)
+        row_of = {p: len(rows_idx) + k for k, p in enumerate(reps)}
+        rows_idx.extend((gi, p) for p in reps)
+        src.extend(row_of[rep] for rep in rep_of)
+        image_of.extend(images)
+    return (
+        rows_idx,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(image_of, dtype=np.int64),
+        _mask_images(list(image_ids), n),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -172,8 +200,8 @@ def _orbit_plan(graph, use_orbits: Optional[bool], image_cache: Dict):
 
 
 def _popcounts(n: int):
-    masks = _np.arange(1 << n, dtype=_np.int64)
-    pop = _np.zeros(1 << n, dtype=_np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    pop = np.zeros(1 << n, dtype=np.int64)
     for b in range(n):
         pop += (masks >> b) & 1
     return pop
@@ -182,9 +210,10 @@ def _popcounts(n: int):
 def _submask_matrix(masks, d: int):
     """``subs[i]`` = every submask of ``masks[i]`` (all of popcount ``d``).
 
-    Row-wise :func:`_submasks`: empty set first, doubled by each low bit.
+    Row-wise :func:`_submasks`: empty set first, doubled by each low bit,
+    so column ``j`` holds the submask whose members are the bits of ``j``
+    mapped onto the mask's members in increasing order.
     """
-    np = _np
     subs = np.zeros((len(masks), 1), dtype=np.int64)
     rest = np.asarray(masks, dtype=np.int64).copy()
     for _ in range(d):
@@ -196,7 +225,7 @@ def _submask_matrix(masks, d: int):
 
 def _float_sums(table):
     """float64 copy of a uint8 distance-sum table (``inf`` for ``_INF8``)."""
-    return _np.where(table == _INF8, _np.inf, table)
+    return np.where(table == _INF8, np.inf, table)
 
 
 def _vertex_deleted_distances(graphs, rows_idx, n: int):
@@ -207,7 +236,6 @@ def _vertex_deleted_distances(graphs, rows_idx, n: int):
     :func:`repro.engine.batch._batch_group`, with row/column ``p`` zeroed out
     of each adjacency copy.
     """
-    np = _np
     R = len(rows_idx)
     rows = np.array(
         [graphs[gi].adjacency_rows() for gi, _ in rows_idx], dtype=np.int64
@@ -243,7 +271,6 @@ def _distance_sum_tables(graphs, rows_idx, n: int):
     of its ``2^n - 1`` steps is one contiguous ``(n, rows)`` slab, and the
     sum over ``j`` adds whole ``(2^n, rows)`` planes.
     """
-    np = _np
     dist, p_arr = _vertex_deleted_distances(graphs, rows_idx, n)
     R = dist.shape[0]
     size = 1 << n
@@ -266,12 +293,12 @@ def _distance_sum_tables(graphs, rows_idx, n: int):
 
 
 # --------------------------------------------------------------------------- #
-# Scalar interval tables: lo/hi/ok per (player row, opponent mask A)
+# Scalar intervals: (lo, hi) per feasible (player row, opponent mask A)
 # --------------------------------------------------------------------------- #
 
 
-def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
-    """Per-row ``(lo, hi, ok)`` tables over the opponent masks ``A``.
+def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
+    """``(row, A, lo, hi)`` arrays, one entry per feasible ownership split.
 
     Exactly :func:`repro.core.unilateral.ownership_best_response_interval`
     vectorised: constraints are grouped by the size ``m`` of the deviation
@@ -280,9 +307,8 @@ def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
     bit-for-bit because IEEE division by a fixed signed integer is monotone
     in the numerator and ``(-x)/(-d) ≡ x/d``.  The float64 fold runs only
     for ``A ⊆ N(p)``, one batch per degree: no other mask is an ownership
-    split, so every other entry stays not-``ok``.
+    split.
     """
-    np = _np
     size, R = dsum.shape
     pop = _popcounts(n)
     masks = np.arange(size, dtype=np.int64)
@@ -299,9 +325,7 @@ def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
     base = _float_sums(dsum[nbr_arr, rr])
     deg = pop[nbr_arr]
     sizes = np.arange(n, dtype=np.float64)
-    lo = np.zeros((R, size))
-    hi = np.zeros((R, size))
-    ok = np.zeros((R, size), dtype=bool)
+    entries = []
     for d in range(n):
         rows = np.flatnonzero(deg == d)
         if not len(rows):
@@ -313,267 +337,295 @@ def _scalar_interval_tables(dsum, p_arr, nbr_arr, n: int):
         np.nan_to_num(delta, copy=False, nan=0.0, posinf=np.inf, neginf=-np.inf)
         grow = np.negative(delta[..., d + 1 :]) / (sizes[d + 1 :] - d)
         shrink = np.negative(delta[..., :d]) / (sizes[:d] - d)
-        lo_d = np.maximum(grow.max(axis=2, initial=-np.inf), 0.0)
-        hi_d = shrink.min(axis=2, initial=np.inf)
-        empty = delta[..., d] < -1e-12
-        lo[rows[:, None], opp] = lo_d
-        hi[rows[:, None], opp] = hi_d
-        ok[rows[:, None], opp] = ~empty & (lo_d <= hi_d)
-    return lo, hi, ok
-
-
-def _expand_rows(tables, plans, row_of, n: int):
-    """Gather per-representative row tables into full ``(G·n, size)`` arrays."""
-    np = _np
-    size = tables[0].shape[1]
-    G = len(plans)
-    src = np.empty(G * n, dtype=np.int64)
-    gather = np.empty((G * n, size), dtype=np.int64)
-    identity = np.arange(size, dtype=np.int64)
-    for gi, (reps, per_player) in enumerate(plans):
-        for p in range(n):
-            rep, image = per_player[p]
-            row = gi * n + p
-            src[row] = row_of[(gi, rep)]
-            gather[row] = identity if image is None else image
-    return [table[src[:, None], gather] for table in tables]
-
-
-# --------------------------------------------------------------------------- #
-# Exact interval-list algebra for the orientation DP
-# --------------------------------------------------------------------------- #
-
-
-def _union_interval_lists(a, b):
-    """Exact union of two sorted, disjoint ``(lo, hi)`` lists.
-
-    Only *touching or overlapping* intervals are glued (no tolerance):
-    mid-search merging must preserve the union's point set exactly, and the
-    final :class:`AlphaIntervalSet` construction applies the reference's
-    ``1e-12`` gap merge — which depends only on that point set.
-    """
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = []
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    cur_lo = cur_hi = None
-    while ia < la or ib < lb:
-        if ib >= lb or (ia < la and a[ia][0] <= b[ib][0]):
-            nxt_lo, nxt_hi = a[ia]
-            ia += 1
-        else:
-            nxt_lo, nxt_hi = b[ib]
-            ib += 1
-        if cur_lo is None:
-            cur_lo, cur_hi = nxt_lo, nxt_hi
-        elif nxt_lo <= cur_hi:
-            if nxt_hi > cur_hi:
-                cur_hi = nxt_hi
-        else:
-            merged.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = nxt_lo, nxt_hi
-    merged.append((cur_lo, cur_hi))
-    return merged
-
-
-# --------------------------------------------------------------------------- #
-# Orientation search: class-quotiented frontier DP over vertices
-# --------------------------------------------------------------------------- #
-
-
-def _submasks(mask: int) -> List[int]:
-    """Every submask of ``mask``, empty set first (deterministic order)."""
-    subs = [0]
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        subs += [s | bit for s in subs]
-    return subs
-
-
-def _vertex_classes(v: int, nbr: int, lo_row, hi_row, ok_row):
-    """Future-equivalence classes of ``v``'s inherited-ownership masks.
-
-    Two inherited masks ``I, I'`` (earlier neighbours that deferred their
-    shared edge to ``v``) are interchangeable for the rest of the search iff
-    they generate the same set of ``(interval, deferred-mask)`` options
-    under *every* further deferral ``D``.  The partition is refined one
-    earlier-neighbour bit ``b`` at a time, ``class(I) ← (class(I),
-    class(I ∪ {b}))``, starting from option-set ids: after every bit, two
-    masks share a class iff ``I ∪ D`` and ``I' ∪ D`` have equal option sets
-    for all ``D`` — O(e·2^e) for ``e`` earlier neighbours.  Each round
-    numbers classes by first appearance in :func:`_submasks` order.  The
-    relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so transitions live
-    on class ids.  Returns ``(options_by_class, transitions)`` where
-    ``transitions[cls][src]`` is the class after vertex ``src`` defers its
-    shared edge, and class 0 is always the empty inherited mask.
-    """
-    below = (1 << v) - 1
-    earlier = nbr & below
-    local = nbr & ~below & ~(1 << v)
-    j_list = _submasks(earlier)
-    # Earlier and local neighbours are disjoint, so the opponents of
-    # ``inherited | kept`` are ``(nbr ^ inherited) ^ kept``.
-    splits = [(kept, local ^ kept) for kept in _submasks(local)]
-    option_ids: Dict = {}
-    cls_of = [0] * (earlier + 1)
-    opts_of: Dict[int, list] = {}
-    for inherited in j_list:
-        free = nbr ^ inherited
-        options = []
-        for kept, deferred in splits:
-            opponents = free ^ kept
-            if ok_row[opponents]:
-                options.append((lo_row[opponents], hi_row[opponents], deferred))
-        cls_of[inherited] = option_ids.setdefault(
-            frozenset(options), len(option_ids)
+        lo = np.maximum(grow.max(axis=2, initial=-np.inf), 0.0)
+        hi = shrink.min(axis=2, initial=np.inf)
+        ok = ~(delta[..., d] < -1e-12) & (lo <= hi)
+        entries.append(
+            (np.broadcast_to(rows[:, None], ok.shape)[ok], opp[ok], lo[ok], hi[ok])
         )
-        opts_of[inherited] = options
-    count = len(option_ids)
-    rest = earlier
-    while rest and count < len(j_list):  # a discrete partition stays so
-        bit = rest & -rest
-        rest ^= bit
-        pair_ids: Dict = {}
-        refined = [0] * (earlier + 1)
-        for inherited in j_list:
-            pair = cls_of[inherited] * count + cls_of[inherited | bit]
-            refined[inherited] = pair_ids.setdefault(pair, len(pair_ids))
-        cls_of = refined
-        count = len(pair_ids)
-    options_by_class = [None] * count
-    transitions = [dict() for _ in range(count)]
-    for inherited in j_list:
-        cls = cls_of[inherited]
-        if options_by_class[cls] is None:
-            options_by_class[cls] = opts_of[inherited]
-        rest = earlier & ~inherited
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            transitions[cls][bit.bit_length() - 1] = cls_of[inherited | bit]
-    return options_by_class, transitions
+    return [np.concatenate(column) for column in zip(*entries)]
 
 
-def _orientation_union(n, nbrs, lo_rows, hi_rows, ok_rows, hull_lo, hull_hi):
-    """Union over edge orientations of per-player interval intersections.
+# --------------------------------------------------------------------------- #
+# Option codes: per-graph endpoint ranks, hull trimming, feasibility
+# --------------------------------------------------------------------------- #
 
-    The exact DP replacement for
-    :func:`repro.core.unilateral.orientation_interval_search`: identical
-    player order, identical per-step ``(max lo, min hi)`` intersections,
-    value lists kept as exact unions.  Returns the raw ``(lo, hi)`` list
-    (sorted, disjoint) to be wrapped in an :class:`AlphaIntervalSet`.
+
+def _option_codes(row_graph, entry_row, entry_mask, entry_lo, entry_hi, size):
+    """Rank-coded option table of one chunk.
+
+    The entries are the feasible ``(row, A, lo, hi)`` ownership splits of
+    the rows (``row_graph[r]`` is row ``r``'s graph).  Each graph's distinct
+    endpoints are ranked with one lexsort over ``(graph, value)``;
+    ``values[g, k]`` is graph ``g``'s ``k``-th smallest endpoint (``-0.0``
+    reads as ``0.0``: the search's running lower bound starts at ``0.0``
+    and only ever grows, so it never ends on ``-0.0``).  Every interval is
+    then trimmed to its graph's hull — the intersection over rows of each
+    row's ``[min lo, max hi]`` — and coded as ``1 + lo_rank·K + hi_rank``
+    in ``codes[r, A]`` (0: no option).  A graph is ``feasible`` when its
+    hull is non-empty and every row keeps an option; infeasible graphs keep
+    no codes.  Returns ``(codes, values, feasible)``.
     """
-    suffix_lo = [-INFINITY] * (n + 1)
-    suffix_hi = [INFINITY] * (n + 1)
-    for u in range(n - 1, -1, -1):
-        prev_lo, prev_hi = suffix_lo[u + 1], suffix_hi[u + 1]
-        suffix_lo[u] = hull_lo[u] if hull_lo[u] > prev_lo else prev_lo
-        suffix_hi[u] = hull_hi[u] if hull_hi[u] < prev_hi else prev_hi
-    if suffix_lo[0] > suffix_hi[0]:
-        return []
-    classes = [
-        _vertex_classes(v, nbrs[v], lo_rows[v], hi_rows[v], ok_rows[v])
-        for v in range(n)
-    ]
-    slot = (1 << n) - 1
-    states = {0: [(0.0, INFINITY)]}
+    G = int(row_graph.max()) + 1
+    R = len(row_graph)
+    m = len(entry_row)
+    entry_graph = row_graph[entry_row]
+    ends = np.concatenate([entry_lo, entry_hi]) + 0.0
+    owner = np.concatenate([entry_graph, entry_graph])
+    order = np.lexsort((ends, owner))
+    ends, owner = ends[order], owner[order]
+    fresh = np.ones(2 * m, dtype=bool)
+    fresh[1:] = (ends[1:] != ends[:-1]) | (owner[1:] != owner[:-1])
+    uid = np.cumsum(fresh) - 1
+    counts = np.bincount(owner[fresh], minlength=G)
+    start = np.cumsum(counts) - counts
+    K = max(1, int(counts.max(initial=0)))
+    values = np.full((G, K), np.inf)
+    values[owner[fresh], uid[fresh] - start[owner[fresh]]] = ends[fresh]
+    rank = np.empty(2 * m, dtype=np.int64)
+    rank[order] = uid - start[owner]
+    lo_rank, hi_rank = rank[:m], rank[m:]
+    row_lo = np.full(R, K, dtype=np.int64)
+    np.minimum.at(row_lo, entry_row, lo_rank)
+    row_hi = np.full(R, -1, dtype=np.int64)
+    np.maximum.at(row_hi, entry_row, hi_rank)
+    hull_lo = np.full(G, -1, dtype=np.int64)
+    np.maximum.at(hull_lo, row_graph, row_lo)
+    hull_hi = np.full(G, K, dtype=np.int64)
+    np.minimum.at(hull_hi, row_graph, row_hi)
+    lo_rank = np.maximum(lo_rank, hull_lo[entry_graph])
+    hi_rank = np.minimum(hi_rank, hull_hi[entry_graph])
+    keep = lo_rank <= hi_rank
+    feasible = hull_lo <= hull_hi
+    idle = np.bincount(entry_row[keep], minlength=R) == 0
+    feasible[row_graph[idle]] = False
+    keep &= feasible[entry_graph]
+    codes = np.zeros((R, size), dtype=np.int64)
+    codes[entry_row[keep], entry_mask[keep]] = (
+        1 + lo_rank[keep] * K + hi_rank[keep]
+    )
+    return codes, values, feasible
+
+
+# --------------------------------------------------------------------------- #
+# Class kernel: future-equivalence classes of every (graph, vertex) row
+# --------------------------------------------------------------------------- #
+
+
+def _pair_ids(first, second):
+    """Dense ids of the elementwise pairs ``(first, second)``."""
+    key = first * (int(second.max()) + 1) + second
+    _, ids = np.unique(key.ravel(), return_inverse=True)
+    return ids.reshape(key.shape)
+
+
+class _ClassTables(NamedTuple):
+    """Classes of a chunk's rows under one global numbering.
+
+    Row ``i``'s classes are ``base[i] + c``; global class ``q`` offers the
+    options ``opt_code/opt_def[opt_ptr[q]:opt_ptr[q + 1]]`` (option code and
+    deferred later-neighbour mask); ``trans[u, q]`` is the row-local class
+    after earlier neighbour ``u`` defers its shared edge (``q``'s own class
+    for any other ``u``).
+    """
+
+    base: np.ndarray
+    opt_ptr: np.ndarray
+    opt_code: np.ndarray
+    opt_def: np.ndarray
+    trans: np.ndarray
+
+
+def _class_tables(option_code, rows, nbrs) -> _ClassTables:
+    """Future-equivalence classes, options and transitions of every row.
+
+    Row ``r = g·n + v`` of a chunk is vertex ``v`` of graph ``g``, whose
+    neighbour masks are ``nbrs[g]``; ``option_code(r, A)`` gives the option
+    code of its opponent mask ``A`` (broadcasting over arrays).  An
+    inherited mask ``I`` (earlier neighbours that deferred their shared
+    edge to ``v``) offers one option per split of the later neighbours into
+    kept and deferred, ``(option_code(r, N(v) ^ I ^ kept), deferred)``,
+    where code 0 means no option.  Two inherited masks are interchangeable
+    for the rest of the search iff ``I ∪ D`` and ``I' ∪ D`` offer the same
+    options for every further deferral ``D``.  Rows are grouped by their
+    (#earlier, #later) neighbour counts ``(e, l)`` and each group is solved
+    at once: the option vectors are folded into ids one later-neighbour bit
+    at a time, then refined one earlier bit ``b`` at a time, ``class(I) ←
+    (class(I), class(I ∪ {b}))`` — each step a 1-D :func:`numpy.unique`
+    over pair ids.  Classes are numbered per row by first appearance in
+    :func:`_submasks` order, so class 0 is the empty mask and every ``I``
+    made of the ``k`` lowest earlier neighbours has a class below ``2^k``.
+    The relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so
+    transitions live on classes.  Returns the tables of ``rows`` in order.
+    """
+    n = nbrs.shape[1]
+    pop = _popcounts(n)
+    v_arr = rows % n
+    nbr_arr = nbrs.ravel()[rows]
+    below = (np.int64(1) << v_arr) - 1
+    earlier = nbr_arr & below
+    later = nbr_arr & ~below & ~(np.int64(1) << v_arr)
+    group = pop[earlier] * (n + 1) + pop[later]
+    base = np.empty(len(rows), dtype=np.int64)
+    local, moves, counts, codes, deferrals = [], [], [], [], []
+    total = 0
+    for key in np.unique(group).tolist():
+        members = np.flatnonzero(group == key)
+        e, l = divmod(key, n + 1)
+        inherited = _submask_matrix(earlier[members], e)  # (m, 2^e)
+        kept = _submask_matrix(later[members], l)  # (m, 2^l)
+        opponents = (nbr_arr[members, None] ^ inherited)[:, :, None]
+        options = option_code(rows[members, None, None], opponents ^ kept[:, None, :])
+        ids = options
+        while ids.shape[2] > 1:  # fold the option vector, top kept bit first
+            half = ids.shape[2] // 2
+            ids = _pair_ids(ids[..., :half], ids[..., half:])
+        ids = ids[..., 0]
+        span = np.arange(1 << e)
+        for bit in range(e):
+            ids = _pair_ids(ids, ids[:, span | (1 << bit)])
+        # Global ids in (row, first appearance) order: each row's classes
+        # are contiguous and start with its empty mask.
+        flat = np.arange(len(members))[:, None] * (int(ids.max()) + 1) + ids
+        _, first, inverse = np.unique(
+            flat.ravel(), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        classes = total + np.arange(len(order))
+        gid = np.empty_like(classes)
+        gid[order] = classes
+        cls = gid[inverse].reshape(ids.shape)
+        base[members] = cls[:, 0]
+        rep_row, rep_i = np.divmod(first[order], 1 << e)  # one (row, I) per class
+        own = cls[rep_row, 0]
+        local.append(classes - own)
+        for bit in range(e):
+            u = pop[inherited[rep_row, 1 << bit] - 1]
+            moves.append((u, classes, cls[rep_row, rep_i | (1 << bit)] - own))
+        vec = options[rep_row, rep_i]  # (classes, 2^l), classes in id order
+        live = vec > 0
+        counts.append(live.sum(axis=1))
+        codes.append(vec[live])
+        deferrals.append((later[members[rep_row], None] ^ kept[rep_row])[live])
+        total += len(order)
+    trans = np.tile(np.concatenate(local), (n, 1))
+    for u, gid, target in moves:
+        trans[u, gid] = target
+    opt_ptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=opt_ptr[1:])
+    return _ClassTables(
+        base, opt_ptr, np.concatenate(codes), np.concatenate(deferrals), trans
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Lock-step frontier DP over bitset states, one chunk at a time
+# --------------------------------------------------------------------------- #
+
+
+def _run_bits(lo_rank, hi_rank, words: int):
+    """``(m, words)`` uint64 bitsets with bits ``2·lo … 2·hi`` set."""
+    offset = 64 * np.arange(words)
+    start = np.clip(2 * lo_rank[:, None] - offset, 0, 64)
+    stop = np.clip(2 * hi_rank[:, None] + 1 - offset, 0, 64)
+    return _LOW_BITS[stop] & ~_LOW_BITS[start]
+
+
+def _frontier_dp(tables: _ClassTables, opt_bits, nbrs):
+    """Union over edge orientations of the per-player bitset intersections.
+
+    Runs the vertex-by-vertex DP of every graph of ``nbrs`` (``(F, n)``
+    neighbour masks) in lock-step.  A state is ``(graph, key, bits)``:
+    ``key`` packs the class of every not-yet-processed vertex, ``bits`` is
+    the union of the running intersections of every orientation prefix
+    reaching it.  After step ``u``, vertex ``w > u`` has inherited only
+    neighbours ``≤ u`` — its lowest ``k`` earlier neighbours — so its class
+    is below ``2^k`` (see :func:`_class_tables`) and its key field is ``k``
+    bits wide: the key holds at most ``(u + 1)(n - 1 - u) ≤ n²/4`` bits.
+    Returns the surviving graphs and their final bitsets.
+    """
+    base, opt_ptr, _, opt_def, trans = tables
+    F, n = nbrs.shape
+    pop = _popcounts(n)
+    step = np.arange(n)
+    seen = pop[nbrs[:, None, :] & ((2 << step) - 1)[None, :, None]].max(axis=0)
+    # Key layout before step u: field widths width[u] at offsets shift[u].
+    width = np.zeros((n + 1, n), dtype=np.int64)
+    width[1:] = np.where(step[None, :] > step[:, None], seen, 0)
+    shift = np.cumsum(width, axis=1) - width
+    field = (1 << width) - 1
+    graph = np.arange(F)
+    key = np.zeros(F, dtype=np.int64)
+    bits = np.full((F, opt_bits.shape[1]), _LOW_BITS[64])
     for u in range(n):
-        options_by_class = classes[u][0]
-        shl, shh = suffix_lo[u + 1], suffix_hi[u + 1]
-        new_states: Dict[int, list] = {}
-        for key, intervals in states.items():
-            opts = options_by_class[key & slot]
-            if not opts:
+        gid = base[graph * n + u] + ((key >> shift[u, u]) & field[u, u])
+        first = opt_ptr[gid]
+        count = opt_ptr[gid + 1] - first
+        parent = np.repeat(np.arange(len(gid)), count)
+        option = np.arange(len(parent)) + np.repeat(
+            first - (np.cumsum(count) - count), count
+        )
+        value = bits[parent] & opt_bits[option]
+        live = np.bitwise_or.reduce(value, axis=1) != 0
+        parent, option, value = parent[live], option[live], value[live]
+        if not len(parent):
+            return graph[:0], bits[:0]
+        old, deferred = key[parent], opt_def[option]
+        g = graph[parent]
+        new = np.zeros(len(parent), dtype=np.int64)
+        for w in range(u + 1, n):
+            if not width[u + 1, w]:  # no neighbour of w is processed yet
                 continue
-            rest = key >> n
-            for ilo, ihi, deferred in opts:
-                out = None
-                for l, h in intervals:
-                    if ilo > l:
-                        l = ilo
-                    if ihi < h:
-                        h = ihi
-                    if l > h or l > shh or h < shl:
-                        continue
-                    if out is None:
-                        out = [(l, h)]
-                    else:
-                        out.append((l, h))
-                if out is None:
-                    continue
-                nk = rest
-                d = deferred
-                while d:
-                    bit = d & -d
-                    d ^= bit
-                    w = bit.bit_length() - 1
-                    shift = (w - u - 1) * n
-                    cls = (nk >> shift) & slot
-                    ncls = classes[w][1][cls][u]
-                    if ncls != cls:
-                        nk ^= (cls ^ ncls) << shift
-                cur = new_states.get(nk)
-                new_states[nk] = (
-                    out if cur is None else _union_interval_lists(cur, out)
-                )
-        states = new_states
-        if not states:
-            return []
-    final: list = []
-    for intervals in states.values():
-        final = _union_interval_lists(final, intervals)
-    return final
+            cls = (old >> shift[u, w]) & field[u, w]
+            moved = trans[u][base[g * n + w] + cls]
+            cls = np.where((deferred >> w) & 1, moved, cls)
+            new |= cls << shift[u + 1, w]
+        merged = (g << int(width[u + 1].sum())) | new
+        order = np.argsort(merged)
+        merged = merged[order]
+        heads = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])
+        bits = np.bitwise_or.reduceat(value[order], heads, axis=0)
+        graph, key = g[order[heads]], new[order[heads]]
+    return graph, bits
+
+
+def _chunk_intervals(option_code, values, feasible, nbrs):
+    """Exact ``(lo, hi)`` unions of every graph of one chunk.
+
+    ``option_code(g·n + p, A)`` reads player ``p``'s option codes and
+    ``values``/``feasible`` come from :func:`_option_codes`; returns one
+    sorted, disjoint, non-touching pair list per graph (empty when
+    infeasible), which is the exact union the backtracking reference's
+    :class:`AlphaIntervalSet` is built from.
+    """
+    G, n = nbrs.shape
+    pairs: List[list] = [[] for _ in range(G)]
+    graphs = np.flatnonzero(feasible)
+    if not len(graphs):
+        return pairs
+    rows = (graphs[:, None] * n + np.arange(n)).ravel()
+    tables = _class_tables(option_code, rows, nbrs)
+    K = values.shape[1]
+    lo_rank, hi_rank = np.divmod(tables.opt_code - 1, K)
+    opt_bits = _run_bits(lo_rank, hi_rank, words=(2 * K - 1 + 63) // 64)
+    alive, bits = _frontier_dp(tables, opt_bits, nbrs[graphs])
+    flags = np.unpackbits(
+        bits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+    ).astype(np.int8)
+    edge = np.diff(flags, axis=1, prepend=0, append=0)
+    row, lo_bit = np.nonzero(edge == 1)
+    _, stop_bit = np.nonzero(edge == -1)
+    owner = graphs[alive][row]
+    lo = values[owner, lo_bit // 2].tolist()
+    hi = values[owner, (stop_bit - 1) // 2].tolist()
+    for g, a, b in zip(owner.tolist(), lo, hi):
+        pairs[g].append((a, b))
+    return pairs
 
 
 # --------------------------------------------------------------------------- #
-# Per-graph assembly: hull precheck + search over the expanded tables
+# Scalar game: per-chunk assembly and the batch entry point
 # --------------------------------------------------------------------------- #
-
-
-def _chunk_rows(graphs, use_orbits):
-    """Orbit plans + representative row bookkeeping for one same-``n`` chunk."""
-    image_cache: Dict = {}
-    plans = [_orbit_plan(g, use_orbits, image_cache) for g in graphs]
-    rows_idx: List[Tuple[int, int]] = []
-    row_of: Dict[Tuple[int, int], int] = {}
-    for gi, (reps, _) in enumerate(plans):
-        for p in reps:
-            row_of[(gi, p)] = len(rows_idx)
-            rows_idx.append((gi, p))
-    return plans, rows_idx, row_of
-
-
-def _hulls_and_masks(lo_full, hi_full, ok, n: int):
-    """Per-player hulls and the per-graph feasibility test."""
-    np = _np
-    G = lo_full.shape[0] // n
-    player_ok = ok.any(axis=1).reshape(G, n)
-    hull_lo = np.where(ok, lo_full, np.inf).min(axis=1).reshape(G, n)
-    hull_hi = np.where(ok, hi_full, -np.inf).max(axis=1).reshape(G, n)
-    graph_ok = player_ok.all(axis=1) & (
-        hull_lo.max(axis=1) <= hull_hi.min(axis=1)
-    )
-    return hull_lo, hull_hi, graph_ok
-
-
-def _search_graph(graph, gi, n, lo_full, hi_full, ok_full, hull_lo, hull_hi):
-    lo_rows = lo_full[gi * n : (gi + 1) * n].tolist()
-    hi_rows = hi_full[gi * n : (gi + 1) * n].tolist()
-    ok_rows = ok_full[gi * n : (gi + 1) * n].tolist()
-    return _orientation_union(
-        n,
-        list(graph.adjacency_rows()),
-        lo_rows,
-        hi_rows,
-        ok_rows,
-        hull_lo[gi].tolist(),
-        hull_hi[gi].tolist(),
-    )
 
 
 def _interval_set(pairs):
@@ -588,33 +640,38 @@ def _full_set():
     return AlphaIntervalSet((FULL_ALPHA_RANGE,))
 
 
+def _adjacency(graphs):
+    return np.asarray([g.adjacency_rows() for g in graphs], dtype=np.int64)
+
+
 def _scalar_chunk_sets(graphs, use_orbits):
     """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
-    np = _np
     n = graphs[0].n
-    plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
+    rows_idx, src, image_of, images = _chunk_rows(graphs, use_orbits)
     dsum, p_arr = _distance_sum_tables(graphs, rows_idx, n)
     nbr_arr = np.asarray(
         [graphs[gi].adjacency_rows()[p] for gi, p in rows_idx], dtype=np.int64
     )
-    lo, hi, ok = _scalar_interval_tables(dsum, p_arr, nbr_arr, n)
-    lo_full, hi_full, ok_full = _expand_rows([lo, hi, ok], plans, row_of, n)
-    hull_lo, hull_hi, graph_ok = _hulls_and_masks(lo_full, hi_full, ok_full, n)
-    results = []
-    for gi, graph in enumerate(graphs):
-        if not graph_ok[gi]:
-            results.append(_interval_set([]))
-            continue
-        pairs = _search_graph(
-            graph, gi, n, lo_full, hi_full, ok_full, hull_lo, hull_hi
-        )
-        results.append(_interval_set(pairs))
-    return results
+    row_graph = np.asarray([gi for gi, _ in rows_idx], dtype=np.int64)
+    codes, values, feasible = _option_codes(
+        row_graph, *_scalar_intervals(dsum, p_arr, nbr_arr, n), 1 << n
+    )
+    pairs = _chunk_intervals(
+        lambda rows, masks: codes[src[rows], images[image_of[rows], masks]],
+        values,
+        feasible,
+        _adjacency(graphs),
+    )
+    return [_interval_set(p) for p in pairs]
 
 
 def _row_budget(n: int) -> int:
-    per_row = (1 << n) * n * 12  # uint8 DP + superset-min, float64 fold
-    return max(n, min(4096, _TABLE_BYTE_BUDGET // max(per_row, 1)))
+    # Per row and mask: the uint8 subset-min and superset-min tensors (2n
+    # bytes), then the float64 fold over A ⊆ N(p), the int64 option codes and
+    # the class-kernel and DP arrays, which peak at ~56 bytes on the densest
+    # n = 8 chunk (tracemalloc).
+    per_row = (1 << n) * (2 * n + 64)
+    return max(n, min(4096, _TABLE_BYTE_BUDGET // per_row))
 
 
 @obs.timed_kernel("ucg_alpha_sets")
@@ -628,10 +685,10 @@ def ucg_alpha_sets(
     Element-for-element float-exact against
     :func:`repro.core.unilateral.ucg_nash_alpha_set` (the per-graph
     backtracking reference, asserted in the test suite and the parity
-    smoke); falls back to it per graph when NumPy is unavailable or ``n``
-    exceeds the table range.  Results are memoised on each
-    :class:`~repro.graphs.graph.Graph` instance (edge mutations return new
-    instances, so memos can never go stale).
+    smoke); falls back to it per graph when ``n`` exceeds the table range.
+    Results are memoised on each :class:`~repro.graphs.graph.Graph`
+    instance (edge mutations return new instances, so memos can never go
+    stale).
     """
     graphs = list(graphs)
     results: List = [None] * len(graphs)
@@ -649,7 +706,7 @@ def ucg_alpha_sets(
             pending_by_n.setdefault(graph.n, []).append(i)
     fallback: List[int] = []
     for n, indices in sorted(pending_by_n.items()):
-        if _np is None or n > _MAX_TABLE_N:
+        if n > _MAX_TABLE_N:
             fallback.extend(indices)
             continue
         budget = max(1, _row_budget(n) // n)
@@ -674,6 +731,17 @@ def ucg_alpha_sets(
 # --------------------------------------------------------------------------- #
 
 
+def _submasks(mask: int) -> List[int]:
+    """Every submask of ``mask``, empty set first (deterministic order)."""
+    subs = [0]
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        subs += [s | bit for s in subs]
+    return subs
+
+
 def _link_cost_table(model, n: int, player: int, pop):
     """``wsum[S]`` = ``model.player_link_cost(player, targets(S))``, exact.
 
@@ -682,7 +750,6 @@ def _link_cost_table(model, n: int, player: int, pop):
     class's ascending left fold, and a per-subset model call for custom
     overrides (always exact, never fast).
     """
-    np = _np
     from ..costmodels.models import CostModel, UniformCost
 
     size = 1 << n
@@ -709,20 +776,17 @@ def _link_cost_table(model, n: int, player: int, pop):
 def _weighted_player_rows(
     n, player, nbr, dsum_row, wsum, base, submask_cache
 ):
-    """``(lo, hi, ok)`` rows over opponent masks for one weighted player.
+    """``(opponents, lo, hi)`` lists of one weighted player's feasible splits.
 
     Vectorises :func:`repro.costmodels.stability.weighted_ownership_interval`
     per ownership set: candidates, deltas and weight differences are
     evaluated for every purchase set at once; max/min over the identical
     quotient multiset reproduce the reference's running fold exactly.
     """
-    np = _np
-    size = 1 << n
-    full = size - 1
-    lo_row = [0.0] * size
-    hi_row = [0.0] * size
-    ok_row = [False] * size
-    hull_lo, hull_hi = INFINITY, -INFINITY
+    full = (1 << n) - 1
+    opps: List[int] = []
+    los: List[float] = []
+    his: List[float] = []
     base_inf = base == INFINITY
     owned = nbr
     while True:
@@ -754,66 +818,62 @@ def _weighted_player_rows(
             if shrink < hi:
                 hi = shrink
         if not empty and lo <= hi:
-            lo_row[opponents] = lo
-            hi_row[opponents] = hi
-            ok_row[opponents] = True
-            if lo < hull_lo:
-                hull_lo = lo
-            if hi > hull_hi:
-                hull_hi = hi
+            opps.append(opponents)
+            los.append(lo)
+            his.append(hi)
         if owned == 0:
             break
         owned = (owned - 1) & nbr
-    return lo_row, hi_row, ok_row, hull_lo, hull_hi
+    return opps, los, his
 
 
 def _weighted_chunk_sets(graphs, model, use_orbits):
     """Engine-path weighted Nash t-sets for one same-``n`` chunk."""
-    np = _np
     n = graphs[0].n
     pop = _popcounts(n)
-    plans, rows_idx, row_of = _chunk_rows(graphs, use_orbits)
+    rows_idx, src, image_of, images = _chunk_rows(graphs, use_orbits)
     dsum, _ = _distance_sum_tables(graphs, rows_idx, n)
-    (dsum_full,) = _expand_rows([_float_sums(dsum).T], plans, row_of, n)
-    results = []
+    dsum_full = _float_sums(dsum).T[src[:, None], images[image_of]]
     submask_cache: Dict[int, object] = {}
     wsum_tables = [
         _link_cost_table(model, n, player, pop) for player in range(n)
     ]
+    entry_row: List[int] = []
+    entry_mask: List[int] = []
+    entry_lo: List[float] = []
+    entry_hi: List[float] = []
     for gi, graph in enumerate(graphs):
-        nbrs = list(graph.adjacency_rows())
-        lo_rows, hi_rows, ok_rows = [], [], []
-        hull_lo, hull_hi = [], []
-        feasible = True
+        nbrs = graph.adjacency_rows()
         for player in range(n):
             row = dsum_full[gi * n + player]
-            base = float(row[nbrs[player]])
             with np.errstate(invalid="ignore"):
-                lo_row, hi_row, ok_row, h_lo, h_hi = _weighted_player_rows(
+                opps, los, his = _weighted_player_rows(
                     n,
                     player,
                     nbrs[player],
                     row,
                     wsum_tables[player],
-                    base,
+                    float(row[nbrs[player]]),
                     submask_cache,
                 )
-            lo_rows.append(lo_row)
-            hi_rows.append(hi_row)
-            ok_rows.append(ok_row)
-            hull_lo.append(h_lo)
-            hull_hi.append(h_hi)
-            if h_lo > h_hi:  # no feasible ownership at all
-                feasible = False
+            if not opps:  # no feasible ownership: the graph's set is empty
                 break
-        if not feasible or max(hull_lo) > min(hull_hi):
-            results.append(_interval_set([]))
-            continue
-        pairs = _orientation_union(
-            n, nbrs, lo_rows, hi_rows, ok_rows, hull_lo, hull_hi
-        )
-        results.append(_interval_set(pairs))
-    return results
+            entry_row.extend([gi * n + player] * len(opps))
+            entry_mask.extend(opps)
+            entry_lo.extend(los)
+            entry_hi.extend(his)
+    codes, values, feasible = _option_codes(
+        np.repeat(np.arange(len(graphs), dtype=np.int64), n),
+        np.asarray(entry_row, dtype=np.int64),
+        np.asarray(entry_mask, dtype=np.int64),
+        np.asarray(entry_lo, dtype=np.float64),
+        np.asarray(entry_hi, dtype=np.float64),
+        1 << n,
+    )
+    pairs = _chunk_intervals(
+        lambda rows, masks: codes[rows, masks], values, feasible, _adjacency(graphs)
+    )
+    return [_interval_set(p) for p in pairs]
 
 
 @obs.timed_kernel("weighted_ucg_t_sets")
@@ -829,9 +889,9 @@ def weighted_ucg_t_sets(
     :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`; the
     model-independent distance tables are shared across players via the
     orbit gather (weights break symmetry, so only the distance layer is
-    orbit-pruned).  Falls back to the per-graph reference when NumPy is
-    unavailable or ``n`` exceeds the table range.  No per-instance memo:
-    results depend on the cost model, not just the graph.
+    orbit-pruned).  Falls back to the per-graph reference when ``n``
+    exceeds the table range.  No per-instance memo: results depend on the
+    cost model, not just the graph.
     """
     graphs = list(graphs)
     results: List = [None] * len(graphs)
@@ -843,7 +903,7 @@ def weighted_ucg_t_sets(
             pending_by_n.setdefault(graph.n, []).append(i)
     fallback: List[int] = []
     for n, indices in sorted(pending_by_n.items()):
-        if _np is None or n > _MAX_TABLE_N:
+        if n > _MAX_TABLE_N:
             fallback.extend(indices)
             continue
         budget = max(1, _row_budget(n) // n)

@@ -11,18 +11,23 @@ a ``ValueError`` (one of ``LOAD_ERRORS``) before any listed file is opened.
 """
 
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.analysis.artifact import read_meta
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.scenarios import build_scenario
 from repro.analysis.store import CensusStore
 from repro.analysis.weighted_store import WeightedStore
+from repro.engine.shardwork import config_fingerprint, load_shard
 
 N = 5
 PAIRS = N * (N - 1) // 2
@@ -307,3 +312,37 @@ def test_cli_reports_column_list_mismatch(kind, command, case, stores, tmp_path)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(f"cannot load {path}: ")
     assert "Traceback" not in result.stderr
+
+
+# --------------------------------------------------------------------------- #
+# Truncated npz archives release their file handle
+# --------------------------------------------------------------------------- #
+
+
+def _read_truncated(call: str, path: str) -> None:
+    if call == "load_shard":
+        fingerprint = config_fingerprint({"kind": "census", "n": N})
+        assert load_shard(path, fingerprint) == ("corrupt", None)
+        return
+    with pytest.raises(zipfile.BadZipFile):
+        if call == "load":
+            CensusStore.load(path)
+        else:
+            read_meta(path)
+
+
+@pytest.mark.parametrize("call", ["load_shard", "load", "read_meta"])
+def test_truncated_npz_closes_its_file(call, stores, tmp_path):
+    """``np.load`` hands an opened archive to ``NpzFile``, whose constructor
+    raises on a truncated zip without closing it: every reader must own the
+    handle itself, or the shard recovery, the catalog peek and the ensemble
+    resume leak one file per torn archive."""
+    path = stores["census"].save(str(tmp_path / "census.npz"))
+    with open(path, "r+b") as handle:
+        handle.truncate(40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _read_truncated(call, path)
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]

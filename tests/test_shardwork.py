@@ -17,6 +17,7 @@ Two layers:
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_resume_reuses_every_verified_shard(tmp_path):
     assert_parts_equal(second.parts)
 
     manifest = json.loads(
-        open(manifest_path(shard_dir), encoding="utf-8").read()
+        Path(manifest_path(shard_dir)).read_text(encoding="utf-8")
     )
     assert manifest["schema"] == MANIFEST_SCHEMA
     assert manifest["done"] == manifest["total"] == len(PAYLOADS)
@@ -398,7 +399,7 @@ def test_store_survives_worker_crash(tmp_path, baselines, store_name):
     store = builder(jobs=2, shard_dir=shard_dir, fault_plan=plan)
     assert store.content_checksum() == baselines[store_name]
     manifest = json.loads(
-        open(manifest_path(shard_dir), encoding="utf-8").read()
+        Path(manifest_path(shard_dir)).read_text(encoding="utf-8")
     )
     assert manifest["retries"] >= 1
     assert manifest["done"] == manifest["total"]
@@ -416,7 +417,7 @@ def test_store_survives_hung_worker(tmp_path, baselines, store_name):
     store = builder(jobs=2, shard_dir=shard_dir, timeout=2.0, fault_plan=plan)
     assert store.content_checksum() == baselines[store_name]
     manifest = json.loads(
-        open(manifest_path(shard_dir), encoding="utf-8").read()
+        Path(manifest_path(shard_dir)).read_text(encoding="utf-8")
     )
     assert manifest["timeouts"] >= 1
 
@@ -434,7 +435,7 @@ def test_store_resumes_bit_identical_after_torn_write(
         store = builder(shard_dir=shard_dir)
     assert store.content_checksum() == baselines[store_name]
     manifest = json.loads(
-        open(manifest_path(shard_dir), encoding="utf-8").read()
+        Path(manifest_path(shard_dir)).read_text(encoding="utf-8")
     )
     assert manifest["corrupt_resumes"] >= 1
 

@@ -11,9 +11,7 @@ instances, so a memo can never go stale).
 """
 
 import hashlib
-import importlib.util
 import math
-import os
 import random
 
 import pytest
@@ -23,7 +21,7 @@ from repro.core.stability_intervals import AlphaIntervalSet
 from repro.core.unilateral import ucg_nash_alpha_set
 from repro.costmodels import UniformCost
 from repro.costmodels.stability import weighted_ucg_nash_t_set
-from repro.engine import ucg_alpha_sets, ucg_engine_available, weighted_ucg_t_sets
+from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -31,12 +29,6 @@ from repro.graphs import (
     empty_graph,
     enumerate_connected_graphs,
     path_graph,
-)
-
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vectorised UCG engine requires NumPy"
 )
 
 INF = float("inf")
@@ -55,10 +47,6 @@ def fresh(graph: Graph) -> Graph:
 # --------------------------------------------------------------------------- #
 # Float-exact parity against the backtracking reference
 # --------------------------------------------------------------------------- #
-
-
-def test_engine_availability_tracks_numpy():
-    assert ucg_engine_available() == HAVE_NUMPY
 
 
 class TestScalarParity:
@@ -146,11 +134,8 @@ class TestPinnedCensusDigests:
     def test_enumerated_classes(self, n):
         assert alpha_set_digest(n) == ALPHA_SET_DIGESTS[n]
 
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_SLOW_TESTS"),
-        reason="the n=8 census takes ~20s; set REPRO_SLOW_TESTS=1 to run",
-    )
     def test_enumerated_classes_n8(self):
+        # The exact path a cold n = 8 census build times (~5 s).
         assert alpha_set_digest(8) == ALPHA_SET_DIGESTS[8]
 
 
@@ -166,6 +151,29 @@ class TestWeightedParity:
             assert endpoints(engine_set) == endpoints(
                 weighted_ucg_nash_t_set(graph, scenario.model)
             ), f"weighted UCG mismatch ({name}, n={n}) {graph.sorted_edges()}"
+
+    def test_random_weights_n6_multiword_bitsets(self, monkeypatch):
+        # Weighted tables carry many more distinct endpoints than scalar
+        # ones: an interval over K endpoints needs 2K - 1 bits, so a graph
+        # with more than 32 endpoints runs the DP on two 64-bit words.
+        import repro.engine.ucg as ucg
+
+        widest = []
+        real = ucg._chunk_intervals
+
+        def spy(option_code, values, feasible, nbrs):
+            widest.append(values.shape[1])
+            return real(option_code, values, feasible, nbrs)
+
+        monkeypatch.setattr(ucg, "_chunk_intervals", spy)
+        model = build_scenario("random_weights", 6, seed=3).model
+        graphs = enumerate_connected_graphs(6)
+        engine_sets = weighted_ucg_t_sets([fresh(g) for g in graphs], model)
+        assert max(widest) > 32
+        for graph, engine_set in zip(graphs, engine_sets):
+            assert endpoints(engine_set) == endpoints(
+                weighted_ucg_nash_t_set(graph, model)
+            ), f"weighted UCG mismatch (n=6) {graph.sorted_edges()}"
 
     def test_uniform_cost_reduces_to_scalar(self):
         # With UniformCost the weighted t-sets must equal the scalar α-sets
@@ -195,11 +203,13 @@ class TestWeightedParity:
 
 
 def signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row):
-    """Brute-force oracle for :func:`repro.engine.ucg._vertex_classes`.
+    """Brute-force oracle for :func:`repro.engine.ucg._class_tables`.
 
     The class of an inherited mask ``I`` is the tuple of option-set ids of
     ``I ∪ D`` over every earlier-neighbour mask ``D`` (O(4^e) work for ``e``
     earlier neighbours), numbered by first appearance in ``_submasks`` order.
+    Returns ``(classes, options_by_class, transitions)`` with ``classes`` in
+    ``_submasks(earlier)`` order.
     """
     from repro.engine.ucg import _submasks
 
@@ -229,14 +239,63 @@ def signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row):
         for u in range(v):
             if (earlier & ~inherited) >> u & 1:
                 transitions[cls][u] = cls_of[inherited | (1 << u)]
-    return options_by_class, transitions
+    return [cls_of[i] for i in j_list], options_by_class, transitions
+
+
+def kernel_classes(n, v, nbr, lo_row, hi_row, ok_row):
+    """The class kernel run on one ``(vertex, table)`` row.
+
+    Returns ``(classes, options_by_class, trans)`` in the oracle's shape:
+    the class of each inherited mask in ``_submasks(earlier)`` order (found
+    by walking the transitions up from class 0, one earlier bit at a time,
+    as the DP does), each class's ``(lo, hi, deferred)`` options and the
+    ``trans[u, class]`` table.
+    """
+    import numpy as np
+
+    from repro.engine.ucg import _class_tables, _option_codes
+
+    masks = [mask for mask in range(1 << n) if ok_row[mask]]
+    codes, values, _ = _option_codes(
+        np.zeros(1, dtype=np.int64),
+        np.zeros(len(masks), dtype=np.int64),
+        np.asarray(masks, dtype=np.int64),
+        np.asarray([lo_row[mask] for mask in masks], dtype=np.float64),
+        np.asarray([hi_row[mask] for mask in masks], dtype=np.float64),
+        1 << n,
+    )
+    nbrs = np.zeros((1, n), dtype=np.int64)
+    nbrs[0, v] = nbr
+    base, opt_ptr, opt_code, opt_def, trans = _class_tables(
+        lambda rows, opponents: codes[rows - v, opponents],
+        np.asarray([v], dtype=np.int64),
+        nbrs,
+    )
+    assert base.tolist() == [0]
+    K = values.shape[1]
+    options_by_class = []
+    for cls in range(len(opt_ptr) - 1):
+        span = slice(opt_ptr[cls], opt_ptr[cls + 1])
+        lo_rank, hi_rank = np.divmod(opt_code[span] - 1, K)
+        options_by_class.append(
+            list(
+                zip(
+                    values[0, lo_rank].tolist(),
+                    values[0, hi_rank].tolist(),
+                    opt_def[span].tolist(),
+                )
+            )
+        )
+    earlier = [u for u in range(v) if nbr >> u & 1]
+    classes = [0]
+    for u in earlier:  # _submasks order: the next bit doubles the list
+        classes += [int(trans[u, cls]) for cls in classes]
+    return classes, options_by_class, trans
 
 
 class TestVertexClasses:
 
     def test_matches_signature_tuple_oracle(self):
-        from repro.engine.ucg import _vertex_classes
-
         rng = random.Random(20050717)
         merged = 0
         for draw in range(600):
@@ -255,10 +314,27 @@ class TestVertexClasses:
             lo_row = [lo_vals[k] for k in key]
             hi_row = [hi_vals[k] for k in key]
             ok_row = [ok_vals[k] for k in key]
-            got = _vertex_classes(v, nbr, lo_row, hi_row, ok_row)
-            assert got == signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row)
-            earlier = bin(nbr & ((1 << v) - 1)).count("1")
-            merged += len(got[0]) < (1 << earlier)
+            want_cls, want_options, want_trans = signature_tuple_classes(
+                v, nbr, lo_row, hi_row, ok_row
+            )
+            got_cls, got_options, trans = kernel_classes(
+                n, v, nbr, lo_row, hi_row, ok_row
+            )
+            # The partition agrees up to a renumbering that keeps class 0.
+            renumber = {}
+            for ours, theirs in zip(got_cls, want_cls):
+                assert renumber.setdefault(ours, theirs) == theirs
+            assert renumber[0] == 0
+            assert len(renumber) == len(got_options) == len(want_options)
+            assert sorted(renumber.values()) == list(range(len(want_options)))
+            for ours, theirs in renumber.items():
+                assert sorted(got_options[ours]) == sorted(want_options[theirs])
+                for u, target in want_trans[theirs].items():
+                    assert renumber[int(trans[u, ours])] == target
+            # A mask of the k lowest earlier neighbours has a class below 2^k:
+            # the DP packs each vertex's class into that many key bits.
+            assert all(c < 1 << i.bit_length() for i, c in enumerate(got_cls))
+            merged += len(got_options) < len(got_cls)
         assert merged >= 50  # the draws exercise non-trivial quotients
 
 
@@ -267,7 +343,6 @@ class TestVertexClasses:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestOrbitPruning:
 
     @pytest.mark.parametrize(
@@ -347,7 +422,6 @@ class TestMemoisation:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestUcgColumns:
 
     def test_interval_columns_pack_endpoints(self):
@@ -415,7 +489,6 @@ class TestUcgColumns:
 # --------------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestStoreRoundTrips:
 
     def test_census_store_ucg_round_trip(self, tmp_path):
