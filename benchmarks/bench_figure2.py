@@ -7,7 +7,7 @@ qualitative shape — BCG better for cheap links, worse for expensive links —
 is asserted inside the benchmarked function.
 """
 
-from repro.analysis import EquilibriumCensus, census_figure_series
+from repro.analysis import CensusStore, census_figure_series
 from repro.analysis.sweeps import log_spaced_alphas
 from repro.experiments import figure2
 
@@ -15,13 +15,13 @@ from repro.experiments import figure2
 def test_figure2_census_build(benchmark):
     """Cost of the exhaustive per-topology analysis (n = 5, both games)."""
     census = benchmark.pedantic(
-        EquilibriumCensus.build, args=(5,), rounds=1, iterations=1
+        CensusStore.build, args=(5,), rounds=1, iterations=1
     )
     assert len(census) == 21
 
 
-def test_figure2_series_from_census(benchmark, census6):
-    """Cost of producing the Figure 2 series once the census exists (n = 6)."""
+def test_figure2_series_from_store(benchmark, census6):
+    """Cost of producing the Figure 2 series once the census store exists (n = 6)."""
     grid = log_spaced_alphas(0.4, 72.0, 22)
     figure = benchmark(census_figure_series, census6, "average_poa", grid)
     assert len(figure.bcg.points) == 22

@@ -10,7 +10,7 @@ from repro.analysis.sweeps import log_spaced_alphas
 from repro.experiments import figure3
 
 
-def test_figure3_series_from_census(benchmark, census6):
+def test_figure3_series_from_store(benchmark, census6):
     grid = log_spaced_alphas(0.4, 72.0, 22)
     figure = benchmark(census_figure_series, census6, "average_links", grid)
     gaps = [

@@ -27,11 +27,13 @@ def test_prop4_worst_poa_single_alpha(benchmark, census6):
 def test_footnote6_comparison_sweep(benchmark, census5):
     """ρ_UCG vs 2·ρ_BCG across the full 5-vertex census and an α grid."""
 
+    graphs = census5.graphs()
+
     def sweep():
         violations = 0
-        for record in census5.records:
+        for graph in graphs:
             for alpha in (1.5, 3.0, 8.0, 20.0):
-                if not compare_price_of_anarchy(record.graph, alpha).satisfies_footnote6:
+                if not compare_price_of_anarchy(graph, alpha).satisfies_footnote6:
                     violations += 1
         return violations
 

@@ -12,16 +12,16 @@ benchmarks use the normal calibrated mode.
 
 import pytest
 
-from repro.analysis import cached_census
+from repro.analysis import cached_store
 
 
 @pytest.fixture(scope="session")
 def census5():
-    """Exhaustive census on 5 vertices (both games), shared across benchmarks."""
-    return cached_census(5)
+    """Exhaustive census store on 5 vertices (both games), shared across benchmarks."""
+    return cached_store(5)
 
 
 @pytest.fixture(scope="session")
 def census6():
-    """Exhaustive census on 6 vertices (both games), shared across benchmarks."""
-    return cached_census(6)
+    """Exhaustive census store on 6 vertices (both games), shared across benchmarks."""
+    return cached_store(6)

@@ -1,12 +1,10 @@
 """CI smoke: census-store build → save → load in a fresh process → parity.
 
-Builds the n = 6 census twice — as the per-record
-:class:`~repro.analysis.census.EquilibriumCensus` (reference path) and as the
-columnar :class:`~repro.analysis.store.CensusStore` — persists the store,
+Builds the n = 6 :class:`~repro.analysis.store.CensusStore`, persists it,
 re-loads it **in a separate interpreter**, and asserts that the loaded
 artifact answers an α-grid (stability masks, Nash masks, counts and PoA /
 link-count aggregates) element-for-element identically to the in-memory
-record path.  Exercises exactly the production workflow: build on one
+store.  Exercises exactly the production workflow: build on one
 machine/process, query on another.
 
 Run::
@@ -25,7 +23,6 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.census import EquilibriumCensus
 from repro.analysis.store import CensusStore
 from repro.analysis.sweeps import log_spaced_alphas
 
@@ -59,7 +56,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args(argv)
 
-    census = EquilibriumCensus.build(args.n, jobs=args.jobs)
     store = CensusStore.build(args.n, jobs=args.jobs)
     alphas = log_spaced_alphas(0.2, float(args.n * args.n), 12) + [1.0]
 
@@ -83,32 +79,19 @@ def main(argv=None) -> int:
             return 1
         loaded = json.loads(child.stdout)
 
-    assert loaded["classes"] == len(census), "class count diverged"
-    for row, record in zip(loaded["bcg"], census.records):
-        assert row == [record.is_bcg_stable_at(a) for a in alphas], "BCG mask"
-    for row, record in zip(loaded["ucg"], census.records):
-        assert row == [record.is_ucg_nash_at(a) for a in alphas], "UCG mask"
+    assert loaded["classes"] == len(store), "class count diverged"
+    assert loaded["bcg"] == store.stable_mask(alphas, "bcg").tolist(), "BCG mask"
+    assert loaded["ucg"] == store.stable_mask(alphas, "ucg").tolist(), "UCG mask"
     for game in ("bcg", "ucg"):
-        aggregates = loaded[f"{game}_agg"]
-        for k, alpha in enumerate(alphas):
-            assert aggregates["counts"][k] == census.equilibrium_count(alpha, game)
-            assert same(
-                aggregates["average_poa"][k],
-                census.average_price_of_anarchy(alpha, game),
-            ), (game, alpha)
-            assert same(
-                aggregates["worst_poa"][k],
-                census.worst_price_of_anarchy(alpha, game),
-            ), (game, alpha)
-            assert same(
-                aggregates["average_links"][k],
-                census.average_num_links(alpha, game),
-            ), (game, alpha)
+        for key, values in store.grid_aggregates(alphas, game).items():
+            observed = loaded[f"{game}_agg"][key]
+            assert len(observed) == len(values), (game, key)
+            assert all(same(a, b) for a, b in zip(observed, values)), (game, key)
 
     print(
-        f"OK: n={args.n} store round trip ({len(census)} classes, "
+        f"OK: n={args.n} store round trip ({len(store)} classes, "
         f"{len(alphas)} grid points, {store.nbytes} bytes resident) matches "
-        "the record path element for element across processes"
+        "the in-memory store element for element across processes"
     )
     return 0
 

@@ -1,14 +1,15 @@
-"""CI smoke: the streamed census must match the materialised build exactly.
+"""CI smoke: the streamed census store must match the materialised build exactly.
 
 Run as a script (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/smoke_streamed_census.py --n 7 --jobs 2
 
-Builds :meth:`repro.analysis.EquilibriumCensus.build` and
-:meth:`~repro.analysis.EquilibriumCensus.build_streamed` for the same ``n``
-and diffs them element for element — same canonical representatives in the
-same order, bit-identical BCG deviation profiles, identical UCG alpha sets
-when requested.  Exits non-zero on the first mismatch.
+Builds :meth:`repro.analysis.CensusStore.build` and
+:meth:`~repro.analysis.CensusStore.build_streamed` for the same ``n`` and
+diffs them column for column — same canonical representatives in the same
+order, bit-identical BCG deviation columns, identical UCG interval columns
+when requested — and compares their content checksums.  Exits non-zero on
+the first mismatch.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import os
 import sys
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.census import EquilibriumCensus
+from repro.analysis.store import CensusStore
 
 
 def main(argv=None) -> int:
@@ -32,44 +35,38 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--ucg",
         action="store_true",
-        help="also compare the (slower) UCG Nash alpha sets",
+        help="also compare the (slower) UCG Nash interval columns",
     )
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    materialised = EquilibriumCensus.build(args.n, include_ucg=args.ucg)
+    materialised = CensusStore.build(args.n, include_ucg=args.ucg)
     build_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    streamed = EquilibriumCensus.build_streamed(
+    streamed = CensusStore.build_streamed(
         args.n, include_ucg=args.ucg, jobs=args.jobs
     )
     streamed_s = time.perf_counter() - start
 
     if len(materialised) != len(streamed):
         print(
-            f"FAIL: {len(materialised)} materialised records vs "
+            f"FAIL: {len(materialised)} materialised classes vs "
             f"{len(streamed)} streamed",
             file=sys.stderr,
         )
         return 1
-    for index, (a, b) in enumerate(zip(materialised.records, streamed.records)):
-        if a.graph != b.graph:
-            print(f"FAIL: record {index}: different graphs", file=sys.stderr)
+    for name in CensusStore.SPEC.names(args.ucg):
+        if not np.array_equal(getattr(materialised, name), getattr(streamed, name)):
+            print(f"FAIL: column {name} differs", file=sys.stderr)
             return 1
-        if a.bcg_profile.removal_increase != b.bcg_profile.removal_increase:
-            print(f"FAIL: record {index}: removal tables differ", file=sys.stderr)
-            return 1
-        if a.bcg_profile.addition_saving != b.bcg_profile.addition_saving:
-            print(f"FAIL: record {index}: addition tables differ", file=sys.stderr)
-            return 1
-        if args.ucg and a.ucg_alpha_set.intervals != b.ucg_alpha_set.intervals:
-            print(f"FAIL: record {index}: UCG alpha sets differ", file=sys.stderr)
-            return 1
+    if materialised.content_checksum() != streamed.content_checksum():
+        print("FAIL: content checksums differ", file=sys.stderr)
+        return 1
 
     print(
         f"OK: n={args.n} census identical across paths "
-        f"({len(streamed)} records; materialised {build_s:.2f}s, "
+        f"({len(streamed)} classes; materialised {build_s:.2f}s, "
         f"streamed {streamed_s:.2f}s, jobs={args.jobs})"
     )
     return 0

@@ -19,7 +19,7 @@ Run with::
 
 import sys
 
-from repro.analysis import cached_census, format_table
+from repro.analysis import cached_store, format_table
 from repro.core import (
     average_price_of_anarchy,
     efficient_graph,
@@ -32,12 +32,12 @@ from repro.core import (
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    census = cached_census(n, include_ucg=False)
-    graphs = [record.graph for record in census.records]
+    store = cached_store(n, include_ucg=False)
+    graphs = store.graphs()
 
     rows = []
     for alpha in (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0):
-        plain = census.stable_graphs_bcg(alpha)
+        plain = store.stable_graphs_bcg(alpha)
         with_transfers = transfer_stable_graphs(graphs, alpha)
         optimum = efficient_graph(n, alpha, "bcg")
         rows.append(

@@ -1,17 +1,11 @@
 """Census, sweep, sampling, persistence and reporting utilities.
 
-Record censuses and their columnar store, weighted sweeps with the scenario
+The columnar census store (:mod:`.store`), weighted sweeps with the scenario
 library, persistent weighted artifacts (:mod:`.weighted_store`), seeded
 scenario ensembles (:mod:`.ensembles`), grid helpers, sampling and the
 plain-text report renderers.
 """
 
-from .census import (
-    EquilibriumCensus,
-    GraphRecord,
-    cached_census,
-    clear_census_cache,
-)
 from .improvement import (
     ImprovementGraph,
     StochasticStabilityResult,
@@ -92,10 +86,6 @@ __all__ = [
     "perturbed_transition_matrix",
     "stationary_distribution",
     "stochastic_stability_analysis",
-    "EquilibriumCensus",
-    "GraphRecord",
-    "cached_census",
-    "clear_census_cache",
     "CensusStore",
     "bcg_alpha_columns",
     "cached_store",

@@ -3,15 +3,10 @@
 Figure 2 plots the *average price of anarchy* of equilibrium networks and
 Figure 3 the *average number of links*, for the UCG and the BCG, against the
 link cost (on the aligned log axis described in :mod:`repro.analysis.sweeps`).
-This module turns an :class:`~repro.analysis.census.EquilibriumCensus`, a
-columnar :class:`~repro.analysis.store.CensusStore` or a sampled collection
-of equilibria into those series, as plain dataclasses that the experiments
-and benchmarks render as text tables.
-
-A store is detected by its vectorised ``grid_aggregates`` method and gets
-the fast path: the whole α-grid of both games is answered in two segmented
-NumPy passes instead of one Python record walk per grid point, with output
-guaranteed (and tested) element-for-element identical to the record path.
+This module turns a columnar :class:`~repro.analysis.store.CensusStore` or
+a sampled collection of equilibria into those series, as plain dataclasses
+that the experiments and benchmarks render as text tables.  A store answers
+the whole α-grid of both games with two ``grid_aggregates`` calls.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.anarchy import average_price_of_anarchy, worst_case_price_of_anarchy
 from ..graphs import Graph
-from .census import EquilibriumCensus
 from .sweeps import aligned_link_costs, default_alpha_grid, per_edge_cost_axis
 
 
@@ -148,20 +142,8 @@ def figure_from_payload(payload: Dict[str, object]) -> FigureData:
 # --------------------------------------------------------------------------- #
 
 
-def _census_value(
-    census: EquilibriumCensus, alpha: float, game: str, quantity: str
-) -> float:
-    if quantity == "average_poa":
-        return census.average_price_of_anarchy(alpha, game)
-    if quantity == "worst_poa":
-        return census.worst_price_of_anarchy(alpha, game)
-    if quantity == "average_links":
-        return census.average_num_links(alpha, game)
-    raise ValueError(f"unknown quantity {quantity!r}")
-
-
 def census_figure_series(
-    census: EquilibriumCensus,
+    store,
     quantity: str,
     total_edge_costs: Optional[Sequence[float]] = None,
     align_per_edge_cost: bool = True,
@@ -171,8 +153,9 @@ def census_figure_series(
 
     Parameters
     ----------
-    census:
-        The per-topology equilibrium summaries.
+    store:
+        The :class:`~repro.analysis.store.CensusStore` (or anything with its
+        ``n`` and ``grid_aggregates``).
     quantity:
         ``"average_poa"`` (Figure 2), ``"average_links"`` (Figure 3) or
         ``"worst_poa"`` (the worst-case PoA used by Proposition 4 checks).
@@ -186,7 +169,7 @@ def census_figure_series(
         false both games are evaluated at ``α = cost``.
     aggregates:
         Optional ``(alphas, game) -> grid-aggregates dict`` override for
-        the store fast path.  The service layer injects its batched
+        ``store.grid_aggregates``.  The service layer injects its batched
         :meth:`~repro.service.QueryAPI.grid_aggregates` here so concurrent
         figure requests coalesce into shared kernel calls; results are
         identical because the kernels are per-column independent.
@@ -194,59 +177,7 @@ def census_figure_series(
     if quantity not in ("average_poa", "worst_poa", "average_links"):
         raise ValueError(f"unknown quantity {quantity!r}")
     if total_edge_costs is None:
-        total_edge_costs = default_alpha_grid(census.n)
-    if aggregates is not None or hasattr(census, "grid_aggregates"):
-        return _store_figure_series(
-            census, quantity, total_edge_costs, align_per_edge_cost,
-            aggregates=aggregates,
-        )
-    ucg_series = FigureSeries(game="ucg", quantity=quantity)
-    bcg_series = FigureSeries(game="bcg", quantity=quantity)
-    for cost in total_edge_costs:
-        if align_per_edge_cost:
-            alpha_ucg, alpha_bcg = aligned_link_costs(cost)
-        else:
-            alpha_ucg = alpha_bcg = cost
-        ucg_series.points.append(
-            SeriesPoint(
-                alpha=alpha_ucg,
-                axis=per_edge_cost_axis(alpha_ucg, "ucg"),
-                value=_census_value(census, alpha_ucg, "ucg", quantity),
-                num_equilibria=census.equilibrium_count(alpha_ucg, "ucg"),
-            )
-        )
-        bcg_series.points.append(
-            SeriesPoint(
-                alpha=alpha_bcg,
-                axis=per_edge_cost_axis(alpha_bcg, "bcg"),
-                value=_census_value(census, alpha_bcg, "bcg", quantity),
-                num_equilibria=census.equilibrium_count(alpha_bcg, "bcg"),
-            )
-        )
-    return FigureData(
-        n=census.n,
-        quantity=quantity,
-        ucg=ucg_series,
-        bcg=bcg_series,
-        description=(
-            f"exhaustive census of all connected topologies on {census.n} vertices"
-        ),
-    )
-
-
-def _store_figure_series(
-    store,
-    quantity: str,
-    total_edge_costs: Sequence[float],
-    align_per_edge_cost: bool,
-    aggregates=None,
-) -> FigureData:
-    """Whole-grid figure series from a columnar :class:`CensusStore`.
-
-    Both games are answered with one vectorised ``grid_aggregates`` call
-    over the full per-game α-vector; point values, equilibrium counts, axis
-    values and the description are identical to the per-record path.
-    """
+        total_edge_costs = default_alpha_grid(store.n)
     alphas_ucg: List[float] = []
     alphas_bcg: List[float] = []
     for cost in total_edge_costs:

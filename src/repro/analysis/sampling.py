@@ -17,12 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.dynamics import sample_nash_networks_ucg, sample_stable_networks_bcg
 from ..core.equilibria import is_pairwise_stable
 from ..core.stability_intervals import PairwiseStabilityProfile
-from ..engine import (
-    DistanceOracle,
-    batch_stability_deltas,
-    numpy_available,
-    ucg_alpha_sets,
-)
+from ..engine import DistanceOracle, batch_stability_deltas, ucg_alpha_sets
+from ..engine.columnar import bcg_stable_mask
 from ..graphs import Graph, canonical_form
 from .sweeps import aligned_link_costs, map_over_grid
 
@@ -70,8 +66,7 @@ def sampled_bcg_columns(
     Routes the sampled graphs through
     :func:`repro.analysis.store.bcg_alpha_columns`, so dynamics-sampled runs
     get the same vectorised whole-α-grid queries as the exhaustive census
-    store; returns ``(rem_min, add_lo, add_hi, add_indptr)``.  Requires
-    NumPy (like every columnar consumer).
+    store; returns ``(rem_min, add_lo, add_hi, add_indptr)``.
     """
     from .store import bcg_alpha_columns
 
@@ -85,18 +80,9 @@ def sampled_stable_mask(
 ):
     """``bool[n_graphs, n_alphas]`` pairwise-stability mask of sampled graphs.
 
-    Vectorised through :func:`repro.engine.columnar.bcg_stable_mask` when
-    NumPy is importable (bit-identical to the per-graph Definition 3
-    check); a per-profile Python loop otherwise.
+    Vectorised through :func:`repro.engine.columnar.bcg_stable_mask`
+    (bit-identical to the per-graph Definition 3 check).
     """
-    if not numpy_available():
-        profiles = sampled_bcg_profiles(graphs, oracle=oracle)
-        return [
-            [profile.is_stable_at(alpha) for alpha in alphas]
-            for profile in profiles
-        ]
-    from ..engine.columnar import bcg_stable_mask
-
     rem_min, add_lo, add_hi, add_indptr = sampled_bcg_columns(graphs, oracle=oracle)
     return bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas)
 

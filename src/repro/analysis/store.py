@@ -1,11 +1,10 @@
 """Columnar, persistent census store with vectorised α-grid queries.
 
-:class:`~repro.analysis.census.EquilibriumCensus` keeps one
-:class:`~repro.analysis.census.GraphRecord` per isomorphism class — a full
-:class:`Graph` plus two dict-of-dicts — which makes the ``n = 9`` census a
-multi-gigabyte object graph and forces every Figure 2/3 grid point to walk
-all records in Python.  :class:`CensusStore` is the struct-of-arrays
-refactor of the same information:
+The empirical study of Section 5 asks one question of every connected
+topology on ``n`` vertices: is it pairwise stable (BCG) or Nash (UCG) at
+link cost α?  The per-graph deviation analysis behind that answer does not
+depend on α, so :class:`CensusStore` runs it once per isomorphism class and
+keeps the results as columns:
 
 * **columns, not objects** — per class: a packed upper-triangle certificate
   (enough to rebuild the canonical representative), the edge count, the
@@ -16,18 +15,19 @@ refactor of the same information:
 * **whole-grid queries** — Definition 3 stability masks, Nash masks,
   equilibrium counts, average/worst price of anarchy and link-count
   aggregates for an entire α-grid in a few segmented NumPy reductions
-  (:mod:`repro.engine.columnar`), **bit-identical** to the per-record path
-  (the BCG deviation payoffs are integer-valued floats, so the compact
-  float32 columns and the reductions are exact; scalar float expressions
-  are replicated operation for operation);
+  (:mod:`repro.engine.columnar`), **bit-identical** to the per-graph
+  references (the BCG deviation payoffs are integer-valued floats, so the
+  compact float32 columns and the reductions are exact; scalar float
+  expressions are replicated operation for operation);
 * **a versioned on-disk format** — one ``.npz`` (or a directory of
   memory-mappable ``.npy`` columns), resumable shard-by-shard when built
   with :meth:`build_streamed`.
 
-:class:`EquilibriumCensus` remains the readable reference implementation and
-compatibility view; the test suite asserts the store's answers equal the
-record path element for element, including across a save → load round trip
-in a separate process.
+The test suite asserts the store's answers equal the per-graph references
+(:func:`~repro.core.stability_intervals.pairwise_stability_profile`,
+:func:`~repro.core.unilateral.ucg_nash_alpha_set` and
+:func:`~repro.core.anarchy.price_of_anarchy`) element for element,
+including across a save → load round trip in a separate process.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from ..engine.columnar import (
     stability_windows,
     ucg_nash_mask,
 )
-from ..graphs import Graph, enumerate_connected_graphs, total_distance
+from ..graphs import Graph, enumerate_connected_graphs
 from .artifact import ColumnArtifact, ColumnSpec, cached, cached_load
 from .artifact import clear_store_cache  # noqa: F401 - re-exported beside cached_store
 
@@ -75,11 +75,11 @@ def _check_game(game: str) -> str:
 class CensusStore(ColumnArtifact):
     """All connected topologies on ``n`` vertices, as queryable columns.
 
-    Instances are produced by :meth:`build`, :meth:`build_streamed`,
-    :meth:`from_census` or :meth:`load`; the constructor just wires up
-    pre-validated columns.  Classes are kept in the library's canonical
-    census order (:func:`repro.graphs.class_sort_key`), so row ``i`` of the
-    store and ``census.records[i]`` describe the same isomorphism class.
+    Instances are produced by :meth:`build`, :meth:`build_streamed` or
+    :meth:`load`; the constructor just wires up pre-validated columns.
+    Classes are kept in the library's canonical census order
+    (:func:`repro.graphs.class_sort_key`), so row ``i`` of the store is
+    ``enumerate_connected_graphs(n)[i]``.
     """
 
     KIND = "census"
@@ -121,12 +121,12 @@ class CensusStore(ColumnArtifact):
     ) -> "CensusStore":
         """Enumerate all connected graphs on ``n`` vertices into columns.
 
-        The enumeration and analysis mirror
-        :meth:`EquilibriumCensus.build` exactly — same graphs, same order,
-        same deviation analysis — but each pool worker emits **column
-        chunks** (a dict of NumPy arrays) instead of pickled
-        ``GraphRecord`` objects, so the artifact never exists in
-        array-of-objects form.
+        ``include_ucg=False`` skips the (more expensive) UCG orientation
+        search when only the BCG side is needed.  ``jobs`` fans the analysis
+        out over a process pool (``None``/``1`` = serial); each worker runs
+        the batch kernels on a contiguous chunk of graphs and emits a
+        **column chunk** (a dict of NumPy arrays), so the result is
+        identical and identically ordered for any value.
         """
         graphs = enumerate_connected_graphs(n)
         workers = resolve_jobs(jobs)
@@ -153,9 +153,11 @@ class CensusStore(ColumnArtifact):
     ) -> "CensusStore":
         """Build the columns by streaming the canonical-augmentation tree.
 
-        The sharding scheme is identical to
-        :meth:`EquilibriumCensus.build_streamed`; shards are fingerprinted
-        on ``n`` and ``include_ucg`` and persist as
+        The generation tree is sharded at level ``shard_level``: each worker
+        re-generates the subtrees below its chunk of roots in-process and
+        analyses graphs in bounded batches as they stream past, so no
+        worker materialises the class list.  Shards are fingerprinted on
+        ``n`` and ``include_ucg`` and persist as
         ``shard_XXXX_of_YYYY.npz`` under ``shard_dir`` (see
         :meth:`ColumnArtifact._build_streamed
         <repro.analysis.artifact.ColumnArtifact._build_streamed>` for the
@@ -176,25 +178,6 @@ class CensusStore(ColumnArtifact):
             progress=progress,
             fault_plan=fault_plan,
         )
-
-    @classmethod
-    def from_census(cls, census) -> "CensusStore":
-        """Convert a built :class:`EquilibriumCensus` into columns.
-
-        Distance totals are recomputed (exact integers, so the build path
-        does not matter); the deviation data is read straight out of the
-        record profiles.
-        """
-        cols = _ColumnAccumulator(census.include_ucg)
-        for record in census.records:
-            cols.append(
-                record.graph,
-                record.bcg_profile.removal_increase,
-                record.bcg_profile.addition_saving,
-                total_distance(record.graph),
-                record.ucg_alpha_set,
-            )
-        return cls._from_parts(census.n, [cols.arrays(census.n)], census.include_ucg)
 
     # ------------------------------------------------------------------ #
     # Vectorised α-grid queries
@@ -222,8 +205,11 @@ class CensusStore(ColumnArtifact):
 
         ``game="bcg"`` gives exact Definition 3 pairwise stability,
         ``game="ucg"`` Nash-supportability — bit-identical per element to
-        :meth:`GraphRecord.is_bcg_stable_at` /
-        :meth:`GraphRecord.is_ucg_nash_at`.
+        :meth:`PairwiseStabilityProfile.is_stable_at
+        <repro.core.stability_intervals.PairwiseStabilityProfile.is_stable_at>`
+        / :meth:`AlphaIntervalSet.contains
+        <repro.core.stability_intervals.AlphaIntervalSet.contains>` of the
+        class.
         """
         game = _check_game(game)
         if game == "bcg":
@@ -271,12 +257,13 @@ class CensusStore(ColumnArtifact):
         """Whole-grid Figure 2/3 aggregates in one vectorised pass.
 
         Returns ``counts``, ``average_poa``, ``worst_poa`` and
-        ``average_links`` lists (one entry per grid point), each equal to
-        the corresponding :class:`EquilibriumCensus` aggregate — including
-        the sequential left-to-right float summation of the record path,
-        so averages match to the last bit, and ``nan`` for empty
-        equilibrium sets.  Only the equilibrium rows of each grid point
-        are read.
+        ``average_links`` lists (one entry per grid point).  Averages sum
+        the per-class :func:`~repro.core.anarchy.price_of_anarchy` values
+        left to right in class order, as
+        :func:`~repro.core.anarchy.average_price_of_anarchy` does over the
+        equilibrium graphs, so they match it to the last bit; empty
+        equilibrium sets give ``nan``.  Only the equilibrium rows of each
+        grid point are read.
         """
         game = _check_game(game)
         alphas = [float(alpha) for alpha in alphas]
@@ -284,7 +271,7 @@ class CensusStore(ColumnArtifact):
             np.flatnonzero(self.stable_mask(alphas, game)), len(alphas)
         )
         # Group by grid point; a stable sort keeps each point's equilibrium
-        # rows ascending, i.e. in record order.
+        # rows ascending, i.e. in class order.
         by_point = np.argsort(points, kind="stable")
         rows, points = rows[by_point], points[by_point]
         sizes = np.bincount(points, minlength=len(alphas))
@@ -323,7 +310,7 @@ class CensusStore(ColumnArtifact):
         }
 
     # ------------------------------------------------------------------ #
-    # Scalar compatibility API (mirrors EquilibriumCensus)
+    # Scalar queries at one link cost
     # ------------------------------------------------------------------ #
 
     def equilibrium_count(self, alpha: float, game: str) -> int:
@@ -487,7 +474,7 @@ def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
 def _analyse_columns(
     graphs: List[Graph], n: int, oracle, include_ucg: bool
 ) -> dict:
-    """Column chunk for a batch of graphs (same analysis as ``_make_records``)."""
+    """Column chunk for a batch of graphs: Δ probes, totals and UCG sets."""
     results = batch_stability_deltas(graphs, oracle=oracle, return_totals=True)
     cols = _ColumnAccumulator(include_ucg)
     ucg_sets = (
@@ -514,11 +501,8 @@ def cached_store(
 ) -> CensusStore:
     """Build, load or fetch the columnar store (the shared store LRU).
 
-    With ``n`` the store is built in process (or converted from a record
-    census already sitting in the census cache —
-    :meth:`CensusStore.from_census` skips the whole deviation + UCG
-    orientation pass).  With ``path`` it is loaded from an on-disk
-    artifact instead, optionally memory-mapped
+    With ``n`` the store is built in process.  With ``path`` it is loaded
+    from an on-disk artifact instead, optionally memory-mapped
     (:func:`~repro.analysis.artifact.cached_load`).
 
     Every option that changes what the returned *object* is — ``n`` and
@@ -533,11 +517,6 @@ def cached_store(
         return cached_load(CensusStore, path, mmap)
 
     def make() -> CensusStore:
-        from .census import _CENSUS_CACHE
-
-        census = _CENSUS_CACHE.get((int(n), bool(include_ucg)))
-        if census is not None:
-            return CensusStore.from_census(census)
         return CensusStore.build(n, include_ucg=include_ucg, jobs=jobs)
 
     return cached(("census-build", int(n), bool(include_ucg)), "census-store", make)

@@ -14,16 +14,13 @@ heterogeneous model measures how the chosen labelling interacts with the
 price structure — the point of the scenario library
 (:mod:`repro.analysis.scenarios`).
 
-Two execution paths, one contract:
-
-* with NumPy, probes are batched through
-  :func:`repro.engine.batch.batch_weighted_columns` (the boolean-matmul
-  delta tensors paired with per-probe coefficient vectors) and whole grids
-  are answered by :func:`repro.engine.columnar.weighted_bcg_stable_mask`;
-* without it, every graph gets a per-graph
-  :class:`~repro.costmodels.stability.WeightedStabilityProfile` loop
-  (:func:`weighted_python_sweep_bcg` — also the reference implementation
-  the engine path is benchmarked and tested against).
+Probes are batched through
+:func:`repro.engine.batch.batch_weighted_columns` (the boolean-matmul delta
+tensors paired with per-probe coefficient vectors) and whole grids are
+answered by :func:`repro.engine.columnar.weighted_bcg_stable_mask`.  The
+per-graph :class:`~repro.costmodels.stability.WeightedStabilityProfile`
+loop (:func:`weighted_python_sweep_bcg`) is the reference implementation
+the engine path is benchmarked and tested against.
 """
 
 from __future__ import annotations
@@ -31,11 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..costmodels.models import CostModel
 from ..costmodels.stability import weighted_stability_profile
-from ..engine import chunk_evenly, numpy_available, parallel_map, resolve_jobs
+from ..engine import chunk_evenly, parallel_map, resolve_jobs
+from ..engine.batch import batch_weighted_columns
+from ..engine.columnar import (
+    ucg_nash_mask,
+    weighted_bcg_stable_mask,
+    weighted_stability_windows,
+)
 from ..engine.oracle import DistanceOracle
-from ..graphs import Graph, enumerate_connected_graphs, total_distance
+from ..graphs import Graph, enumerate_connected_graphs
 
 
 def _require_same_n(graphs: Sequence[Graph]) -> int:
@@ -53,7 +58,7 @@ def weighted_python_sweep_bcg(
     ts: Sequence[float],
     oracle: Optional[DistanceOracle] = None,
 ) -> List[List[bool]]:
-    """Reference per-graph weighted stability sweep (no NumPy required).
+    """Reference per-graph weighted stability sweep.
 
     Returns ``mask[i][j]`` = graph ``i`` pairwise stable under ``ts[j]·W``,
     decision-identical to the vectorised engine path (which is benchmarked
@@ -76,15 +81,9 @@ def weighted_bcg_grid_mask(
 ):
     """``bool[n_graphs, n_ts]`` weighted stability mask over a scale grid.
 
-    Vectorised through the engine when NumPy is importable (returns an
-    ndarray), per-graph otherwise (returns a list of lists); decisions are
-    identical either way.
+    Vectorised through the engine; decisions are identical to
+    :func:`weighted_python_sweep_bcg`.
     """
-    if not numpy_available():
-        return weighted_python_sweep_bcg(graphs, model, ts, oracle=oracle)
-    from ..engine.batch import batch_weighted_columns
-    from ..engine.columnar import weighted_bcg_stable_mask
-
     n = _require_same_n(graphs)
     columns = batch_weighted_columns(graphs, model.matrix(n), oracle=oracle)
     return weighted_bcg_stable_mask(
@@ -101,17 +100,6 @@ def weighted_t_windows(
     oracle: Optional[DistanceOracle] = None,
 ) -> Tuple[List[float], List[float]]:
     """Per-graph ``(t_min, t_max)`` stabilising-scale windows under ``W``."""
-    if not numpy_available():
-        if oracle is None:
-            oracle = DistanceOracle()
-        pairs = [
-            weighted_stability_profile(g, model, oracle=oracle).stability_t_interval()
-            for g in graphs
-        ]
-        return [lo for lo, _ in pairs], [hi for _, hi in pairs]
-    from ..engine.batch import batch_weighted_columns
-    from ..engine.columnar import weighted_stability_windows
-
     n = _require_same_n(graphs)
     columns = batch_weighted_columns(graphs, model.matrix(n), oracle=oracle)
     t_min, t_max = weighted_stability_windows(
@@ -150,8 +138,7 @@ def weighted_ucg_grid_mask(
     The t-intervals come from the vectorised orientation engine
     (:func:`repro.engine.ucg.weighted_ucg_t_sets`, float-exact against the
     per-graph backtracking), chunked over ``jobs`` workers; the grid
-    membership test itself is one vectorised interval-containment pass when
-    NumPy is available.
+    membership test itself is one vectorised interval-containment pass.
     """
     graphs = list(graphs)
     workers = resolve_jobs(jobs)
@@ -164,22 +151,6 @@ def weighted_ucg_grid_mask(
     interval_lists = [
         intervals for chunk in chunk_lists for intervals in chunk
     ]
-    if not numpy_available():
-        from ..core.stability_intervals import AlphaInterval, AlphaIntervalSet
-
-        return [
-            [
-                AlphaIntervalSet(
-                    [AlphaInterval(lo, hi) for lo, hi in intervals]
-                ).contains(t)
-                for t in ts
-            ]
-            for intervals in interval_lists
-        ]
-    import numpy as np
-
-    from ..engine.columnar import ucg_nash_mask
-
     iv_lo: List[float] = []
     iv_hi: List[float] = []
     counts: List[int] = []
@@ -286,32 +257,17 @@ def weighted_sweep(
     graphs = list(graphs)
     ts = [float(t) for t in ts]
     n = _require_same_n(graphs)
-    if numpy_available():
-        from ..engine.batch import batch_weighted_columns
-        from ..engine.columnar import weighted_bcg_stable_mask, weighted_stability_windows
-
-        columns = batch_weighted_columns(graphs, model.matrix(n), oracle=oracle)
-        probe_columns = (
-            columns["rem_w"], columns["rem_delta"], columns["rem_indptr"],
-            columns["add_w_u"], columns["add_s_u"],
-            columns["add_w_v"], columns["add_s_v"], columns["add_indptr"],
-        )
-        mask = weighted_bcg_stable_mask(*probe_columns, ts)
-        t_min_column, t_max_column = weighted_stability_windows(*probe_columns)
-        t_min, t_max = t_min_column.tolist(), t_max_column.tolist()
-        dist_totals = columns["dist_total"].tolist()
-        num_edges = [int(m) for m in columns["num_edges"]]
-    else:
-        if oracle is None:
-            oracle = DistanceOracle()
-        profiles = [
-            weighted_stability_profile(g, model, oracle=oracle) for g in graphs
-        ]
-        mask = [[profile.is_stable_at(t) for t in ts] for profile in profiles]
-        t_min = [profile.t_min for profile in profiles]
-        t_max = [profile.t_max for profile in profiles]
-        dist_totals = [total_distance(g) for g in graphs]
-        num_edges = [g.num_edges for g in graphs]
+    columns = batch_weighted_columns(graphs, model.matrix(n), oracle=oracle)
+    probe_columns = (
+        columns["rem_w"], columns["rem_delta"], columns["rem_indptr"],
+        columns["add_w_u"], columns["add_s_u"],
+        columns["add_w_v"], columns["add_s_v"], columns["add_indptr"],
+    )
+    mask = weighted_bcg_stable_mask(*probe_columns, ts)
+    t_min_column, t_max_column = weighted_stability_windows(*probe_columns)
+    t_min, t_max = t_min_column.tolist(), t_max_column.tolist()
+    dist_totals = columns["dist_total"].tolist()
+    num_edges = [int(m) for m in columns["num_edges"]]
     edge_cost_totals = [model.bcg_edge_cost_total(g) for g in graphs]
 
     bcg_counts, average_links, average_social_cost = sweep_grid_aggregates(

@@ -15,7 +15,7 @@ pair ``(payer, other)`` its own strictly positive coefficient:
   :class:`WeightedUnilateralGame`.
 
 With :class:`UniformCost` every quantity reduces float-exactly to the
-scalar-α code, which the test suite asserts against the record path for
+scalar-α code, which the test suite asserts against the census store for
 ``n ≤ 7``.  The vectorised counterparts (whole-``t``-grid stability masks
 over many graphs) live in :mod:`repro.engine.batch` /
 :mod:`repro.engine.columnar`, and the scenario library over these models in

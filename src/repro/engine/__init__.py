@@ -34,13 +34,13 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
     probe of a whole batch of graphs with a handful of batched boolean
     matrix products (see :mod:`repro.engine.batch`).  Probes can be
     orbit-pruned (one representative per orbit of ordered vertex pairs,
-    results expanded across the orbit): the per-graph BFS paths (no NumPy,
-    or ``n > 63``) prune automatically whenever automorphism data is
-    memoised on the graph, while the vectorised path keeps full tensor
-    probing unless ``use_orbits=True`` is passed — a tensor-slice probe is
-    cheaper than the per-orbit bookkeeping (see the batch module docstring
-    for the measured economics).  Numerically identical to the oracle path
-    for every setting; falls back to it when NumPy is unavailable.
+    results expanded across the orbit): the per-graph BFS path for
+    ``n > 63`` prunes automatically whenever automorphism data is memoised
+    on the graph, while the vectorised path keeps full tensor probing
+    unless ``use_orbits=True`` is passed — a tensor-slice probe is cheaper
+    than the per-orbit bookkeeping (see the batch module docstring for the
+    measured economics).  Numerically identical to the oracle path for
+    every setting.
 
 :func:`parallel_map`
     A process-pool fan-out with a deterministic serial fallback.  ``jobs``
@@ -66,7 +66,6 @@ from .batch import (
     batch_stability_deltas,
     batch_ucg_columns,
     batch_weighted_columns,
-    numpy_available,
     validate_weight_matrix,
 )
 from .oracle import DistanceOracle, get_default_oracle
@@ -78,7 +77,7 @@ from .shardwork import (
     content_checksum,
     run_shards,
 )
-from .streaming import StreamingEnsembleStats, streaming_available
+from .streaming import StreamingEnsembleStats
 
 __all__ = [
     "DistanceOracle",
@@ -92,11 +91,9 @@ __all__ = [
     "config_fingerprint",
     "content_checksum",
     "get_default_oracle",
-    "numpy_available",
     "parallel_map",
     "resolve_jobs",
     "run_shards",
-    "streaming_available",
     "ucg_alpha_sets",
     "validate_weight_matrix",
     "weighted_ucg_t_sets",

@@ -23,11 +23,11 @@ the orbit — cutting the probe count by the graph's symmetry factor.  Where
 pruning pays depends on the backend, and the ``use_orbits=None`` default
 follows the measured economics:
 
-* on the **per-graph paths** (NumPy missing, or ``n > 63``) every removal
-  probe is a real BFS, so pruning engages automatically whenever the
-  symmetry data is already memoised on the graph instance (as it is for
-  every graph produced by the canonical-augmentation enumerator) — no
-  caller ever pays a canonical search it did not already need;
+* on the **per-graph path** (``n > 63``) every removal probe is a real
+  BFS, so pruning engages automatically whenever the symmetry data is
+  already memoised on the graph instance (as it is for every graph
+  produced by the canonical-augmentation enumerator) — no caller ever
+  pays a canonical search it did not already need;
 * on the **vectorised path** a probe is one slice of a batched tensor and
   costs less than the per-orbit Python bookkeeping it would save
   (benchmarked at n = 7..9), so the default keeps full tensor probing and
@@ -38,9 +38,7 @@ The numeric contract is identical to :class:`repro.engine.DistanceOracle`
 unreachable pairs, and the ``∞ - ∞ = 0`` delta convention.  Orbit expansion
 is exact, not approximate: orbit-mates are relabellings of the same probe and
 all quantities are integer-valued (or infinite), so expanded tables are
-bit-identical to full probing.  When NumPy is unavailable the functions
-transparently fall back to the per-graph oracle path, so the engine never
-*requires* the dependency.
+bit-identical to full probing.
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy ships with the toolchain but the engine must not require it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from .. import obs
 from ..graphs.graph import Graph
@@ -82,11 +77,6 @@ _KEY_TABLES: Dict[int, Dict[Tuple[int, int, int], Tuple[Edge, int]]] = {}
 #: each orbit is a list of ordered pairs ``(endpoint, other)`` sharing one
 #: deviation value.
 ProbePlan = Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]
-
-
-def numpy_available() -> bool:
-    """Whether the vectorised batch backend can run."""
-    return _np is not None
 
 
 def _instrument_batch(name: str):
@@ -178,8 +168,8 @@ def batch_stability_deltas(
     """``[oracle.stability_deltas(g) for g in graphs]``, but batched.
 
     Graphs are grouped by vertex count and each group is processed with the
-    tensorised kernels below; the per-graph paths (no NumPy, or ``n > 63``)
-    probe one representative per automorphism orbit where symmetry data is
+    tensorised kernels below; the per-graph path (``n > 63``) probes one
+    representative per automorphism orbit where symmetry data is
     available (see :func:`_probe_plan` and the module docstring for the
     ``use_orbits`` semantics).  Outputs are numerically identical to the
     per-graph oracle path for every setting and returned in input order.
@@ -188,20 +178,9 @@ def batch_stability_deltas(
     where ``total`` is the graph's total ordered-pair distance sum (equal to
     :func:`repro.graphs.total_distance`, ``inf`` for disconnected graphs).
     The vectorised path reads it off the all-pairs tensor it already built;
-    the per-graph paths answer it from the oracle's cached sums — either
+    the per-graph path answers it from the oracle's cached sums — either
     way the columnar census store gets it without a second all-pairs pass.
     """
-    if _np is None:
-        if oracle is None:
-            oracle = get_default_oracle()
-        results = []
-        for graph in graphs:
-            tables = _per_graph_deltas(graph, _probe_plan(graph, use_orbits), oracle)
-            results.append(
-                (tables, _oracle_total(graph, oracle)) if return_totals else tables
-            )
-        return results
-
     # On the vectorised path a probe is one tensor slice: cheaper than the
     # per-orbit bookkeeping pruning would add, so auto mode probes fully.
     vector_orbits = True if use_orbits else False
@@ -301,14 +280,8 @@ def batch_delta_columns(
     Δ/savings values are stored float32 (every BCG deviation payoff is an
     integer-valued float far below 2**24, or ``±inf``, so the round trip is
     exact — the same contract as the columnar census store); endpoint
-    indices are int32.  Requires NumPy.
+    indices are int32.
     """
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "batch_delta_columns requires NumPy; use "
-            "repro.costmodels.weighted_stability_profile per graph instead"
-        )
-    np = _np
     results = batch_stability_deltas(
         graphs, oracle=oracle, use_orbits=use_orbits, return_totals=True
     )
@@ -391,17 +364,10 @@ def batch_weighted_columns(
 
     All emitted value columns are float64 (weights are arbitrary user
     floats; the float32 Δ storage of the delta pass is upcast exactly —
-    every payoff is an integer-valued float or ``±inf``).  Requires NumPy,
-    like the columnar kernels that consume the output; the per-graph
-    fallback for NumPy-less environments is
+    every payoff is an integer-valued float or ``±inf``).  The per-graph
+    reference is
     :class:`repro.costmodels.stability.WeightedStabilityProfile`.
     """
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "batch_weighted_columns requires NumPy; use "
-            "repro.costmodels.weighted_stability_profile per graph instead"
-        )
-    np = _np
     validate_weight_matrix(weight_matrix)
     columns = batch_delta_columns(graphs, oracle=oracle, use_orbits=use_orbits)
     # reshape keeps the n = 0 edge case indexable (asarray([]) is 1-D).
@@ -440,11 +406,6 @@ def batch_ucg_columns(
     ``weighted_ucg_nash_t_set``), which remain the engine's fallback
     beyond its table range.
     """
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "batch_ucg_columns requires NumPy; use "
-            "repro.core.ucg_nash_alpha_set per graph instead"
-        )
     from .columnar import ucg_interval_columns
     from .ucg import ucg_alpha_sets, weighted_ucg_t_sets
 
@@ -534,7 +495,6 @@ def _removal_without_sums(A, n, probe_g, probe_u, probe_v, sources):
     distance sum per probe (``inf`` when the source no longer reaches every
     vertex).
     """
-    np = _np
     P = probe_g.size
     T = A[probe_g].copy()
     arange = np.arange(P)
@@ -559,7 +519,6 @@ def _batch_group(
     graphs: Sequence[Graph], n: int, plans: Sequence[Optional[ProbePlan]]
 ) -> Tuple[List[DeltaTables], List[float]]:
     """Stability deltas (and total distance sums) for a same-``n`` group."""
-    np = _np
     G = len(graphs)
     keys = _endpoint_keys(n)
 

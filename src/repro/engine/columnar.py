@@ -1,15 +1,16 @@
 """Columnar (struct-of-arrays) NumPy kernels for whole-α-grid census queries.
 
 The censuses of Section 5 decide, for every isomorphism class and every link
-cost on a grid, whether the class is an equilibrium.  Per
-:class:`~repro.analysis.census.GraphRecord` that is a Python loop over dicts;
-this module provides the vectorised counterpart operating on **ragged
-columnar** data: per-class variable-length payloads (per-edge minimum removal
-increases, per-non-edge saving pairs, UCG α-interval endpoints) are stored as
-flat value arrays plus a CSR-style ``indptr`` offset array, and a whole α-grid
-is answered with a handful of broadcast comparisons and segmented reductions.
+cost on a grid, whether the class is an equilibrium.  Per graph that is a
+Python loop over the deviation dicts of a
+:class:`~repro.core.stability_intervals.PairwiseStabilityProfile`; this
+module answers it on **ragged columnar** data instead: per-class
+variable-length payloads (per-edge minimum removal increases, per-non-edge
+saving pairs, UCG α-interval endpoints) are stored as flat value arrays plus
+a CSR-style ``indptr`` offset array, and a whole α-grid is answered with a
+handful of broadcast comparisons and segmented reductions.
 
-The numeric contract is **bit-identity** with the record path:
+The numeric contract is **bit-identity** with the per-graph profiles:
 
 * every comparison uses exactly the scalar expression of
   :meth:`PairwiseStabilityProfile.violations_at` /
@@ -30,22 +31,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-try:  # NumPy ships with the dev toolchain but must stay optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from .. import obs
 from ..graphs.graph import Graph
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "the columnar census kernels require NumPy; install numpy or use "
-            "the per-record EquilibriumCensus path instead"
-        )
-    return _np
 
 
 # --------------------------------------------------------------------------- #
@@ -59,7 +48,6 @@ def segment_any(flags, indptr):
     ``flags[indptr[i]:indptr[i+1]]`` is segment ``i``; the result has one
     boolean per segment.
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     out = np.zeros(counts.shape[0], dtype=bool)
     if flags.shape[0] == 0 or counts.shape[0] == 0:
@@ -75,7 +63,6 @@ def segment_any(flags, indptr):
 
 
 def _segment_reduce(values, indptr, ufunc, empty, dtype=None):
-    np = _require_numpy()
     dtype = np.float64 if dtype is None else dtype
     counts = np.diff(indptr)
     out = np.full(counts.shape[0], empty, dtype=dtype)
@@ -90,13 +77,11 @@ def _segment_reduce(values, indptr, ufunc, empty, dtype=None):
 
 def segment_min(values, indptr, empty: float = float("inf")):
     """MIN-reduce a flat value array over CSR segments (empty → ``empty``)."""
-    np = _require_numpy()
     return _segment_reduce(values, indptr, np.minimum, empty)
 
 
 def segment_max(values, indptr, empty: float = float("-inf")):
     """MAX-reduce a flat value array over CSR segments (empty → ``empty``)."""
-    np = _require_numpy()
     return _segment_reduce(values, indptr, np.maximum, empty)
 
 
@@ -108,7 +93,6 @@ def csr_invariant_errors(name: str, values_len: int, indptr, classes: int) -> Li
     flat value length — everything the segmented kernels assume without
     checking.  Used by the stores' ``verify()`` audit.
     """
-    np = _require_numpy()
     indptr = np.asarray(indptr)
     errors: List[str] = []
     if indptr.ndim != 1 or indptr.shape[0] != classes + 1:
@@ -133,7 +117,6 @@ def gather_segments(values, indptr, order):
     Segment ``order[j]`` of the input becomes segment ``j`` of the output —
     the ragged-column counterpart of ``dense[order]``.
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     new_counts = counts[order]
     new_indptr = np.zeros(new_counts.shape[0] + 1, dtype=np.int64)
@@ -150,7 +133,6 @@ def gather_segments(values, indptr, order):
 
 def concat_csr(columns: Sequence[Tuple]) -> Tuple:
     """Concatenate ``(values, indptr)`` CSR columns, rebasing the offsets."""
-    np = _require_numpy()
     if not columns:
         return np.zeros(0), np.zeros(1, dtype=np.int64)
     values = np.concatenate([v for v, _ in columns])
@@ -183,7 +165,6 @@ def _sorted_grid(alphas):
     (``-1``, inside no run, for a NaN point), and ``nan`` indexes the NaN
     points, which no comparison can place.
     """
-    np = _require_numpy()
     grid = np.array([float(a) for a in alphas], dtype=np.float64)
     nan = np.isnan(grid)
     order = np.flatnonzero(~nan)
@@ -199,7 +180,6 @@ def _fill_runs(out, rows, start, stop, position) -> None:
     Each entry is one run of the sorted grid, mapped back to request order
     through ``position``; rows may repeat.
     """
-    np = _require_numpy()
     live = start < stop
     if not bool(live.any()):
         return
@@ -239,7 +219,6 @@ def bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas):
     places both.  Each class is then stable on one contiguous run of the
     sorted grid.
     """
-    np = _require_numpy()
     rem_min = np.asarray(rem_min, dtype=np.float64)
     lo = np.asarray(add_lo).astype(np.float64, copy=False)
     hi = np.asarray(add_hi).astype(np.float64, copy=False)
@@ -276,7 +255,6 @@ def ucg_nash_mask(iv_lo, iv_hi, iv_indptr, alphas):
     contiguous run of the sorted grid, placed by ``searchsorted``; a class
     is supportable on the union of its runs.
     """
-    np = _require_numpy()
     lo = np.asarray(iv_lo, dtype=np.float64) - UCG_TOL
     hi = np.asarray(iv_hi, dtype=np.float64) + UCG_TOL
     ordered, position, _nan = _sorted_grid(alphas)
@@ -307,7 +285,6 @@ def addition_frontier(add_lo, add_hi, add_indptr):
     class.  Classes are processed :data:`FRONTIER_BLOCK` at a time, so the
     sort temporaries stay small however large the census is.
     """
-    np = _require_numpy()
     add_indptr = np.asarray(add_indptr, dtype=np.int64)
     n_classes = add_indptr.shape[0] - 1
     kept_lo = [np.zeros(0, dtype=np.float64)]
@@ -349,7 +326,6 @@ def ucg_interval_columns(interval_sets) -> Tuple:
     layout :class:`~repro.analysis.store.CensusStore` persists, so a store
     round-trip reproduces every endpoint bit-for-bit.
     """
-    np = _require_numpy()
     lo: List[float] = []
     hi: List[float] = []
     indptr = np.zeros(len(interval_sets) + 1, dtype=np.int64)
@@ -374,7 +350,6 @@ def weighted_ucg_windows(iv_lo, iv_hi, iv_indptr) -> Tuple:
     window emptiness is a plain comparison downstream.  Works unchanged for
     scalar α-columns (the scalar game is the ``w ≡ 1`` special case).
     """
-    np = _require_numpy()
     lo = np.asarray(iv_lo).astype(np.float64, copy=False)
     hi = np.asarray(iv_hi).astype(np.float64, copy=False)
     return (
@@ -393,7 +368,6 @@ def _check_weight_columns(*weight_arrays) -> None:
     :func:`repro.engine.batch.batch_weighted_columns`, but persisted
     artifacts and hand-built columns enter here directly).
     """
-    np = _require_numpy()
     for weights in weight_arrays:
         weights = np.asarray(weights)
         if weights.size and not bool(
@@ -429,7 +403,6 @@ def weighted_bcg_stable_mask(
 
     Returns ``bool[n_classes, n_ts]``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)
@@ -465,7 +438,6 @@ def weighted_stability_windows(
     :func:`stability_windows`; per class it equals
     :meth:`WeightedStabilityProfile.stability_t_interval`.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)
@@ -487,7 +459,6 @@ def _segment_any_stack(flags, indptr):
     is ``flags[:, indptr[i]:indptr[i+1]]`` and the result is
     ``bool[K, n_segments]`` (empty segments → ``False``).
     """
-    np = _require_numpy()
     counts = np.diff(indptr)
     rows = flags.shape[0]
     out = np.zeros((rows, counts.shape[0]), dtype=bool)
@@ -500,7 +471,6 @@ def _segment_any_stack(flags, indptr):
 
 
 def _segment_reduce_stack(values, indptr, ufunc, empty: float):
-    np = _require_numpy()
     counts = np.diff(indptr)
     rows = values.shape[0]
     out = np.full((rows, counts.shape[0]), empty, dtype=np.float64)
@@ -527,7 +497,6 @@ def stacked_weight_columns(weight_matrices, rem_pay, rem_other, add_u, add_v):
     would emit for each draw, gathered in one fancy-indexing pass instead of
     K per-draw Python assembly loops.
     """
-    np = _require_numpy()
     stack = np.asarray(weight_matrices, dtype=np.float64)
     if stack.ndim == 2:
         stack = stack[None, :, :]
@@ -565,7 +534,6 @@ def weighted_bcg_stable_mask_multi(
 
     Returns ``bool[K, n_classes, n_ts]``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     w_u = np.asarray(add_w_u).astype(np.float64, copy=False)
@@ -601,7 +569,6 @@ def weighted_stability_windows_multi(
     elementwise divisions, same ``reduceat`` reductions — min/max are
     order-insensitive).  Returns ``(t_min[K, C], t_max[K, C])``.
     """
-    np = _require_numpy()
     _check_weight_columns(rem_w, add_w_u, add_w_v)
     rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
     rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[None, :]
@@ -626,7 +593,6 @@ def stability_windows(rem_min, add_lo, add_indptr):
     largest least-interested-endpoint saving over the class's non-edges
     (clamped at 0, like :attr:`PairwiseStabilityProfile.alpha_min`).
     """
-    np = _require_numpy()
     alpha_max = np.asarray(rem_min, dtype=np.float64)
     alpha_min = np.maximum(segment_max(add_lo, add_indptr, empty=0.0), 0.0)
     return alpha_min, alpha_max
@@ -651,7 +617,6 @@ def ensemble_stats(values, indptr, quantiles: Sequence[float] = (0.25, 0.5, 0.75
     ``{q: [...]}`` mapping using NumPy's default linear interpolation.  One
     deterministic vectorised pass, identical for any worker count upstream.
     """
-    np = _require_numpy()
     values = np.asarray(values, dtype=np.float64)
     indptr = np.asarray(indptr, dtype=np.int64)
     counts = np.diff(indptr)
@@ -698,7 +663,6 @@ def pack_certificates(bitstrings: Sequence[int], n: int):
     as produced by :meth:`Graph.adjacency_bitstring`) lands in bit
     ``k % 64`` of word ``k // 64``.
     """
-    np = _require_numpy()
     words = certificate_words(n)
     out = np.zeros((len(bitstrings), words), dtype=np.uint64)
     mask = (1 << 64) - 1
@@ -741,7 +705,6 @@ def canonical_sort_indices(num_edges, cert_words, n: int):
     the permutation falls out of one ``np.lexsort`` over the inverted,
     big-endian-packed certificate bytes.
     """
-    np = _require_numpy()
     num_edges = np.asarray(num_edges)
     n_classes = num_edges.shape[0]
     pair_count = n * (n - 1) // 2

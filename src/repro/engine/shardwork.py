@@ -73,10 +73,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # Shard persistence serialises dict-of-ndarray parts as .npz files.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 from . import faults as _faults
 from .. import obs
@@ -139,15 +136,6 @@ _TALLY_METRICS = {
 }
 
 
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "shard persistence requires NumPy (parts are dicts of arrays); "
-            "run without shard_dir or install numpy"
-        )
-    return _np
-
-
 # --------------------------------------------------------------------------- #
 # Fingerprints and checksums
 # --------------------------------------------------------------------------- #
@@ -186,7 +174,6 @@ def content_checksum(part: Dict[str, object]) -> str:
     ``.npy`` columns), so it doubles as the artifact-level checksum behind
     the stores' ``verify()`` and the runner's resume validation.
     """
-    np = _require_numpy()
     digest = hashlib.sha256()
     for name in sorted(part):
         array = np.ascontiguousarray(np.asarray(part[name]))
@@ -227,7 +214,6 @@ def save_shard(
     catches everything subtler on resume.  ``torn``/``flip`` faults hook
     in here (see :mod:`repro.engine.faults`).
     """
-    np = _require_numpy()
     for name in part:
         if name.startswith("__"):
             raise ValueError(f"column name {name!r} collides with shard metadata")
@@ -272,7 +258,6 @@ def load_shard(
     the caller is pointing a build at another configuration's directory,
     and merging it would silently corrupt the result.
     """
-    np = _require_numpy()
     if not os.path.exists(path):
         return ("missing", None)
     try:
@@ -422,7 +407,6 @@ def run_shards(
 
     paths: Optional[List[str]] = None
     if shard_dir is not None:
-        _require_numpy()
         os.makedirs(shard_dir, exist_ok=True)
         paths = [shard_path(shard_dir, prefix, i, total) for i in range(total)]
     if manifest_dir is not None:

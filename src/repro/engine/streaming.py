@@ -38,30 +38,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-try:  # NumPy backs all streaming state; the aggregator refuses to run without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as np
 
 #: Quantiles reported by default (quartiles + median, as ensemble_stats).
 DEFAULT_QUANTILES = (0.25, 0.5, 0.75)
 
 #: Draw-count threshold below which aggregation stays dense and bit-exact.
 DEFAULT_EXACT_BUFFER = 64
-
-
-def streaming_available() -> bool:
-    """Whether the streaming aggregator can be used (NumPy importable)."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on minimal installs
-        raise RuntimeError(
-            "StreamingEnsembleStats requires NumPy; aggregate with "
-            "repro.engine.columnar.ensemble_stats instead"
-        )
-    return _np
 
 
 class _P2Sketch:
@@ -77,7 +60,6 @@ class _P2Sketch:
     __slots__ = ("q", "heights", "npos", "_dn", "_rows")
 
     def __init__(self, q: float, length: int) -> None:
-        np = _require_numpy()
         self.q = float(q)
         self.heights = np.zeros((5, length), dtype=np.float64)
         self.npos = np.zeros((5, length), dtype=np.int64)
@@ -88,7 +70,6 @@ class _P2Sketch:
 
     def init_columns(self, cols, sorted_block) -> None:
         """Seed columns ``cols`` from their first five finite values (sorted)."""
-        np = _np
         self.heights[:, cols] = sorted_block
         self.npos[:, cols] = np.arange(1, 6, dtype=np.int64)[:, None]
 
@@ -98,7 +79,6 @@ class _P2Sketch:
         ``fin_counts`` is the per-position finite count *including* this
         row, i.e. the P² observation count after the insertion.
         """
-        np = _np
         idx = np.where(mask)[0]
         if idx.size == 0:
             return
@@ -176,7 +156,6 @@ class StreamingEnsembleStats:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         exact_buffer: int = DEFAULT_EXACT_BUFFER,
     ) -> None:
-        np = _require_numpy()
         if length < 0:
             raise ValueError("length must be non-negative")
         if exact_buffer < 0:
@@ -204,7 +183,6 @@ class StreamingEnsembleStats:
 
     def update(self, rows) -> None:
         """Fold a ``(batch, length)`` block of draw rows into the state."""
-        np = _np
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.length:
             raise ValueError(
@@ -221,7 +199,6 @@ class StreamingEnsembleStats:
             self._stream_row(row)
 
     def _flush_buffer(self) -> None:
-        np = _np
         L = self.length
         self._sum = np.zeros(L, dtype=np.float64)
         self._sumsq = np.zeros(L, dtype=np.float64)
@@ -239,7 +216,6 @@ class StreamingEnsembleStats:
                 self._stream_row(row)
 
     def _stream_row(self, row) -> None:
-        np = _np
         # Row-sequential accumulation: identical, add for add, to NumPy's
         # axis-0 reduction of the dense stack — this is what keeps the
         # streamed mean bit-exact past the buffer.
@@ -277,7 +253,6 @@ class StreamingEnsembleStats:
 
     def finalize(self) -> Dict[str, object]:
         """The :func:`ensemble_stats`-shaped aggregate of everything fed."""
-        np = _np
         if self.count == 0:
             raise ValueError("ensemble aggregation needs at least one draw")
         if self._buffer is not None:
@@ -327,7 +302,6 @@ class StreamingEnsembleStats:
         behaviour; mixed positions are approximate (the sketch stands in
         for every finite rank).
         """
-        np = _np
         est = sketch.estimate()
         # Positions with fewer than 5 finite values never initialised their
         # markers — their finite part is still dense in the init buffer.

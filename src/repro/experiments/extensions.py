@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..analysis.census import cached_census
 from ..analysis.report import format_table
+from ..analysis.store import cached_store
 from ..core.anarchy import (
     average_price_of_anarchy,
     best_case_price_of_anarchy,
@@ -76,16 +76,14 @@ def run_proposition2(census_n: int = 5, jobs: Optional[int] = None) -> Experimen
         )
         rows.append([name, "yes" if convex else "no", str(window) if window else "-", holds])
 
-    census = cached_census(census_n, include_ucg=False, jobs=jobs)
-    violations = sum(
-        0 if proposition2_holds_for(record.graph) else 1 for record in census.records
-    )
+    graphs = cached_store(census_n, include_ucg=False, jobs=jobs).graphs()
+    violations = sum(0 if proposition2_holds_for(graph) else 1 for graph in graphs)
     result.add_claim(
         description=(
             f"Proposition 2 holds for every connected graph on {census_n} vertices"
         ),
         expected="0 violations",
-        observed=f"{violations} violations over {len(census)} topologies",
+        observed=f"{violations} violations over {len(graphs)} topologies",
         passed=violations == 0,
     )
     result.tables.append(
@@ -109,8 +107,8 @@ def run_transfers(
         "of anarchy; this experiment compares the pairwise-stable set with and "
         "without side payments on the exhaustive census"
     )
-    census = cached_census(n, include_ucg=False, jobs=jobs)
-    graphs = [record.graph for record in census.records]
+    store = cached_store(n, include_ucg=False, jobs=jobs)
+    graphs = store.graphs()
     rows = []
     never_worse_worst = True
     efficient_always_transfer_stable = True
@@ -119,7 +117,7 @@ def run_transfers(
     from ..core.transfers import is_pairwise_stable_with_transfers
 
     for alpha in alphas:
-        plain = census.stable_graphs_bcg(alpha)
+        plain = store.stable_graphs_bcg(alpha)
         with_transfers = transfer_stable_graphs(graphs, alpha)
         avg_plain = average_price_of_anarchy(plain, alpha, "bcg")
         avg_transfers = average_price_of_anarchy(with_transfers, alpha, "bcg")
@@ -190,13 +188,13 @@ def run_price_of_stability(
         experiment_id="ext_stability",
         title=f"Extension — price of stability of the BCG and the UCG (n = {n})",
     )
-    census = cached_census(n, jobs=jobs)
+    store = cached_store(n, jobs=jobs)
     rows = []
     bcg_always_one = True
     ucg_bounded = True
     for alpha in alphas:
-        stable = census.stable_graphs_bcg(alpha)
-        nash = census.nash_graphs_ucg(alpha)
+        stable = store.stable_graphs_bcg(alpha)
+        nash = store.nash_graphs_ucg(alpha)
         pos_bcg = best_case_price_of_anarchy(stable, alpha, "bcg")
         pos_ucg = best_case_price_of_anarchy(nash, alpha, "ucg")
         star_stable = any(is_star(g) for g in stable)

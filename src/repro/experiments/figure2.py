@@ -35,9 +35,9 @@ def exhaustive_census_source(n: int, jobs: Optional[int] = None):
     """The exhaustive equilibrium source for the figure experiments.
 
     The columnar :class:`~repro.analysis.store.CensusStore` (whole α-grids
-    answered vectorised); the test suite asserts it element-for-element
-    identical to the per-record
-    :class:`~repro.analysis.census.EquilibriumCensus`.
+    answered vectorised); the test suite asserts its answers
+    element-for-element identical to the per-graph stability, Nash and
+    price-of-anarchy references.
     """
     return cached_store(n, jobs=jobs)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..analysis.census import cached_census
 from ..analysis.report import format_table
+from ..analysis.store import cached_store
 from ..core.anarchy import price_of_anarchy
 from ..core.bilateral import is_pairwise_stable
 from ..core.efficiency import exhaustive_social_optimum
@@ -38,12 +38,12 @@ def run_lemma4(
         experiment_id="lemma4",
         title=f"Lemma 4 — α < 1: the complete graph is uniquely efficient and stable (n = {n})",
     )
-    census = cached_census(n, include_ucg=False, jobs=jobs)
-    graphs = [record.graph for record in census.records]
+    store = cached_store(n, include_ucg=False, jobs=jobs)
+    graphs = store.graphs()
     rows = []
     for alpha in alphas:
         _, optima = exhaustive_social_optimum(graphs, alpha, "bcg")
-        stable = census.stable_graphs_bcg(alpha)
+        stable = store.stable_graphs_bcg(alpha)
         optima_complete = len(optima) == 1 and is_complete(optima[0])
         stable_complete = len(stable) == 1 and is_complete(stable[0])
         result.add_claim(
@@ -75,12 +75,12 @@ def run_lemma5(
         experiment_id="lemma5",
         title=f"Lemma 5 — α > 1: the star is uniquely efficient and stable but not unique (n = {n})",
     )
-    census = cached_census(n, include_ucg=False, jobs=jobs)
-    graphs = [record.graph for record in census.records]
+    store = cached_store(n, include_ucg=False, jobs=jobs)
+    graphs = store.graphs()
     rows = []
     for alpha in alphas:
         _, optima = exhaustive_social_optimum(graphs, alpha, "bcg")
-        stable = census.stable_graphs_bcg(alpha)
+        stable = store.stable_graphs_bcg(alpha)
         optima_star = len(optima) == 1 and is_star(optima[0])
         star_is_stable = any(is_star(g) for g in stable)
         not_unique = len(stable) > 1

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..analysis.census import cached_census
 from ..analysis.report import format_table
+from ..analysis.store import cached_store
 from ..core.anarchy import compare_price_of_anarchy, price_of_anarchy
 from ..core.bilateral import is_pairwise_nash, is_pairwise_stable
 from ..core.convexity import is_link_convex
@@ -61,18 +61,14 @@ def run_proposition1(
         experiment_id="prop1",
         title=f"Proposition 1 — pairwise stability coincides with pairwise Nash (n = {n})",
     )
-    census = cached_census(n, include_ucg=False, jobs=jobs)
+    graphs = cached_store(n, include_ucg=False, jobs=jobs).graphs()
     rows = []
     for alpha in alphas:
         stable = {
-            record.graph.edge_key()
-            for record in census.records
-            if is_pairwise_stable(record.graph, alpha)
+            graph.edge_key() for graph in graphs if is_pairwise_stable(graph, alpha)
         }
         nash = {
-            record.graph.edge_key()
-            for record in census.records
-            if is_pairwise_nash(record.graph, alpha)
+            graph.edge_key() for graph in graphs if is_pairwise_nash(graph, alpha)
         }
         agrees = stable == nash
         result.add_claim(
@@ -175,11 +171,11 @@ def run_proposition4(
         experiment_id="prop4",
         title=f"Proposition 4 — upper bound: worst-case PoA of the BCG is O(√α) (n = {n})",
     )
-    census = cached_census(n, include_ucg=False, jobs=jobs)
+    store = cached_store(n, include_ucg=False, jobs=jobs)
     rows = []
     ratios = []
     for alpha in alphas:
-        worst = census.worst_price_of_anarchy(alpha, "bcg")
+        worst = store.worst_price_of_anarchy(alpha, "bcg")
         bound_shape = min(math.sqrt(alpha), n / math.sqrt(alpha))
         ratio = worst / bound_shape if bound_shape > 0 else float("nan")
         ratios.append(ratio)
@@ -198,9 +194,9 @@ def run_proposition4(
     # Footnote 6: rho_UCG(G) <= 2 rho_BCG(G) for every connected graph and α.
     violations = 0
     checked = 0
-    for record in census.records:
+    for graph in store.graphs():
         for alpha in alphas:
-            comparison = compare_price_of_anarchy(record.graph, alpha)
+            comparison = compare_price_of_anarchy(graph, alpha)
             checked += 1
             if not comparison.satisfies_footnote6:
                 violations += 1

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import importlib.util
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,10 +43,6 @@ def test_parser_has_expected_flags():
     assert args.all and args.summary_only and args.experiments == []
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="the census store subcommand requires NumPy",
-)
 class TestCensusSubcommand:
 
     def test_build_save_load_roundtrip(self, capsys, tmp_path):
@@ -160,10 +154,6 @@ def test_scenarios_verify_requires_an_artifact(capsys):
     assert "--verify audits an artifact" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="weighted-store artifacts require NumPy",
-)
 def test_scenarios_verify_roundtrip(capsys, tmp_path):
     path = str(tmp_path / "line4.npz")
     assert main(
@@ -177,10 +167,6 @@ def test_scenarios_verify_roundtrip(capsys, tmp_path):
     assert "checksum ok" in capsys.readouterr().out
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="UCG store columns require NumPy",
-)
 class TestUcgFlags:
 
     def test_census_includes_ucg_by_default(self, capsys):
@@ -222,10 +208,6 @@ class TestUcgFlags:
         assert "no UCG columns" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="the ensemble subcommand requires NumPy",
-)
 class TestEnsembleSubcommand:
 
     def test_summary_reports_resume_tally(self, capsys):
@@ -295,10 +277,6 @@ class TestEnsembleSubcommand:
         assert len(DeltaStore.load(path)) == 6
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None,
-    reason="the instrumented subcommands require NumPy",
-)
 class TestTelemetryCLI:
     @pytest.fixture(autouse=True)
     def _fresh_telemetry(self):
@@ -403,7 +381,6 @@ class TestServeAndQuery:
 
     @pytest.fixture()
     def served(self, tmp_path):
-        pytest.importorskip("numpy")
         from repro.analysis.store import CensusStore, clear_store_cache
         from repro.service import ArtifactCatalog, GridBatcher, QueryAPI
         from repro.service.http import start_in_thread

@@ -9,9 +9,8 @@ path they claim to accelerate.
 
 import os
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.delta_store import DeltaStore, cached_delta_store
 from repro.engine.shardwork import load_shard

@@ -7,8 +7,8 @@ tests can assert, on random graphs (connected and disconnected, ``n <= 9``):
 * word-parallel bitset BFS == reference BFS (plain, forbidden-edge and
   extra-edge variants);
 * :class:`~repro.engine.DistanceOracle` toggle deltas == naive recomputation;
-* stability profiles, census results and dynamics samples are identical
-  through the engine, serially and through the process pool.
+* stability profiles and dynamics samples are identical through the
+  engine, serially and through the process pool.
 """
 
 import os
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.census import EquilibriumCensus
 from repro.core.dynamics import (
     pairwise_dynamics_bcg,
     sample_nash_networks_ucg,
@@ -222,14 +221,34 @@ def test_batch_stability_deltas_match_oracle():
 
 def test_batch_falls_back_to_oracle_for_wide_graphs():
     """Graphs with n > 63 exceed the int64 tensor lanes; the batch API must
-    answer them through the per-graph oracle instead of crashing."""
-    from repro.graphs import path_graph
+    answer them through the per-graph oracle instead of crashing.
 
-    wide = path_graph(64)
-    (removal, addition), = batch_stability_deltas([wide])
-    ref_removal, ref_addition = DistanceOracle().stability_deltas(wide)
-    assert removal == ref_removal
-    assert addition == ref_addition
+    Every orbit-pruning mode and both result shapes must agree with full
+    oracle probing; the path's and the cycle's automorphisms give the
+    pruned path orbits to expand, and memoising their canonical records
+    first makes the auto mode prune as well.
+    """
+    from repro.graphs import cycle_graph, path_graph, total_distance
+    from repro.graphs.isomorphism import canonical_record
+
+    # Ordered-pair distance sums: 2·Σ d·(64 − d) for P_64, 64·1024 for C_64.
+    for wide, total in ((path_graph(64), 87360.0), (cycle_graph(64), 65536.0)):
+        assert total_distance(wide) == total
+        reference = DistanceOracle().stability_deltas(wide)
+        canonical_record(wide)
+        for use_orbits in (None, True, False):
+            (tables,) = batch_stability_deltas(
+                [wide], oracle=DistanceOracle(), use_orbits=use_orbits
+            )
+            assert tables == reference, use_orbits
+            ((tables, observed_total),) = batch_stability_deltas(
+                [wide],
+                oracle=DistanceOracle(),
+                use_orbits=use_orbits,
+                return_totals=True,
+            )
+            assert tables == reference, use_orbits
+            assert observed_total == total, use_orbits
 
 
 @RELAXED
@@ -298,22 +317,6 @@ def test_parallel_map_salvages_completed_chunks_on_pool_breakage(tmp_path):
         results = parallel_map(_square_crash_once, items, jobs=2, chunksize=1)
     assert results == [value * value for _, value in items]
     assert os.path.exists(tmp_path / "crashed")
-
-
-def test_parallel_census_matches_serial():
-    serial = EquilibriumCensus.build(5, include_ucg=True, jobs=None)
-    parallel = EquilibriumCensus.build(5, include_ucg=True, jobs=2)
-    assert len(serial) == len(parallel) == 21
-    for left, right in zip(serial.records, parallel.records):
-        assert left.graph == right.graph
-        assert left.bcg_profile.removal_increase == right.bcg_profile.removal_increase
-        assert left.bcg_profile.addition_saving == right.bcg_profile.addition_saving
-        assert [
-            (iv.lo, iv.hi) for iv in left.ucg_alpha_set.intervals
-        ] == [(iv.lo, iv.hi) for iv in right.ucg_alpha_set.intervals]
-    for alpha in (0.5, 1.0, 2.5, 7.0):
-        assert serial.stable_graphs_bcg(alpha) == parallel.stable_graphs_bcg(alpha)
-        assert serial.nash_graphs_ucg(alpha) == parallel.nash_graphs_ucg(alpha)
 
 
 def test_parallel_samplers_match_serial():

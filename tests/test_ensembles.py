@@ -8,9 +8,8 @@ by-hand computation.
 
 import os
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.ensembles import EnsembleResult, ensemble_seeds, run_ensemble
 from repro.analysis.scenarios import build_scenario

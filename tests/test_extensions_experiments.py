@@ -11,20 +11,23 @@ def test_extension_experiments_are_registered():
 
 
 def test_proposition2_experiment_reproduces():
-    result = extensions.run_proposition2(census_n=5)
-    assert result.all_passed
-    assert result.tables
+    for n in (5, 7):
+        result = extensions.run_proposition2(census_n=n)
+        assert result.all_passed, n
+        assert result.tables
 
 
 def test_transfers_experiment_reproduces():
-    result = extensions.run_transfers(n=5, alphas=(1.5, 3.0, 8.0))
-    assert result.all_passed
-    assert "transfers" in result.title
+    for n in (5, 7):
+        result = extensions.run_transfers(n=n, alphas=(1.5, 3.0, 8.0))
+        assert result.all_passed, n
+        assert "transfers" in result.title
 
 
 def test_price_of_stability_experiment_reproduces():
-    result = extensions.run_price_of_stability(n=5, alphas=(0.5, 2.0, 8.0))
-    assert result.all_passed
+    for n in (5, 7):
+        result = extensions.run_price_of_stability(n=n, alphas=(0.5, 2.0, 8.0))
+        assert result.all_passed, n
 
 
 def test_extension_experiments_run_via_registry():

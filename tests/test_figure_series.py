@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import (
-    EquilibriumCensus,
+    CensusStore,
     census_figure_series,
     format_ascii_series,
     format_figure,
@@ -15,7 +15,7 @@ from repro.graphs import cycle_graph, star_graph
 
 @pytest.fixture(scope="module")
 def census5():
-    return EquilibriumCensus.build(5)
+    return CensusStore.build(5)
 
 
 class TestCensusSeries:

@@ -3,8 +3,8 @@
 :func:`repro.engine.columnar.bcg_stable_mask` and
 :func:`~repro.engine.columnar.ucg_nash_mask` sort the grid once and place
 each probe or interval with ``searchsorted``.  The loops below evaluate the
-record path's comparisons one grid point at a time, as the kernels did
-before; they survive here only as oracles.  Every census with n ≤ 7 (BCG
+per-graph profiles' comparisons one grid point at a time, as the kernels
+did before; they survive here only as oracles.  Every census with n ≤ 7 (BCG
 and UCG) and the n = 8 BCG census are checked on grids built to hit the
 tolerance edges, fed both the full addition columns and the per-class
 frontier the store queries.
@@ -12,9 +12,8 @@ frontier the store queries.
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.store import CensusStore
 from repro.engine.columnar import (

@@ -1,5 +1,6 @@
 """Unit tests for the improvement dynamics / stochastic stability module."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -74,11 +75,10 @@ class TestImprovementGraph:
 
 class TestPerturbedDynamics:
     def test_transition_matrix_is_stochastic(self):
-        numpy = pytest.importorskip("numpy")
         improvement = build_improvement_graph(4, alpha=1.5)
         matrix = perturbed_transition_matrix(improvement, epsilon=0.1)
         assert matrix.shape == (64, 64)
-        assert numpy.allclose(matrix.sum(axis=1), 1.0)
+        assert np.allclose(matrix.sum(axis=1), 1.0)
 
     def test_epsilon_validation(self):
         improvement = build_improvement_graph(3, alpha=1.5)
@@ -88,31 +88,27 @@ class TestPerturbedDynamics:
             perturbed_transition_matrix(improvement, epsilon=1.0)
 
     def test_stationary_distribution_sums_to_one(self):
-        numpy = pytest.importorskip("numpy")
         improvement = build_improvement_graph(4, alpha=1.5)
         matrix = perturbed_transition_matrix(improvement, epsilon=0.05)
         pi = stationary_distribution(matrix)
         assert pi.shape == (64,)
-        assert numpy.isclose(pi.sum(), 1.0)
-        assert numpy.all(pi >= 0)
+        assert np.isclose(pi.sum(), 1.0)
+        assert np.all(pi >= 0)
         # Verify it really is stationary: π P ≈ π.
-        assert numpy.allclose(pi @ matrix, pi, atol=1e-8)
+        assert np.allclose(pi @ matrix, pi, atol=1e-8)
 
 
 class TestStochasticStability:
     def test_cheap_links_select_the_complete_graph(self):
-        pytest.importorskip("numpy")
         analysis = stochastic_stability_analysis(4, alpha=0.5, epsilon=0.05)
         assert is_complete(analysis.modal_graph)
         assert analysis.mass_on_sinks > 0.5
 
     def test_expensive_links_select_the_empty_network(self):
-        pytest.importorskip("numpy")
         analysis = stochastic_stability_analysis(4, alpha=3.0, epsilon=0.05)
         assert is_empty(analysis.modal_graph)
 
     def test_mass_by_class_sums_to_one(self):
-        pytest.importorskip("numpy")
         analysis = stochastic_stability_analysis(4, alpha=1.5, epsilon=0.05)
         assert sum(analysis.mass_by_canonical_class.values()) == pytest.approx(1.0)
         assert analysis.modal_class_mass() <= 1.0

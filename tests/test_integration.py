@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis import EquilibriumCensus, census_figure_series, deduplicate_up_to_isomorphism
+from repro.analysis import CensusStore, census_figure_series, deduplicate_up_to_isomorphism
 from repro.core import (
     BilateralConnectionGame,
     UnilateralConnectionGame,
@@ -17,7 +17,7 @@ from repro.graphs import are_isomorphic, canonical_form, random_connected_graph
 
 @pytest.fixture(scope="module")
 def census5():
-    return EquilibriumCensus.build(5)
+    return CensusStore.build(5)
 
 
 class TestDynamicsAgainstCensus:
@@ -47,7 +47,7 @@ class TestGameObjectsAgainstCensus:
         alpha = 2.5
         bcg = BilateralConnectionGame(n=5, alpha=alpha)
         ucg = UnilateralConnectionGame(n=5, alpha=alpha)
-        graphs = [record.graph for record in census5.records]
+        graphs = census5.graphs()
         assert {g.edge_key() for g in bcg.equilibrium_networks(graphs)} == {
             g.edge_key() for g in census5.stable_graphs_bcg(alpha)
         }

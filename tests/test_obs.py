@@ -13,6 +13,7 @@ import math
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -102,7 +103,6 @@ def test_histogram_exact_quantiles_small_samples():
 
 
 def test_histogram_p2_quantiles_close_to_exact():
-    pytest.importorskip("numpy")
     rng = random.Random(7)
     values = [rng.lognormvariate(0.0, 1.0) for _ in range(4000)]
     # A tiny exact buffer forces the P² sketch path almost immediately.
@@ -120,7 +120,6 @@ def test_histogram_p2_quantiles_close_to_exact():
 def test_histogram_p2_bank_equals_vectorised_sketch(stream):
     """The scalar sketch behind histogram quantiles is the vectorised
     engine sketch, one position wide: estimates agree bit for bit."""
-    np = pytest.importorskip("numpy")
     from repro.engine.streaming import _P2Sketch
     from repro.obs.metrics import _ScalarP2Bank
 
@@ -359,14 +358,11 @@ def obs_pool_map(items):
 
 
 def _counted_shard(payload):
-    import numpy as np
-
     obs.counter("t_shard_calls_total", "shard worker calls").inc()
     return {"values": np.arange(int(payload), dtype=np.int64) * 2}
 
 
 def test_run_shards_crash_requeue_does_not_double_count(tmp_path):
-    pytest.importorskip("numpy")
     from repro.engine.faults import parse_plan
     from repro.engine.shardwork import run_shards
 
@@ -390,7 +386,6 @@ def test_run_shards_crash_requeue_does_not_double_count(tmp_path):
 
 
 def test_run_shards_metrics_match_manifest_on_resume(tmp_path):
-    pytest.importorskip("numpy")
     from repro.engine.shardwork import run_shards
 
     payloads = [2, 3, 4]
@@ -411,7 +406,6 @@ def _raising_progress(snapshot):
 
 
 def test_run_shards_survives_raising_progress_callback():
-    pytest.importorskip("numpy")
     from repro.engine.shardwork import run_shards
 
     payloads = [2, 3]
@@ -434,7 +428,6 @@ def test_run_shards_survives_raising_progress_callback():
 def test_census_build_counts_enumerated_classes():
     # CensusStore.build enumerates through the materialised
     # enumerate_connected_graphs, and every class enters the batch kernel once.
-    pytest.importorskip("numpy")
     from repro.analysis.store import CensusStore
 
     store = CensusStore.build(5, include_ucg=False, jobs=1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.engine import DistanceOracle, batch_stability_deltas
+from repro.engine import batch_stability_deltas
 from repro.graphs import (
     Graph,
     automorphism_count_brute_force,
@@ -160,22 +160,6 @@ class TestOrbitPrunedProbes:
         # ... but the values agree with forced pruning regardless.
         assert batch_stability_deltas([cycle_graph(6)]) == batch_stability_deltas(
             [cycle_graph(6)], use_orbits=True
-        )
-
-    def test_fallback_path_without_numpy(self, monkeypatch):
-        import repro.engine.batch as batch_module
-
-        graphs = enumerate_connected_graphs(5)
-        expected = batch_stability_deltas(graphs, use_orbits=False)
-        monkeypatch.setattr(batch_module, "_np", None)
-        oracle = DistanceOracle()
-        assert (
-            batch_module.batch_stability_deltas(graphs, oracle=oracle, use_orbits=True)
-            == expected
-        )
-        assert (
-            batch_module.batch_stability_deltas(graphs, oracle=oracle, use_orbits=False)
-            == expected
         )
 
     def test_disconnected_graphs(self):

@@ -72,12 +72,6 @@ def test_sampled_stable_mask_matches_exact_checks():
 
 
 def test_sampled_columns_feed_the_columnar_kernels():
-    import importlib.util
-
-    import pytest
-
-    if importlib.util.find_spec("numpy") is None:
-        pytest.skip("sampled_bcg_columns requires NumPy")
     graphs = [star_graph(6), cycle_graph(6), star_graph(5)]  # mixed n is fine
     rem_min, add_lo, add_hi, add_indptr = sampled_bcg_columns(graphs)
     assert rem_min.shape[0] == len(graphs)

@@ -192,7 +192,6 @@ class TestScenariosCLI:
         assert "at least two players" in capsys.readouterr().err
 
     def test_save_then_load_artifact(self, capsys, tmp_path):
-        pytest.importorskip("numpy")
         path = str(tmp_path / "w4.npz")
         assert main(
             ["scenarios", "--name", "random_weights", "--n", "4",
@@ -209,7 +208,6 @@ class TestScenariosCLI:
 
     def test_load_rejects_build_flags(self, capsys, tmp_path):
         """--load must not silently ignore --n/--seed/--jobs."""
-        pytest.importorskip("numpy")
         path = str(tmp_path / "w4.npz")
         assert main(
             ["scenarios", "--name", "line_metric", "--n", "4", "--save", path]
@@ -226,14 +224,12 @@ class TestScenariosCLI:
             assert "takes no" in err and flags[0] in err
 
     def test_load_rejects_garbage(self, capsys, tmp_path):
-        pytest.importorskip("numpy")
         path = tmp_path / "nonsense.npz"
         path.write_bytes(b"not an artifact")
         assert main(["scenarios", "--load", str(path)]) == 2
         assert "cannot load" in capsys.readouterr().err
 
     def test_save_persists_ucg_columns(self, capsys, tmp_path):
-        pytest.importorskip("numpy")
         from repro.analysis.weighted_store import WeightedStore
 
         path = str(tmp_path / "x.npz")
@@ -248,7 +244,6 @@ class TestScenariosCLI:
 class TestEnsembleCLI:
 
     def test_summary_table(self, capsys, tmp_path):
-        pytest.importorskip("numpy")
         save_dir = str(tmp_path / "draws")
         exit_code = main(
             ["ensemble", "--scenario", "random_weights", "--n", "4",

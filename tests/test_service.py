@@ -15,9 +15,8 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.scenarios import build_scenario, default_t_grid

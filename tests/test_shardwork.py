@@ -19,9 +19,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.store import CensusStore

@@ -2,10 +2,14 @@
 
 The contract under test: every answer of :class:`repro.analysis.store.CensusStore`
 — stability masks, Nash masks, equilibrium counts, PoA and link-count
-aggregates, reconstructed graphs — equals the retained
-:class:`repro.analysis.census.EquilibriumCensus` record path **exactly**
-(float equality, not approximate), including after a save → load round trip
-in a separate process.
+aggregates, reconstructed graphs — equals the per-graph reference
+implementations **exactly** (float equality, not approximate), including
+after a save → load round trip in a separate process.  The references are
+:func:`pairwise_stability_profile` (one BFS per removal probe),
+:func:`ucg_nash_alpha_set` (the backtracking orientation search) and the
+:mod:`repro.core.anarchy` aggregates, run on fresh graph instances with a
+private :class:`DistanceOracle`, so nothing they return was computed by the
+batch kernels the store is built from.
 """
 
 import json
@@ -14,20 +18,37 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.analysis.census import EquilibriumCensus
-from repro.analysis.figure_series import census_figure_series
+from repro.analysis.figure_series import (
+    FigureData,
+    FigureSeries,
+    SeriesPoint,
+    census_figure_series,
+)
 from repro.analysis.store import (
     CensusStore,
     bcg_alpha_columns,
     cached_store,
     clear_store_cache,
 )
+from repro.analysis.sweeps import (
+    aligned_link_costs,
+    log_spaced_alphas,
+    per_edge_cost_axis,
+)
+from repro.core.anarchy import average_price_of_anarchy, worst_case_price_of_anarchy
 from repro.core.stability_intervals import pairwise_stability_profile
-from repro.graphs import cycle_graph, petersen_graph, star_graph
+from repro.core.unilateral import ucg_nash_alpha_set
+from repro.engine import DistanceOracle
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    enumerate_connected_graphs,
+    petersen_graph,
+    star_graph,
+)
 
 #: All store columns (UCG ones included when present).
 COLUMNS = (
@@ -56,47 +77,130 @@ def assert_columns_equal(first: CensusStore, second: CensusStore) -> None:
         assert np.array_equal(a, b), name
 
 
-def alpha_grid(census: EquilibriumCensus):
+class Reference:
+    """Per-graph answers for every connected class on ``n`` vertices.
+
+    Graphs are rebuilt from their edge lists, so no memo the enumerator or
+    the batch engine left on the cached instances (canonical records, UCG
+    interval sets) can leak in, and a private oracle keeps the shared
+    default's delta cache out.
+    """
+
+    def __init__(self, n: int, include_ucg: bool) -> None:
+        oracle = DistanceOracle()
+        self.n = n
+        self.graphs = [
+            Graph(g.n, g.sorted_edges()) for g in enumerate_connected_graphs(n)
+        ]
+        self.profiles = [
+            pairwise_stability_profile(g, oracle=oracle) for g in self.graphs
+        ]
+        self.ucg_sets = (
+            [ucg_nash_alpha_set(g, oracle=oracle) for g in self.graphs]
+            if include_ucg
+            else None
+        )
+
+    def __len__(self) -> int:
+        return len(self.graphs)
+
+    def members(self, alpha: float, game: str):
+        if game == "bcg":
+            return [profile.is_stable_at(alpha) for profile in self.profiles]
+        return [ucg_set.contains(alpha) for ucg_set in self.ucg_sets]
+
+    def equilibrium_graphs(self, alpha: float, game: str):
+        return [g for g, m in zip(self.graphs, self.members(alpha, game)) if m]
+
+    def aggregates(self, alpha: float, game: str):
+        graphs = self.equilibrium_graphs(alpha, game)
+        return {
+            "counts": len(graphs),
+            "average_poa": average_price_of_anarchy(graphs, alpha, game),
+            "worst_poa": worst_case_price_of_anarchy(graphs, alpha, game),
+            "average_links": (
+                sum(g.num_edges for g in graphs) / len(graphs)
+                if graphs
+                else float("nan")
+            ),
+        }
+
+    def edge_count_histogram(self, alpha: float, game: str):
+        histogram = {}
+        for graph in self.equilibrium_graphs(alpha, game):
+            histogram[graph.num_edges] = histogram.get(graph.num_edges, 0) + 1
+        return dict(sorted(histogram.items()))
+
+    def figure(self, quantity: str, costs):
+        """The Figure 2/3 series, one reference aggregate per grid point."""
+        series = {}
+        for game in ("ucg", "bcg"):
+            series[game] = FigureSeries(game=game, quantity=quantity)
+            for cost in costs:
+                alpha = aligned_link_costs(cost)[0 if game == "ucg" else 1]
+                aggregates = self.aggregates(alpha, game)
+                series[game].points.append(
+                    SeriesPoint(
+                        alpha=alpha,
+                        axis=per_edge_cost_axis(alpha, game),
+                        value=aggregates[quantity],
+                        num_equilibria=aggregates["counts"],
+                    )
+                )
+        return FigureData(
+            n=self.n,
+            quantity=quantity,
+            ucg=series["ucg"],
+            bcg=series["bcg"],
+            description=(
+                f"exhaustive census of all connected topologies on {self.n} vertices"
+            ),
+        )
+
+
+def alpha_grid(reference: Reference):
     """A log grid plus the exact window endpoints of a few classes.
 
     Querying *at* α_min/α_max exercises the tolerance folding of the
     Definition 3 comparisons, where an off-by-one-ulp kernel would diverge
-    from the record path.
+    from the per-graph profiles.
     """
     grid = [0.2 * (36 / 0.2) ** (k / 8) for k in range(9)]
     grid += [1.0, 1.0 + 1e-9, 1.0 - 1e-9]
-    for record in census.records[:: max(1, len(census.records) // 7)]:
-        for endpoint in record.bcg_profile.stability_interval():
+    for profile in reference.profiles[:: max(1, len(reference) // 7)]:
+        for endpoint in profile.stability_interval():
             if endpoint == endpoint and endpoint not in (float("inf"),):
                 grid.append(endpoint)
                 grid.append(endpoint + 1e-13)
     return [alpha for alpha in grid if alpha > 0]
 
 
-@pytest.fixture(scope="module")
-def census6():
-    return EquilibriumCensus.build(6)
+def same(a: float, b: float) -> bool:
+    """Exact equality, with nan == nan."""
+    return (a != a and b != b) or a == b
 
 
 @pytest.fixture(scope="module")
-def store6(census6):
-    return CensusStore.from_census(census6)
+def reference6():
+    return Reference(6, include_ucg=True)
 
 
 @pytest.fixture(scope="module")
-def census7():
-    return EquilibriumCensus.build(7, include_ucg=False)
+def store6():
+    return CensusStore.build(6)
 
 
 @pytest.fixture(scope="module")
-def store7(census7):
+def reference7():
+    return Reference(7, include_ucg=False)
+
+
+@pytest.fixture(scope="module")
+def store7():
     return CensusStore.build(7, include_ucg=False)
 
 
 class TestBuildPaths:
-    def test_build_equals_from_census(self, census6, store6):
-        assert_columns_equal(store6, CensusStore.build(6))
-
     def test_build_identical_for_any_jobs(self, store6):
         assert_columns_equal(store6, CensusStore.build(6, jobs=2))
 
@@ -150,23 +254,6 @@ class TestBuildPaths:
             )
         assert_columns_equal(reference, resumed)
 
-    def test_cached_store_reuses_cached_census(self):
-        """cached_store converts an already-built record census in place."""
-        from unittest import mock
-
-        from repro.analysis.census import cached_census, clear_census_cache
-
-        clear_store_cache()
-        clear_census_cache()
-        census = cached_census(4)
-        with mock.patch.object(
-            CensusStore, "build", side_effect=AssertionError("rebuilt from scratch")
-        ):
-            store = cached_store(4)
-        assert_columns_equal(store, CensusStore.from_census(census))
-        clear_store_cache()
-        clear_census_cache()
-
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             CensusStore.build_streamed(-1)
@@ -191,9 +278,10 @@ class TestBuildPaths:
                 4, include_ucg=True, shard_level=2, shard_dir=shard_dir
             )
 
-    def test_graph_reconstruction_roundtrip(self, census6, store6):
-        for index, record in enumerate(census6.records):
-            assert store6.graph_at(index) == record.graph
+    def test_graph_reconstruction_roundtrip(self, reference6, store6):
+        assert len(store6) == len(reference6)
+        for index, graph in enumerate(reference6.graphs):
+            assert store6.graph_at(index) == graph
 
     def test_cached_store_reuses_instances(self):
         clear_store_cache()
@@ -286,26 +374,26 @@ class TestStoreCache:
 
 
 class TestMaskParity:
-    def test_bcg_mask_matches_records(self, census6, store6):
-        alphas = alpha_grid(census6)
+    def test_bcg_mask_matches_records(self, reference6, store6):
+        alphas = alpha_grid(reference6)
         mask = store6.stable_mask(alphas, "bcg")
-        assert mask.shape == (len(census6), len(alphas))
+        assert mask.shape == (len(reference6), len(alphas))
         for column, alpha in enumerate(alphas):
-            expected = [r.is_bcg_stable_at(alpha) for r in census6.records]
+            expected = reference6.members(alpha, "bcg")
             assert mask[:, column].tolist() == expected, alpha
 
-    def test_ucg_mask_matches_records(self, census6, store6):
-        alphas = alpha_grid(census6)
+    def test_ucg_mask_matches_records(self, reference6, store6):
+        alphas = alpha_grid(reference6)
         mask = store6.stable_mask(alphas, "ucg")
         for column, alpha in enumerate(alphas):
-            expected = [r.is_ucg_nash_at(alpha) for r in census6.records]
+            expected = reference6.members(alpha, "ucg")
             assert mask[:, column].tolist() == expected, alpha
 
-    def test_bcg_mask_matches_records_n7(self, census7, store7):
-        alphas = alpha_grid(census7)
+    def test_bcg_mask_matches_records_n7(self, reference7, store7):
+        alphas = alpha_grid(reference7)
         mask = store7.stable_mask(alphas, "bcg")
         for column, alpha in enumerate(alphas):
-            expected = [r.is_bcg_stable_at(alpha) for r in census7.records]
+            expected = reference7.members(alpha, "bcg")
             assert mask[:, column].tolist() == expected, alpha
 
     def test_ucg_query_requires_ucg_columns(self, store7):
@@ -318,79 +406,76 @@ class TestMaskParity:
         with pytest.raises(ValueError):
             store6.stable_mask([1.0], "xyz")
 
-    def test_stability_windows_match_profiles(self, census6, store6):
+    def test_stability_windows_match_profiles(self, reference6, store6):
         alpha_min, alpha_max = store6.stability_windows()
-        for index, record in enumerate(census6.records):
-            assert alpha_min[index] == record.bcg_profile.alpha_min
-            assert alpha_max[index] == record.bcg_profile.alpha_max
+        for index, profile in enumerate(reference6.profiles):
+            assert alpha_min[index] == profile.alpha_min
+            assert alpha_max[index] == profile.alpha_max
 
 
 class TestAggregateParity:
-    @staticmethod
-    def same(a: float, b: float) -> bool:
-        """Exact equality, with nan == nan."""
-        return (a != a and b != b) or a == b
-
-    def test_aggregates_identical(self, census6, store6):
-        alphas = alpha_grid(census6)
+    def test_aggregates_identical(self, reference6, store6):
+        alphas = alpha_grid(reference6)
         for game in ("bcg", "ucg"):
             aggregates = store6.grid_aggregates(alphas, game)
             for k, alpha in enumerate(alphas):
-                assert aggregates["counts"][k] == census6.equilibrium_count(
-                    alpha, game
-                )
-                assert self.same(
-                    aggregates["average_poa"][k],
-                    census6.average_price_of_anarchy(alpha, game),
-                ), (alpha, game)
-                assert self.same(
-                    aggregates["worst_poa"][k],
-                    census6.worst_price_of_anarchy(alpha, game),
-                ), (alpha, game)
-                assert self.same(
-                    aggregates["average_links"][k],
-                    census6.average_num_links(alpha, game),
-                ), (alpha, game)
+                expected = reference6.aggregates(alpha, game)
+                assert aggregates["counts"][k] == expected["counts"]
+                for key in ("average_poa", "worst_poa", "average_links"):
+                    assert same(aggregates[key][k], expected[key]), (alpha, game, key)
 
-    def test_scalar_compat_methods(self, census6, store6):
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="the n=8 reference sweep takes ~30s; set REPRO_SLOW_TESTS=1 to run",
+    )
+    def test_aggregates_identical_n8(self):
+        """The 24-point Figure 2/3 BCG sweep over all 11,117 classes on 8
+        vertices, from the streamed build."""
+        reference = Reference(8, include_ucg=False)
+        store = CensusStore.build_streamed(8, include_ucg=False)
+        alphas = log_spaced_alphas(0.2, 128.0, 24)
+        aggregates = store.grid_aggregates(alphas, "bcg")
+        for k, alpha in enumerate(alphas):
+            expected = reference.aggregates(alpha, "bcg")
+            assert aggregates["counts"][k] == expected["counts"]
+            for key in ("average_poa", "worst_poa", "average_links"):
+                assert same(aggregates[key][k], expected[key]), (alpha, key)
+
+    def test_scalar_compat_methods(self, reference6, store6):
         alpha = 2.5
         for game in ("bcg", "ucg"):
-            assert store6.equilibrium_count(alpha, game) == census6.equilibrium_count(
-                alpha, game
+            expected = reference6.aggregates(alpha, game)
+            assert store6.equilibrium_count(alpha, game) == expected["counts"]
+            assert same(
+                store6.average_price_of_anarchy(alpha, game), expected["average_poa"]
             )
-            assert self.same(
-                store6.average_price_of_anarchy(alpha, game),
-                census6.average_price_of_anarchy(alpha, game),
+            assert same(
+                store6.worst_price_of_anarchy(alpha, game), expected["worst_poa"]
             )
-            assert self.same(
-                store6.worst_price_of_anarchy(alpha, game),
-                census6.worst_price_of_anarchy(alpha, game),
-            )
-            assert self.same(
-                store6.average_num_links(alpha, game),
-                census6.average_num_links(alpha, game),
+            assert same(
+                store6.average_num_links(alpha, game), expected["average_links"]
             )
             assert store6.edge_count_histogram(
                 alpha, game
-            ) == census6.edge_count_histogram(alpha, game)
+            ) == reference6.edge_count_histogram(alpha, game)
 
-    def test_equilibrium_graphs_identical(self, census6, store6):
+    def test_equilibrium_graphs_identical(self, reference6, store6):
         for alpha in (0.5, 1.5, 3.0, 12.0):
             for game in ("bcg", "ucg"):
                 expected = [
-                    g.edge_key() for g in census6.equilibrium_graphs(alpha, game)
+                    g.edge_key() for g in reference6.equilibrium_graphs(alpha, game)
                 ]
                 observed = [
                     g.edge_key() for g in store6.equilibrium_graphs(alpha, game)
                 ]
                 assert observed == expected
 
-    def test_figure_series_identical(self, census6, store6):
+    def test_figure_series_identical(self, reference6, store6):
         costs = [0.5, 1.0, 2.0, 7.0, 40.0]
         for quantity in ("average_poa", "worst_poa", "average_links"):
-            record_fig = census_figure_series(census6, quantity, costs)
-            store_fig = census_figure_series(store6, quantity, costs)
-            assert record_fig == store_fig
+            assert census_figure_series(
+                store6, quantity, costs
+            ) == reference6.figure(quantity, costs)
 
     def test_figure_series_rejects_unknown_quantity(self, store6):
         with pytest.raises(ValueError):
@@ -453,7 +538,7 @@ class TestPersistence:
         with pytest.raises(ValueError):
             CensusStore.load(path)
 
-    def test_roundtrip_in_fresh_process(self, census6, store6, tmp_path):
+    def test_roundtrip_in_fresh_process(self, reference6, store6, tmp_path):
         """build → save → load in a separate interpreter → query parity."""
         path = store6.save(str(tmp_path / "census6.npz"))
         alphas = [0.4, 1.0, 2.0, 5.0, 20.0]
@@ -480,21 +565,13 @@ class TestPersistence:
             check=True,
         )
         out = json.loads(result.stdout)
-        assert out["bcg"] == [
-            [r.is_bcg_stable_at(alpha) for alpha in alphas]
-            for r in census6.records
-        ]
-        assert out["ucg"] == [
-            [r.is_ucg_nash_at(alpha) for alpha in alphas]
-            for r in census6.records
-        ]
+        for game in ("bcg", "ucg"):
+            columns = [reference6.members(alpha, game) for alpha in alphas]
+            assert out[game] == [list(row) for row in zip(*columns)]
         for k, alpha in enumerate(alphas):
-            assert out["agg"]["counts"][k] == census6.equilibrium_count(alpha, "bcg")
-            expected = census6.average_price_of_anarchy(alpha, "bcg")
-            observed = out["agg"]["average_poa"][k]
-            assert (observed != observed and expected != expected) or (
-                observed == expected
-            )
+            expected = reference6.aggregates(alpha, "bcg")
+            assert out["agg"]["counts"][k] == expected["counts"]
+            assert same(out["agg"]["average_poa"][k], expected["average_poa"])
 
 
 class TestOrdering:
@@ -581,15 +658,14 @@ class TestTinyN:
     @pytest.mark.parametrize("n", (0, 1, 2))
     def test_degenerate_sizes(self, n):
         store = CensusStore.build(n)
-        census = EquilibriumCensus.build(n)
-        assert len(store) == len(census)
+        reference = Reference(n, include_ucg=True)
+        assert len(store) == len(reference)
         for alpha in (0.5, 2.0):
-            assert store.equilibrium_count(alpha, "bcg") == census.equilibrium_count(
-                alpha, "bcg"
+            expected = reference.aggregates(alpha, "bcg")
+            assert store.equilibrium_count(alpha, "bcg") == expected["counts"]
+            assert same(
+                store.average_price_of_anarchy(alpha, "bcg"), expected["average_poa"]
             )
-            avg_s = store.average_price_of_anarchy(alpha, "bcg")
-            avg_c = census.average_price_of_anarchy(alpha, "bcg")
-            assert (avg_s != avg_s and avg_c != avg_c) or avg_s == avg_c
 
 
 class TestCacheThreadSafety:
@@ -692,13 +768,10 @@ class TestCacheThreadSafety:
         """A cold build holds no lock: a hit on another key returns at once."""
         import threading
 
-        from repro.analysis.census import clear_census_cache
-
         path = CensusStore.build(3, include_ucg=False).save(
             str(tmp_path / "census3.npz")
         )
         clear_store_cache()
-        clear_census_cache()
         loaded = cached_store(path=path)
         started, release = threading.Event(), threading.Event()
         self._block_builds(monkeypatch, started, release)
@@ -733,10 +806,8 @@ class TestCacheThreadSafety:
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.analysis import artifact
-        from repro.analysis.census import clear_census_cache
 
         clear_store_cache()
-        clear_census_cache()
         started, release = threading.Event(), threading.Event()
         failure = RuntimeError("build failed")
         calls = self._block_builds(monkeypatch, started, release, error=failure)

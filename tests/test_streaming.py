@@ -6,9 +6,8 @@ std agrees to float-noise, and quantiles land within P² sketch tolerance —
 with the inf/nan patterns of all-infinite positions preserved either way.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.engine.columnar import ensemble_stats
 from repro.engine.streaming import StreamingEnsembleStats

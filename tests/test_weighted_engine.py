@@ -2,14 +2,14 @@
 
 Pins the acceptance contract of the heterogeneous-cost subsystem: with
 ``UniformCost`` the weighted columns, masks and windows are **float-exactly**
-the scalar-α record/store path for every connected class up to ``n = 7``;
+the scalar-α store path for every connected class up to ``n = 7``;
 with heterogeneous models the vectorised path is decision-identical to the
 per-graph ``WeightedStabilityProfile`` reference loop.
 """
 
-import importlib.util
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.scenarios import build_scenario
@@ -22,21 +22,12 @@ from repro.analysis.weighted import (
 from repro.costmodels import UniformCost, weighted_stability_profile
 from repro.graphs import Graph, enumerate_connected_graphs, random_connected_graph
 
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the vectorised weighted kernels require NumPy"
-)
-
 TS = [0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 9.0, 20.0, 50.0]
 
 
-@needs_numpy
 class TestWeightedColumns:
 
     def test_column_layout_and_values(self):
-        import numpy as np
-
         from repro.engine.batch import batch_weighted_columns
 
         rng = random.Random(3)
@@ -67,14 +58,11 @@ class TestWeightedColumns:
                 assert columns["add_s_v"][start + k] == s_v
 
 
-@needs_numpy
 class TestUniformMaskEquivalence:
     """Acceptance: uniform weights ⇒ float-exact scalar census masks, n ≤ 7."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bcg_masks_equal_store_masks(self, n):
-        import numpy as np
-
         from repro.analysis.store import CensusStore
 
         store = CensusStore.build(n, include_ucg=False)
@@ -86,8 +74,6 @@ class TestUniformMaskEquivalence:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_ucg_masks_equal_store_masks(self, n):
-        import numpy as np
-
         from repro.analysis.store import CensusStore
 
         store = CensusStore.build(n, include_ucg=True)
@@ -170,7 +156,6 @@ class TestHeterogeneousSweep:
             )
 
 
-@needs_numpy
 class TestKernelWeightGuards:
     """Regression: unvalidated coefficients used to NaN/inf silently."""
 
@@ -199,8 +184,6 @@ class TestKernelWeightGuards:
 
     def test_window_kernel_rejects_bad_columns(self):
         """Hand-built columns with a zero weight raise instead of dividing."""
-        import numpy as np
-
         from repro.engine.columnar import (
             weighted_bcg_stable_mask,
             weighted_stability_windows,

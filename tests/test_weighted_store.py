@@ -13,9 +13,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.scenarios import build_scenario, default_t_grid
 from repro.analysis.weighted import weighted_census, weighted_sweep
