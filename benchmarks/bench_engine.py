@@ -28,18 +28,19 @@ repository root so future PRs have a perf trajectory to compare against:
   aggregate sweep (counts + average/worst PoA + link counts); the sweep's
   parity with the per-graph references is a ``REPRO_SLOW_TESTS`` test in
   ``tests/test_store.py``;
-* **weighted engine at n = 7** (schema v4) — the heterogeneous-α scenario
-  sweep: batched coefficient columns + the weighted grid mask vs a
-  per-graph ``WeightedStabilityProfile`` Python loop, decisions asserted
-  identical;
+* **weighted engine at n = 7** (schema v4; a store build since v12) —
+  the heterogeneous-α scenario sweep: a
+  :class:`~repro.analysis.weighted_store.WeightedStore` build + its grid
+  mask vs a per-graph ``WeightedStabilityProfile`` Python loop, decisions
+  asserted identical;
 * **mmap fan-out** (schema v4) — one memory-mapped store artifact queried
   from a process pool (zero-copy page sharing), counts asserted equal to
   the serial mmap sweep (report-only: no wall-clock floor);
 * **weighted store at n = 8** (schema v5) — the persistent
   :class:`~repro.analysis.weighted_store.WeightedStore`: answering a
   24-point scale grid (mask + windows) from a saved artifact (load
-  included) vs recomputing the whole coefficient-column batch, answers
-  asserted identical;
+  included) vs recomputing the whole store build (v12; the bare
+  coefficient-column batch before), answers asserted identical;
 * **ensemble runner** (schema v5) — K seeded ``random_weights`` draws at
   n = 6 aggregated serially vs over a 2-worker pool, summaries asserted
   identical (report-only: timing trajectory entry);
@@ -421,29 +422,22 @@ def bench_weighted_engine() -> Dict[str, float]:
     stability over all 853 connected classes on 7 vertices under a seeded
     random per-edge cost model (the ``random_weights`` scenario); decisions
     are asserted identical before any timing is recorded.  The vectorised
-    path pairs the batched boolean-matmul deltas with per-probe coefficient
-    vectors (``batch_weighted_columns`` + ``weighted_bcg_stable_mask``);
-    the baseline runs a :class:`WeightedStabilityProfile` per graph and an
-    exact Definition 3 check per grid point.
+    path builds the :class:`WeightedStore` (the batched boolean-matmul
+    deltas priced with per-probe coefficient vectors) and answers the grid
+    with :meth:`WeightedStore.stable_mask`; the baseline runs a
+    :class:`WeightedStabilityProfile` per graph and an exact Definition 3
+    check per grid point.
     """
     from repro.analysis.scenarios import build_scenario, default_t_grid
     from repro.analysis.weighted import weighted_python_sweep_bcg
-    from repro.engine.batch import batch_weighted_columns
-    from repro.engine.columnar import weighted_bcg_stable_mask
+    from repro.analysis.weighted_store import WeightedStore
 
     scenario = build_scenario("random_weights", 7, seed=3)
     graphs = enumerate_connected_graphs(7)
-    matrix = scenario.model.matrix(7)
     ts = default_t_grid(7, 24)
 
     def run_vectorised():
-        columns = batch_weighted_columns(graphs, matrix, oracle=DistanceOracle())
-        return weighted_bcg_stable_mask(
-            columns["rem_w"], columns["rem_delta"], columns["rem_indptr"],
-            columns["add_w_u"], columns["add_s_u"],
-            columns["add_w_v"], columns["add_s_v"], columns["add_indptr"],
-            ts,
-        )
+        return WeightedStore.build(7, scenario.model).stable_mask(ts)
 
     def run_python():
         return weighted_python_sweep_bcg(graphs, scenario.model, ts)
@@ -535,40 +529,25 @@ def bench_weighted_store() -> Dict[str, float]:
     Both paths answer the same 24-point grid of weighted stability masks
     plus the per-class ``(t_min, t_max)`` windows over all 11117 connected
     classes on 8 vertices under the seeded ``random_weights`` model.  The
-    recompute path is what every pre-store query paid: the full
-    ``batch_weighted_columns`` deviation batch, every time.  The artifact
-    path loads the persisted ``.npz`` and runs only the grid kernels —
-    answers are asserted identical before any timing is recorded.  (At
-    n = 7 the grid kernels themselves bound the query at ~9x; n = 8 is
-    where the artifact starts paying for real, and matches the scale the
-    ``census_store`` section uses.)
+    recompute path is what every query without an artifact pays: a full
+    :meth:`WeightedStore.build` (deviation batch and pricing), every time.
+    The artifact path loads the persisted ``.npz`` and runs only the grid
+    kernels — answers are asserted identical before any timing is
+    recorded.  (At n = 7 the grid kernels themselves bound the query at
+    ~9x; n = 8 is where the artifact starts paying for real, and matches
+    the scale the ``census_store`` section uses.)
     """
     import tempfile
 
     from repro.analysis.scenarios import build_scenario, default_t_grid
     from repro.analysis.weighted_store import WeightedStore
-    from repro.engine.batch import batch_weighted_columns
-    from repro.engine.columnar import (
-        weighted_bcg_stable_mask,
-        weighted_stability_windows,
-    )
 
     scenario = build_scenario("random_weights", 8, seed=3)
-    graphs = enumerate_connected_graphs(8)
-    matrix = scenario.model.matrix(8)
     ts = default_t_grid(8, 24)
 
     def run_recompute():
-        columns = batch_weighted_columns(graphs, matrix, oracle=DistanceOracle())
-        probe = (
-            columns["rem_w"], columns["rem_delta"], columns["rem_indptr"],
-            columns["add_w_u"], columns["add_s_u"],
-            columns["add_w_v"], columns["add_s_v"], columns["add_indptr"],
-        )
-        return (
-            weighted_bcg_stable_mask(*probe, ts),
-            weighted_stability_windows(*probe),
-        )
+        built = WeightedStore.build(8, scenario.model)
+        return built.stable_mask(ts), built.stability_windows()
 
     start = time.perf_counter()
     store = WeightedStore.from_scenario(scenario)
@@ -1094,7 +1073,7 @@ def main(argv=None) -> int:
     # (cpu_count in the report says whether pool gains were possible at all).
     jobs_grid = sorted({2} | {j for j in (4, min(8, cpu)) if 1 < j <= cpu})
     report = {
-        "schema": "bench_engine/v11",
+        "schema": "bench_engine/v12",
         "python": sys.version.split()[0],
         "cpu_count": cpu,
         "unix_time": time.time(),

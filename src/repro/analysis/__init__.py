@@ -1,9 +1,10 @@
 """Census, sweep, sampling, persistence and reporting utilities.
 
-The columnar census store (:mod:`.store`), weighted sweeps with the scenario
-library, persistent weighted artifacts (:mod:`.weighted_store`), seeded
-scenario ensembles (:mod:`.ensembles`), grid helpers, sampling and the
-plain-text report renderers.
+The columnar census store (:mod:`.store`), the weighted store that answers
+every heterogeneous-cost sweep (:mod:`.weighted_store`) with its per-graph
+reference (:mod:`.weighted`) and the scenario library, seeded scenario
+ensembles (:mod:`.ensembles`), grid helpers, sampling and the plain-text
+report renderers.
 """
 
 from .improvement import (
@@ -41,15 +42,7 @@ from .sampling import (
     sampled_stable_counts,
     sampled_stable_mask,
 )
-from .weighted import (
-    WeightedSweepResult,
-    weighted_bcg_grid_mask,
-    weighted_census,
-    weighted_python_sweep_bcg,
-    weighted_sweep,
-    weighted_t_windows,
-    weighted_ucg_grid_mask,
-)
+from .weighted import weighted_python_sweep_bcg
 from .weighted_store import WeightedStore
 from .delta_store import DeltaStore, cached_delta_store
 from .ensembles import (
@@ -64,7 +57,6 @@ from .scenarios import (
     build_scenario,
     default_t_grid,
     scenario_from_params,
-    scenario_sweep,
 )
 from .sweeps import (
     aligned_cost_grid,
@@ -107,13 +99,7 @@ __all__ = [
     "sampled_bcg_columns",
     "sampled_stable_mask",
     "sampled_stable_counts",
-    "WeightedSweepResult",
-    "weighted_bcg_grid_mask",
-    "weighted_census",
     "weighted_python_sweep_bcg",
-    "weighted_sweep",
-    "weighted_t_windows",
-    "weighted_ucg_grid_mask",
     "WeightedStore",
     "DeltaStore",
     "cached_delta_store",
@@ -126,7 +112,6 @@ __all__ = [
     "build_scenario",
     "default_t_grid",
     "scenario_from_params",
-    "scenario_sweep",
     "log_spaced_alphas",
     "linear_alphas",
     "default_alpha_grid",

@@ -27,9 +27,12 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   :meth:`build_streamed`, and the one process-wide store LRU
   (:func:`cached_delta_store`).
 
-:meth:`WeightedStore.from_delta <repro.analysis.weighted_store.WeightedStore.from_delta>`
-turns (DeltaStore, cost model) back into a full per-draw artifact —
-float-for-float identical to building that store from scratch — so the
+Delta columns are also what every weighted build prices:
+:class:`~repro.analysis.weighted_store.WeightedStore` runs :func:`_delta_part`
+over each build chunk and gathers the coefficients in one pricing function,
+and :meth:`WeightedStore.from_delta <repro.analysis.weighted_store.WeightedStore.from_delta>`
+prices a whole delta store the same way — so a per-draw artifact is
+float-for-float identical to building that store from scratch, and the
 delta artifact composes with every existing kernel, file format and test.
 """
 
@@ -113,8 +116,9 @@ class DeltaStore(ColumnArtifact):
         """Delta columns for every connected class on ``n`` vertices.
 
         The class list, order and deviation analysis are exactly those of
-        :meth:`WeightedStore.build` — minus the coefficients, which is the
-        point: one build serves every cost model on ``n`` players.
+        :meth:`WeightedStore.build`, which prices these very columns chunk
+        by chunk — minus the coefficients, which is the point: one build
+        serves every cost model on ``n`` players.
         """
         return cls._build(n, _delta_part, {}, jobs)
 

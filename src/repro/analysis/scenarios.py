@@ -2,9 +2,10 @@
 
 Each scenario packages a player count and a
 :class:`~repro.costmodels.models.CostModel` capturing one stylised peering
-economy, ready for :func:`~repro.analysis.weighted.weighted_sweep` /
-:func:`~repro.analysis.weighted.weighted_census` over a scale grid (the
-sweep plays ``C = t·W`` at every grid point ``t``):
+economy, ready for
+:meth:`WeightedStore.from_scenario <repro.analysis.weighted_store.WeightedStore.from_scenario>`
+and a sweep over a scale grid (:func:`default_t_grid`; the sweep plays
+``C = t·W`` at every grid point ``t``):
 
 * ``two_tier_isp`` — per-player rates: a small tier-1 core builds links
   cheaply, the stub networks dearly (asymmetric peering costs);
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from ..costmodels.models import CostModel, PerEdgeCost, PerPlayerCost
 from .sweeps import log_spaced_alphas
-from .weighted import WeightedSweepResult, weighted_census
 
 
 @dataclass(frozen=True)
@@ -254,17 +254,3 @@ def default_t_grid(n: int, count: int = 12) -> List[float]:
     """The default scale grid of a scenario sweep (log-spaced, like figures)."""
     return log_spaced_alphas(0.2, float(n * n), max(2, count))
 
-
-def scenario_sweep(
-    scenario: Scenario,
-    ts: Optional[Sequence[float]] = None,
-    grid: int = 12,
-    include_ucg: bool = False,
-    jobs: Optional[int] = None,
-) -> WeightedSweepResult:
-    """Weighted census of every connected class under the scenario's model."""
-    if ts is None:
-        ts = default_t_grid(scenario.n, grid)
-    return weighted_census(
-        scenario.n, scenario.model, ts, include_ucg=include_ucg, jobs=jobs
-    )

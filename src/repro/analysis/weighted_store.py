@@ -1,26 +1,26 @@
 """Persistent weighted scenario artifacts: columnar stores for ``t·W`` sweeps.
 
-:func:`~repro.analysis.weighted.weighted_sweep` answers a whole scale grid
-from one deviation-analysis pass, but its
-:class:`~repro.analysis.weighted.WeightedSweepResult` is in-memory only —
-every new grid, every new process and every ensemble draw re-runs the
-boolean-matmul probe batch from scratch.  :class:`WeightedStore` is the
-weighted counterpart of :class:`~repro.analysis.store.CensusStore`: the
-per-probe ``(w, Δdist)`` coefficient columns of one ``(graph list, cost
-model)`` pair, persisted once and queried forever:
+:class:`WeightedStore` is the weighted counterpart of
+:class:`~repro.analysis.store.CensusStore` and the one engine behind every
+weighted sweep — the ``scenarios`` CLI, the ensembles and the server: the
+per-probe ``(w, Δdist)`` coefficient columns of one ``(class list, cost
+model)`` pair, built once and queried for any scale grid:
 
 * **columns, not recomputation** — per class: a packed upper-triangle
   certificate, the edge count, the total ordered-pair distance sum, the
-  unscaled link spend ``Σ_e (w(u,v) + w(v,u))``, and the ragged CSR probe
-  columns of :func:`repro.engine.batch.batch_weighted_columns` (removal
-  ``(w, Δ)`` pairs, per-non-edge endpoint ``(w, save)`` 4-tuples);
+  unscaled link spend ``Σ_e (w(u,v) + w(v,u))``, and ragged CSR probe
+  columns (removal ``(w, Δ)`` pairs, per-non-edge endpoint ``(w, save)``
+  4-tuples).  Every build path runs the model-independent delta pass of
+  :class:`~repro.analysis.delta_store.DeltaStore` and prices it in one
+  place (:func:`_priced_columns`);
 * **query = the existing kernels** — stability masks, windows and sweep
   aggregates come straight from
   :func:`repro.engine.columnar.weighted_bcg_stable_mask` /
   :func:`~repro.engine.columnar.weighted_stability_windows` over the stored
-  columns, float-for-float identical to the in-memory sweep (asserted for
-  every connected class up to ``n = 7`` in the test suite, including across
-  a save → load round trip in a separate process);
+  columns, float-exact against the per-graph
+  :class:`~repro.costmodels.stability.WeightedStabilityProfile` references
+  (asserted for every connected class up to ``n = 7`` in the test suite,
+  including across a save → load round trip in a separate process);
 * **versioned, provenance-stamped persistence** — one ``.npz`` or a
   directory of mmap-able ``.npy`` columns, carrying the schema tag,
   :data:`FORMAT_VERSION`, ``n``, the dense weight matrix and (when built
@@ -44,9 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..costmodels.models import CostModel
+from ..engine.batch import batch_ucg_columns
 from ..engine.columnar import (
-    certificate_to_graph,
-    pack_certificates,
     ucg_nash_mask,
     weighted_bcg_stable_mask,
     weighted_stability_windows,
@@ -54,6 +53,7 @@ from ..engine.columnar import (
 )
 from ..graphs import Graph
 from .artifact import ColumnArtifact, ColumnSpec
+from .delta_store import _delta_part
 
 #: On-disk format version; bump on any incompatible schema change.
 #: v2: optional UCG t-interval CSR columns (``ucg_lo``/``ucg_hi``/``ucg_indptr``).
@@ -69,8 +69,9 @@ class WeightedStore(ColumnArtifact):
     Instances are produced by :meth:`build`, :meth:`build_streamed`,
     :meth:`from_scenario` or :meth:`load`; the constructor just wires up
     pre-validated columns.  Classes are kept in canonical census order, so
-    row ``i`` here, row ``i`` of the scalar :class:`CensusStore` and graph
-    ``i`` of :func:`weighted_census` describe the same isomorphism class.
+    row ``i`` here, row ``i`` of the scalar :class:`CensusStore` and row
+    ``i`` of the :class:`DeltaStore` it is priced from describe the same
+    isomorphism class.
     """
 
     KIND = "weighted"
@@ -78,8 +79,8 @@ class WeightedStore(ColumnArtifact):
     FORMAT_VERSION = FORMAT_VERSION
     SHARD_PREFIX = "wshard"
     META_KEYS = ("scenario",)
-    #: The :func:`~repro.engine.batch.batch_weighted_columns` layout —
-    #: removal ``(w, Δ)`` pairs, two per edge, and per-non-edge endpoint
+    #: The priced delta layout (:func:`_priced_columns`) — removal
+    #: ``(w, Δ)`` pairs, two per edge, and per-non-edge endpoint
     #: ``(w, save)`` 4-tuples — plus the per-class link spend, optional UCG
     #: t-intervals and the dense weight matrix the artifact was priced under.
     SPEC = ColumnSpec(
@@ -158,20 +159,22 @@ class WeightedStore(ColumnArtifact):
         """Weighted columns for every connected class on ``n`` vertices.
 
         The class list, order and deviation analysis are exactly those of
-        :func:`repro.analysis.weighted.weighted_census`; each pool worker
-        emits column chunks (a dict of NumPy arrays), so the artifact never
-        exists as per-graph Python objects.  ``include_ucg`` additionally
-        runs the vectorised orientation engine per class and persists the
-        UCG Nash t-interval endpoints (float-exact against
+        :meth:`DeltaStore.build <repro.analysis.delta_store.DeltaStore.build>`:
+        each pool worker runs the delta pass over its chunk and prices it
+        (:func:`_priced_columns`), emitting column chunks (a dict of NumPy
+        arrays), so the artifact never exists as per-graph Python objects.
+        ``include_ucg`` additionally runs the vectorised orientation engine
+        per class and persists the UCG Nash t-interval endpoints
+        (float-exact against
         :func:`~repro.costmodels.stability.weighted_ucg_nash_t_set`).
         """
-        matrix = model.coefficient_matrix(n)
+        weights = _weights(model, n)
         return cls._build(
             n,
             _weighted_part,
-            {"model": model, "matrix": matrix, "include_ucg": include_ucg},
+            {"model": model, "weights": weights, "include_ucg": include_ucg},
             jobs,
-            constants={"weight_matrix": np.asarray(matrix, dtype=np.float64)},
+            constants={"weight_matrix": weights},
             meta={"scenario": scenario_params},
         )
 
@@ -242,12 +245,11 @@ class WeightedStore(ColumnArtifact):
         silently.  The result is element-for-element identical to
         :meth:`build`.
         """
-        matrix = model.coefficient_matrix(n)
-        weights = np.asarray(matrix, dtype=np.float64)
+        weights = _weights(model, n)
         return cls._build_streamed(
             n,
             _weighted_part,
-            {"model": model, "matrix": matrix, "include_ucg": include_ucg},
+            {"model": model, "weights": weights, "include_ucg": include_ucg},
             {"include_ucg": bool(include_ucg), "matrix": weights},
             jobs=jobs,
             shard_level=shard_level,
@@ -272,49 +274,23 @@ class WeightedStore(ColumnArtifact):
         """Materialise one draw's artifact from a shared model-independent
         :class:`~repro.analysis.delta_store.DeltaStore` — no deviation pass.
 
-        The weight columns are a dense gather of the cost model's
-        coefficient matrix at the delta store's probe endpoints, and the
-        per-class link spend replicates :meth:`CostModel.bcg_edge_cost_total`
-        term for term, so the result is float-for-float identical to
-        :meth:`build` with the same model (asserted across the scenario
-        registry in the test suite) at a tiny fraction of the cost.  This
-        is what makes ``WeightedStore`` a thin (DeltaStore, weight-vector)
-        view: every existing kernel, artifact format and test keeps
-        working, while ensembles pay the delta pass once per ``n``.
+        The columns are the delta store's, priced by the same function
+        every build path prices its chunks with (:func:`_priced_columns`),
+        so the result is float-for-float identical to :meth:`build` with the
+        same model (asserted across the scenario registry in the test
+        suite) at a tiny fraction of the cost.  This is what makes
+        ``WeightedStore`` a thin (DeltaStore, weight-vector) view: every
+        existing kernel, artifact format and test keeps working, while
+        ensembles pay the delta pass once per ``n``.
         """
-        matrix = np.asarray(model.coefficient_matrix(delta.n), dtype=np.float64)
-        players = max(delta.n, 1)
-        # reshape keeps the n = 0 edge case indexable (asarray([]) is 1-D)
-        matrix = matrix.reshape(players, players) if delta.n else matrix.reshape(0, 0)
-        rem_w = matrix[delta.rem_pay, delta.rem_other] if delta.n else np.zeros(0)
-        ucg = {}
+        weights = _weights(model, delta.n)
+        columns = _priced_columns(delta._columns(), model, weights)
+        columns["weight_matrix"] = weights
         if include_ucg:
             # The delta columns are model-independent, so UCG intervals
             # cannot be gathered from them — run the orientation engine over
             # the decoded class representatives instead.
-            from ..engine.batch import batch_ucg_columns
-
-            graphs = [
-                certificate_to_graph(delta.cert_words[i], delta.n)
-                for i in range(int(np.asarray(delta.num_edges).shape[0]))
-            ]
-            ucg = batch_ucg_columns(graphs, model=model)
-        columns = {
-            "weight_matrix": matrix,
-            "num_edges": np.asarray(delta.num_edges),
-            "dist_total": np.asarray(delta.dist_total),
-            "edge_cost_total": _edge_cost_totals(delta, model, rem_w),
-            "cert_words": np.asarray(delta.cert_words),
-            "rem_w": rem_w,
-            "rem_delta": np.asarray(delta.rem_delta).astype(np.float64),
-            "rem_indptr": np.asarray(delta.rem_indptr),
-            "add_w_u": matrix[delta.add_u, delta.add_v] if delta.n else np.zeros(0),
-            "add_s_u": np.asarray(delta.add_s_u).astype(np.float64),
-            "add_w_v": matrix[delta.add_v, delta.add_u] if delta.n else np.zeros(0),
-            "add_s_v": np.asarray(delta.add_s_v).astype(np.float64),
-            "add_indptr": np.asarray(delta.add_indptr),
-            **ucg,
-        }
+            columns.update(batch_ucg_columns(delta.graphs(), model=model))
         return cls(delta.n, columns, scenario_params)
 
     # ------------------------------------------------------------------ #
@@ -331,8 +307,9 @@ class WeightedStore(ColumnArtifact):
     def stable_mask(self, ts: Sequence[float]):
         """``bool[n_classes, n_ts]`` weighted pairwise stability on a grid.
 
-        Bit-identical to :func:`weighted_bcg_grid_mask` over the same
-        graphs and model — the stored columns *are* that call's inputs.
+        Decision-identical to the per-graph reference
+        :func:`~repro.analysis.weighted.weighted_python_sweep_bcg` over the
+        decoded classes and the same model.
         """
         return weighted_bcg_stable_mask(*self._probe_columns(), ts)
 
@@ -374,25 +351,37 @@ class WeightedStore(ColumnArtifact):
         return weighted_ucg_windows(self.ucg_lo, self.ucg_hi, self.ucg_indptr)
 
     def aggregates(self, ts: Sequence[float]) -> Dict[str, list]:
-        """Whole-grid sweep aggregates, float-exact vs :func:`weighted_sweep`.
+        """Whole-grid sweep aggregates: stable counts and their averages.
 
         Returns ``bcg_counts``, ``average_links`` and
-        ``average_social_cost`` lists (one entry per grid point), computed
-        by the *same* aggregation code the in-memory sweep runs
-        (:func:`repro.analysis.weighted.sweep_grid_aggregates`), so the
-        numbers match to the last bit (``nan`` for grid points with no
-        stable class).
+        ``average_social_cost`` lists, one entry per grid point.  The
+        averages run over the stable classes in row order, summed left to
+        right — the social cost at ``t`` is ``t·edge_cost_total +
+        dist_total`` per class — and are ``nan`` for grid points with no
+        stable class.
         """
-        from .weighted import sweep_grid_aggregates
-
         ts = [float(t) for t in ts]
-        bcg_counts, average_links, average_social_cost = sweep_grid_aggregates(
-            self.stable_mask(ts),
-            ts,
-            [int(m) for m in self.num_edges],
-            self.edge_cost_total.tolist(),
-            self.dist_total.tolist(),
-        )
+        mask = self.stable_mask(ts)
+        num_edges = [int(m) for m in self.num_edges]
+        edge_cost_totals = self.edge_cost_total.tolist()
+        dist_totals = self.dist_total.tolist()
+        bcg_counts: List[int] = []
+        average_links: List[float] = []
+        average_social_cost: List[float] = []
+        for column, t in enumerate(ts):
+            selected = np.flatnonzero(mask[:, column]).tolist()
+            bcg_counts.append(len(selected))
+            if not selected:
+                average_links.append(float("nan"))
+                average_social_cost.append(float("nan"))
+                continue
+            average_links.append(
+                sum(num_edges[i] for i in selected) / len(selected)
+            )
+            average_social_cost.append(
+                sum(t * edge_cost_totals[i] + dist_totals[i] for i in selected)
+                / len(selected)
+            )
         return {
             "ts": ts,
             "bcg_counts": bcg_counts,
@@ -415,11 +404,47 @@ class WeightedStore(ColumnArtifact):
 
 
 # --------------------------------------------------------------------------- #
-# Per-chunk analysis (module-level for pickling)
+# Pricing and per-chunk analysis (module-level for pickling)
 # --------------------------------------------------------------------------- #
 
 
-def _edge_cost_totals(delta, model: CostModel, rem_w):
+def _weights(model: CostModel, n: int):
+    """The model's validated ``(n, n)`` float64 coefficient matrix."""
+    # reshape keeps the n = 0 edge case indexable (asarray([]) is 1-D)
+    return np.asarray(model.coefficient_matrix(n), dtype=np.float64).reshape(n, n)
+
+
+def _priced_columns(delta: Dict[str, object], model: CostModel, weights) -> dict:
+    """Price delta probe columns under one cost model: the weighted columns.
+
+    ``delta`` maps the :class:`~repro.analysis.delta_store.DeltaStore`
+    column names to arrays — one build chunk or a whole store — and
+    ``weights`` is the model's ``(n, n)`` coefficient matrix.  Each probe's
+    coefficient is one gather ``W[payer, other]`` at the stored endpoints,
+    the float32 Δ/savings are upcast to float64 exactly (every payoff is an
+    integer-valued float or ``±inf``) and the link spend is the vectorised
+    replay :func:`_edge_cost_totals`.  :meth:`WeightedStore.build`,
+    :meth:`~WeightedStore.build_streamed` and :meth:`~WeightedStore.from_delta`
+    all price here, so their columns cannot drift apart.
+    """
+    rem_w = weights[delta["rem_pay"], delta["rem_other"]]
+    return {
+        "num_edges": np.asarray(delta["num_edges"]),
+        "dist_total": np.asarray(delta["dist_total"]),
+        "rem_w": rem_w,
+        "rem_delta": np.asarray(delta["rem_delta"]).astype(np.float64),
+        "rem_indptr": np.asarray(delta["rem_indptr"]),
+        "add_w_u": weights[delta["add_u"], delta["add_v"]],
+        "add_s_u": np.asarray(delta["add_s_u"]).astype(np.float64),
+        "add_w_v": weights[delta["add_v"], delta["add_u"]],
+        "add_s_v": np.asarray(delta["add_s_v"]).astype(np.float64),
+        "add_indptr": np.asarray(delta["add_indptr"]),
+        "edge_cost_total": _edge_cost_totals(delta, model, rem_w),
+        "cert_words": np.asarray(delta["cert_words"]),
+    }
+
+
+def _edge_cost_totals(delta: Dict[str, object], model: CostModel, rem_w):
     """Per-class BCG link spend from delta columns, exact vs the Python path.
 
     :meth:`CostModel.bcg_edge_cost_total` sums ``w(u,v) + w(v,u)`` over
@@ -431,11 +456,11 @@ def _edge_cost_totals(delta, model: CostModel, rem_w):
     class count, so it stays cheap at any census size.
     """
     alpha = model.uniform_alpha()
-    num_edges = np.asarray(delta.num_edges)
+    num_edges = np.asarray(delta["num_edges"])
     if alpha is not None:
         return 2.0 * alpha * num_edges.astype(np.float64)
     pair = rem_w[0::2] + rem_w[1::2]
-    indptr = np.asarray(delta.rem_indptr)
+    indptr = np.asarray(delta["rem_indptr"])
     starts = indptr[:-1] // 2
     counts = np.diff(indptr) // 2
     totals = np.zeros(counts.shape[0], dtype=np.float64)
@@ -450,27 +475,11 @@ def _weighted_part(
     n: int,
     oracle,
     model: CostModel,
-    matrix,
+    weights,
     include_ucg: bool = False,
 ) -> dict:
-    """One column chunk: probe columns + dense provenance for ``graphs``.
-
-    ``edge_cost_total`` goes through :meth:`CostModel.bcg_edge_cost_total`
-    (not a matrix summation) so family-specific exact closed forms — the
-    uniform model's ``2α·m`` — survive into the artifact and the
-    aggregates stay float-exact against the in-memory sweep.
-    """
-    from ..engine.batch import batch_ucg_columns, batch_weighted_columns
-
-    if not graphs:
-        return WeightedStore._empty_part(n, include_ucg)
-    part = batch_weighted_columns(graphs, matrix, oracle=oracle)
-    part["edge_cost_total"] = np.asarray(
-        [model.bcg_edge_cost_total(graph) for graph in graphs], dtype=np.float64
-    )
-    part["cert_words"] = pack_certificates(
-        [graph.adjacency_bitstring() for graph in graphs], n
-    )
+    """One column chunk: the chunk's delta columns priced, plus UCG."""
+    part = _priced_columns(_delta_part(graphs, n, oracle), model, weights)
     if include_ucg:
         part.update(batch_ucg_columns(graphs, model=model, oracle=oracle))
     return part

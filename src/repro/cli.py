@@ -360,12 +360,11 @@ def scenarios_main(argv: List[str]) -> int:
 
 
 def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
-    from .analysis.report import format_table, format_weighted_store_summary
+    from .analysis.report import format_weighted_store_summary
     from .analysis.scenarios import (
         available_scenarios,
         build_scenario,
         default_t_grid,
-        scenario_sweep,
     )
     from .analysis.weighted_store import WeightedStore
 
@@ -445,7 +444,6 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
         print(error.args[0], file=sys.stderr)
         return 2
 
-    model = scenario.model
     if args.save is not None:
         # Fail on an unwritable destination in milliseconds, not after the
         # whole deviation-analysis build has run.
@@ -456,21 +454,22 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Build the columns once, answer the table from them, persist them:
-        # the artifact *is* the sweep, so the printed numbers and any later
-        # --load query come from identical columns.
-        store = WeightedStore.from_scenario(
-            scenario,
-            jobs=args.jobs,
-            include_ucg=args.ucg,
-            streamed=args.streamed,
-            progress=obs.ProgressReporter() if args.progress else None,
-        )
-        print(
-            f"scenario {scenario.name}: n = {scenario.n}, "
-            f"{model.kind} cost model, {len(store)} connected classes"
-        )
-        print(f"  {scenario.description}")
+    # Build the columns once and answer the table from them; with --save
+    # they are persisted too, so a later --load query reads the very
+    # columns the printed numbers came from.
+    store = WeightedStore.from_scenario(
+        scenario,
+        jobs=args.jobs,
+        include_ucg=args.ucg,
+        streamed=args.streamed,
+        progress=obs.ProgressReporter() if args.progress else None,
+    )
+    print(
+        f"scenario {scenario.name}: n = {scenario.n}, "
+        f"{scenario.model.kind} cost model, {len(store)} connected classes"
+    )
+    print(f"  {scenario.description}")
+    if args.save is not None:
         try:
             written = store.save(args.save, format=args.format)
         except OSError as error:
@@ -479,41 +478,15 @@ def _scenarios_run(parser: argparse.ArgumentParser, args) -> int:
         print(f"saved to {written}")
         if args.verify and _report_verify(store.verify(), written):
             return 1
-        ts = default_t_grid(scenario.n, args.grid)
-        aggregates = store.aggregates(ts)
-        _print_weighted_table(
-            ts,
-            aggregates["bcg_counts"],
-            aggregates["average_links"],
-            aggregates["average_social_cost"],
-            ucg_counts=store.ucg_nash_counts(ts) if args.ucg else None,
-        )
-        return 0
-
-    result = scenario_sweep(
-        scenario, grid=args.grid, include_ucg=args.ucg, jobs=args.jobs
+    ts = default_t_grid(scenario.n, args.grid)
+    aggregates = store.aggregates(ts)
+    _print_weighted_table(
+        ts,
+        aggregates["bcg_counts"],
+        aggregates["average_links"],
+        aggregates["average_social_cost"],
+        ucg_counts=store.ucg_nash_counts(ts) if args.ucg else None,
     )
-    print(
-        f"scenario {scenario.name}: n = {scenario.n}, "
-        f"{model.kind} cost model, {len(result.graphs)} connected classes"
-    )
-    print(f"  {scenario.description}")
-    headers = ["t", "#stable_bcg", "avg_links", "avg_social_cost"]
-    if args.ucg:
-        headers.append("#nash_ucg")
-    rows = []
-    for k, t in enumerate(result.ts):
-        row = [
-            t,
-            result.bcg_counts[k],
-            result.average_links[k],
-            result.average_social_cost[k],
-        ]
-        if args.ucg:
-            row.append(result.ucg_counts[k])
-        rows.append(row)
-    print()
-    print(format_table(headers, rows))
     return 0
 
 

@@ -65,7 +65,6 @@ from .batch import (
     batch_delta_columns,
     batch_stability_deltas,
     batch_ucg_columns,
-    batch_weighted_columns,
     validate_weight_matrix,
 )
 from .oracle import DistanceOracle, get_default_oracle
@@ -86,7 +85,6 @@ __all__ = [
     "batch_delta_columns",
     "batch_stability_deltas",
     "batch_ucg_columns",
-    "batch_weighted_columns",
     "chunk_evenly",
     "config_fingerprint",
     "content_checksum",

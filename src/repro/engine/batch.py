@@ -336,57 +336,6 @@ def batch_delta_columns(
     }
 
 
-@_instrument_batch("batch_weighted_columns")
-def batch_weighted_columns(
-    graphs: Sequence[Graph],
-    weight_matrix: Sequence[Sequence[float]],
-    oracle: Optional[DistanceOracle] = None,
-    use_orbits: Optional[bool] = None,
-):
-    """Weighted per-probe coefficient columns for a same-model batch of graphs.
-
-    The heterogeneous-α sweeps ask, per graph and per scale ``t``, the same
-    per-probe comparisons the scalar censuses ask per ``α`` — except every
-    probe carries its own coefficient ``w`` from ``weight_matrix``
-    (``weight_matrix[payer][other]`` is the price the paying endpoint faces
-    for the pair).  Implemented as :func:`batch_delta_columns` (one delta
-    tensorisation pass, model-independent) plus a dense coefficient gather
-    at the stored endpoint indices, emitting ragged CSR columns ready for
-    the weighted grid kernels in :mod:`repro.engine.columnar`:
-
-    * ``rem_w, rem_delta, rem_indptr`` — one entry per (edge, endpoint)
-      removal probe, two per edge in ``sorted_edges`` order (endpoint ``u``
-      then ``v``);
-    * ``add_w_u, add_s_u, add_w_v, add_s_v, add_indptr`` — one 4-tuple of
-      values per non-edge in ``non_edges`` order (each endpoint's price and
-      addition saving);
-    * ``num_edges, dist_total`` — dense per-graph columns for aggregates.
-
-    All emitted value columns are float64 (weights are arbitrary user
-    floats; the float32 Δ storage of the delta pass is upcast exactly —
-    every payoff is an integer-valued float or ``±inf``).  The per-graph
-    reference is
-    :class:`repro.costmodels.stability.WeightedStabilityProfile`.
-    """
-    validate_weight_matrix(weight_matrix)
-    columns = batch_delta_columns(graphs, oracle=oracle, use_orbits=use_orbits)
-    # reshape keeps the n = 0 edge case indexable (asarray([]) is 1-D).
-    players = len(weight_matrix)
-    matrix = np.asarray(weight_matrix, dtype=np.float64).reshape(players, players)
-    return {
-        "num_edges": columns["num_edges"],
-        "dist_total": columns["dist_total"],
-        "rem_w": matrix[columns["rem_pay"], columns["rem_other"]],
-        "rem_delta": columns["rem_delta"].astype(np.float64),
-        "rem_indptr": columns["rem_indptr"],
-        "add_w_u": matrix[columns["add_u"], columns["add_v"]],
-        "add_s_u": columns["add_s_u"].astype(np.float64),
-        "add_w_v": matrix[columns["add_v"], columns["add_u"]],
-        "add_s_v": columns["add_s_v"].astype(np.float64),
-        "add_indptr": columns["add_indptr"],
-    }
-
-
 @_instrument_batch("batch_ucg_columns")
 def batch_ucg_columns(
     graphs: Sequence[Graph],

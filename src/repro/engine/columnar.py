@@ -364,8 +364,9 @@ def _check_weight_columns(*weight_arrays) -> None:
     The weighted kernels compute ``Δ / w`` windows and ``t·w`` thresholds;
     a zero, negative or non-finite coefficient would silently turn whole
     mask/window columns into NaN/inf.  Raises a clear :class:`ValueError`
-    instead (the columns normally come pre-validated from
-    :func:`repro.engine.batch.batch_weighted_columns`, but persisted
+    instead (the columns normally come pre-validated through
+    :meth:`CostModel.coefficient_matrix
+    <repro.costmodels.models.CostModel.coefficient_matrix>`, but persisted
     artifacts and hand-built columns enter here directly).
     """
     for weights in weight_arrays:
@@ -390,7 +391,7 @@ def weighted_bcg_stable_mask(
 
     The heterogeneous-α counterpart of :func:`bcg_stable_mask`: each probe
     carries its own coefficient ``w`` (see
-    :func:`repro.engine.batch.batch_weighted_columns` for the column
+    :class:`~repro.analysis.weighted_store.WeightedStore` for the column
     layout), and the class is stable under ``C = t·W`` iff no removal probe
     has ``Δ < t·w - tol`` and no non-edge has one endpoint with
     ``save > t·w + tol`` while the other has ``save >= t·w - tol``.
@@ -493,9 +494,9 @@ def stacked_weight_columns(weight_matrices, rem_pay, rem_other, add_u, add_v):
     addition probe (the :class:`~repro.analysis.delta_store.DeltaStore`
     endpoint columns).  Returns
     ``(rem_w[K, P_rem], add_w_u[K, P_add], add_w_v[K, P_add])`` — exactly
-    the coefficient columns :func:`repro.engine.batch.batch_weighted_columns`
-    would emit for each draw, gathered in one fancy-indexing pass instead of
-    K per-draw Python assembly loops.
+    the coefficient columns of each draw's
+    :class:`~repro.analysis.weighted_store.WeightedStore`, gathered in one
+    fancy-indexing pass instead of K per-draw gathers.
     """
     stack = np.asarray(weight_matrices, dtype=np.float64)
     if stack.ndim == 2:

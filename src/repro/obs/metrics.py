@@ -24,6 +24,9 @@ Design contract, shared with :mod:`repro.obs.tracing`:
   onto :func:`repro.engine.parallel_map` / :func:`repro.engine.run_shards`
   chunk results (a crashed worker's undelivered pending state dies with
   it; the retried attempt records afresh, so nothing double-counts);
+* **thread-safe instruments** — each counter, gauge and histogram holds
+  its own lock across an update, so the service's request threads never
+  lose a tally or corrupt a sketch;
 * **histogram accuracy regimes** — fixed log buckets are exact tallies;
   quantiles are exact (order-statistic interpolation, NumPy's linear
   rule) while the observation count is within ``exact_buffer`` and P²
@@ -182,7 +185,7 @@ class Counter:
     """Monotonically increasing value (plus its pending merge delta)."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "labels", "_value", "_pending")
+    __slots__ = ("name", "help", "labels", "_value", "_pending", "_lock")
 
     def __init__(self, name: str, help: str, labels: Dict[str, str]) -> None:
         self.name = name
@@ -190,6 +193,7 @@ class Counter:
         self.labels = dict(labels)
         self._value = 0.0
         self._pending = 0.0
+        self._lock = threading.Lock()
 
     @property
     def value(self) -> float:
@@ -200,20 +204,23 @@ class Counter:
             return
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
-        self._value += amount
-        self._pending += amount
+        with self._lock:
+            self._value += amount
+            self._pending += amount
 
     def _drain(self) -> Optional[dict]:
-        if self._pending == 0.0:
-            return None
-        delta, self._pending = self._pending, 0.0
+        with self._lock:
+            if self._pending == 0.0:
+                return None
+            delta, self._pending = self._pending, 0.0
         return {"value": delta}
 
     def _merge(self, delta: dict) -> None:
         # Merged amounts stay pending too, so a mid-tier coordinator that
         # is itself drained forwards its workers' contributions upward.
-        self._value += delta["value"]
-        self._pending += delta["value"]
+        with self._lock:
+            self._value += delta["value"]
+            self._pending += delta["value"]
 
     def _snapshot(self) -> dict:
         return {
@@ -229,7 +236,7 @@ class Gauge:
     """A value that can go both ways (pool depth, heartbeat timestamps)."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "labels", "_value", "_dirty")
+    __slots__ = ("name", "help", "labels", "_value", "_dirty", "_lock")
 
     def __init__(self, name: str, help: str, labels: Dict[str, str]) -> None:
         self.name = name
@@ -237,6 +244,7 @@ class Gauge:
         self.labels = dict(labels)
         self._value = 0.0
         self._dirty = False
+        self._lock = threading.Lock()
 
     @property
     def value(self) -> float:
@@ -245,29 +253,33 @@ class Gauge:
     def set(self, value: float) -> None:
         if not _STATE.enabled:
             return
-        self._value = float(value)
-        self._dirty = True
+        with self._lock:
+            self._value = float(value)
+            self._dirty = True
 
     def inc(self, amount: float = 1.0) -> None:
         if not _STATE.enabled:
             return
-        self._value += amount
-        self._dirty = True
+        with self._lock:
+            self._value += amount
+            self._dirty = True
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
     def _drain(self) -> Optional[dict]:
-        if not self._dirty:
-            return None
-        self._dirty = False
-        return {"value": self._value}
+        with self._lock:
+            if not self._dirty:
+                return None
+            self._dirty = False
+            return {"value": self._value}
 
     def _merge(self, delta: dict) -> None:
         # Gauges are instantaneous readings: the merged (worker) value
         # wins, matching Prometheus' last-write semantics.
-        self._value = delta["value"]
-        self._dirty = True
+        with self._lock:
+            self._value = delta["value"]
+            self._dirty = True
 
     def _snapshot(self) -> dict:
         return {
@@ -387,14 +399,16 @@ class Histogram:
     sketch per tracked quantile (bucket tallies, count, sum, min and max
     stay exact forever).  Non-finite observations count toward
     ``count``/``sum``/extrema and the overflow bucket but never feed the
-    sketches.
+    sketches.  One lock covers every update and read of that state, so
+    concurrent request threads neither lose an observation nor catch the
+    buffer half-flushed.
     """
 
     kind = "histogram"
     __slots__ = (
         "name", "help", "labels", "buckets", "quantiles", "exact_buffer",
         "count", "sum", "min", "max", "_bucket_counts", "_buffer", "_bank",
-        "_pending",
+        "_pending", "_lock",
     )
 
     def __init__(
@@ -423,6 +437,7 @@ class Histogram:
         self._buffer: Optional[List[float]] = []
         self._bank: Optional[_ScalarP2Bank] = None
         self._pending = self._empty_delta()
+        self._lock = threading.Lock()
 
     def _empty_delta(self) -> dict:
         return {
@@ -438,17 +453,18 @@ class Histogram:
         if not _STATE.enabled:
             return
         value = float(value)
-        self._record(value)
-        pending = self._pending
-        pending["count"] += 1
-        pending["sum"] += value
-        if value < pending["min"]:
-            pending["min"] = value
-        if value > pending["max"]:
-            pending["max"] = value
-        pending["bucket_counts"][self._bucket_index(value)] += 1
-        if len(pending["samples"]) < SAMPLE_CAP:
-            pending["samples"].append(value)
+        with self._lock:
+            self._record(value)
+            pending = self._pending
+            pending["count"] += 1
+            pending["sum"] += value
+            if value < pending["min"]:
+                pending["min"] = value
+            if value > pending["max"]:
+                pending["max"] = value
+            pending["bucket_counts"][self._bucket_index(value)] += 1
+            if len(pending["samples"]) < SAMPLE_CAP:
+                pending["samples"].append(value)
 
     def time(self) -> _Timer:
         """``with histogram.time(): ...`` observes the block's wall time."""
@@ -495,6 +511,10 @@ class Histogram:
         q = float(q)
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantiles live in [0, 1]")
+        with self._lock:
+            return self._estimate(q)
+
+    def _estimate(self, q: float) -> float:
         if self._buffer is not None:
             return _exact_quantile(sorted(self._buffer), q)
         # The buffer flushes only with values in it, so the bank exists.
@@ -503,9 +523,10 @@ class Histogram:
     # ------------------------- drain / merge -------------------------- #
 
     def _drain(self) -> Optional[dict]:
-        if self._pending["count"] == 0:
-            return None
-        delta, self._pending = self._pending, self._empty_delta()
+        with self._lock:
+            if self._pending["count"] == 0:
+                return None
+            delta, self._pending = self._pending, self._empty_delta()
         delta["buckets"] = self.buckets
         delta["quantiles"] = self.quantiles
         return delta
@@ -516,51 +537,53 @@ class Histogram:
                 f"histogram {self.name!r}: cannot merge deltas with "
                 "different bucket bounds"
             )
-        self.count += delta["count"]
-        self.sum += delta["sum"]
-        if delta["min"] < self.min:
-            self.min = delta["min"]
-        if delta["max"] > self.max:
-            self.max = delta["max"]
-        for index, tally in enumerate(delta["bucket_counts"]):
-            self._bucket_counts[index] += tally
-        for value in delta["samples"]:
-            if math.isfinite(value):
-                if self._buffer is not None:
-                    self._buffer.append(value)
-                    if len(self._buffer) > self.exact_buffer:
-                        self._flush_buffer()
-                else:
-                    self._feed_bank(value)
-        pending = self._pending
-        pending["count"] += delta["count"]
-        pending["sum"] += delta["sum"]
-        if delta["min"] < pending["min"]:
-            pending["min"] = delta["min"]
-        if delta["max"] > pending["max"]:
-            pending["max"] = delta["max"]
-        for index, tally in enumerate(delta["bucket_counts"]):
-            pending["bucket_counts"][index] += tally
-        room = SAMPLE_CAP - len(pending["samples"])
-        if room > 0:
-            pending["samples"].extend(delta["samples"][:room])
+        with self._lock:
+            self.count += delta["count"]
+            self.sum += delta["sum"]
+            if delta["min"] < self.min:
+                self.min = delta["min"]
+            if delta["max"] > self.max:
+                self.max = delta["max"]
+            for index, tally in enumerate(delta["bucket_counts"]):
+                self._bucket_counts[index] += tally
+            for value in delta["samples"]:
+                if math.isfinite(value):
+                    if self._buffer is not None:
+                        self._buffer.append(value)
+                        if len(self._buffer) > self.exact_buffer:
+                            self._flush_buffer()
+                    else:
+                        self._feed_bank(value)
+            pending = self._pending
+            pending["count"] += delta["count"]
+            pending["sum"] += delta["sum"]
+            if delta["min"] < pending["min"]:
+                pending["min"] = delta["min"]
+            if delta["max"] > pending["max"]:
+                pending["max"] = delta["max"]
+            for index, tally in enumerate(delta["bucket_counts"]):
+                pending["bucket_counts"][index] += tally
+            room = SAMPLE_CAP - len(pending["samples"])
+            if room > 0:
+                pending["samples"].extend(delta["samples"][:room])
 
     def _snapshot(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "help": self.help,
-            "labels": dict(self.labels),
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self._bucket_counts),
-            "quantiles": {
-                str(q): self.quantile(q) for q in self.quantiles
-            },
-        }
+        with self._lock:
+            return {
+                "name": self.name,
+                "kind": self.kind,
+                "help": self.help,
+                "labels": dict(self.labels),
+                "count": self.count,
+                "sum": self.sum,
+                "min": self.min if self.count else None,
+                "max": self.max if self.count else None,
+                "buckets": list(self.buckets),
+                "bucket_counts": list(self._bucket_counts),
+                "quantiles": {
+                    str(q): self._estimate(q) for q in self.quantiles
+                },
+            }
 
 
 # --------------------------------------------------------------------------- #

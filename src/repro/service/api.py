@@ -24,6 +24,7 @@ from .._version import __version__
 from ..analysis.figure_series import census_figure_series, figure_to_payload
 from ..analysis.report import summary_dict
 from ..analysis.scenarios import available_scenarios, default_t_grid
+from ..analysis.store import _check_game
 from ..analysis.sweeps import log_spaced_alphas
 from .batching import GridBatcher
 from .catalog import ArtifactCatalog
@@ -180,7 +181,8 @@ class QueryAPI:
         Census artifacts answer the BCG Lemma 2 ``(α_min, α_max)`` pairs;
         weighted artifacts answer the scale-grid twin ``(t_min, t_max)``
         (``game="ucg"`` for the UCG supportability hulls where the
-        artifact carries UCG columns).
+        artifact carries UCG columns).  Any other ``game`` is a
+        :class:`ValueError`, as in :meth:`grid_aggregates`.
         """
         info, store = self.catalog.get(ref)
         if info.kind == "census":
@@ -192,6 +194,7 @@ class QueryAPI:
             lo, hi = store.stability_windows()
             axis = "alpha"
         elif info.kind == "weighted":
+            game = _check_game(game)
             if game == "ucg":
                 lo, hi = store.ucg_windows()
             else:
@@ -224,9 +227,11 @@ class QueryAPI:
         """The ``scenarios --load`` sweep table as a plain payload.
 
         Stable counts, average links and average social cost per scale
-        grid point — float-exact against the in-memory sweep — plus the
-        UCG Nash counts when ``ucg`` is requested and the artifact
-        carries the columns.
+        grid point — :meth:`WeightedStore.aggregates
+        <repro.analysis.weighted_store.WeightedStore.aggregates>`, the same
+        numbers ``scenarios`` prints after a build — plus the UCG Nash
+        counts when ``ucg`` is requested and the artifact carries the
+        columns.
         """
         info, store = self.catalog.get(ref, kind="weighted")
         if ts is None:

@@ -171,8 +171,10 @@ class GridBatcher:
                     self._running[key] = following
             if following is not None:
                 following.turn.set()
-            self._observe(size)
+            # Release the followers before telemetry: a failing metric must
+            # never strand them.
             batch.event.set()
+            self._observe(size)
 
     def _observe(self, size: int) -> None:
         obs.histogram(

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -165,6 +169,62 @@ def test_scenarios_verify_roundtrip(capsys, tmp_path):
 
     assert main(["scenarios", "--load", path, "--verify", "--grid", "3"]) == 0
     assert "checksum ok" in capsys.readouterr().out
+
+
+#: The ``scenarios`` commands whose stdout is pinned in
+#: ``tests/data/golden_cli/scenarios_<name>.txt``, run in this order (the
+#: ``--load`` lines read what the ``--save`` lines before them wrote).
+#: ``{tmp}`` stands for a scratch directory, in the arguments and the output.
+SCENARIOS_GOLDEN = (
+    ("list", "--list"),
+    ("two_tier_isp_n5", "--name two_tier_isp --n 5 --grid 6"),
+    ("random_weights_n5_ucg", "--name random_weights --n 5 --grid 5 --seed 2 --ucg"),
+    (
+        "save_weighted5",
+        "--name random_weights --n 5 --seed 2 --grid 5 --save {tmp}/weighted5.npz",
+    ),
+    ("load_weighted5", "--load {tmp}/weighted5.npz --grid 5"),
+    (
+        "save_wucg5",
+        "--name random_weights --n 5 --ucg --save {tmp}/wucg5.npz --verify --grid 5",
+    ),
+    ("load_wucg5", "--load {tmp}/wucg5.npz --ucg --verify --grid 5"),
+    (
+        "save_weighted5v",
+        "--name random_weights --n 5 --seed 2 --grid 5 "
+        "--save {tmp}/weighted5v.npz --verify",
+    ),
+    ("hub_discounted_n6_ucg", "--name hub_discounted --n 6 --grid 8 --ucg"),
+    ("line_metric_n6", "--name line_metric --n 6 --grid 7"),
+    ("random_weights_n7", "--name random_weights --n 7 --seed 4 --grid 12"),
+    ("two_tier_isp_n6_ucg_jobs2", "--name two_tier_isp --n 6 --grid 8 --ucg --jobs 2"),
+)
+
+GOLDEN_CLI_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_cli")
+
+
+@pytest.fixture(scope="module")
+def scenarios_outputs(tmp_path_factory):
+    """Exit code and ``{tmp}``-normalised stdout of every pinned command."""
+    tmp = str(tmp_path_factory.mktemp("golden_scenarios"))
+    outputs = {}
+    for name, command in SCENARIOS_GOLDEN:
+        argv = ["scenarios"] + command.format(tmp=tmp).split()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        outputs[name] = (code, stdout.getvalue().replace(tmp, "{tmp}"))
+    return outputs
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SCENARIOS_GOLDEN])
+def test_scenarios_output_matches_golden(scenarios_outputs, name):
+    """Every ``scenarios`` table, header and verify line prints as pinned."""
+    with open(
+        os.path.join(GOLDEN_CLI_DIR, f"scenarios_{name}.txt"), encoding="utf-8"
+    ) as handle:
+        expected = handle.read()
+    assert scenarios_outputs[name] == (0, expected)
 
 
 class TestUcgFlags:

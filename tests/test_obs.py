@@ -11,6 +11,7 @@ real worker crash with re-queue.
 import json
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -160,6 +161,47 @@ def test_histogram_time_context_manager():
     snap = h._snapshot()
     assert snap["count"] == 1
     assert 0 <= snap["sum"] < 5.0
+
+
+def test_instruments_are_exact_under_concurrent_updates():
+    """Threads updating one counter, gauge and histogram across the exact
+    buffer's flush, with a tiny switch interval, lose no tally and never
+    catch the buffer half-flushed."""
+    h = obs.histogram("t_concurrent_seconds", "h")
+    c = obs.counter("t_concurrent_total", "h")
+    g = obs.gauge("t_concurrent_depth", "h")
+    threads, rounds = 8, 1000
+    start = threading.Barrier(threads)
+    errors = []
+
+    def worker():
+        try:
+            start.wait(timeout=60.0)
+            for r in range(rounds):
+                h.observe(float(r % 4))
+                c.inc()
+                g.inc()
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [
+            threading.Thread(target=worker, daemon=True) for _ in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    total = threads * rounds
+    assert (h.count, h.sum) == (total, 1.5 * total)
+    assert h._snapshot()["bucket_counts"][0] == total // 4
+    assert (c.value, g.value) == (total, total)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,8 +9,8 @@ from repro.analysis.scenarios import (
     build_scenario,
     default_t_grid,
     scenario_from_params,
-    scenario_sweep,
 )
+from repro.analysis.weighted_store import WeightedStore
 from repro.cli import main
 from repro.costmodels import PerEdgeCost, PerPlayerCost
 
@@ -131,20 +131,22 @@ class TestParamsRoundTrip:
 class TestScenarioSweep:
 
     def test_sweep_shapes_and_monotone_links(self):
-        result = scenario_sweep(build_scenario("two_tier_isp", 5), grid=6)
-        assert len(result.ts) == 6
-        assert len(result.graphs) == 21  # connected classes on 5 vertices
-        assert len(result.bcg_counts) == 6
+        store = WeightedStore.from_scenario(build_scenario("two_tier_isp", 5))
+        result = store.aggregates(default_t_grid(5, 6))
+        assert len(result["ts"]) == 6
+        assert len(store) == 21  # connected classes on 5 vertices
+        assert len(result["bcg_counts"]) == 6
         # Cheap links: the complete graph is the unique stable topology at
         # tiny scales; expensive links thin the stable networks out.
-        assert result.average_links[0] == 10.0
-        finite = [x for x in result.average_links if x == x]
+        assert result["average_links"][0] == 10.0
+        finite = [x for x in result["average_links"] if x == x]
         assert finite[0] >= finite[-1]
 
     def test_sweep_accepts_explicit_grid(self):
-        result = scenario_sweep(build_scenario("line_metric", 4), ts=[0.5, 2.0])
-        assert result.ts == [0.5, 2.0]
-        assert len(result.bcg_counts) == 2
+        store = WeightedStore.from_scenario(build_scenario("line_metric", 4))
+        result = store.aggregates([0.5, 2.0])
+        assert result["ts"] == [0.5, 2.0]
+        assert len(result["bcg_counts"]) == 2
 
 
 class TestScenariosCLI:

@@ -159,6 +159,11 @@ class TestQueryAPIParity:
         with pytest.raises(ValueError, match="model-free"):
             api.windows("delta4.npz")
 
+    def test_weighted_windows_reject_unknown_game(self, api):
+        """Regression: any game but 'ucg' used to answer BCG windows."""
+        with pytest.raises(ValueError, match="game must be 'bcg' or 'ucg'"):
+            api.windows("weighted4.npz", "nonsense")
+
     def test_weighted_grid(self, api, artifact_dir):
         store = WeightedStore.load(str(artifact_dir / "weighted4.npz"))
         ts = default_t_grid(store.n, 6)
@@ -373,8 +378,10 @@ class TestGridBatcher:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            # Daemon threads: a stranded caller fails the join below
+            # instead of hanging the interpreter's exit.
             pool = [
-                threading.Thread(target=worker, args=(k,))
+                threading.Thread(target=worker, args=(k,), daemon=True)
                 for k in range(threads)
             ]
             for thread in pool:
@@ -582,6 +589,16 @@ class TestHTTPServer:
         )
         assert stats["draws"] == 2
         assert len(stats["counts"]) == 2
+
+    def test_weighted_windows_unknown_game_is_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as bad_game:
+            self._post(
+                server,
+                "/v1/query/windows",
+                {"artifact": "weighted4.npz", "game": "nonsense"},
+            )
+        assert bad_game.value.code == 400
+        assert "game must be" in json.loads(bad_game.value.read())["error"]
 
     def test_error_statuses(self, server):
         with pytest.raises(urllib.error.HTTPError) as not_found:

@@ -3,9 +3,12 @@
 The contract under test: every answer of
 :class:`repro.analysis.weighted_store.WeightedStore` — stability masks,
 ``(t_min, t_max)`` windows, sweep aggregates, reconstructed graphs — equals
-the in-memory :func:`repro.analysis.weighted.weighted_census` sweep
-**exactly** (float equality, not approximate), including after a save →
-load round trip in a separate process, for both on-disk formats.
+the per-graph references (:func:`weighted_python_sweep_bcg`,
+:class:`~repro.costmodels.stability.WeightedStabilityProfile`,
+``CostModel.bcg_edge_cost_total`` and ``total_distance``) **exactly** (float
+equality, not approximate), including after a save → load round trip in a
+separate process, for both on-disk formats.  The references share no code
+with the store's batch kernels, so a fault in those kernels shows here.
 """
 
 import json
@@ -16,14 +19,20 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.delta_store import DeltaStore
 from repro.analysis.scenarios import build_scenario, default_t_grid
-from repro.analysis.weighted import weighted_census, weighted_sweep
+from repro.analysis.weighted import weighted_python_sweep_bcg
 from repro.analysis.weighted_store import (
     FORMAT_VERSION,
     WeightedStore,
 )
-from repro.costmodels import PerPlayerCost, UniformCost
-from repro.graphs import enumerate_connected_graphs
+from repro.costmodels import (
+    PerPlayerCost,
+    UniformCost,
+    weighted_stability_profile,
+)
+from repro.engine import DistanceOracle
+from repro.graphs import enumerate_connected_graphs, total_distance
 
 #: Every column of the artifact.
 COLUMNS = (
@@ -66,6 +75,28 @@ def t_grid(n: int, store: WeightedStore):
     return grid
 
 
+def reference_aggregates(graphs, model, mask, ts):
+    """Per-grid-point counts and averages from a reference mask, summed
+    left to right over the stable graphs in class order."""
+    counts, links, social = [], [], []
+    for column, t in enumerate(ts):
+        stable = [graph for graph, row in zip(graphs, mask) if row[column]]
+        counts.append(len(stable))
+        if not stable:
+            links.append(float("nan"))
+            social.append(float("nan"))
+            continue
+        links.append(sum(graph.num_edges for graph in stable) / len(stable))
+        social.append(
+            sum(
+                t * model.bcg_edge_cost_total(graph) + total_distance(graph)
+                for graph in stable
+            )
+            / len(stable)
+        )
+    return {"bcg_counts": counts, "average_links": links, "average_social_cost": social}
+
+
 @pytest.fixture(scope="module")
 def scenario6():
     return build_scenario("random_weights", 6, seed=11)
@@ -77,31 +108,40 @@ def store6(scenario6):
 
 
 class TestSweepParity:
-    """The artifact answers exactly what the in-memory sweep answers."""
+    """The artifact answers exactly what the per-graph references answer."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_masks_and_windows_equal_sweep_all_classes(self, n):
         scenario = build_scenario("random_weights", n, seed=3)
         store = WeightedStore.from_scenario(scenario)
+        graphs = enumerate_connected_graphs(n)
         ts = t_grid(n, store)
-        sweep = weighted_census(n, scenario.model, ts)
-        assert len(store) == len(sweep.graphs)
-        mask = store.stable_mask(ts)
-        assert np.array_equal(mask, np.asarray(sweep.bcg_mask))
+        assert len(store) == len(graphs)
+        oracle = DistanceOracle()
+        assert store.stable_mask(ts).tolist() == weighted_python_sweep_bcg(
+            graphs, scenario.model, ts, oracle=oracle
+        )
+        profiles = [
+            weighted_stability_profile(graph, scenario.model, oracle=oracle)
+            for graph in graphs
+        ]
         t_min, t_max = store.stability_windows()
-        assert t_min.tolist() == sweep.t_min
-        assert t_max.tolist() == sweep.t_max
+        assert t_min.tolist() == [profile.t_min for profile in profiles]
+        assert t_max.tolist() == [profile.t_max for profile in profiles]
 
     def test_aggregates_equal_sweep(self, scenario6, store6):
         ts = t_grid(6, store6)
-        sweep = weighted_census(6, scenario6.model, ts)
+        graphs = enumerate_connected_graphs(6)
+        mask = weighted_python_sweep_bcg(graphs, scenario6.model, ts)
+        expected = reference_aggregates(graphs, scenario6.model, mask, ts)
         aggregates = store6.aggregates(ts)
-        assert aggregates["bcg_counts"] == sweep.bcg_counts
-        for key, expected in (
-            ("average_links", sweep.average_links),
-            ("average_social_cost", sweep.average_social_cost),
-        ):
-            assert all(same(a, b) for a, b in zip(aggregates[key], expected)), key
+        assert aggregates["ts"] == ts
+        assert aggregates["bcg_counts"] == expected["bcg_counts"]
+        for key in ("average_links", "average_social_cost"):
+            assert len(aggregates[key]) == len(ts)
+            assert all(
+                same(a, b) for a, b in zip(aggregates[key], expected[key])
+            ), key
 
     def test_stable_counts_match_mask(self, store6):
         ts = [0.5, 2.0, 9.0]
@@ -110,18 +150,22 @@ class TestSweepParity:
         ]
 
     def test_per_player_model_and_uniform_closed_form(self):
-        """Non-symmetric weights and the uniform exact closed forms survive."""
+        """Non-symmetric weights and the uniform exact closed forms survive:
+        the replayed link spend equals the per-class Python sum exactly."""
+        graphs = enumerate_connected_graphs(5)
         for model in (
             PerPlayerCost([0.5, 0.5, 2.0, 2.0, 3.0]),
             UniformCost(1.0),
+            UniformCost(2.5),
         ):
             store = WeightedStore.build(5, model)
             ts = [0.3, 1.0, 4.0, 12.0]
-            sweep = weighted_census(5, model, ts)
-            assert np.array_equal(
-                store.stable_mask(ts), np.asarray(sweep.bcg_mask)
+            assert store.stable_mask(ts).tolist() == weighted_python_sweep_bcg(
+                graphs, model, ts
             )
-            assert store.edge_cost_total.tolist() == sweep.edge_cost_totals
+            assert store.edge_cost_total.tolist() == [
+                model.bcg_edge_cost_total(graph) for graph in graphs
+            ]
 
     def test_graph_reconstruction(self, store6):
         graphs = enumerate_connected_graphs(6)
@@ -130,10 +174,11 @@ class TestSweepParity:
 
     def test_stable_graphs_at(self, scenario6, store6):
         t = 2.5
-        sweep = weighted_sweep(
-            enumerate_connected_graphs(6), scenario6.model, [t]
-        )
-        assert store6.stable_graphs_at(t) == sweep.stable_graphs_at(0)
+        graphs = enumerate_connected_graphs(6)
+        mask = weighted_python_sweep_bcg(graphs, scenario6.model, [t])
+        assert store6.stable_graphs_at(t) == [
+            graph for graph, row in zip(graphs, mask) if row[0]
+        ]
 
 
 class TestBuildPaths:
@@ -180,6 +225,17 @@ class TestBuildPaths:
             WeightedStore.build_streamed(
                 5, model_b, shard_level=2, shard_dir=shard_dir
             )
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_builds_match_from_delta(self, n):
+        """Every build path prices through one function, down to n = 0."""
+        model = UniformCost(1.0)
+        built = WeightedStore.build(n, model)
+        assert built.weight_matrix.shape == (n, n)
+        assert built.verify()["ok"]
+        assert_stores_equal(
+            built, WeightedStore.from_delta(DeltaStore.build(n), model)
+        )
 
     def test_build_rejects_negative_n(self):
         with pytest.raises(ValueError):
