@@ -8,7 +8,8 @@ orientation backtracking references
 (:func:`repro.core.unilateral.ucg_nash_alpha_set` /
 :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`).  Also pins the
 degenerate conventions (edgeless → ``[(inf, inf)]``, disconnected with
-edges → empty) and the orbit-pruning on/off equivalence.
+edges → empty) and that orbit pruning, which the engine applies to graphs
+whose canonical record is memoised, matches fresh unpruned instances.
 
 Run::
 
@@ -29,6 +30,7 @@ from repro.core.unilateral import ucg_nash_alpha_set
 from repro.costmodels.stability import weighted_ucg_nash_t_set
 from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
 from repro.graphs import Graph, empty_graph, enumerate_connected_graphs
+from repro.graphs.isomorphism import canonical_record
 
 
 def endpoints(interval_set):
@@ -57,9 +59,10 @@ def main(argv=None) -> int:
                 f"scalar UCG divergence at n={n}: {graph.sorted_edges()} "
                 f"engine={endpoints(engine_set)} reference={endpoints(reference)}"
             )
-        no_orbits = ucg_alpha_sets([fresh(g) for g in graphs], use_orbits=False)
-        forced = ucg_alpha_sets([fresh(g) for g in graphs], use_orbits=True)
-        for a, b in zip(no_orbits, forced):
+        memoised = [fresh(g) for g in graphs]
+        for graph in memoised:
+            canonical_record(graph)
+        for a, b in zip(engine_sets, ucg_alpha_sets(memoised)):
             assert endpoints(a) == endpoints(b), "orbit pruning changed a result"
         total += len(graphs)
         print(f"scalar n={n}: {len(graphs)} classes float-exact")

@@ -38,7 +38,6 @@ from .sampling import (
     sample_equilibria_at_cost,
     sample_equilibria_over_grid,
     sampled_bcg_columns,
-    sampled_bcg_profiles,
     sampled_stable_counts,
     sampled_stable_mask,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "deduplicate_up_to_isomorphism",
     "sample_equilibria_at_cost",
     "sample_equilibria_over_grid",
-    "sampled_bcg_profiles",
     "sampled_bcg_columns",
     "sampled_stable_mask",
     "sampled_stable_counts",

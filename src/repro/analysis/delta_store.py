@@ -10,7 +10,7 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
 
 * **columns** — per class: a packed upper-triangle certificate, the edge
   count, the total ordered-pair distance sum, and the ragged CSR probe
-  columns of :func:`repro.engine.batch.batch_delta_columns`: removal
+  columns of :func:`repro.engine.batch_stability_deltas`: removal
   ``(Δ, payer, other)`` triples (two per edge, ``sorted_edges`` order) and
   per-non-edge ``(save_u, save_v, u, v)`` 4-tuples (``non_edges`` order).
   The endpoint indices are what make the artifact model-independent — any
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.batch import batch_delta_columns
+from ..engine.batch import batch_stability_deltas
 from ..engine.columnar import (
     pack_certificates,
     stacked_weight_columns,
@@ -74,7 +74,7 @@ class DeltaStore(ColumnArtifact):
     SCHEMA = SCHEMA
     FORMAT_VERSION = FORMAT_VERSION
     SHARD_PREFIX = "dshard"
-    #: The :func:`~repro.engine.batch.batch_delta_columns` layout: removal
+    #: The :func:`~repro.engine.batch.batch_stability_deltas` layout: removal
     #: ``(Δ, payer, other)`` triples, two per edge, and per-non-edge
     #: ``(save_u, save_v, u, v)`` 4-tuples.
     SPEC = ColumnSpec(
@@ -206,9 +206,7 @@ class DeltaStore(ColumnArtifact):
 
 def _delta_part(graphs: List[Graph], n: int, oracle) -> dict:
     """One column chunk: delta probe columns + certificates for ``graphs``."""
-    if not graphs:
-        return DeltaStore._empty_part(n)
-    part = batch_delta_columns(graphs, oracle=oracle)
+    part = batch_stability_deltas(graphs, oracle=oracle)
     part["cert_words"] = pack_certificates(
         [graph.adjacency_bitstring() for graph in graphs], n
     )

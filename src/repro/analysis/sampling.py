@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.dynamics import sample_nash_networks_ucg, sample_stable_networks_bcg
 from ..core.equilibria import is_pairwise_stable
-from ..core.stability_intervals import PairwiseStabilityProfile
 from ..engine import DistanceOracle, batch_stability_deltas, ucg_alpha_sets
-from ..engine.columnar import bcg_stable_mask
+from ..engine.columnar import bcg_stable_mask, segment_min
 from ..graphs import Graph, canonical_form
+from .store import census_bcg_columns
 from .sweeps import aligned_link_costs, map_over_grid
 
 
@@ -40,37 +42,26 @@ def deduplicate_up_to_isomorphism(graphs: Sequence[Graph]) -> List[Graph]:
 # --------------------------------------------------------------------------- #
 
 
-def sampled_bcg_profiles(
-    graphs: Sequence[Graph], oracle: Optional[DistanceOracle] = None
-) -> List[PairwiseStabilityProfile]:
-    """Stability profiles of an ad-hoc graph list via the batched engine.
-
-    One call to :func:`repro.engine.batch_stability_deltas` answers every
-    single-link deviation probe of every sampled graph (batched boolean
-    matmuls where NumPy is available), instead of a per-graph BFS loop.
-    """
-    results = batch_stability_deltas(list(graphs), oracle=oracle)
-    return [
-        PairwiseStabilityProfile(
-            graph=graph, removal_increase=removal, addition_saving=addition
-        )
-        for graph, (removal, addition) in zip(graphs, results)
-    ]
-
-
 def sampled_bcg_columns(
     graphs: Sequence[Graph], oracle: Optional[DistanceOracle] = None
 ):
     """BCG α-decision columns for a sampled graph list.
 
-    Routes the sampled graphs through
-    :func:`repro.analysis.store.bcg_alpha_columns`, so dynamics-sampled runs
-    get the same vectorised whole-α-grid queries as the exhaustive census
-    store; returns ``(rem_min, add_lo, add_hi, add_indptr)``.
+    One :func:`repro.engine.batch_stability_deltas` call probes every
+    sampled graph, and the census's own reducer
+    (:func:`repro.analysis.store.census_bcg_columns`) turns the probe
+    columns into α-decision data, so dynamics-sampled runs get the same
+    vectorised whole-α-grid queries as the exhaustive census store.
+    Returns ``(rem_min, add_lo, add_hi, add_indptr)`` in float64, the
+    layout of :func:`repro.analysis.store.bcg_alpha_columns`.
     """
-    from .store import bcg_alpha_columns
-
-    return bcg_alpha_columns(sampled_bcg_profiles(graphs, oracle=oracle))
+    bcg = census_bcg_columns(batch_stability_deltas(list(graphs), oracle=oracle))
+    return (
+        segment_min(bcg["rem_values"], bcg["rem_indptr"]),
+        bcg["add_lo"].astype(np.float64),
+        bcg["add_hi"].astype(np.float64),
+        bcg["add_indptr"],
+    )
 
 
 def sampled_stable_mask(

@@ -52,6 +52,7 @@ from ..engine.columnar import (
     pack_certificates,
     segment_min,
     stability_windows,
+    ucg_interval_columns,
     ucg_nash_mask,
 )
 from ..graphs import Graph, enumerate_connected_graphs
@@ -354,85 +355,62 @@ class CensusStore(ColumnArtifact):
 # --------------------------------------------------------------------------- #
 
 
-class _ColumnAccumulator:
-    """Builds the per-class columns of one chunk in plain Python lists.
+def census_bcg_columns(deltas: Dict[str, object]) -> Dict[str, object]:
+    """The census's BCG α-decision columns, reduced from delta columns.
 
-    The float32 value columns are exact: every BCG deviation payoff is an
-    integer-valued float (or ``±inf``) far below 2**24 (distance sums on
-    ``n <= 63`` vertices), so narrowing and widening round-trips bit-exactly.
-    The UCG endpoints come from divisions and stay float64.
+    ``deltas`` is the :func:`repro.engine.batch_stability_deltas` layout.
+    Each edge keeps the smaller of its two directed removal probes
+    (``rem_values``, one per edge in ``sorted_edges`` order) and each
+    non-edge the ``(min, max)`` of its two savings (``add_lo``/``add_hi``),
+    so the α-decision data of Definition 3 are segmented reductions of the
+    probe columns.  The float32 values stay exact: every BCG deviation
+    payoff is an integer-valued float (or ``inf``) far below 2**24.
+    """
+    rem_delta = deltas["rem_delta"]
+    return {
+        "rem_values": np.minimum(rem_delta[0::2], rem_delta[1::2]),
+        "rem_indptr": deltas["rem_indptr"] // 2,
+        "add_lo": np.minimum(deltas["add_s_u"], deltas["add_s_v"]),
+        "add_hi": np.maximum(deltas["add_s_u"], deltas["add_s_v"]),
+        "add_indptr": deltas["add_indptr"],
+    }
+
+
+class _ColumnAccumulator:
+    """Assembles the census columns of one chunk from its probe results.
+
+    :meth:`append` takes a batch of graphs with their delta columns
+    (:func:`census_bcg_columns` reduces them) and, with ``include_ucg``,
+    their UCG :class:`AlphaIntervalSet` results (packed by
+    :func:`~repro.engine.columnar.ucg_interval_columns`, float64 endpoints
+    from divisions); :meth:`arrays` returns the chunk's census part.
     """
 
-    def __init__(self, include_ucg: bool) -> None:
+    def __init__(self, n: int, include_ucg: bool) -> None:
+        self.n = n
         self.include_ucg = include_ucg
-        self.certs: List[int] = []
-        self.num_edges: List[int] = []
-        self.dist_total: List[float] = []
-        self.rem_values: List[float] = []
-        self.rem_counts: List[int] = []
-        self.add_lo: List[float] = []
-        self.add_hi: List[float] = []
-        self.add_counts: List[int] = []
-        self.ucg_lo: List[float] = []
-        self.ucg_hi: List[float] = []
-        self.ucg_counts: List[int] = []
+        self.parts: List[dict] = []
 
     def append(
         self,
-        graph: Graph,
-        removal: Dict,
-        addition: Dict,
-        total: float,
-        ucg_set: Optional[AlphaIntervalSet],
+        graphs: Sequence[Graph],
+        deltas: Dict[str, object],
+        ucg_sets: Optional[Sequence[AlphaIntervalSet]] = None,
     ) -> None:
-        self.certs.append(graph.adjacency_bitstring())
-        self.num_edges.append(graph.num_edges)
-        self.dist_total.append(float(total))
-        edges = graph.sorted_edges()
-        for (u, v) in edges:
-            self.rem_values.append(
-                min(removal[((u, v), u)], removal[((u, v), v)])
+        part = census_bcg_columns(deltas)
+        part["num_edges"] = deltas["num_edges"]
+        part["dist_total"] = deltas["dist_total"]
+        part["cert_words"] = pack_certificates(
+            [graph.adjacency_bitstring() for graph in graphs], self.n
+        )
+        if self.include_ucg:
+            part["ucg_lo"], part["ucg_hi"], part["ucg_indptr"] = (
+                ucg_interval_columns(ucg_sets)
             )
-        self.rem_counts.append(len(edges))
-        non_edges = graph.non_edges()
-        for (u, v) in non_edges:
-            save_u = addition[((u, v), u)]
-            save_v = addition[((u, v), v)]
-            if save_u <= save_v:
-                self.add_lo.append(save_u)
-                self.add_hi.append(save_v)
-            else:
-                self.add_lo.append(save_v)
-                self.add_hi.append(save_u)
-        self.add_counts.append(len(non_edges))
-        if self.include_ucg:
-            intervals = ucg_set.intervals
-            for interval in intervals:
-                self.ucg_lo.append(interval.lo)
-                self.ucg_hi.append(interval.hi)
-            self.ucg_counts.append(len(intervals))
+        self.parts.append(part)
 
-    def arrays(self, n: int) -> dict:
-        def indptr(counts: List[int]):
-            out = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
-            return out
-
-        part = {
-            "num_edges": np.asarray(self.num_edges, dtype=np.int32),
-            "dist_total": np.asarray(self.dist_total, dtype=np.float64),
-            "cert_words": pack_certificates(self.certs, n),
-            "rem_values": np.asarray(self.rem_values, dtype=np.float32),
-            "rem_indptr": indptr(self.rem_counts),
-            "add_lo": np.asarray(self.add_lo, dtype=np.float32),
-            "add_hi": np.asarray(self.add_hi, dtype=np.float32),
-            "add_indptr": indptr(self.add_counts),
-        }
-        if self.include_ucg:
-            part["ucg_lo"] = np.asarray(self.ucg_lo, dtype=np.float64)
-            part["ucg_hi"] = np.asarray(self.ucg_hi, dtype=np.float64)
-            part["ucg_indptr"] = indptr(self.ucg_counts)
-        return part
+    def arrays(self) -> dict:
+        return CensusStore._merge_parts(self.parts, self.n, self.include_ucg)
 
 
 def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
@@ -475,16 +453,12 @@ def _analyse_columns(
     graphs: List[Graph], n: int, oracle, include_ucg: bool
 ) -> dict:
     """Column chunk for a batch of graphs: Δ probes, totals and UCG sets."""
-    results = batch_stability_deltas(graphs, oracle=oracle, return_totals=True)
-    cols = _ColumnAccumulator(include_ucg)
-    ucg_sets = (
-        ucg_alpha_sets(graphs, oracle=oracle) if include_ucg else [None] * len(graphs)
+    deltas = batch_stability_deltas(graphs, oracle=oracle)
+    cols = _ColumnAccumulator(n, include_ucg)
+    cols.append(
+        graphs, deltas, ucg_alpha_sets(graphs, oracle=oracle) if include_ucg else None
     )
-    for graph, ((removal, addition), total), ucg_set in zip(
-        graphs, results, ucg_sets
-    ):
-        cols.append(graph, removal, addition, total, ucg_set)
-    return cols.arrays(n)
+    return cols.arrays()
 
 
 def _columns_chunk(task: Tuple[List[Graph], int, bool]) -> dict:

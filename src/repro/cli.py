@@ -706,25 +706,8 @@ def _census_run(parser: argparse.ArgumentParser, args) -> int:
             return 2
         print(f"saved to {written}")
 
-    if args.save_deltas is not None:
-        from .analysis.delta_store import DeltaStore
-
-        build_deltas = (
-            DeltaStore.build_streamed if args.streamed else DeltaStore.build
-        )
-        try:
-            deltas = build_deltas(store.n, jobs=args.jobs)
-            written = deltas.save(args.save_deltas)
-        except (OSError, ValueError) as error:
-            print(f"cannot save {args.save_deltas}: {error}", file=sys.stderr)
-            return 2
-        summary = deltas.summary()
-        print(
-            f"delta artifact: {summary['classes']} classes, "
-            f"{summary['removal_probes']} removal + "
-            f"{summary['addition_probes']} addition probes, "
-            f"saved to {written}"
-        )
+    if args.save_deltas is not None and _save_deltas(args, store.n):
+        return 2
 
     if args.grid:
         costs = log_spaced_alphas(0.4, 2.0 * store.n * store.n, max(2, args.grid))
@@ -735,20 +718,46 @@ def _census_run(parser: argparse.ArgumentParser, args) -> int:
                 format_figure(figure, f"{args.quantity} over {len(costs)} grid points")
             )
         else:
-            # BCG-only artifact (the include_ucg=False large-n case): print
-            # the one-game grid straight off the vectorised aggregates.
-            from .analysis.report import format_table
-
-            aggregates = store.grid_aggregates(costs, "bcg")
-            rows = [
-                [alpha, value, count]
-                for alpha, value, count in zip(
-                    costs, aggregates[args.quantity], aggregates["counts"]
-                )
-            ]
-            print(f"{args.quantity} (BCG only; artifact has no UCG columns)")
-            print(format_table(["alpha", args.quantity, "#eq_bcg"], rows))
+            _print_bcg_grid(args.quantity, costs, store.grid_aggregates(costs, "bcg"))
     return 0
+
+
+def _save_deltas(args, n: int) -> bool:
+    """``census --save-deltas``: build and save the delta artifact on ``n``.
+
+    Prints the artifact line; returns ``True`` (after reporting the error)
+    when the build or the save fails.
+    """
+    from .analysis.delta_store import DeltaStore
+
+    build = DeltaStore.build_streamed if args.streamed else DeltaStore.build
+    try:
+        deltas = build(n, jobs=args.jobs)
+        written = deltas.save(args.save_deltas)
+    except (OSError, ValueError) as error:
+        print(f"cannot save {args.save_deltas}: {error}", file=sys.stderr)
+        return True
+    summary = deltas.summary()
+    print(
+        f"delta artifact: {summary['classes']} classes, "
+        f"{summary['removal_probes']} removal + "
+        f"{summary['addition_probes']} addition probes, "
+        f"saved to {written}"
+    )
+    return False
+
+
+def _print_bcg_grid(quantity: str, costs, aggregates) -> None:
+    """The one-game grid of a BCG-only census artifact (the include_ucg=False
+    large-n case), printed straight off the vectorised aggregates."""
+    from .analysis.report import format_table
+
+    rows = [
+        [alpha, value, count]
+        for alpha, value, count in zip(costs, aggregates[quantity], aggregates["counts"])
+    ]
+    print(f"{quantity} (BCG only; artifact has no UCG columns)")
+    print(format_table(["alpha", quantity, "#eq_bcg"], rows))
 
 
 def _open_query_api(path: str, kind: str, mmap: bool = False):
@@ -784,11 +793,7 @@ def _open_query_api(path: str, kind: str, mmap: bool = False):
 def _census_query(args) -> int:
     """The ``census --load`` body, answered through the query service."""
     from .analysis.figure_series import figure_from_payload
-    from .analysis.report import (
-        format_figure,
-        format_store_summary,
-        format_table,
-    )
+    from .analysis.report import format_figure, format_store_summary
     from .analysis.sweeps import log_spaced_alphas
 
     opened = _open_query_api(args.load, "census", mmap=args.mmap)
@@ -811,25 +816,8 @@ def _census_query(args) -> int:
             return 2
         print(f"saved to {written}")
 
-    if args.save_deltas is not None:
-        from .analysis.delta_store import DeltaStore
-
-        build_deltas = (
-            DeltaStore.build_streamed if args.streamed else DeltaStore.build
-        )
-        try:
-            deltas = build_deltas(summary["n"], jobs=args.jobs)
-            written = deltas.save(args.save_deltas)
-        except (OSError, ValueError) as error:
-            print(f"cannot save {args.save_deltas}: {error}", file=sys.stderr)
-            return 2
-        delta_summary = deltas.summary()
-        print(
-            f"delta artifact: {delta_summary['classes']} classes, "
-            f"{delta_summary['removal_probes']} removal + "
-            f"{delta_summary['addition_probes']} addition probes, "
-            f"saved to {written}"
-        )
+    if args.save_deltas is not None and _save_deltas(args, summary["n"]):
+        return 2
 
     if args.grid:
         print()
@@ -843,19 +831,11 @@ def _census_query(args) -> int:
                 )
             )
         else:
-            # BCG-only artifact (the include_ucg=False large-n case): print
-            # the one-game grid straight off the vectorised aggregates.
             n = summary["n"]
             costs = log_spaced_alphas(0.4, 2.0 * n * n, max(2, args.grid))
-            aggregates = api.grid_aggregates(args.load, costs, "bcg")
-            rows = [
-                [alpha, value, count]
-                for alpha, value, count in zip(
-                    costs, aggregates[args.quantity], aggregates["counts"]
-                )
-            ]
-            print(f"{args.quantity} (BCG only; artifact has no UCG columns)")
-            print(format_table(["alpha", args.quantity, "#eq_bcg"], rows))
+            _print_bcg_grid(
+                args.quantity, costs, api.grid_aggregates(args.load, costs, "bcg")
+            )
     return 0
 
 

@@ -32,15 +32,14 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
 :func:`batch_stability_deltas`
     A vectorised NumPy backend that answers *every* single-link deviation
     probe of a whole batch of graphs with a handful of batched boolean
-    matrix products (see :mod:`repro.engine.batch`).  Probes can be
-    orbit-pruned (one representative per orbit of ordered vertex pairs,
-    results expanded across the orbit): the per-graph BFS path for
-    ``n > 63`` prunes automatically whenever automorphism data is memoised
-    on the graph, while the vectorised path keeps full tensor probing
-    unless ``use_orbits=True`` is passed — a tensor-slice probe is cheaper
-    than the per-orbit bookkeeping (see the batch module docstring for the
-    measured economics).  Numerically identical to the oracle path for
-    every setting.
+    matrix products (see :mod:`repro.engine.batch`) and returns them as
+    the delta columns every store reduces: per-probe Δ values with their
+    endpoint indices in ragged CSR layout, plus edge counts and distance
+    totals.  Graphs with ``n > 63`` take the per-graph oracle path, which
+    orbit-prunes its probes (one representative per orbit of ordered
+    vertex pairs, results expanded across the orbit) whenever automorphism
+    data is already memoised on the graph.  Numerically identical to the
+    oracle path.
 
 :func:`parallel_map`
     A process-pool fan-out with a deterministic serial fallback.  ``jobs``
@@ -62,7 +61,6 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
 """
 
 from .batch import (
-    batch_delta_columns,
     batch_stability_deltas,
     batch_ucg_columns,
     validate_weight_matrix,
@@ -82,7 +80,6 @@ __all__ = [
     "DistanceOracle",
     "ShardRunReport",
     "StreamingEnsembleStats",
-    "batch_delta_columns",
     "batch_stability_deltas",
     "batch_ucg_columns",
     "chunk_evenly",

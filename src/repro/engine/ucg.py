@@ -72,12 +72,12 @@ backtracking reference, which is also what every test asserts against.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..graphs.isomorphism import cached_canonical_record, canonical_record
+from ..graphs.isomorphism import cached_canonical_record
 
 INFINITY = float("inf")
 
@@ -114,25 +114,19 @@ def _mask_images(perms, n: int):
     return images
 
 
-def _orbit_plan(graph, use_orbits: Optional[bool], image_ids: Dict):
+def _orbit_plan(graph, image_ids: Dict):
     """``(reps, rep_of, image_of)`` for one graph.
 
     ``reps`` lists the players whose tables must actually be computed;
     player ``p`` reads representative ``rep_of[p]``'s table through the
     ``σ^{-1}`` vertex permutation numbered ``image_of[p]`` in ``image_ids``
     (which maps permutation tuples to ids and starts with the identity as
-    id 0).  ``use_orbits`` mirrors
-    :func:`repro.engine.batch.batch_stability_deltas`: ``None`` prunes only
-    when the canonical record is already memoised, ``True`` forces the
-    canonical search, ``False`` disables pruning.
+    id 0).  Pruning engages only when the canonical record is already
+    memoised on the instance, so the engine never runs a canonical search.
     """
     n = graph.n
     trivial = list(range(n)), list(range(n)), [0] * n
-    if use_orbits is False or n <= 1:
-        return trivial
-    record = (
-        canonical_record(graph) if use_orbits else cached_canonical_record(graph)
-    )
+    record = cached_canonical_record(graph) if n > 1 else None
     if record is None or not record.generators:
         return trivial
     gens = record.generators
@@ -167,7 +161,7 @@ def _orbit_plan(graph, use_orbits: Optional[bool], image_ids: Dict):
     return reps, rep_of, image_of
 
 
-def _chunk_rows(graphs, use_orbits):
+def _chunk_rows(graphs):
     """Representative rows and the orbit gather for one same-``n`` chunk.
 
     Returns ``(rows_idx, src, image_of, images)``: ``rows_idx`` lists the
@@ -181,7 +175,7 @@ def _chunk_rows(graphs, use_orbits):
     src: List[int] = []
     image_of: List[int] = []
     for gi, graph in enumerate(graphs):
-        reps, rep_of, images = _orbit_plan(graph, use_orbits, image_ids)
+        reps, rep_of, images = _orbit_plan(graph, image_ids)
         row_of = {p: len(rows_idx) + k for k, p in enumerate(reps)}
         rows_idx.extend((gi, p) for p in reps)
         src.extend(row_of[rep] for rep in rep_of)
@@ -644,10 +638,10 @@ def _adjacency(graphs):
     return np.asarray([g.adjacency_rows() for g in graphs], dtype=np.int64)
 
 
-def _scalar_chunk_sets(graphs, use_orbits):
+def _scalar_chunk_sets(graphs):
     """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
     n = graphs[0].n
-    rows_idx, src, image_of, images = _chunk_rows(graphs, use_orbits)
+    rows_idx, src, image_of, images = _chunk_rows(graphs)
     dsum, p_arr = _distance_sum_tables(graphs, rows_idx, n)
     nbr_arr = np.asarray(
         [graphs[gi].adjacency_rows()[p] for gi, p in rows_idx], dtype=np.int64
@@ -675,11 +669,7 @@ def _row_budget(n: int) -> int:
 
 
 @obs.timed_kernel("ucg_alpha_sets")
-def ucg_alpha_sets(
-    graphs,
-    oracle=None,
-    use_orbits: Optional[bool] = None,
-) -> List:
+def ucg_alpha_sets(graphs, oracle=None) -> List:
     """Nash-supportability α-sets of many graphs, engine-batched.
 
     Element-for-element float-exact against
@@ -712,7 +702,7 @@ def ucg_alpha_sets(
         budget = max(1, _row_budget(n) // n)
         for start in range(0, len(indices), budget):
             batch = indices[start : start + budget]
-            sets = _scalar_chunk_sets([graphs[i] for i in batch], use_orbits)
+            sets = _scalar_chunk_sets([graphs[i] for i in batch])
             for i, interval_set in zip(batch, sets):
                 results[i] = interval_set
                 graphs[i]._ucg_set = tuple(
@@ -827,11 +817,11 @@ def _weighted_player_rows(
     return opps, los, his
 
 
-def _weighted_chunk_sets(graphs, model, use_orbits):
+def _weighted_chunk_sets(graphs, model):
     """Engine-path weighted Nash t-sets for one same-``n`` chunk."""
     n = graphs[0].n
     pop = _popcounts(n)
-    rows_idx, src, image_of, images = _chunk_rows(graphs, use_orbits)
+    rows_idx, src, image_of, images = _chunk_rows(graphs)
     dsum, _ = _distance_sum_tables(graphs, rows_idx, n)
     dsum_full = _float_sums(dsum).T[src[:, None], images[image_of]]
     submask_cache: Dict[int, object] = {}
@@ -877,12 +867,7 @@ def _weighted_chunk_sets(graphs, model, use_orbits):
 
 
 @obs.timed_kernel("weighted_ucg_t_sets")
-def weighted_ucg_t_sets(
-    graphs,
-    model,
-    oracle=None,
-    use_orbits: Optional[bool] = None,
-) -> List:
+def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
     """Weighted Nash-supportability t-sets of many graphs, engine-batched.
 
     Element-for-element float-exact against
@@ -909,9 +894,7 @@ def weighted_ucg_t_sets(
         budget = max(1, _row_budget(n) // n)
         for start in range(0, len(indices), budget):
             batch = indices[start : start + budget]
-            sets = _weighted_chunk_sets(
-                [graphs[i] for i in batch], model, use_orbits
-            )
+            sets = _weighted_chunk_sets([graphs[i] for i in batch], model)
             for i, interval_set in zip(batch, sets):
                 results[i] = interval_set
     if fallback:

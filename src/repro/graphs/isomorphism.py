@@ -28,9 +28,10 @@ Two pieces of symmetry machinery make that affordable, and both live here:
 The orbits feed two hot paths: canonical-augmentation enumeration
 (:mod:`repro.graphs.enumeration` extends only along orbit representatives and
 accepts a child only if the new vertex lies in the canonical last-vertex
-orbit) and orbit-pruned stability probing
-(:func:`repro.engine.batch_stability_deltas` probes one deviation per
-edge/non-edge orbit and expands the results across each orbit).
+orbit) and orbit-pruned stability probing (on its per-graph ``n > 63`` path,
+:func:`repro.engine.batch_stability_deltas` probes one deviation per orbit
+of a graph whose record is memoised and expands the results across each
+orbit).
 """
 
 from __future__ import annotations
@@ -557,8 +558,9 @@ def ordered_pair_orbits(
 
     This is the granularity of the stability probes: the deviation payoff of
     endpoint ``u`` toggling the pair ``{u, v}`` is constant on each orbit, so
-    :func:`repro.engine.batch_stability_deltas` evaluates one representative
-    per orbit and expands.  Orbits never mix edges with non-edges.
+    the per-graph path of :func:`repro.engine.batch_stability_deltas`
+    evaluates one representative per orbit and expands.  Orbits never mix
+    edges with non-edges.
     """
     if record is None:
         record = canonical_record(graph)

@@ -200,16 +200,32 @@ SCENARIOS_GOLDEN = (
     ("two_tier_isp_n6_ucg_jobs2", "--name two_tier_isp --n 6 --grid 8 --ucg --jobs 2"),
 )
 
+#: The ``census`` commands whose stdout is pinned in
+#: ``tests/data/golden_cli/census_<name>.txt``, with the same ordering and
+#: ``{tmp}`` conventions: the build, ``--save``/``--save-deltas`` and
+#: BCG-only branches and the ``--load`` path that answers through the query
+#: service.
+CENSUS_GOLDEN = (
+    ("n5", "--n 5 --grid 6"),
+    ("n5_bcg", "--n 5 --no-ucg --save {tmp}/b5.npz --grid 5"),
+    ("save5", "--n 5 --save {tmp}/c5.npz --save-deltas {tmp}/d5.npz --grid 6"),
+    (
+        "load5_links",
+        "--load {tmp}/c5.npz --quantity average_links "
+        "--save-deltas {tmp}/d5b.npz --grid 6",
+    ),
+    ("load_bcg5", "--load {tmp}/b5.npz --grid 5"),
+    ("n6_streamed_jobs2", "--n 6 --streamed --jobs 2 --grid 5"),
+)
+
 GOLDEN_CLI_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_cli")
 
 
-@pytest.fixture(scope="module")
-def scenarios_outputs(tmp_path_factory):
-    """Exit code and ``{tmp}``-normalised stdout of every pinned command."""
-    tmp = str(tmp_path_factory.mktemp("golden_scenarios"))
+def _golden_outputs(subcommand, commands, tmp):
+    """Exit code and ``{tmp}``-normalised stdout of each pinned command."""
     outputs = {}
-    for name, command in SCENARIOS_GOLDEN:
-        argv = ["scenarios"] + command.format(tmp=tmp).split()
+    for name, command in commands:
+        argv = [subcommand] + command.format(tmp=tmp).split()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
@@ -217,14 +233,34 @@ def scenarios_outputs(tmp_path_factory):
     return outputs
 
 
+def _golden(subcommand, name):
+    path = os.path.join(GOLDEN_CLI_DIR, f"{subcommand}_{name}.txt")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.fixture(scope="module")
+def scenarios_outputs(tmp_path_factory):
+    tmp = str(tmp_path_factory.mktemp("golden_scenarios"))
+    return _golden_outputs("scenarios", SCENARIOS_GOLDEN, tmp)
+
+
+@pytest.fixture(scope="module")
+def census_outputs(tmp_path_factory):
+    tmp = str(tmp_path_factory.mktemp("golden_census"))
+    return _golden_outputs("census", CENSUS_GOLDEN, tmp)
+
+
 @pytest.mark.parametrize("name", [name for name, _ in SCENARIOS_GOLDEN])
 def test_scenarios_output_matches_golden(scenarios_outputs, name):
     """Every ``scenarios`` table, header and verify line prints as pinned."""
-    with open(
-        os.path.join(GOLDEN_CLI_DIR, f"scenarios_{name}.txt"), encoding="utf-8"
-    ) as handle:
-        expected = handle.read()
-    assert scenarios_outputs[name] == (0, expected)
+    assert scenarios_outputs[name] == (0, _golden("scenarios", name))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CENSUS_GOLDEN])
+def test_census_output_matches_golden(census_outputs, name):
+    """Every ``census`` summary, save line and grid table prints as pinned."""
+    assert census_outputs[name] == (0, _golden("census", name))
 
 
 class TestUcgFlags:

@@ -481,6 +481,24 @@ def test_census_build_counts_enumerated_classes():
     assert obs.histogram("repro_enumeration_seconds").count == 1
 
 
+def test_each_kernel_call_is_counted_once():
+    # A delta build probes each of the 21 classes once; a weighted UCG build
+    # probes them once more and times its UCG engine only through
+    # weighted_ucg_t_sets.  No wrapper may count the same graphs again.
+    from repro.analysis import DeltaStore, WeightedStore, build_scenario
+
+    DeltaStore.build(5)
+    WeightedStore.from_scenario(
+        build_scenario("random_weights", 5, seed=1), include_ucg=True
+    )
+    metrics = obs.snapshot()["metrics"]
+    graphs = [m for m in metrics if m["name"] == "repro_kernel_graphs_total"]
+    assert sum(m["value"] for m in graphs) == 42
+    # Only the two engine entry points report: no wrapper series.
+    kernels = {m["labels"]["kernel"] for m in metrics if "kernel" in m["labels"]}
+    assert kernels == {"batch_stability_deltas", "weighted_ucg_t_sets"}
+
+
 # --------------------------------------------------------------------------- #
 # Progress reporter
 # --------------------------------------------------------------------------- #

@@ -1,16 +1,16 @@
 """Unit tests for dynamics-based equilibrium sampling."""
 
 from repro.analysis import (
+    bcg_alpha_columns,
     deduplicate_up_to_isomorphism,
     sample_equilibria_at_cost,
     sample_equilibria_over_grid,
     sampled_bcg_columns,
-    sampled_bcg_profiles,
     sampled_stable_counts,
     sampled_stable_mask,
 )
 from repro.core import is_nash_graph_ucg, is_pairwise_stable, pairwise_stability_profile
-from repro.graphs import cycle_graph, star_graph
+from repro.graphs import Graph, cycle_graph, star_graph
 
 
 def test_deduplicate_up_to_isomorphism():
@@ -52,11 +52,17 @@ def test_sample_equilibria_over_grid_keys():
 
 
 def test_sampled_profiles_match_per_graph_analysis(small_random_graphs):
-    profiles = sampled_bcg_profiles(small_random_graphs)
-    for graph, batched in zip(small_random_graphs, profiles):
-        reference = pairwise_stability_profile(graph)
-        assert batched.removal_increase == reference.removal_increase
-        assert batched.addition_saving == reference.addition_saving
+    # The census reducer over batched probe columns equals the per-graph
+    # profiles pushed through bcg_alpha_columns, dtype and bit for bit,
+    # down to an empty sample (zero-graph columns).
+    graphs = small_random_graphs + [Graph(1), Graph(4, [(0, 1)])]
+    for batch in (graphs, []):
+        columns = sampled_bcg_columns(batch)
+        reference = bcg_alpha_columns([pairwise_stability_profile(g) for g in batch])
+        assert len(columns) == len(reference) == 4
+        for ours, theirs in zip(columns, reference):
+            assert ours.dtype == theirs.dtype
+            assert ours.tolist() == theirs.tolist()
 
 
 def test_sampled_stable_mask_matches_exact_checks():

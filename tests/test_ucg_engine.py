@@ -30,6 +30,7 @@ from repro.graphs import (
     enumerate_connected_graphs,
     path_graph,
 )
+from repro.graphs.isomorphism import canonical_record
 
 INF = float("inf")
 
@@ -352,27 +353,33 @@ class TestOrbitPruning:
     )
     def test_vertex_transitive_expansion(self, graph):
         # On vertex-transitive graphs orbit pruning computes one player's
-        # tables and expands the rest through automorphism images; forcing
-        # the group (True), forbidding it (False) and the memo-only default
-        # (None) must agree endpoint-for-endpoint.
-        results = {
-            mode: endpoints(ucg_alpha_sets([fresh(graph)], use_orbits=mode)[0])
-            for mode in (True, False, None)
-        }
-        assert results[True] == results[False] == results[None]
-        assert results[True] == endpoints(ucg_nash_alpha_set(fresh(graph)))
+        # tables and expands the rest through automorphism images.  An
+        # instance with a memoised canonical record (pruned), a fresh
+        # instance (unpruned) and the backtracking reference must agree
+        # endpoint-for-endpoint, and the engine never runs a canonical
+        # search of its own.
+        from repro.engine.ucg import _orbit_plan
+
+        memoised, unpruned = fresh(graph), fresh(graph)
+        canonical_record(memoised)
+        reps, _, _ = _orbit_plan(memoised, {tuple(range(graph.n)): 0})
+        assert reps == [0]
+        pruned = endpoints(ucg_alpha_sets([memoised])[0])
+        plain = endpoints(ucg_alpha_sets([unpruned])[0])
+        assert unpruned._canon is None
+        assert pruned == plain == endpoints(ucg_nash_alpha_set(fresh(graph)))
 
     def test_weighted_orbit_equivalence(self):
         model = build_scenario("line_metric", 6, seed=0).model
         graphs = [cycle_graph(6), complete_graph(5), path_graph(6)]
-        forced = weighted_ucg_t_sets(
-            [fresh(g) for g in graphs], model, use_orbits=True
-        )
-        plain = weighted_ucg_t_sets(
-            [fresh(g) for g in graphs], model, use_orbits=False
-        )
-        for a, b in zip(forced, plain):
+        memoised = [fresh(g) for g in graphs]
+        for graph in memoised:
+            canonical_record(graph)
+        pruned = weighted_ucg_t_sets(memoised, model)
+        plain = weighted_ucg_t_sets([fresh(g) for g in graphs], model)
+        for a, b, graph in zip(pruned, plain, graphs):
             assert endpoints(a) == endpoints(b)
+            assert endpoints(a) == endpoints(weighted_ucg_nash_t_set(graph, model))
 
 
 # --------------------------------------------------------------------------- #
