@@ -696,8 +696,10 @@ def bench_ensemble_amortised(
         )
 
     # Peak aggregation state past the exact buffer: O(classes), not O(K).
-    agg = StreamingEnsembleStats(result.classes)
-    agg.update(np.zeros((DEFAULT_EXACT_BUFFER + 1, result.classes)))
+    # The runner folds both window endpoints through one aggregator of
+    # width 2 x classes, the counterpart of the dense stack below.
+    agg = StreamingEnsembleStats(2 * result.classes)
+    agg.update(np.zeros((DEFAULT_EXACT_BUFFER + 1, 2 * result.classes)))
     aggregation_state_bytes = agg.state_nbytes
 
     return {

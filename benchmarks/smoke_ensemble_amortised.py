@@ -1,12 +1,13 @@
 """Smoke test: amortised ensembles answer exactly like the per-draw path.
 
-Runs a seeded ``random_weights`` ensemble twice — once per draw with
-``batch_draws=1`` (every draw priced through its own
-:class:`~repro.analysis.weighted_store.WeightedStore` kernel call, the
-PR-5 reference semantics) and once through the shared
+Runs a seeded ``random_weights`` ensemble three ways — once per draw with
+``batch_draws=1`` (every draw answered as a stack of one), once per draw
+with a small streaming window buffer, and once through the shared
 :class:`~repro.analysis.delta_store.DeltaStore` + stacked-weight kernels
-with a small streaming window buffer — and asserts the counts matrix and
-count summaries are bit-identical.  Then exercises the artifact plumbing:
+in blocks with that same buffer — and asserts the counts matrix and count
+summaries are bit-identical across all three, and that the two streamed
+runs' window summaries (P² quantiles included) are bit-identical: block
+size never changes a number.  Then exercises the artifact plumbing:
 ``--delta-cache`` writes a memory-mappable delta directory on the first
 run and reuses it untouched on the second, and a ``--save-dir`` resume
 reports its draws as resumed rather than recomputed.
@@ -19,6 +20,7 @@ Run from the repository root (CI runs it with ``--n 5``)::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -32,10 +34,15 @@ from repro.analysis.ensembles import run_ensemble
 
 
 def assert_same_stats(a, b, context):
+    # JSON text compares floats bit for bit, nan (an all-inf window's
+    # spread) included.
     for key in ("mean", "std", "min", "max"):
-        assert a[key] == b[key], (context, key)
+        assert json.dumps(a[key]) == json.dumps(b[key]), (context, key)
+    assert a["quantiles"].keys() == b["quantiles"].keys(), context
     for q in a["quantiles"]:
-        assert a["quantiles"][q] == b["quantiles"][q], (context, q)
+        assert json.dumps(a["quantiles"][q]) == json.dumps(b["quantiles"][q]), (
+            context, q,
+        )
 
 
 def main(argv=None) -> int:
@@ -49,6 +56,10 @@ def main(argv=None) -> int:
         "random_weights", n=args.n, draws=args.draws, seed=1,
         grid=args.grid, jobs=1, batch_draws=1,
     )
+    per_draw_streamed = run_ensemble(
+        "random_weights", n=args.n, draws=args.draws, seed=1,
+        grid=args.grid, jobs=1, batch_draws=1, window_exact_buffer=2,
+    )
     stacked = run_ensemble(
         "random_weights", n=args.n, draws=args.draws, seed=1,
         grid=args.grid, jobs=1, batch_draws=4, window_exact_buffer=2,
@@ -56,10 +67,14 @@ def main(argv=None) -> int:
     assert np.array_equal(per_draw.counts, stacked.counts), (
         "stacked counts diverged from the per-draw path"
     )
+    assert np.array_equal(per_draw_streamed.counts, stacked.counts)
     assert_same_stats(per_draw.count_stats, stacked.count_stats, "count_stats")
+    # The exact-buffer run and the streamed runs differ only in quantiles.
     for key in ("mean", "min", "max"):
         assert per_draw.t_min_stats[key] == stacked.t_min_stats[key], key
         assert per_draw.t_max_stats[key] == stacked.t_max_stats[key], key
+    assert_same_stats(per_draw_streamed.t_min_stats, stacked.t_min_stats, "t_min")
+    assert_same_stats(per_draw_streamed.t_max_stats, stacked.t_max_stats, "t_max")
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "deltas")
@@ -96,7 +111,8 @@ def main(argv=None) -> int:
     print(
         f"amortised ensemble smoke OK: n = {args.n}, {per_draw.classes} "
         f"classes, {args.draws} draws x {len(per_draw.ts)} scales — "
-        f"stacked/per-draw counts identical, delta cache reused, "
+        f"stacked/per-draw counts and streamed windows identical, "
+        f"delta cache reused, "
         f"{resumed.resumed}/{args.draws} draws resumed"
     )
     return 0

@@ -18,8 +18,9 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   ``W[rem_pay, rem_other]`` away (see
   :func:`repro.engine.columnar.stacked_weight_columns`);
 * **query = the stacked kernels** — K draws are answered at once by
-  :meth:`stable_counts_multi` / :meth:`stability_windows_multi`, each row
-  bit-identical to the per-draw weighted kernels over that draw's own
+  :meth:`stable_counts_multi` / :meth:`stability_windows_multi` (one
+  kernel call per :data:`DRAW_SLICE` draws), each row bit-identical to the
+  per-draw weighted kernels over that draw's own
   :class:`~repro.analysis.weighted_store.WeightedStore`;
 * **same persistence story as the census stores** — the shared
   :class:`~repro.analysis.artifact.ColumnArtifact` base: one versioned
@@ -57,6 +58,10 @@ FORMAT_VERSION = 1
 
 #: Schema tag written into every artifact (guards against loading foreign files).
 SCHEMA = "repro-delta-store"
+
+#: Draws per stacked-kernel call: each slice gathers its own ``(slice, P)``
+#: weight stacks, which bounds them and the kernels' temporaries whatever K.
+DRAW_SLICE = 8
 
 
 class DeltaStore(ColumnArtifact):
@@ -170,18 +175,29 @@ class DeltaStore(ColumnArtifact):
             weight_matrices, self.rem_pay, self.rem_other, self.add_u, self.add_v
         )
 
+    def _sliced_weights(self, weight_matrices):
+        """:meth:`stacked_weights` of the K matrices, :data:`DRAW_SLICE` at a time."""
+        stack = np.asarray(weight_matrices, dtype=np.float64)
+        if stack.ndim == 2:
+            stack = stack[None]
+        # An empty stack still yields one (empty) slice.
+        for first in range(0, stack.shape[0], DRAW_SLICE) or [0]:
+            yield self.stacked_weights(stack[first:first + DRAW_SLICE])
+
     def stable_mask_multi(self, weight_matrices, ts: Sequence[float]):
         """``bool[K, n_classes, n_ts]`` stability for K draws at once.
 
         Row ``k`` is bit-identical to
         ``WeightedStore.from_delta(self, model_k).stable_mask(ts)``.
         """
-        rem_w, add_w_u, add_w_v = self.stacked_weights(weight_matrices)
-        return weighted_bcg_stable_mask_multi(
-            self.rem_delta, self.rem_indptr,
-            self.add_s_u, self.add_s_v, self.add_indptr,
-            rem_w, add_w_u, add_w_v, ts,
-        )
+        return np.concatenate([
+            weighted_bcg_stable_mask_multi(
+                self.rem_delta, self.rem_indptr,
+                self.add_s_u, self.add_s_v, self.add_indptr,
+                rem_w, add_w_u, add_w_v, ts,
+            )
+            for rem_w, add_w_u, add_w_v in self._sliced_weights(weight_matrices)
+        ])
 
     def stable_counts_multi(self, weight_matrices, ts: Sequence[float]):
         """``int64[K, n_ts]`` stable-class counts for K draws at once."""
@@ -191,12 +207,15 @@ class DeltaStore(ColumnArtifact):
 
     def stability_windows_multi(self, weight_matrices):
         """``(t_min[K, C], t_max[K, C])`` weighted windows for K draws."""
-        rem_w, add_w_u, add_w_v = self.stacked_weights(weight_matrices)
-        return weighted_stability_windows_multi(
-            self.rem_delta, self.rem_indptr,
-            self.add_s_u, self.add_s_v, self.add_indptr,
-            rem_w, add_w_u, add_w_v,
-        )
+        t_min, t_max = zip(*(
+            weighted_stability_windows_multi(
+                self.rem_delta, self.rem_indptr,
+                self.add_s_u, self.add_s_v, self.add_indptr,
+                rem_w, add_w_u, add_w_v,
+            )
+            for rem_w, add_w_u, add_w_v in self._sliced_weights(weight_matrices)
+        ))
+        return np.concatenate(t_min), np.concatenate(t_max)
 
 
 # --------------------------------------------------------------------------- #

@@ -21,12 +21,14 @@ part across the whole ensemble instead of paying it per draw:
   :func:`~repro.engine.columnar.weighted_stability_windows_multi`) — one
   dense ``(K, P)`` pass whose per-draw rows are **bit-identical** to the
   per-draw weighted kernels, so amortisation never changes a number;
-* blocks fan out over ``jobs`` pool workers in bounded waves and feed
-  :class:`~repro.engine.streaming.StreamingEnsembleStats` aggregators in
-  draw order, so results are identical for any worker count or batch size
+* blocks fan out over ``jobs`` pool workers in bounded waves and feed one
+  :class:`~repro.engine.streaming.StreamingEnsembleStats` aggregator in
+  draw order — each draw's ``t_min`` and ``t_max`` windows side by side as
+  one row of width ``2 × classes``, split back into the two summaries at
+  the end — so results are identical for any worker count or batch size
   and peak aggregation memory is independent of ``K`` (bit-exact dense
-  aggregation below ``window_exact_buffer`` draws; exact moments + P²
-  quantile sketches beyond — see the streaming module's contract);
+  aggregation below ``window_exact_buffer`` draws; exact moments + a P²
+  quantile bank beyond — see the streaming module's contract);
 * with ``save_dir`` every draw persists its
   :class:`~repro.analysis.weighted_store.WeightedStore` artifact
   (``draw_XXXX_seedS.npz``, materialised from the shared delta columns),
@@ -195,6 +197,16 @@ def _ensemble_batch_body(name, n, block, params, ts, delta_spec, save_format):
     )
 
 
+def _split_stats(stats: Dict[str, object], width: int) -> Tuple[Dict, Dict]:
+    """Split an aggregate of ``a‖b`` rows into the aggregates of ``a`` and ``b``."""
+    halves = []
+    for part in (slice(0, width), slice(width, None)):
+        half = {key: stats[key][part] for key in ("mean", "std", "min", "max")}
+        half["quantiles"] = {q: row[part] for q, row in stats["quantiles"].items()}
+        halves.append(half)
+    return halves[0], halves[1]
+
+
 def run_ensemble(
     scenario: str = "random_weights",
     n: int = 6,
@@ -301,11 +313,10 @@ def run_ensemble(
     ]
 
     classes = len(delta)
-    t_min_agg = StreamingEnsembleStats(
-        classes, quantiles=quantiles, exact_buffer=window_exact_buffer
-    )
-    t_max_agg = StreamingEnsembleStats(
-        classes, quantiles=quantiles, exact_buffer=window_exact_buffer
+    # One aggregator folds both window endpoints as one ``t_min‖t_max`` row;
+    # positions are independent, so each half reads as its own aggregate.
+    window_agg = StreamingEnsembleStats(
+        2 * classes, quantiles=quantiles, exact_buffer=window_exact_buffer
     )
     count_blocks: List = []
     resumed = 0
@@ -313,13 +324,12 @@ def run_ensemble(
 
     def _fold(index: int, block) -> None:
         # run_shards delivers blocks strictly in index (draw) order, so the
-        # streaming aggregators see exactly the serial fold sequence and the
+        # streaming aggregator sees exactly the serial fold sequence and the
         # result stays bit-identical for any jobs value.
         nonlocal resumed, recomputed
         counts_block, t_min_block, t_max_block, block_resumed, block_recomputed = block
         count_blocks.append(counts_block)
-        t_min_agg.update(t_min_block)
-        t_max_agg.update(t_max_block)
+        window_agg.update(np.concatenate((t_min_block, t_max_block), axis=1))
         resumed += block_resumed
         recomputed += block_recomputed
         if obs.metrics_enabled():
@@ -369,6 +379,7 @@ def run_ensemble(
     count_stats = ensemble_stats(
         counts.astype(np.float64).ravel(), count_indptr, quantiles=quantiles
     )
+    t_min_stats, t_max_stats = _split_stats(window_agg.finalize(), classes)
 
     return EnsembleResult(
         scenario=scenario,
@@ -379,8 +390,8 @@ def run_ensemble(
         ts=list(ts),
         counts=counts,
         count_stats=count_stats,
-        t_min_stats=t_min_agg.finalize(),
-        t_max_stats=t_max_agg.finalize(),
+        t_min_stats=t_min_stats,
+        t_max_stats=t_max_stats,
         artifact_paths=paths,
         params=params,
         resumed=resumed,

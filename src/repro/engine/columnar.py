@@ -453,24 +453,6 @@ def weighted_stability_windows(
     return t_min, t_max
 
 
-def _segment_any_stack(flags, indptr):
-    """OR-reduce a ``(K, P)`` boolean stack over CSR segments of axis 1.
-
-    The K-row counterpart of :func:`segment_any`: segment ``i`` of every row
-    is ``flags[:, indptr[i]:indptr[i+1]]`` and the result is
-    ``bool[K, n_segments]`` (empty segments → ``False``).
-    """
-    counts = np.diff(indptr)
-    rows = flags.shape[0]
-    out = np.zeros((rows, counts.shape[0]), dtype=bool)
-    if flags.shape[1] == 0 or counts.shape[0] == 0:
-        return out
-    nonempty = counts > 0
-    reduced = np.logical_or.reduceat(flags, indptr[:-1][nonempty], axis=1)
-    out[:, nonempty] = reduced
-    return out
-
-
 def _segment_reduce_stack(values, indptr, ufunc, empty: float):
     counts = np.diff(indptr)
     rows = values.shape[0]
@@ -528,33 +510,170 @@ def weighted_bcg_stable_mask_multi(
     Δdist columns (``rem_delta``, ``add_s_u``, ``add_s_v``) are shared by
     every draw (they depend only on topology), while each draw brings its
     own ``(K, P)`` coefficient stacks from :func:`stacked_weight_columns`.
-    Every comparison is the *same elementwise float64 expression* as the
-    per-draw kernel — broadcasting over the K axis adds no arithmetic — so
-    row ``k`` of the result is bit-identical to calling
+    Row ``k`` of the result is bit-identical to calling
     :func:`weighted_bcg_stable_mask` with draw ``k``'s columns.
+
+    The grid is sorted once.  Rounding is monotone and every ``w`` is
+    positive, so — as in :func:`bcg_stable_mask` — a removal violation
+    holds on a suffix of the sorted grid and an addition violation on a
+    prefix, and each (draw, class) pair is stable on one run
+    ``[start, stop)`` of it.  The run's ends are guessed from the class
+    window thresholds (the ratios of :func:`weighted_stability_windows`)
+    and each guess is checked at the two sorted points around it with the
+    per-draw kernel's own float expressions; a pair whose guess fails is
+    settled exactly over the whole sorted grid.  That is four probe passes
+    instead of one per grid point.  The passes run probe-major, on the
+    ``(P, K)`` transposes of the stacks, which is the layout
+    :func:`stacked_weight_columns` gathers.
 
     Returns ``bool[K, n_classes, n_ts]``.
     """
     _check_weight_columns(rem_w, add_w_u, add_w_v)
-    rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
-    w_u = np.asarray(add_w_u).astype(np.float64, copy=False)
-    w_v = np.asarray(add_w_v).astype(np.float64, copy=False)
-    rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[None, :]
-    s_u = np.asarray(add_s_u).astype(np.float64, copy=False)[None, :]
-    s_v = np.asarray(add_s_v).astype(np.float64, copy=False)[None, :]
-    t_list = [float(t) for t in ts]
-    draws = rem_w.shape[0]
-    n_classes = rem_indptr.shape[0] - 1
-    out = np.empty((draws, n_classes, len(t_list)), dtype=bool)
-    for column, t in enumerate(t_list):
-        severs = _segment_any_stack(rem_delta < t * rem_w - BCG_TOL, rem_indptr)
-        adds = _segment_any_stack(
-            ((s_u > t * w_u + BCG_TOL) & (s_v >= t * w_v - BCG_TOL))
-            | ((s_v > t * w_v + BCG_TOL) & (s_u >= t * w_u - BCG_TOL)),
-            add_indptr,
-        )
-        np.logical_not(severs | adds, out=out[:, :, column])
+    rem_w = np.asarray(rem_w).astype(np.float64, copy=False).T
+    w_u = np.asarray(add_w_u).astype(np.float64, copy=False).T
+    w_v = np.asarray(add_w_v).astype(np.float64, copy=False).T
+    rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[:, None]
+    s_u = np.asarray(add_s_u).astype(np.float64, copy=False)[:, None]
+    s_v = np.asarray(add_s_v).astype(np.float64, copy=False)[:, None]
+    ordered, position, nan = _sorted_grid(ts)
+    # Sorted indices -1 and len(ordered) read this NaN pad, where every
+    # comparison is false: nothing severs or adds there.
+    padded = np.append(ordered, np.nan)
+    stop = _sever_start(padded, rem_delta, np.asarray(rem_indptr), rem_w)
+    start = _add_stop(padded, s_u, s_v, np.asarray(add_indptr), w_u, w_v)
+    out = np.empty((rem_w.shape[1], stop.shape[0], position.shape[0]), dtype=bool)
+    np.greater_equal(position, start.T[:, :, None], out=out)
+    out &= position < stop.T[:, :, None]
+    # At a NaN t every comparison is false: nothing violates stability.
+    out[:, :, nan] = True
     return out
+
+
+def _segment_reduce_rows(values, indptr, ufunc, empty):
+    """Reduce a ``(P, K)`` stack over CSR segments of its rows.
+
+    Returns ``(n_segments, K)``; empty segments read ``empty``.
+    """
+    counts = np.diff(indptr)
+    out = np.full((counts.shape[0], values.shape[1]), empty, dtype=values.dtype)
+    if values.shape[0] == 0 or counts.shape[0] == 0:
+        return out
+    nonempty = counts > 0
+    out[nonempty] = ufunc.reduceat(values, indptr[:-1][nonempty], axis=0)
+    return out
+
+
+def _failing_probes(bad, indptr, draws):
+    """The probes of the flat (class, draw) pairs ``bad``, pair by pair.
+
+    Returns ``(probe, draw, starts)``: the probe and draw index of every
+    probe of every listed pair, and each pair's first entry in them.
+    """
+    cls, draw = np.divmod(bad, draws)
+    counts = np.diff(indptr)[cls]
+    starts = np.zeros(bad.shape[0] + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    probe = np.repeat(indptr[cls] - starts[:-1], counts) + np.arange(starts[-1])
+    return probe, np.repeat(draw, counts), starts[:-1]
+
+
+def _sever_start(padded, delta, indptr, w):
+    """Per (class, draw): the first sorted grid index where a removal severs.
+
+    ``delta`` is a ``(P, 1)`` column and ``w`` a ``(P, K)`` stack.  A probe
+    severs at ``t`` iff ``Δ < t·w - tol``, which holds on a suffix of the
+    sorted grid; ``len(ordered)`` means never.
+    """
+    size = padded.shape[0] - 1
+    counts = np.diff(indptr)
+    guess = np.searchsorted(
+        padded[:size],
+        _segment_reduce_rows(delta / w, indptr, np.minimum, float("inf")),
+        side="right",
+    )
+    flags = np.empty(w.shape, dtype=bool)
+
+    def severs(index):
+        t_w = np.repeat(padded[index], counts, axis=0)
+        np.multiply(t_w, w, out=t_w)
+        np.subtract(t_w, BCG_TOL, out=t_w)
+        np.less(delta, t_w, out=flags)
+        return _segment_reduce_rows(flags, indptr, np.logical_or, False)
+
+    ok = ~severs(guess - 1) & (severs(guess) | (guess == size))
+    # Empty segments never sever and always pass, so every failing pair
+    # has at least one probe.
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        probe, draw, starts = _failing_probes(bad, indptr, w.shape[1])
+        d = delta[probe, 0]
+        pw = w[probe, draw]
+        hits = np.zeros(bad.shape[0], dtype=np.intp)
+        for t in padded[:size]:
+            hits += np.logical_or.reduceat(d < t * pw - BCG_TOL, starts)
+        guess.reshape(-1)[bad] = size - hits
+    return guess
+
+
+def _add_stop(padded, s_u, s_v, indptr, w_u, w_v):
+    """Per (class, draw): how many sorted grid points some non-edge adds at.
+
+    ``s_u``/``s_v`` are ``(P, 1)`` columns and ``w_u``/``w_v`` ``(P, K)``
+    stacks.  A non-edge adds at ``t`` iff one endpoint has
+    ``save > t·w + tol`` while the other has ``save >= t·w - tol``, which
+    holds on a prefix of the sorted grid.
+    """
+    size = padded.shape[0] - 1
+    counts = np.diff(indptr)
+    ratio = s_u / w_u
+    np.minimum(ratio, s_v / w_v, out=ratio)
+    guess = np.searchsorted(
+        padded[:size],
+        _segment_reduce_rows(ratio, indptr, np.maximum, float("-inf")),
+        side="left",
+    )
+    # Freed before the check buffers, so at most two (P, K) floats live.
+    del ratio
+    work = np.empty(w_u.shape, dtype=np.float64)
+    one, two, three = (np.empty(w_u.shape, dtype=bool) for _ in range(3))
+
+    def adds(index):
+        # ((s_u > t·w_u + tol) & (s_v >= t·w_v - tol))
+        #   | ((s_v > t·w_v + tol) & (s_u >= t·w_u - tol))
+        t_w = np.repeat(padded[index], counts, axis=0)
+        np.multiply(t_w, w_u, out=work)
+        np.add(work, BCG_TOL, out=work)
+        np.greater(s_u, work, out=one)
+        np.multiply(t_w, w_u, out=work)
+        np.subtract(work, BCG_TOL, out=work)
+        np.greater_equal(s_u, work, out=two)
+        np.multiply(t_w, w_v, out=t_w)
+        np.add(t_w, BCG_TOL, out=work)
+        np.greater(s_v, work, out=three)
+        np.logical_and(two, three, out=two)
+        np.subtract(t_w, BCG_TOL, out=t_w)
+        np.greater_equal(s_v, t_w, out=three)
+        np.logical_and(one, three, out=one)
+        np.logical_or(one, two, out=one)
+        return _segment_reduce_rows(one, indptr, np.logical_or, False)
+
+    ok = (adds(guess - 1) | (guess == 0)) & ~adds(guess)
+    # Empty segments never add and always pass, so every failing pair has
+    # at least one probe.
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        probe, draw, starts = _failing_probes(bad, indptr, w_u.shape[1])
+        pu, pv = s_u[probe, 0], s_v[probe, 0]
+        qu, qv = w_u[probe, draw], w_v[probe, draw]
+        hits = np.zeros(bad.shape[0], dtype=np.intp)
+        for t in padded[:size]:
+            hits += np.logical_or.reduceat(
+                ((pu > t * qu + BCG_TOL) & (pv >= t * qv - BCG_TOL))
+                | ((pv > t * qv + BCG_TOL) & (pu >= t * qu - BCG_TOL)),
+                starts,
+            )
+        guess.reshape(-1)[bad] = hits
+    return guess
 
 
 @obs.timed_kernel("weighted_stability_windows_multi")

@@ -22,16 +22,25 @@ The accuracy contract is regime-split and explicit:
   per-position adds as our row-sequential accumulation, and min/max are
   order-insensitive.  ``std`` switches from the two-pass formula to
   ``sqrt(E[x²] − E[x]²)`` (agreement ~1e-12 in the tests, ``nan`` wherever
-  the dense path is ``nan``).  Quantiles come from one vectorised P²
-  sketch per (quantile, position) — 5 markers each, initialised from the
-  first five finite observations and nudged by parabolic-else-linear
-  marker moves — combined at :meth:`finalize` with per-position ``±inf`` /
-  ``nan`` tallies through NumPy's own linear-interpolation rank rule, so
-  all-infinite positions (the ``t_max`` window of a tree class) degrade to
-  the same ``inf``/``nan`` pattern as :func:`ensemble_stats`.
+  the dense path is ``nan``).  Quantiles come from one ``(Q, 5, L)`` P²
+  bank (Jain–Chlamtac's 5-marker streaming quantile sketch, one per
+  quantile and position) — initialised from each position's first five
+  finite observations and nudged by parabolic-else-linear marker moves
+  that run only on the lanes that move — combined at :meth:`finalize`
+  with per-position ``±inf`` / ``nan`` tallies through NumPy's own
+  linear-interpolation rank rule, so all-infinite positions (the
+  ``t_max`` window of a tree class) degrade to the same ``inf``/``nan``
+  pattern as :func:`ensemble_stats`.  Every lane's marker arithmetic is
+  that of the scalar histogram sketch
+  (:class:`repro.obs.metrics._ScalarP2Bank`), so an all-finite position's
+  quantiles equal that sketch fed the position's values, bit for bit.
 
-State size is independent of the number of draws — ``state_nbytes`` is
-the peak-memory proxy asserted by the amortised-ensemble benchmark.
+Positions are independent, so callers with several row families of one
+draw count (the ensemble runner's ``t_min`` and ``t_max`` windows) fold
+them side by side as one wider row; the width changes no position's
+result.  State size is independent of the number of draws —
+``state_nbytes`` is the peak-memory proxy asserted by the
+amortised-ensemble benchmark.
 """
 
 from __future__ import annotations
@@ -47,97 +56,124 @@ DEFAULT_QUANTILES = (0.25, 0.5, 0.75)
 DEFAULT_EXACT_BUFFER = 64
 
 
-class _P2Sketch:
-    """Vectorised P² quantile estimator: one 5-marker sketch per position.
+#: Smallest lane set the marker update works on.  NumPy keeps freed data
+#: blocks under 1 KiB for reuse, keyed by their exact size, and the number
+#: of moving lanes changes every row: lane-sized float temporaries below
+#: 128 entries, or lane-sized bool temporaries of any common size, would
+#: pile up there as resident memory.  Small lane sets are padded to this
+#: size and the bool flags live in fixed scratch rows.
+_MIN_LANES = 128
 
-    The classic Jain–Chlamtac algorithm, run column-parallel: ``heights``
-    and ``npos`` are ``(5, L)`` arrays and every marker adjustment is a
-    masked vector operation, so feeding one row costs O(L) regardless of
-    how many positions move.  Only *finite* observations are fed here —
-    the owner tracks ``±inf``/``nan`` tallies and recombines at finalize.
+
+class _P2Bank:
+    """Vectorised P² quantile estimators: one 5-marker sketch per lane.
+
+    The classic Jain–Chlamtac algorithm, run lane-parallel over a
+    ``(Q, 5, L)`` bank: ``heights[q, m, j]`` is marker ``m``'s height in
+    the sketch of quantile ``q`` at position ``j``, and the marker
+    positions are laid out alike.  Positions are integer counts kept in
+    float64, exact below 2**53.  The bank is stored marker-major, so each
+    marker's ``(Q, L)`` plane is contiguous and flat-indexable.  A row
+    costs a handful of plane-wide compares for the cell search and the
+    move test; the parabolic-else-linear marker update then runs only on
+    the lanes that move.  Only *finite* observations are fed here — the
+    owner tracks ``±inf``/``nan`` tallies and recombines at finalize.
     """
 
-    __slots__ = ("q", "heights", "npos", "_dn", "_rows")
+    __slots__ = ("quantiles", "_h", "_n", "_dn", "_flags")
 
-    def __init__(self, q: float, length: int) -> None:
-        self.q = float(q)
-        self.heights = np.zeros((5, length), dtype=np.float64)
-        self.npos = np.zeros((5, length), dtype=np.int64)
-        self._dn = np.array(
-            [0.0, self.q / 2.0, self.q, (1.0 + self.q) / 2.0, 1.0]
+    #: Per-marker bound for the position increment of markers 1..4.
+    _REACH = np.array([1, 2, 3, 5], dtype=np.int8)[:, None, None]
+
+    def __init__(self, quantiles: Sequence[float], length: int) -> None:
+        self.quantiles = tuple(float(q) for q in quantiles)
+        shape = (5, len(self.quantiles), int(length))
+        self._h = np.zeros(shape, dtype=np.float64)
+        self._n = np.zeros(shape, dtype=np.float64)
+        q = np.asarray(self.quantiles, dtype=np.float64)
+        # Desired-position increments of markers 1..3, as (3, Q, 1); the end
+        # markers' increments (0 and 1) never enter a move test.
+        self._dn = np.stack([q / 2.0, q, (1.0 + q) / 2.0])[:, :, None]
+        # Scratch for the moving lanes' flags (see _MIN_LANES).
+        self._flags = np.empty(
+            (3, max(_MIN_LANES, shape[1] * shape[2])), dtype=bool
         )
-        self._rows = np.arange(5)[:, None]
+
+    @property
+    def heights(self):
+        """Marker heights as a ``(Q, 5, L)`` view."""
+        return self._h.transpose(1, 0, 2)
 
     def init_columns(self, cols, sorted_block) -> None:
         """Seed columns ``cols`` from their first five finite values (sorted)."""
-        self.heights[:, cols] = sorted_block
-        self.npos[:, cols] = np.arange(1, 6, dtype=np.int64)[:, None]
+        self._h[:, :, cols] = sorted_block[:, None, :]
+        self._n[:, :, cols] = np.arange(1.0, 6.0)[:, None, None]
 
     def add(self, values, mask, fin_counts) -> None:
         """Fold one row's finite values (at ``mask``) into the markers.
 
         ``fin_counts`` is the per-position finite count *including* this
-        row, i.e. the P² observation count after the insertion.
+        row, i.e. the P² observation count after the insertion.  Lanes
+        outside ``mask`` are left untouched.
         """
-        idx = np.where(mask)[0]
-        if idx.size == 0:
-            return
-        v = values[idx]
-        h = self.heights[:, idx]
-        npos = self.npos[:, idx]
+        h = self._h
+        n = self._n
 
-        # Locate the cell: k in 0..3 with h[k] <= v < h[k+1]; clamp the
-        # extremes into the end cells, moving the end marker onto v.
-        count_le = (h <= v).sum(axis=0)
-        below = count_le == 0
-        above = count_le == 5
-        k = np.clip(count_le - 1, 0, 3)
-        h[0, below] = v[below]
-        h[4, above] = v[above]
-        npos += self._rows > k
+        # Locate the cell: k = clip(count_le - 1, 0, 3) has
+        # h[k] <= v < h[k+1]; clamp the extremes into the end cells, moving
+        # the end marker onto v.
+        count_le = np.add.reduce(h <= values, axis=0, dtype=np.int8)
+        np.copyto(h[0], values, where=(count_le == 0) & mask)
+        np.copyto(h[4], values, where=(count_le == 5) & mask)
+        # Markers above the cell gain a position: marker m > k, which is
+        # count_le <= m for m = 1..3 and always for m = 4.  Masked lanes
+        # take count_le = 9 and gain none.
+        n[1:] += np.where(mask, count_le, np.int8(9)) <= self._REACH
 
-        desired = 1.0 + (fin_counts[idx] - 1.0) * self._dn[:, None]
+        # Markers 1..3 move in turn.  A marker's move changes only its own
+        # position, so each marker's distance to its desired position and
+        # its upward test (against the marker above, which has not moved
+        # yet) are computed for all three at once; the downward test reads
+        # the marker below after its move.  A nan desired position fails
+        # both tests, so masked lanes never move.
+        desired = 1.0 + np.where(mask, fin_counts - 1.0, np.nan) * self._dn
+        d = desired - n[1:4]
+        move_up = (d >= 1.0) & (n[2:] - n[1:4] > 1)
+        d_low = d <= -1.0
+        h_flat = h.reshape(5, -1)
+        n_flat = n.reshape(5, -1)
         for i in (1, 2, 3):
-            d = desired[i] - npos[i]
-            gap_up = npos[i + 1] - npos[i]
-            gap_dn = npos[i - 1] - npos[i]
-            move_up = (d >= 1.0) & (gap_up > 1)
-            move_dn = (d <= -1.0) & (gap_dn < -1)
-            move = move_up | move_dn
-            if not move.any():
+            move_dn = d_low[i - 1] & (n[i - 1] - n[i] < -1)
+            lanes = np.flatnonzero(move_up[i - 1] | move_dn)
+            if lanes.size == 0:
                 continue
-            s = np.where(move_up, 1.0, -1.0)
-            ni = npos[i].astype(np.float64)
-            nim = npos[i - 1].astype(np.float64)
-            nip = npos[i + 1].astype(np.float64)
-            hi = h[i]
-            him = h[i - 1]
-            hip = h[i + 1]
-            # Divisors are only guaranteed nonzero where `move` holds; the
-            # other lanes are masked out below, so silence their noise.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                parab = hi + s / (nip - nim) * (
-                    (ni - nim + s) * (hip - hi) / (nip - ni)
-                    + (nip - ni - s) * (hi - him) / (ni - nim)
-                )
-                h_adj = np.where(s > 0.0, hip, him)
-                n_adj = np.where(s > 0.0, nip, nim)
-                linear = hi + s * (h_adj - hi) / (n_adj - ni)
-            use_parab = (him < parab) & (parab < hip)
-            moved = np.where(use_parab, parab, linear)
-            h[i] = np.where(move, moved, hi)
-            npos[i] += np.where(move, s, 0.0).astype(np.int64)
-
-        self.heights[:, idx] = h
-        self.npos[:, idx] = npos
-
-    def estimate(self):
-        """Current q-quantile estimate per position (the centre marker)."""
-        return self.heights[2].copy()
+            if lanes.size < _MIN_LANES:
+                # A repeated lane computes and writes the same values.
+                lanes = np.resize(lanes, _MIN_LANES)
+            up, inside, below_hip = self._flags[:, :lanes.size]
+            np.take(move_up[i - 1].reshape(-1), lanes, out=up, mode="clip")
+            s = np.where(up, 1.0, -1.0)
+            nim, ni, nip = np.take(n_flat[i - 1:i + 2], lanes, axis=1)
+            him, hi, hip = np.take(h_flat[i - 1:i + 2], lanes, axis=1)
+            # Marker positions are strictly increasing and a moving marker
+            # has a gap of at least 2 on its side, so no divisor is zero.
+            parab = hi + s / (nip - nim) * (
+                (ni - nim + s) * (hip - hi) / (nip - ni)
+                + (nip - ni - s) * (hi - him) / (ni - nim)
+            )
+            h_adj = np.where(up, hip, him)
+            n_adj = np.where(up, nip, nim)
+            linear = hi + s * (h_adj - hi) / (n_adj - ni)
+            # Parabolic where it stays strictly between the neighbours.
+            np.less(him, parab, out=inside)
+            np.less(parab, hip, out=below_hip)
+            np.logical_and(inside, below_hip, out=inside)
+            h_flat[i][lanes] = np.where(inside, parab, linear)
+            n_flat[i][lanes] = ni + s
 
     @property
     def nbytes(self) -> int:
-        return self.heights.nbytes + self.npos.nbytes
+        return self._h.nbytes + self._n.nbytes
 
 
 class StreamingEnsembleStats:
@@ -175,7 +211,7 @@ class StreamingEnsembleStats:
         self._nan = None
         self._fin = None
         self._init_buf = None
-        self._sketches: List[_P2Sketch] = []
+        self._bank: Optional[_P2Bank] = None
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -209,7 +245,7 @@ class StreamingEnsembleStats:
         self._nan = np.zeros(L, dtype=np.int64)
         self._fin = np.zeros(L, dtype=np.int64)
         self._init_buf = np.zeros((5, L), dtype=np.float64)
-        self._sketches = [_P2Sketch(q, L) for q in self.quantiles]
+        self._bank = _P2Bank(self.quantiles, L)
         buffered, self._buffer = self._buffer, None
         for block in buffered:
             for row in block:
@@ -218,8 +254,10 @@ class StreamingEnsembleStats:
     def _stream_row(self, row) -> None:
         # Row-sequential accumulation: identical, add for add, to NumPy's
         # axis-0 reduction of the dense stack — this is what keeps the
-        # streamed mean bit-exact past the buffer.
-        self._sum = self._sum + row
+        # streamed mean bit-exact past the buffer.  +inf and -inf in one
+        # position sum to nan, as they do in the dense mean.
+        with np.errstate(invalid="ignore"):
+            self._sum = self._sum + row
         self._sumsq = self._sumsq + row * row
         np.minimum(self._min, row, out=self._min)
         np.maximum(self._max, row, out=self._max)
@@ -239,13 +277,12 @@ class StreamingEnsembleStats:
             self._init_buf[pre[filling], filling] = row[filling]
             full = filling[self._fin[filling] == 5]
             if full.size:
-                block = np.sort(self._init_buf[:, full], axis=0)
-                for sketch in self._sketches:
-                    sketch.init_columns(full, block)
+                self._bank.init_columns(
+                    full, np.sort(self._init_buf[:, full], axis=0)
+                )
         streaming = finite & (pre >= 5)
         if streaming.any():
-            for sketch in self._sketches:
-                sketch.add(row, streaming, self._fin)
+            self._bank.add(row, streaming, self._fin)
 
     # ------------------------------------------------------------------ #
     # Finalize
@@ -279,8 +316,8 @@ class StreamingEnsembleStats:
                                 np.nan, variance)
             std = np.sqrt(variance)
             quantile_rows = {
-                q: self._finalize_quantile(q, sketch)
-                for q, sketch in zip(self.quantiles, self._sketches)
+                q: self._finalize_quantile(q, self._bank.heights[row, 2].copy())
+                for row, q in enumerate(self.quantiles)
             }
         return {
             "mean": mean.tolist(),
@@ -290,7 +327,7 @@ class StreamingEnsembleStats:
             "quantiles": {q: row.tolist() for q, row in quantile_rows.items()},
         }
 
-    def _finalize_quantile(self, q: float, sketch: _P2Sketch):
+    def _finalize_quantile(self, q: float, est):
         """Combine the finite-part sketch with the ±inf/nan tallies.
 
         Conceptually sorts the virtual per-position sample
@@ -302,7 +339,7 @@ class StreamingEnsembleStats:
         behaviour; mixed positions are approximate (the sketch stands in
         for every finite rank).
         """
-        est = sketch.estimate()
+        # ``est`` is the bank's centre marker for ``q``, one per position.
         # Positions with fewer than 5 finite values never initialised their
         # markers — their finite part is still dense in the init buffer.
         partial = np.where((self._fin > 0) & (self._fin < 5))[0]
@@ -352,4 +389,4 @@ class StreamingEnsembleStats:
             self._neg, self._pos, self._nan, self._fin, self._init_buf,
         )
         total = sum(array.nbytes for array in arrays)
-        return total + sum(sketch.nbytes for sketch in self._sketches)
+        return total + self._bank.nbytes

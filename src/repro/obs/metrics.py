@@ -3,8 +3,8 @@
 Everything in this module is dependency-free on purpose — the telemetry
 spine must load (and stay honest) on minimal installs where NumPy is
 absent.  Histogram quantiles past the exact buffer run a scalar P² marker
-sketch whose arithmetic is that of the vectorised
-:class:`repro.engine.streaming._P2Sketch`, one position wide.
+sketch whose arithmetic is that of one lane of the vectorised
+:class:`repro.engine.streaming._P2Bank`.
 
 Design contract, shared with :mod:`repro.obs.tracing`:
 
@@ -295,10 +295,11 @@ class _ScalarP2Bank:
     """One P² 5-marker sketch per quantile, fed scalar-at-a-time.
 
     The single-position form of the vectorised
-    :class:`repro.engine.streaming._P2Sketch`, in plain floats: the same
-    marker arithmetic in the same order, so every estimate is
-    bit-identical to the sketch's, at a few microseconds per observation
-    (a request-path histogram observes on every query).
+    :class:`repro.engine.streaming._P2Bank`, in plain floats: the same
+    marker arithmetic in the same order as each of the bank's lanes, so
+    every estimate is bit-identical to the bank's, at a few microseconds
+    per observation (a request-path histogram observes on every query).
+    The ensemble aggregator's tests use it as the per-lane oracle.
     """
 
     __slots__ = ("_quantiles", "_steps", "_heights", "_positions", "_init", "_fin")

@@ -17,8 +17,10 @@ from repro.engine.shardwork import load_shard
 from repro.analysis.scenarios import SCENARIOS, build_scenario, default_t_grid
 from repro.analysis.store import clear_store_cache
 from repro.analysis.weighted_store import WeightedStore
+from repro.costmodels.models import UniformCost
 from repro.engine.columnar import (
     weighted_bcg_stable_mask,
+    weighted_bcg_stable_mask_multi,
     weighted_stability_windows,
 )
 
@@ -78,6 +80,103 @@ class TestStackedKernelParity:
         many = delta.stable_counts_multi([matrix], ts)
         assert one.shape == (1, len(ts))
         assert np.array_equal(one, many)
+
+
+#: Scale grids for the run-kernel edge cases: integer points (where the
+#: class-threshold guesses miss on ties), NaN, ±inf, negative, duplicate,
+#: tiny, huge and unsorted points, and the empty grid.
+EDGE_GRIDS = {
+    "integers": [float(t) for t in range(30)],
+    "odd": [
+        2.0, float("nan"), 0.5, -1.0, 2.0, float("inf"), 0.0, 7.5, 1e-9,
+        float("-inf"), 1e12, 3.0, float("nan"),
+    ],
+    "empty": [],
+}
+
+
+def random_weight_matrices(n, draws):
+    """Coefficient matrices of ``random_weights`` seeds ``0 .. draws - 1``."""
+    return [
+        build_scenario("random_weights", n, seed=seed).model.coefficient_matrix(n)
+        for seed in range(draws)
+    ]
+
+
+def per_draw_masks(rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
+                   rem_w, add_w_u, add_w_v, ts):
+    """The per-draw reference kernel, one draw of the stacks at a time."""
+    return [
+        weighted_bcg_stable_mask(
+            rem_w[k], rem_delta, rem_indptr,
+            add_w_u[k], add_s_u, add_w_v[k], add_s_v, add_indptr, ts,
+        )
+        for k in range(rem_w.shape[0])
+    ]
+
+
+class TestStackedMaskRuns:
+    """The stacked mask finds each (draw, class) stable run from the class
+    window thresholds and checks it exactly; every row must still equal the
+    per-t reference kernel, including where those guesses miss."""
+
+    def assert_rows_match(self, delta, matrices, ts):
+        multi = delta.stable_mask_multi(matrices, ts)
+        rem_w, add_w_u, add_w_v = delta.stacked_weights(matrices)
+        expected = per_draw_masks(
+            delta.rem_delta, delta.rem_indptr,
+            delta.add_s_u, delta.add_s_v, delta.add_indptr,
+            rem_w, add_w_u, add_w_v, ts,
+        )
+        assert multi.shape == (len(expected), len(delta), len(ts))
+        for k, mask in enumerate(expected):
+            assert np.array_equal(multi[k], mask), k
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("cost", [1.0, 2.0])
+    def test_uniform_weights_on_integer_grid(self, n, cost):
+        delta = DeltaStore.build(n)
+        matrix = UniformCost(cost).coefficient_matrix(n)
+        self.assert_rows_match(delta, [matrix], EDGE_GRIDS["integers"])
+        mixed = [matrix] * 8 + random_weight_matrices(n, 8)
+        self.assert_rows_match(delta, mixed, EDGE_GRIDS["integers"])
+
+    @pytest.mark.parametrize("grid", sorted(EDGE_GRIDS))
+    @pytest.mark.parametrize("draws", [1, 16])
+    def test_odd_grids(self, grid, draws):
+        delta = DeltaStore.build(6)
+        matrices = random_weight_matrices(6, draws)
+        self.assert_rows_match(delta, matrices, EDGE_GRIDS[grid])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_segments(self, n):
+        delta = DeltaStore.build(n)
+        matrices = [UniformCost(1.0).coefficient_matrix(n)] * 2
+        if n >= 2:
+            matrices += random_weight_matrices(n, 3)
+        for ts in EDGE_GRIDS.values():
+            self.assert_rows_match(delta, matrices, ts)
+
+    @pytest.mark.parametrize("draws", [1, 16])
+    def test_hand_built_columns_with_nan_and_inf(self, draws):
+        """Non-finite Δ and savings never place a run; rows still match."""
+        nan, inf = float("nan"), float("inf")
+        rem_delta = np.array([1.0, nan, inf, 2.0, 0.5, inf, nan, 3.0, 1.0, 1.0])
+        rem_indptr = np.array([0, 2, 3, 3, 6, 8, 10])
+        add_s_u = np.array([1.0, nan, inf, 2.0, 0.0, 3.0, 1.0, 2.0])
+        add_s_v = np.array([2.0, 1.0, 1.0, inf, 0.0, nan, 2.0, 1.0])
+        add_indptr = np.array([0, 1, 3, 5, 5, 6, 8])
+        rng = np.random.default_rng(draws)
+        choices = np.array([0.5, 1.0, 1.0, 2.0, 3.0])
+        rem_w = rng.choice(choices, size=(draws, rem_delta.shape[0]))
+        add_w_u = rng.choice(choices, size=(draws, add_s_u.shape[0]))
+        add_w_v = rng.choice(choices, size=(draws, add_s_u.shape[0]))
+        columns = (rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
+                   rem_w, add_w_u, add_w_v)
+        for ts in list(EDGE_GRIDS.values()) + [[0.25 * j for j in range(-4, 30)]]:
+            multi = weighted_bcg_stable_mask_multi(*columns, ts)
+            for k, mask in enumerate(per_draw_masks(*columns, ts)):
+                assert np.array_equal(multi[k], mask), (k, ts)
 
 
 class TestFromDelta:

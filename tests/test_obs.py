@@ -120,8 +120,8 @@ def test_histogram_p2_quantiles_close_to_exact():
 @pytest.mark.parametrize("stream", ["lognormal", "uniform", "ties", "wide"])
 def test_histogram_p2_bank_equals_vectorised_sketch(stream):
     """The scalar sketch behind histogram quantiles is the vectorised
-    engine sketch, one position wide: estimates agree bit for bit."""
-    from repro.engine.streaming import _P2Sketch
+    engine bank, one position wide: estimates agree bit for bit."""
+    from repro.engine.streaming import _P2Bank
     from repro.obs.metrics import _ScalarP2Bank
 
     quantiles = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
@@ -133,7 +133,7 @@ def test_histogram_p2_bank_equals_vectorised_sketch(stream):
         "wide": lambda: rng.gauss(0.0, 1e6),
     }[stream]
     bank = _ScalarP2Bank(quantiles)
-    sketches = [_P2Sketch(q, 1) for q in quantiles]
+    vectorised = _P2Bank(quantiles, 1)
     first = []
     for count in range(1, 2001):
         value = draw()
@@ -142,16 +142,15 @@ def test_histogram_p2_bank_equals_vectorised_sketch(stream):
             first.append(value)
             if count == 5:
                 block = np.sort(np.asarray(first))[:, None]
-                for sketch in sketches:
-                    sketch.init_columns(np.zeros(1, dtype=np.int64), block)
+                vectorised.init_columns(np.zeros(1, dtype=np.int64), block)
             continue
-        for sketch in sketches:
-            sketch.add(
-                np.asarray([value]), np.ones(1, dtype=bool), np.asarray([count])
-            )
+        vectorised.add(
+            np.asarray([value]), np.ones(1, dtype=bool), np.asarray([count])
+        )
         if count % 50 == 0:
-            for q, sketch in zip(quantiles, sketches):
-                assert bank.estimate(q) == float(sketch.estimate()[0]), (count, q)
+            for row, q in enumerate(quantiles):
+                centre = float(vectorised.heights[row, 2, 0])
+                assert bank.estimate(q) == centre, (count, q)
 
 
 def test_histogram_time_context_manager():

@@ -120,6 +120,75 @@ class TestStreamingRegime:
         large = feed(rng.normal(size=(5000, 50)), exact_buffer=16)
         assert small.state_nbytes == large.state_nbytes
 
+    def test_every_lane_equals_scalar_p2_oracle(self):
+        """Each lane's streamed quantiles are the scalar histogram sketch fed
+        that lane's finite values, bit for bit, wherever the quantile's rank
+        lands inside the finite run (every rank of an all-finite lane)."""
+        from repro.obs.metrics import _ScalarP2Bank
+
+        quantiles = (0.0, 0.25, 0.5, 0.9, 1.0)
+        rows = 400
+        rng = np.random.default_rng(19)
+
+        def sprinkle(values, fill, rate):
+            values = values.copy()
+            values[rng.random(rows) < rate] = fill
+            return values
+
+        finite = [
+            rng.normal(size=rows),
+            rng.lognormal(size=rows),
+            rng.uniform(-5.0, 5.0, size=rows),
+            rng.normal(scale=1e6, size=rows),
+            rng.integers(0, 4, size=rows).astype(np.float64),
+            rng.integers(0, 2, size=rows).astype(np.float64),
+            np.full(rows, 3.0),
+            np.arange(rows, dtype=np.float64),
+            np.arange(rows, dtype=np.float64)[::-1].copy(),
+            np.round(rng.normal(size=rows), 1),
+            rng.exponential(size=rows) * 1e-9,
+            rng.uniform(0.0, 1.0, size=rows) ** 8,
+        ]
+        non_finite = [
+            sprinkle(rng.normal(size=rows), np.inf, 0.03),
+            sprinkle(rng.normal(size=rows), -np.inf, 0.03),
+            sprinkle(sprinkle(rng.normal(size=rows), np.inf, 0.05), -np.inf, 0.05),
+            sprinkle(rng.integers(0, 3, size=rows).astype(np.float64), np.inf, 0.1),
+            sprinkle(rng.normal(size=rows), np.nan, 0.01),
+            sprinkle(rng.integers(0, 3, size=rows).astype(np.float64), np.nan, 0.02),
+            sprinkle(np.full(rows, np.inf), 1.5, 0.5),
+            sprinkle(np.full(rows, -np.inf), 2.0, 0.99),
+            np.where(np.arange(rows) < 3, 7.0, np.inf),
+            np.full(rows, np.inf),
+        ]
+        stacked = np.stack(finite + non_finite, axis=1)
+        assert stacked.shape[1] >= 20
+        got = feed(stacked, exact_buffer=8, block=13, quantiles=quantiles)
+        stats = got.finalize()
+
+        checked = 0
+        for lane in range(stacked.shape[1]):
+            values = stacked[:, lane]
+            fin = values[np.isfinite(values)]
+            if np.isnan(values).any():
+                for q in quantiles:
+                    assert np.isnan(stats["quantiles"][q][lane]), (lane, q)
+                continue
+            if fin.size < 5:
+                continue
+            oracle = _ScalarP2Bank(quantiles)
+            for value in fin:
+                oracle.add(float(value))
+            neg = int((values == -np.inf).sum())
+            for q in quantiles:
+                rank = q * (rows - 1)
+                if neg <= np.floor(rank) and np.ceil(rank) < neg + fin.size:
+                    assert stats["quantiles"][q][lane] == oracle.estimate(q), (
+                        lane, q,
+                    )
+                    checked += 1
+        assert checked >= len(finite) * len(quantiles)
+
     def test_few_finite_values_fall_back_to_dense_quantile(self):
         """Positions with < 5 finite draws read the init buffer exactly."""
         stacked = np.full((40, 3), np.inf)
