@@ -252,5 +252,7 @@ def scenario_from_params(params: Dict[str, object]) -> Scenario:
 
 def default_t_grid(n: int, count: int = 12) -> List[float]:
     """The default scale grid of a scenario sweep (log-spaced, like figures)."""
+    if n < 1:
+        raise ValueError(f"an n = {n} scenario has no scale grid")
     return log_spaced_alphas(0.2, float(n * n), max(2, count))
 

@@ -50,6 +50,18 @@ def default_alpha_grid(n: int, count: int = 24) -> List[float]:
     return log_spaced_alphas(0.2, float(n * n), count)
 
 
+def figure_cost_grid(n: int, points: int) -> List[float]:
+    """The total per-edge cost grid of ``census --grid`` and ``QueryAPI.figure``.
+
+    ``max(2, points)`` costs, log-spaced over ``[0.4, 2n²]``: the BCG link
+    costs of the aligned games then span ``[0.2, n²]``, the range of
+    :func:`default_alpha_grid`.  An ``n < 1`` census has no such grid.
+    """
+    if n < 1:
+        raise ValueError(f"an n = {n} census has no link-cost grid")
+    return log_spaced_alphas(0.4, 2.0 * n * n, max(2, points))
+
+
 def per_edge_cost_axis(alpha: float, game: str) -> float:
     """The paper's x-axis value for a given per-player link cost.
 
@@ -79,7 +91,7 @@ def aligned_link_costs(total_edge_cost: float) -> Tuple[float, float]:
 def aligned_cost_grid(n: int, count: int = 24) -> List[Tuple[float, float, float]]:
     """Grid of ``(total_edge_cost, α_ucg, α_bcg)`` triples for the figures."""
     grid = []
-    for cost in log_spaced_alphas(0.4, 2.0 * n * n, count):
+    for cost in figure_cost_grid(n, count):
         alpha_ucg, alpha_bcg = aligned_link_costs(cost)
         grid.append((cost, alpha_ucg, alpha_bcg))
     return grid

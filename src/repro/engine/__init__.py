@@ -46,9 +46,11 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
     semantics are shared across the library: ``None``/``0``/``1`` run
     serially in input order; ``jobs > 1`` uses a process pool but still
     returns results in input order, so parallel and serial runs are
-    bit-identical.  Environments without working multiprocessing degrade to
-    the serial path automatically (salvaging chunks that completed before a
-    pool broke).
+    bit-identical.  The chunks run through :func:`run_shards` under the
+    ``map`` prefix: a chunk whose worker died or raised is retried on a
+    rebuilt pool and finally run serially in the parent, completed chunks
+    are never recomputed, and environments without working
+    multiprocessing degrade to the serial path automatically.
 
 :func:`run_shards`
     The fault-tolerant shard work-queue coordinator behind every

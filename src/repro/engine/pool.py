@@ -6,15 +6,13 @@ through :func:`parallel_map`.  The contract is that the *result is
 independent of ``jobs``*: outputs are returned in input order, workers are
 pure functions of their item, and any environment where a process pool
 cannot be created (restricted sandboxes, missing semaphores) silently
-degrades to the serial path.
+degrades to the serial path.  The pool itself is the fault-tolerant shard
+coordinator, :func:`repro.engine.shardwork.run_shards`.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 Item = TypeVar("Item")
@@ -58,75 +56,36 @@ def chunk_evenly(items: Sequence[Item], pieces: int) -> List[List[Item]]:
     return chunks
 
 
-def _apply_chunk(task):
-    """Module-level chunk worker (must be picklable by reference).
-
-    Returns ``(results, telemetry)`` where ``telemetry`` is the worker
-    registry's drained metric/span deltas (or ``None``): the piggyback
-    envelope the coordinator merges exactly once per completed chunk.
-    """
-    from .. import obs
-
+def _map_chunk(task) -> list:
+    """Apply ``fn`` to one chunk of items (module-level, so it pickles)."""
     fn, chunk = task
-    results = [fn(item) for item in chunk]
-    return results, obs.drain_telemetry()
+    return [fn(item) for item in chunk]
 
 
 def parallel_map(
     fn: Callable[[Item], Result],
     items: Iterable[Item],
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Result]:
     """Map ``fn`` over ``items``, optionally fanning out over processes.
 
     Results are always returned in input order, so callers get identical
     output for any ``jobs`` value.  ``fn`` and the items must be picklable
-    when ``jobs > 1``.  Chunks are submitted as individual futures, so if
-    the pool breaks mid-run (a worker died) or cannot be created at all,
-    completed chunks are *salvaged* and only the incomplete remainder is
-    recomputed serially — with a :class:`RuntimeWarning`, because a broken
-    pool on a healthy machine is worth investigating.  Exceptions raised by
-    ``fn`` itself still propagate unchanged.
+    when ``jobs > 1``.  The items are cut into about four chunks per worker
+    and run through :func:`~repro.engine.shardwork.run_shards` under the
+    ``map`` prefix, so a dead or failing worker costs only the chunks it
+    held: they are retried on a rebuilt pool, and a chunk that keeps
+    failing runs serially in this process, where an exception raised by
+    ``fn`` itself propagates unchanged.
     """
+    from .shardwork import run_shards  # shardwork imports this module
+
     items = list(items)
     workers = resolve_jobs(jobs)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     workers = min(workers, len(items))
-    if chunksize is None:
-        chunksize = max(1, len(items) // (workers * 4))
-    chunks = [items[start : start + chunksize] for start in range(0, len(items), chunksize)]
-    completed: dict = {}
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_apply_chunk, (fn, chunk)): position
-                for position, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                completed[futures[future]] = future.result()
-    except (BrokenExecutor, OSError, pickle.PicklingError) as error:
-        # Pool-infrastructure failure (dead worker, no semaphores, unpicklable
-        # fn): keep what finished, recompute only the rest serially.  fn's own
-        # exceptions are NOT caught here — they propagate to the caller.
-        warnings.warn(
-            f"process pool failed after {len(completed)}/{len(chunks)} chunks "
-            f"({type(error).__name__}: {error}); computing the remaining "
-            f"{len(chunks) - len(completed)} serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    from .. import obs
-
-    results: List[Result] = []
-    for position, chunk in enumerate(chunks):
-        if position in completed:
-            chunk_results, telemetry = completed[position]
-            obs.merge_telemetry(telemetry)
-            results.extend(chunk_results)
-        else:
-            # Serial recompute records straight into this process's
-            # registry — nothing to merge.
-            results.extend(fn(item) for item in chunk)
-    return results
+    size = max(1, len(items) // (workers * 4))
+    chunks = [(fn, items[start : start + size]) for start in range(0, len(items), size)]
+    report = run_shards(_map_chunk, chunks, jobs=workers, prefix="map")
+    return [result for part in report.parts for result in part]

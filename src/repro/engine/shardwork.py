@@ -698,8 +698,14 @@ def run_shards(
             if time.monotonic() - last_beat >= heartbeat:
                 emit()
     finally:
-        if pool is not None:
+        if pool is not None and inflight:
             _stop_pool(pool)
+        elif pool is not None:
+            # Every worker is idle: a graceful shutdown joins the executor's
+            # manager thread here, where terminating the workers would leave
+            # it racing interpreter exit (an "Exception ignored" traceback
+            # when the process ends right after the run).
+            pool.shutdown(wait=True)
         run_span.__exit__(None, None, None)
 
     finished = True

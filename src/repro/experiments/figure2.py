@@ -24,7 +24,7 @@ from ..analysis.figure_series import FigureData, census_figure_series, sampled_f
 from ..analysis.report import format_figure
 from ..analysis.sampling import sample_equilibria_over_grid
 from ..analysis.store import cached_store
-from ..analysis.sweeps import log_spaced_alphas
+from ..analysis.sweeps import figure_cost_grid, log_spaced_alphas
 from .base import ExperimentResult
 
 #: Default number of players of the exhaustive census (paper: 10; see DESIGN.md).
@@ -50,7 +50,7 @@ def compute_figure2(
     """The Figure 2 dataset from the exhaustive census on ``n`` players."""
     census = exhaustive_census_source(n, jobs=jobs)
     if total_edge_costs is None:
-        total_edge_costs = log_spaced_alphas(0.4, 2.0 * n * n, 22)
+        total_edge_costs = figure_cost_grid(n, 22)
     return census_figure_series(census, "average_poa", total_edge_costs)
 
 

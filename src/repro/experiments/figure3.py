@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from ..analysis.figure_series import FigureData, census_figure_series, sampled_figure_series
 from ..analysis.report import format_figure
 from ..analysis.sampling import sample_equilibria_over_grid
-from ..analysis.sweeps import log_spaced_alphas
+from ..analysis.sweeps import figure_cost_grid, log_spaced_alphas
 from .base import ExperimentResult
 from .figure2 import DEFAULT_EXHAUSTIVE_N, exhaustive_census_source
 
@@ -28,7 +28,7 @@ def compute_figure3(
     """The Figure 3 dataset from the exhaustive census on ``n`` players."""
     census = exhaustive_census_source(n, jobs=jobs)
     if total_edge_costs is None:
-        total_edge_costs = log_spaced_alphas(0.4, 2.0 * n * n, 22)
+        total_edge_costs = figure_cost_grid(n, 22)
     return census_figure_series(census, "average_links", total_edge_costs)
 
 

@@ -67,10 +67,6 @@ def class_sort_key(graph: Graph) -> Tuple[int, List[Tuple[int, int]]]:
     return (graph.num_edges, sorted(graph.edges))
 
 
-#: Backwards-compatible alias (pre-PR-3 private name).
-_class_sort_key = class_sort_key
-
-
 # --------------------------------------------------------------------------- #
 # Canonical augmentation
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ Quick tour::
     print(obs.to_prometheus())          # text exposition
     obs.write_metrics("metrics.json")   # JSON snapshot (spans included)
 
-Worker piggyback (what ``parallel_map`` / ``run_shards`` do)::
+Worker piggyback (what ``run_shards``, and so ``parallel_map``, does)::
 
     payload = obs.drain_telemetry()      # in the worker, after the chunk
     obs.merge_telemetry(payload)         # in the coordinator, exactly once

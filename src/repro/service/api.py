@@ -1,8 +1,8 @@
 """The transport-free query layer of census-as-a-service.
 
 :class:`QueryAPI` is the one surface through which presentation code — the
-CLI subcommands, the asyncio HTTP server, tests and benchmarks — asks
-questions of census, weighted and delta artifacts.  It speaks artifact
+asyncio HTTP server, tests and benchmarks — asks questions of census,
+weighted and delta artifacts.  It speaks artifact
 **ids** (resolved by an :class:`~repro.service.catalog.ArtifactCatalog`)
 and returns plain dicts, lists and ndarrays; it never renders tables, never
 parses HTTP, and callers never touch store internals.
@@ -25,7 +25,7 @@ from ..analysis.figure_series import census_figure_series, figure_to_payload
 from ..analysis.report import summary_dict
 from ..analysis.scenarios import available_scenarios, default_t_grid
 from ..analysis.store import _check_game
-from ..analysis.sweeps import log_spaced_alphas
+from ..analysis.sweeps import figure_cost_grid
 from .batching import GridBatcher
 from .catalog import ArtifactCatalog
 
@@ -59,8 +59,8 @@ class QueryAPI:
     ----------
     catalog:
         The artifact I/O layer.  Defaults to an empty catalog that
-        resolves bare filesystem paths on demand — which is how the CLI
-        subcommands run against a single ``--load`` artifact.
+        resolves bare filesystem paths on demand, as the CLI's ``--load``
+        catalog does.
     batcher:
         Optional :class:`GridBatcher`.  When present, grid-shaped queries
         (masks, aggregates, weighted sweeps) are routed through it so
@@ -151,18 +151,18 @@ class QueryAPI:
     def figure(
         self, ref: str, quantity: str = "average_poa", points: int = 24
     ) -> Dict[str, object]:
-        """The ``census --load --grid`` figure series as a plain payload.
+        """The ``census --grid`` figure series as a plain payload.
 
         Replicates the CLI path exactly: the same
-        :func:`~repro.analysis.sweeps.log_spaced_alphas` cost grid, the
-        same :func:`~repro.analysis.figure_series.census_figure_series`
+        :func:`~repro.analysis.sweeps.figure_cost_grid`, the same
+        :func:`~repro.analysis.figure_series.census_figure_series`
         construction — with the aggregates routed through the batcher, so
         concurrent figure requests share kernel calls without changing a
         single output element.  The artifact is resolved once for both
         games.
         """
         info, store = self.catalog.get(ref, kind="census")
-        costs = log_spaced_alphas(0.4, 2.0 * store.n * store.n, max(2, points))
+        costs = figure_cost_grid(store.n, points)
         figure = census_figure_series(
             store,
             quantity,
@@ -224,12 +224,12 @@ class QueryAPI:
         points: int = 8,
         ucg: bool = False,
     ) -> Dict[str, object]:
-        """The ``scenarios --load`` sweep table as a plain payload.
+        """The ``scenarios`` sweep table as a plain payload.
 
         Stable counts, average links and average social cost per scale
         grid point — :meth:`WeightedStore.aggregates
         <repro.analysis.weighted_store.WeightedStore.aggregates>`, the same
-        numbers ``scenarios`` prints after a build — plus the UCG Nash
+        numbers ``scenarios`` prints — plus the UCG Nash
         counts when ``ucg`` is requested and the artifact carries the
         columns.
         """

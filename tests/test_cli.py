@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,29 @@ def test_run_single_experiment_full_render(capsys):
     assert exit_code == 0
     assert "Proposition 1" in output
     assert "[PASS]" in output
+
+
+def test_import_loads_no_experiment_module():
+    """The subcommands (``serve`` among them) never load the experiments."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(os.path.dirname(__file__), "..", "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; "
+            "print([m for m in sys.modules if m.startswith('repro.experiments')])",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert loaded.stdout == "[]\n"
 
 
 def test_parser_has_expected_flags():
@@ -218,6 +243,40 @@ CENSUS_GOLDEN = (
     ("n6_streamed_jobs2", "--n 6 --streamed --jobs 2 --grid 5"),
 )
 
+#: The ``ensemble`` commands of the CI smoke steps, pinned in
+#: ``tests/data/golden_cli/ensemble_<name>.txt``: a ``--save-dir`` run and
+#: its resume, then a ``--delta-cache`` build and its reuse.
+ENSEMBLE_GOLDEN = (
+    (
+        "save_dir5",
+        "--scenario random_weights --n 5 --draws 4 --seed 1 --grid 5 "
+        "--jobs 2 --save-dir {tmp}/ensemble5",
+    ),
+    (
+        "save_dir5_resume",
+        "--scenario random_weights --n 5 --draws 4 --seed 1 --grid 5 "
+        "--save-dir {tmp}/ensemble5",
+    ),
+    (
+        "delta_cache5",
+        "--scenario random_weights --n 5 --draws 6 --seed 1 --grid 5 "
+        "--delta-cache {tmp}/deltas5 --batch-draws 3",
+    ),
+    (
+        "delta_cache5_reuse",
+        "--scenario random_weights --n 5 --draws 6 --seed 1 --grid 5 "
+        "--delta-cache {tmp}/deltas5",
+    ),
+)
+
+#: The ``stats`` renderings pinned in ``tests/data/golden_cli/stats_<name>.txt``.
+#: Here ``{tmp}`` is the golden directory itself, which holds the rendered
+#: snapshot (a ``census --n 4 --streamed --no-ucg --metrics-out`` run).
+STATS_GOLDEN = (
+    ("table", "{tmp}/snapshot_census4_streamed.json"),
+    ("prom", "{tmp}/snapshot_census4_streamed.json --format prom"),
+)
+
 GOLDEN_CLI_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_cli")
 
 
@@ -251,6 +310,12 @@ def census_outputs(tmp_path_factory):
     return _golden_outputs("census", CENSUS_GOLDEN, tmp)
 
 
+@pytest.fixture(scope="module")
+def ensemble_outputs(tmp_path_factory):
+    tmp = str(tmp_path_factory.mktemp("golden_ensemble"))
+    return _golden_outputs("ensemble", ENSEMBLE_GOLDEN, tmp)
+
+
 @pytest.mark.parametrize("name", [name for name, _ in SCENARIOS_GOLDEN])
 def test_scenarios_output_matches_golden(scenarios_outputs, name):
     """Every ``scenarios`` table, header and verify line prints as pinned."""
@@ -261,6 +326,19 @@ def test_scenarios_output_matches_golden(scenarios_outputs, name):
 def test_census_output_matches_golden(census_outputs, name):
     """Every ``census`` summary, save line and grid table prints as pinned."""
     assert census_outputs[name] == (0, _golden("census", name))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ENSEMBLE_GOLDEN])
+def test_ensemble_output_matches_golden(ensemble_outputs, name):
+    """The ensemble header, resume tally and stats table print as pinned."""
+    assert ensemble_outputs[name] == (0, _golden("ensemble", name))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in STATS_GOLDEN])
+def test_stats_output_matches_golden(name):
+    """A committed snapshot renders as the pinned table and exposition."""
+    outputs = _golden_outputs("stats", STATS_GOLDEN, GOLDEN_CLI_DIR)
+    assert outputs[name] == (0, _golden("stats", name))
 
 
 class TestUcgFlags:
@@ -464,6 +542,37 @@ class TestTelemetryCLI:
         assert series[("repro_shard_retries_total", "shard")] == manifest["retries"]
 
 
+class TestZeroPlayerArtifacts:
+    """An n = 0 artifact has no cost grid (its upper end is 0): the table
+    request is refused with one stderr line and exit 2, not a traceback."""
+
+    def test_census_build_grid(self, capsys):
+        assert main(["census", "--n", "0", "--grid", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot tabulate --grid: an n = 0 census has no link-cost grid\n"
+        )
+
+    def test_census_load_grid(self, capsys, tmp_path):
+        path = str(tmp_path / "c0.npz")
+        assert main(["census", "--n", "0", "--save", path]) == 0
+        capsys.readouterr()
+        assert main(["census", "--load", path, "--grid", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot tabulate --grid: an n = 0 census has no link-cost grid\n"
+        )
+
+    def test_scenarios_load_grid(self, capsys, tmp_path):
+        from repro.analysis.weighted_store import WeightedStore
+        from repro.costmodels import UniformCost
+
+        path = str(tmp_path / "w0.npz")
+        WeightedStore.build(0, UniformCost(1.0)).save(path)
+        assert main(["scenarios", "--load", path, "--grid", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot tabulate --grid: an n = 0 scenario has no scale grid\n"
+        )
+
+
 class TestVersionFlag:
     def test_version_flag_prints_the_library_version(self, capsys):
         from repro import __version__
@@ -481,8 +590,14 @@ class TestServeAndQuery:
         from repro.service import ArtifactCatalog, GridBatcher, QueryAPI
         from repro.service.http import start_in_thread
 
+        from repro.analysis.scenarios import build_scenario
+        from repro.analysis.weighted_store import WeightedStore
+
         clear_store_cache()
         CensusStore.build(4, include_ucg=True).save(str(tmp_path / "c4.npz"))
+        WeightedStore.from_scenario(
+            build_scenario("random_weights", 4, seed=2), include_ucg=True
+        ).save(str(tmp_path / "w4.npz"))
         api = QueryAPI(
             ArtifactCatalog(root=str(tmp_path)),
             batcher=GridBatcher(),
@@ -507,6 +622,30 @@ class TestServeAndQuery:
         remote = capsys.readouterr().out
         # census prints summary + blank line + figure; query prints the figure.
         assert remote == local.split("\n\n", 1)[1]
+
+    #: The ``query`` commands pinned in
+    #: ``tests/data/golden_cli/query_<name>.txt``, run against :meth:`served`
+    #: with ``{url}`` and ``{tmp}`` normalised.  ``health`` prints the uptime,
+    #: so only :meth:`test_query_health_and_artifacts` checks it.
+    QUERY_GOLDEN = (
+        ("artifacts", "artifacts"),
+        ("summary_census", "summary --artifact c4.npz"),
+        ("summary_weighted", "summary --artifact w4.npz"),
+        ("grid", "grid --artifact c4.npz --quantity worst_poa --points 6"),
+        ("windows_census", "windows --artifact c4.npz"),
+        ("windows_weighted_ucg", "windows --artifact w4.npz --game ucg"),
+        ("ensemble", "ensemble --n 4 --draws 3 --seed 1 --grid 4"),
+    )
+
+    @pytest.mark.parametrize("name,command", QUERY_GOLDEN)
+    def test_query_output_matches_golden(self, served, name, command):
+        url, artifact = served
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["query", *command.split(), "--url", url])
+        output = stdout.getvalue()
+        output = output.replace(os.path.dirname(artifact), "{tmp}")
+        assert (code, output.replace(url, "{url}")) == (0, _golden("query", name))
 
     def test_query_health_and_artifacts(self, served, capsys):
         from repro import __version__

@@ -17,6 +17,7 @@ Two layers:
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,20 @@ def test_spool_bounds_fault_firings(tmp_path):
 # --------------------------------------------------------------------------- #
 # Runner recovery paths, driven by real faults
 # --------------------------------------------------------------------------- #
+
+
+def _manager_threads():
+    from concurrent.futures.process import _ExecutorManagerThread
+
+    return {t for t in threading.enumerate() if isinstance(t, _ExecutorManagerThread)}
+
+
+def test_clean_run_joins_its_pool_before_returning():
+    """A finished run leaves no executor thread to race interpreter exit."""
+    before = _manager_threads()
+    report = run_shards(_double, PAYLOADS, jobs=2)
+    assert_parts_equal(report.parts)
+    assert not _manager_threads() - before
 
 
 def test_crash_recovery_requeues_only_incomplete_shards(tmp_path):
