@@ -16,8 +16,6 @@ repository root so future PRs have a perf trajectory to compare against:
 * **single-edge mutation** — ``Graph.add_edge`` cost on a sparse vs a dense
   graph, asserting that mutation no longer scales with the edge count ``m``
   (the seed rebuilt the whole edge set through ``__init__``);
-* **enumeration at n = 8** (schema v2) — canonical augmentation vs the PR-1
-  augment-and-deduplicate path for all 12346 classes on 8 vertices;
 * **streamed census at n = 8** (schema v2) — the sharded streaming BCG
   census vs the materialised build, cold caches for both;
 * **streamed census at n = 9** (opt-in via ``--n9``) — the 261080-graph
@@ -75,8 +73,7 @@ repository root so future PRs have a perf trajectory to compare against:
   histogram.
 
 The script exits non-zero if the engine census path fails the acceptance
-floor (>= 3x naive, serial), if canonical augmentation fails its floor
-(>= 5x augment-and-dedup at n = 8), if the weighted scenario
+floor (>= 3x naive, serial), if the weighted scenario
 sweep fails its floor (>= 10x the per-graph Python loop at n = 7), if the
 weighted-store artifact query fails its floor (>= 10x recomputing the
 sweep at n = 8), if the amortised mega-ensemble fails its floor (>= 10x
@@ -110,16 +107,10 @@ from repro.graphs import (
     bfs_distances_with_forbidden_edge_reference,
     complete_graph,
     enumerate_connected_graphs,
-    enumerate_graphs,
-    is_connected,
     path_graph,
     random_graph,
 )
-from repro.graphs.enumeration import (
-    _augment_dedup_level,
-    _canonical_augment_level,
-    clear_cache,
-)
+from repro.graphs.enumeration import clear_cache
 
 OUTPUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
 
@@ -279,49 +270,6 @@ def bench_census_n7(jobs_grid: List[int]) -> Dict[str, float]:
         result[f"engine_jobs{jobs}_seconds"] = pool_s
         result[f"engine_jobs{jobs}_graphs_per_sec"] = len(graphs) / pool_s
     return result
-
-
-# --------------------------------------------------------------------------- #
-# 3b. Enumeration at n = 8: canonical augmentation vs augment-and-dedup
-# --------------------------------------------------------------------------- #
-
-
-def bench_enumeration_n8() -> Dict[str, float]:
-    """Generate all 12346 classes on 8 vertices with both generation paths.
-
-    Parents (the 1044 classes on 7 vertices) are built once outside the
-    timed region; the timed region is one generation level — exactly the
-    part the canonical-augmentation rewrite replaced — best of two runs per
-    path to damp shared-runner noise.  Note the baseline also benefits from
-    this PR's per-instance canonical-form memo and the refinement fast
-    path, so the recorded speedup *understates* the gain over the PR-1
-    binary.
-    """
-    clear_cache()
-    parents = enumerate_graphs(7)
-
-    timed = {}
-    for label, fn in (
-        ("augment_dedup", lambda: _augment_dedup_level(parents)),
-        ("canonical_augmentation", lambda: _canonical_augment_level(parents)),
-    ):
-        best = float("inf")
-        level = None
-        for _ in range(2):
-            start = time.perf_counter()
-            level = fn()
-            best = min(best, time.perf_counter() - start)
-        timed[label] = (best, level)
-    legacy_s, legacy_level = timed["augment_dedup"]
-    new_s, new_level = timed["canonical_augmentation"]
-    assert [g.edge_key() for g in legacy_level] == [g.edge_key() for g in new_level]
-    return {
-        "classes": len(new_level),
-        "connected_classes": sum(1 for g in new_level if is_connected(g)),
-        "augment_dedup_seconds": legacy_s,
-        "canonical_augmentation_seconds": new_s,
-        "speedup": legacy_s / new_s,
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -1075,7 +1023,7 @@ def main(argv=None) -> int:
     # (cpu_count in the report says whether pool gains were possible at all).
     jobs_grid = sorted({2} | {j for j in (4, min(8, cpu)) if 1 < j <= cpu})
     report = {
-        "schema": "bench_engine/v12",
+        "schema": "bench_engine/v13",
         "python": sys.version.split()[0],
         "cpu_count": cpu,
         "unix_time": time.time(),
@@ -1083,7 +1031,6 @@ def main(argv=None) -> int:
         "oracle_deltas": bench_oracle_deltas(),
         "census_n7_bcg": bench_census_n7(jobs_grid),
         "edge_mutation": bench_edge_mutation(),
-        "enumeration_n8": bench_enumeration_n8(),
         "census_n8_bcg_streamed": bench_census_n8_streamed(),
         "census_store": bench_census_store_n8(),
         "weighted_engine": bench_weighted_engine(),
@@ -1105,7 +1052,6 @@ def main(argv=None) -> int:
 
     census = report["census_n7_bcg"]
     mutation = report["edge_mutation"]
-    enum8 = report["enumeration_n8"]
     census8 = report["census_n8_bcg_streamed"]
     for band, stats in report["kernel_bfs"].items():
         print(f"kernel BFS ({band}): {stats['speedup']:.2f}x over reference")
@@ -1120,11 +1066,6 @@ def main(argv=None) -> int:
             f"census n=7:    engine jobs={jobs} "
             f"{census[f'engine_jobs{jobs}_seconds']:.2f}s"
         )
-    print(
-        f"enumeration n=8: augment+dedup {enum8['augment_dedup_seconds']:.2f}s, "
-        f"canonical augmentation {enum8['canonical_augmentation_seconds']:.2f}s "
-        f"({enum8['speedup']:.2f}x)"
-    )
     print(
         f"census n=8:    streamed {census8['streamed_seconds']:.2f}s, "
         f"materialised {census8['materialised_seconds']:.2f}s "
@@ -1227,11 +1168,6 @@ def main(argv=None) -> int:
     if census["serial_speedup"] < 3.0 and not args.report_only:
         failures.append(
             f"serial census speedup {census['serial_speedup']:.2f}x is below the 3x floor"
-        )
-    if enum8["speedup"] < 5.0 and not args.report_only:
-        failures.append(
-            f"canonical augmentation speedup {enum8['speedup']:.2f}x at n=8 "
-            "is below the 5x floor"
         )
     if weighted["speedup"] < 10.0 and not args.report_only:
         failures.append(

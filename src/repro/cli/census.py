@@ -14,6 +14,7 @@ from .common import (
     report_verify,
     require_streamed,
     run_traced,
+    unwritable_destination,
 )
 
 
@@ -128,6 +129,8 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     if require_streamed(
         args, ("--shard-dir", "--shard-timeout", "--shard-retries", "--progress")
     ):
+        return 2
+    if unwritable_destination(args.save) or unwritable_destination(args.save_deltas):
         return 2
     if args.load is not None:
         store = open_artifact(args.load, "census", mmap=args.mmap)

@@ -9,8 +9,9 @@ rendered by ``query`` cannot drift from the local command's output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .. import obs
 
@@ -66,6 +67,21 @@ def require_streamed(args: argparse.Namespace, flags: Sequence[str]) -> bool:
             print(f"{flag} requires --streamed", file=sys.stderr)
             return True
     return False
+
+
+def unwritable_destination(path: Optional[str]) -> bool:
+    """Report a ``--save`` path whose directory cannot be written; ``True`` if so.
+
+    Called before any build, so an unusable destination fails in
+    milliseconds instead of after the whole build has run.
+    """
+    if path is None:
+        return False
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(parent) and os.access(parent, os.W_OK):
+        return False
+    print(f"cannot save {path}: directory {parent} is not writable", file=sys.stderr)
+    return True
 
 
 def report_verify(audit, label: str) -> int:

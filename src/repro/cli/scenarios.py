@@ -4,7 +4,6 @@ and save and query weighted-store artifacts."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List
 
@@ -15,6 +14,7 @@ from .common import (
     report_verify,
     require_streamed,
     run_traced,
+    unwritable_destination,
 )
 
 
@@ -173,16 +173,8 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         except KeyError as error:
             print(error.args[0], file=sys.stderr)
             return 2
-        if args.save is not None:
-            # Fail on an unwritable destination in milliseconds, not after
-            # the whole deviation-analysis build has run.
-            parent = os.path.dirname(os.path.abspath(args.save))
-            if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-                print(
-                    f"cannot save {args.save}: directory {parent} is not writable",
-                    file=sys.stderr,
-                )
-                return 2
+        if unwritable_destination(args.save):
+            return 2
         store = WeightedStore.from_scenario(
             scenario,
             jobs=args.jobs,

@@ -15,16 +15,15 @@ def build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments stats",
         description=(
-            "Render telemetry: either a --metrics-out *.json snapshot "
-            "written by another run, or this process's own registry."
+            "Render a telemetry snapshot: the --metrics-out *.json file "
+            "another run wrote."
         ),
     )
     parser.add_argument(
-        "snapshot", nargs="?", default=None, metavar="FILE",
+        "snapshot", metavar="FILE",
         help=(
-            "a JSON telemetry snapshot to render (omit to render the "
-            "current process's registry — mostly useful under --format "
-            "prom/json for piping)"
+            "the JSON telemetry snapshot to render (write one with "
+            "--metrics-out FILE.json)"
         ),
     )
     parser.add_argument(
@@ -55,22 +54,19 @@ def stats_main(argv: List[str]) -> int:
     """Run the ``stats`` subcommand; returns a process exit code."""
     parser = build_stats_parser()
     args = parser.parse_args(argv)
-    if args.snapshot is not None:
-        try:
-            with open(args.snapshot, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"cannot read {args.snapshot}: {error}", file=sys.stderr)
-            return 2
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            print(
-                f"{args.snapshot} is not a repro telemetry snapshot "
-                "(write one with --metrics-out FILE.json)",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        payload = obs.snapshot()
+    try:
+        with open(args.snapshot, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as error:
+        print(f"cannot read {args.snapshot}: {error}", file=sys.stderr)
+        return 2
+    if not isinstance(payload, dict) or "metrics" not in payload:
+        print(
+            f"{args.snapshot} is not a repro telemetry snapshot "
+            "(write one with --metrics-out FILE.json)",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

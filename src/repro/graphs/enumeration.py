@@ -20,11 +20,18 @@ Every isomorphism class is then produced *exactly once* with no global
 ``seen`` dictionary and no duplicate canonicalisations, so the generators
 (:func:`iter_graphs`, :func:`iter_connected_graphs`, :func:`iter_graphs_from`)
 stream their output and the generation tree can be sharded across process
-pool workers from any level-``k`` prefix.  Two cheap invariant filters decide
-most acceptances without a canonical search: the new vertex must have maximal
-degree (checked on the subset mask before the child is even built), and must
-carry the maximal stable 1-WL colour (singleton colour classes accept
-outright).
+pool workers from any level-``k`` prefix.
+
+Candidates are decided in blocks of about ``_BLOCK`` children at a time,
+labelled together in lock-step NumPy (:mod:`repro.graphs._lockstep`).  Three
+tests run in order: the new vertex must have maximal degree (checked on the
+subset masks before any child is built), must carry the maximal stable 1-WL
+colour (checked on the whole block's refined colourings), and must lie in
+the canonical last-vertex orbit (read off the block's canonical labelling).
+Every accepted child comes out as its canonical representative with its
+:class:`~repro.graphs.isomorphism.CanonicalRecord` memoised.  Streams pull
+their parents a block at a time, so only :func:`enumerate_graphs` ever holds
+a whole level.
 
 Counts are cross-checked in the test suite against the OEIS:
 
@@ -36,15 +43,15 @@ Counts are cross-checked in the test suite against the OEIS:
 from __future__ import annotations
 
 import time
-from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .graph import Graph, iter_bits
+import numpy as np
+
+from . import _lockstep
+from .graph import Graph
 from .isomorphism import (
     CanonicalRecord,
     Permutation,
-    _compute_record,
-    _stable_colors,
     canonical_form,
     canonical_graph,
     canonical_record,
@@ -53,6 +60,9 @@ from .properties import is_connected, is_tree
 
 _GRAPH_CACHE: Dict[int, List[Graph]] = {}
 _TREE_CACHE: Dict[int, List[Graph]] = {}
+
+#: Candidate children labelled together in one lock-step block.
+_BLOCK = 2048
 
 
 def class_sort_key(graph: Graph) -> Tuple[int, List[Tuple[int, int]]]:
@@ -72,131 +82,145 @@ def class_sort_key(graph: Graph) -> Tuple[int, List[Tuple[int, int]]]:
 # --------------------------------------------------------------------------- #
 
 
-def _mask_orbit_reps(n: int, generators: Sequence[Permutation]) -> List[int]:
-    """One representative bitmask per orbit of vertex subsets under ``generators``."""
-    size = 1 << n
-    seen = bytearray(size)
-    images = [[1 << g[b] for b in range(n)] for g in generators]
-    reps: List[int] = []
-    for mask in range(size):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            current = stack.pop()
-            for table in images:
-                image = 0
-                remaining = current
-                while remaining:
-                    low = remaining & -remaining
-                    image |= table[low.bit_length() - 1]
-                    remaining ^= low
-                if not seen[image]:
-                    seen[image] = 1
-                    stack.append(image)
-    return reps
+def _mask_orbit_reps(n: int, generators: Sequence[Permutation]) -> np.ndarray:
+    """The smallest vertex subset (as a bitmask) of each orbit under ``generators``.
+
+    Label propagation over all ``2**n`` masks: each mask takes the smallest
+    label among itself and its images, then follows its label's label.
+    Labels only ever move within an orbit and the generators connect it, so
+    the fixed point labels every orbit with its smallest member.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    if not generators:
+        return masks
+    perms = np.asarray(generators, dtype=np.int64)
+    images = np.zeros((len(perms), 1 << n), dtype=np.int64)
+    for b in range(n):
+        images |= ((masks >> b) & 1) << perms[:, b, None]
+    label = masks
+    while True:
+        moved = np.minimum(label[images].min(axis=0), label)
+        moved = moved[moved]
+        if np.array_equal(moved, label):
+            return np.flatnonzero(label == masks)
+        label = moved
 
 
-def _subset_candidates(parent: Graph, record: CanonicalRecord) -> Iterator[int]:
+def _subset_candidates(parent: Graph, record: CanonicalRecord) -> np.ndarray:
     """Neighbourhood masks that could yield an *accepted* child of ``parent``.
 
-    Yields one mask per automorphism orbit (orbit-mates give isomorphic
-    children) and drops every mask whose new vertex could not have maximal
-    degree in the child: acceptance requires the augmented vertex to occupy
-    the last canonical position, which always carries the maximal stable
-    colour and hence the maximal degree.  The filter is automorphism-
-    invariant, so applying it to orbit representatives loses nothing.
+    One mask per automorphism orbit (orbit-mates give isomorphic children),
+    without every mask whose new vertex could not have maximal degree in the
+    child: acceptance requires the augmented vertex to occupy the last
+    canonical position, which always carries the maximal stable colour and
+    hence the maximal degree.  The filter is automorphism-invariant, so
+    applying it to orbit representatives loses nothing.
     """
     n = parent.n
-    if n == 0:
-        yield 0
-        return
-    degrees = [parent.degree(v) for v in range(n)]
+    masks = _mask_orbit_reps(n, record.generators)
+    degrees = np.array(parent.degrees(), dtype=np.int64)
     # ge[s] = bitmask of vertices with parent-degree >= s.
-    ge = [0] * (n + 2)
-    for v, d in enumerate(degrees):
-        bit = 1 << v
-        for s in range(d + 1):
-            ge[s] |= bit
-    full = (1 << n) - 1
-    masks: Sequence[int]
-    if record.generators:
-        masks = _mask_orbit_reps(n, record.generators)
-    else:
-        masks = range(1 << n)
-    for mask in masks:
-        s = mask.bit_count()
-        # A vertex outside the subset may have degree at most s; a vertex
-        # inside gains one, so it may have degree at most s - 1.
-        if ge[s + 1] & ~mask & full:
-            continue
-        if ge[s] & mask:
-            continue
-        yield mask
+    ge = ((degrees >= np.arange(n + 2)[:, None]) << np.arange(n)).sum(axis=1)
+    size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    # A vertex outside the subset may have degree at most s; a vertex
+    # inside gains one, so it may have degree at most s - 1.
+    fits = ((ge[size + 1] & ~masks) == 0) & ((ge[size] & masks) == 0)
+    return masks[fits]
 
 
-def _acceptance(child_adj: Tuple[Tuple[int, ...], ...]):
-    """McKay acceptance: is the new (last) vertex in the canonical last orbit?
+def _child_adjacency(
+    parents: Sequence[Graph], parent_of: np.ndarray, masks: np.ndarray
+) -> np.ndarray:
+    """The ``(G, n, n)`` bool adjacency of each candidate child.
 
-    Cheap invariant tests decide most candidates: the stable 1-WL colouring
-    is order-preserved by the canonical search, so the vertex at the last
-    canonical position always lies in the maximal stable colour class.  If
-    the new vertex is not in that class it can never be canonically last
-    (orbits refine colour classes); if the class is a singleton it *is* the
-    canonically last vertex.  Only ties fall through to a full canonical
-    search.
-
-    Returns ``(accepted, record, colors)``: ``record`` is the child's
-    :class:`~repro.graphs.isomorphism.CanonicalRecord` when a full search
-    was needed (so the caller can memoise it) and ``None`` otherwise;
-    ``colors`` is the stable colouring (a reusable search hint).
+    Candidate ``g`` is parent ``parent_of[g]`` plus a last vertex ``n - 1``
+    adjacent to the vertices of ``masks[g]``.
     """
-    n = len(child_adj)
-    if n <= 1:
-        return True, None, None
-    w = n - 1
-    colors = _stable_colors(child_adj)
-    top = max(colors)
-    if colors[w] != top:
-        return False, None, colors
-    if colors.count(top) == 1:
-        return True, None, colors
-    record = _compute_record(adj=child_adj, stable_colors=colors)
-    last = record.ordering[-1]
-    return record.orbit_ids[w] == record.orbit_ids[last], record, colors
+    m = parents[0].n
+    bit = np.arange(m)
+    rows = np.array([p.adjacency_rows() for p in parents], dtype=np.int64)
+    parent_adj = ((rows[:, :, None] >> bit) & 1).astype(bool)
+    new = ((masks[:, None] >> bit) & 1).astype(bool)
+    adj = np.zeros((masks.size, m + 1, m + 1), dtype=bool)
+    adj[:, :m, :m] = parent_adj[parent_of]
+    adj[:, :m, m] = new
+    adj[:, m, :m] = new
+    return adj
 
 
-def _children(parent: Graph) -> Iterator[Graph]:
-    """All accepted one-vertex extensions of ``parent`` (one per child class).
+def _accept(
+    parents: Sequence[Graph], parent_of: np.ndarray, masks: np.ndarray
+) -> Tuple[List[Graph], np.ndarray]:
+    """The accepted candidates of one block, canonical, with their certificate words.
 
-    The candidate's adjacency tuples are assembled from the parent's (decoded
-    once per parent), and the child :class:`Graph` is only built once the
-    candidate is accepted; rejected candidates never allocate a graph.
-    Accepted children carry their memoised canonical record (computed with
-    the acceptance test's stable colouring as a search hint): every child
-    becomes either a parent of the next level or a canonicalised census/
-    enumeration entry, so the search is never wasted and never repeated.
+    Two tests decide acceptance, both on the whole block at once.  The
+    colour test: the last canonical position always carries the maximal
+    stable 1-WL colour (refinement and individualisation keep cells in
+    order), so a new vertex without it is never canonically last.  The
+    orbit test: the new vertex ``n - 1`` is accepted when its orbit is the
+    orbit of canonical position ``n - 1``.  Accepted children keep the
+    order of their candidates.
     """
-    record = canonical_record(parent)
-    n = parent.n
-    parent_adj = tuple(tuple(iter_bits(row)) for row in parent.adjacency_rows())
-    for mask in _subset_candidates(parent, record):
-        neighbors = tuple(iter_bits(mask))
-        child_adj = tuple(
-            parent_adj[u] + (n,) if (mask >> u) & 1 else parent_adj[u]
-            for u in range(n)
-        ) + (neighbors,)
-        accepted, child_record, colors = _acceptance(child_adj)
-        if not accepted:
-            continue
-        if child_record is None and colors is not None:
-            child_record = _compute_record(adj=child_adj, stable_colors=colors)
-        child = parent.add_vertex(neighbors)
-        if child_record is not None:
-            child._canon = child_record
-        yield child
+    n = parents[0].n + 1
+    adj = _child_adjacency(parents, parent_of, masks)
+    colors, counts = _lockstep.stable_colors(adj)
+    passing = np.flatnonzero(colors[:, n - 1] == counts - 1)
+    graphs, positions, words = _lockstep.canonical_block(
+        adj[passing], colors[passing], counts[passing]
+    )
+    accepted = []
+    for k, (graph, last) in enumerate(zip(graphs, positions[:, n - 1].tolist())):
+        orbit_ids = canonical_record(graph).orbit_ids
+        if orbit_ids[last] == orbit_ids[n - 1]:
+            accepted.append(k)
+    return [graphs[k] for k in accepted], words[accepted]
+
+
+def _augment_blocks(parents: Iterable[Graph]) -> Iterator[Tuple[List[Graph], np.ndarray]]:
+    """Accepted children of ``parents`` in blocks of about ``_BLOCK`` candidates.
+
+    ``parents`` is consumed lazily and must share one order.  Each block
+    yields its accepted children (canonical, record memoised) and their
+    packed certificate words.
+    """
+    block: List[Graph] = []
+    parent_of: List[np.ndarray] = []
+    masks: List[np.ndarray] = []
+    pending = 0
+    for parent in parents:
+        candidates = _subset_candidates(parent, canonical_record(parent))
+        parent_of.append(np.full(candidates.size, len(block), dtype=np.intp))
+        masks.append(candidates)
+        block.append(parent)
+        pending += candidates.size
+        if pending >= _BLOCK:
+            yield _accept(block, np.concatenate(parent_of), np.concatenate(masks))
+            block, parent_of, masks, pending = [], [], [], 0
+    if pending:
+        yield _accept(block, np.concatenate(parent_of), np.concatenate(masks))
+
+
+def _augment(parents: Iterable[Graph]) -> Iterator[Graph]:
+    """Stream the accepted children of ``parents``, block by block."""
+    for children, _ in _augment_blocks(parents):
+        yield from children
+
+
+def _augment_level(parents: Sequence[Graph]) -> List[Graph]:
+    """One materialised level: every accepted child, in ``class_sort_key`` order."""
+    from ..engine.columnar import canonical_sort_indices
+
+    children: List[Graph] = []
+    words: List[np.ndarray] = []
+    for block, block_words in _augment_blocks(parents):
+        children.extend(block)
+        words.append(block_words)
+    if not children:
+        return []
+    order = canonical_sort_indices(
+        [g.num_edges for g in children], np.concatenate(words), parents[0].n + 1
+    )
+    return [children[i] for i in order.tolist()]
 
 
 # --------------------------------------------------------------------------- #
@@ -207,10 +231,11 @@ def _children(parent: Graph) -> Iterator[Graph]:
 def iter_graphs(n: int) -> Iterator[Graph]:
     """Stream one representative per isomorphism class of graphs on ``n`` vertices.
 
-    Unlike :func:`enumerate_graphs` nothing is materialised or canonicalised:
-    graphs are yielded in generation order as the canonical-augmentation tree
-    is walked depth-first.  Levels already materialised by
-    :func:`enumerate_graphs` are reused as parents.
+    Unlike :func:`enumerate_graphs` nothing is materialised or sorted: each
+    level pulls its parents from the level below a block at a time, and
+    graphs are yielded in generation order, canonical and with their records
+    memoised.  Levels already materialised by :func:`enumerate_graphs` are
+    reused as parents.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -226,8 +251,7 @@ def _iter_graphs(n: int) -> Iterator[Graph]:
     if n == 0:
         yield Graph(0)
         return
-    for parent in _iter_graphs(n - 1):
-        yield from _children(parent)
+    yield from _augment(_iter_graphs(n - 1))
 
 
 def iter_connected_graphs(n: int) -> Iterator[Graph]:
@@ -279,7 +303,9 @@ def iter_graphs_from(root: Graph, n: int) -> Iterator[Graph]:
     subtrees below distinct level-``k`` representatives are disjoint and
     jointly exhaustive: sharding the roots across process-pool workers
     parallelises generation with no duplicate work and no cross-worker
-    deduplication (this is how the streamed census fans out).
+    deduplication (this is how the streamed census fans out).  Descendants
+    are canonical, with their records memoised; ``root`` itself is yielded
+    as given when ``n == root.n``.
     """
     if root.n > n:
         raise ValueError("root has more vertices than the requested level")
@@ -288,43 +314,15 @@ def iter_graphs_from(root: Graph, n: int) -> Iterator[Graph]:
 
 def _iter_graphs_from(root: Graph, n: int) -> Iterator[Graph]:
     """Generator body of :func:`iter_graphs_from` (arguments already validated)."""
-    if root.n == n:
-        yield root
-        return
-    for child in _children(root):
-        yield from _iter_graphs_from(child, n)
+    level: Iterator[Graph] = iter((root,))
+    for _ in range(root.n, n):
+        level = _augment(level)
+    yield from level
 
 
 # --------------------------------------------------------------------------- #
 # Materialised enumerations (cached, canonical, deterministically sorted)
 # --------------------------------------------------------------------------- #
-
-
-def _canonical_augment_level(parents: List[Graph]) -> List[Graph]:
-    """One generation level: accepted children, canonicalised and sorted."""
-    return sorted(
-        (canonical_graph(child) for parent in parents for child in _children(parent)),
-        key=class_sort_key,
-    )
-
-
-def _augment_dedup_level(parents: List[Graph]) -> List[Graph]:
-    """One generation level of the pre-canonical-augmentation path.
-
-    Kept verbatim as the benchmark baseline and equivalence reference: every
-    ``(parent, neighbourhood)`` candidate is canonicalised and deduplicated
-    through a global ``seen`` dictionary.
-    """
-    seen: Dict[Tuple[int, int], Graph] = {}
-    for base in parents:
-        n = base.n + 1
-        for size in range(n):
-            for neighborhood in combinations(range(n - 1), size):
-                candidate = base.add_vertex(neighborhood)
-                key = canonical_form(candidate)
-                if key not in seen:
-                    seen[key] = canonical_graph(candidate)
-    return sorted(seen.values(), key=class_sort_key)
 
 
 def enumerate_graphs(n: int) -> List[Graph]:
@@ -342,7 +340,7 @@ def enumerate_graphs(n: int) -> List[Graph]:
     if n == 0:
         result = [Graph(0)]
     else:
-        result = _canonical_augment_level(enumerate_graphs(n - 1))
+        result = _augment_level(enumerate_graphs(n - 1))
     _GRAPH_CACHE[n] = result
     return list(result)
 

@@ -32,6 +32,14 @@ orbit) and orbit-pruned stability probing (on its per-graph ``n > 63`` path,
 :func:`repro.engine.batch_stability_deltas` probes one deviation per orbit
 of a graph whose record is memoised and expands the results across each
 orbit).
+
+The enumeration does not run this search per candidate: it labels whole
+blocks of candidate children in lock-step NumPy
+(:mod:`repro.graphs._lockstep`), which reproduces the search's refinement,
+target cells and minimum bitstring exactly and reads the whole group off the
+tying leaves.  The search here serves :func:`canonical_record` on arbitrary
+graphs and the block labelling's fallback for graphs with very wide search
+trees (``K_n``, stars, empty graphs).
 """
 
 from __future__ import annotations
@@ -283,8 +291,14 @@ class CanonicalRecord:
         A canonical vertex ordering: ``ordering[i]`` is the original vertex
         at canonical position ``i``.
     generators:
-        Automorphism generators harvested from equal-bitstring leaves; they
-        generate the full automorphism group.
+        A generating set of the full automorphism group (empty when the
+        group is trivial).  The per-graph search harvests them from
+        equal-bitstring leaves; the lock-step block labelling of the
+        enumeration stores a strong generating set for the base
+        ``0 … n - 1`` instead.  Which set is stored is not part of the
+        record's meaning: every consumer (the enumeration's subset orbits
+        and acceptance test, the UCG orbit plan, the orbit and group-order
+        queries) reads only the group they generate.
     orbit_ids:
         ``orbit_ids[v]`` is the smallest vertex in ``v``'s automorphism
         orbit (so equal ids mean same orbit).
@@ -451,6 +465,12 @@ def canonical_graph(graph: Graph) -> Graph:
     if graph.n == 0:
         return graph
     record = canonical_record(graph)
+    if record.ordering == tuple(range(graph.n)):
+        # Already canonical (as every enumerated class is): a new instance
+        # sharing the rows and the record, so clearing one leaves the other.
+        canon = Graph._from_rows(graph.n, graph.adjacency_rows(), graph.num_edges)
+        canon._canon = record
+        return canon
     position = [0] * graph.n
     for new, old in enumerate(record.ordering):
         position[old] = new

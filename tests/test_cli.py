@@ -439,6 +439,38 @@ class TestEnsembleSubcommand:
         assert main(argv) == 0
         assert "resumed 2, computed 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--n", "4", "--save"],
+            ["census", "--n", "4", "--no-ucg", "--save-deltas"],
+            ["scenarios", "--name", "random_weights", "--n", "4", "--save"],
+        ],
+        ids=["census-save", "census-save-deltas", "scenarios-save"],
+    )
+    def test_unwritable_destination_fails_before_the_build(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        from repro.analysis.delta_store import DeltaStore
+        from repro.analysis.store import CensusStore
+        from repro.analysis.weighted_store import WeightedStore
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the build ran before the destination check")
+
+        monkeypatch.setattr(CensusStore, "build", no_build)
+        monkeypatch.setattr(DeltaStore, "build", no_build)
+        monkeypatch.setattr(WeightedStore, "from_scenario", no_build)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        path = str(blocker / "dir" / "x.npz")
+        assert main(argv + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot save {path}: directory {blocker / 'dir'} is not writable\n"
+        )
+
     def test_census_save_deltas(self, capsys, tmp_path):
         path = str(tmp_path / "deltas_n4.npz")
         assert main(
@@ -499,6 +531,15 @@ class TestTelemetryCLI:
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
         assert main(["stats", str(path)]) == 2
         assert "not a repro telemetry snapshot" in capsys.readouterr().err
+
+    def test_stats_requires_its_file(self, capsys):
+        # A fresh process's own registry holds nothing a user ran.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage" in captured.err and "FILE" in captured.err
 
     def test_scenarios_progress_requires_streamed(self, capsys):
         assert main(

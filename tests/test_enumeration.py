@@ -1,12 +1,20 @@
 """Unit tests for exhaustive graph enumeration up to isomorphism."""
 
+import hashlib
+import json
 import os
+from itertools import combinations
+from pathlib import Path
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.graphs import (
+    Graph,
     are_isomorphic,
     canonical_form,
+    canonical_graph,
+    canonical_record,
     class_sort_key,
     count_connected_graphs,
     count_graphs,
@@ -22,10 +30,12 @@ from repro.graphs import (
     iter_graphs,
     iter_graphs_from,
 )
-from repro.graphs.enumeration import (
-    _augment_dedup_level,
-    _canonical_augment_level,
-    clear_cache,
+from repro.graphs.enumeration import _subset_candidates, clear_cache
+from repro.graphs.graph import iter_bits
+from repro.graphs.isomorphism import _compute_record
+
+PINS = json.loads(
+    (Path(__file__).parent / "data" / "enumeration_pins.json").read_text()
 )
 
 # OEIS A000088: number of graphs on n unlabelled nodes.
@@ -149,28 +159,115 @@ class TestStreaming:
             list(iter_graphs_from(enumerate_graphs(4)[0], 3))
 
 
+def _augment_dedup_level(parents: List[Graph]) -> List[Graph]:
+    """One generation level by augment-and-deduplicate: the independent oracle.
+
+    Every ``(parent, neighbourhood)`` candidate is canonicalised by the
+    per-graph search and deduplicated through a global ``seen`` dictionary.
+    """
+    seen: Dict[Tuple[int, int], Graph] = {}
+    for base in parents:
+        n = base.n + 1
+        for size in range(n):
+            for neighborhood in combinations(range(n - 1), size):
+                candidate = base.add_vertex(neighborhood)
+                key = canonical_form(candidate)
+                if key not in seen:
+                    seen[key] = canonical_graph(candidate)
+    return sorted(seen.values(), key=class_sort_key)
+
+
 def test_canonical_augmentation_matches_augment_dedup():
-    # The orderly generator must produce exactly the classes of the retained
-    # PR-1 augment-and-deduplicate path, in the same order.
-    parents = enumerate_graphs(5)
-    legacy = _augment_dedup_level(parents)
-    orderly = _canonical_augment_level(parents)
-    assert [g.edge_key() for g in legacy] == [g.edge_key() for g in orderly]
+    # The orderly generator must produce exactly the classes of
+    # augment-and-deduplicate, in the same order.
+    for n in (6, 7):
+        legacy = _augment_dedup_level(enumerate_graphs(n - 1))
+        assert [g.edge_key() for g in legacy] == [
+            g.edge_key() for g in enumerate_graphs(n)
+        ]
+
+
+def _level_digest(graphs) -> str:
+    """sha256 over each class's labelled edges, bits, orbit ids and group order."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        record = canonical_record(g)
+        digest.update(
+            repr(
+                (g.edge_key(), record.bits, record.orbit_ids, record.group_order())
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_matches_pins(n):
+    # Captured before the lock-step labelling replaced the per-candidate
+    # search: every class, canonical bit, orbit and sort position is pinned.
+    assert _level_digest(enumerate_graphs(n)) == PINS["levels"][str(n)]
 
 
 @pytest.mark.skipif(
     not os.environ.get("REPRO_SLOW_TESTS"),
-    reason="n=9 sweep takes ~30s; set REPRO_SLOW_TESTS=1 to run",
+    reason="n=9 sweep takes ~20-60s; set REPRO_SLOW_TESTS=1 to run",
 )
 def test_oeis_counts_n9():
-    total = 0
-    connected = 0
+    # One streamed pass checks the counts and an order-independent digest of
+    # every class's canonical bits and (canonically labelled) orbits.
+    total = connected = 0
+    entries = []
     for g in iter_graphs(9):
         total += 1
-        if is_connected(g):
-            connected += 1
-    assert total == 274668  # A000088
-    assert connected == 261080  # A001349
+        connected += is_connected(g)
+        record = canonical_record(canonical_graph(g))
+        entries.append((record.bits, record.orbit_ids))
+    entries.sort()
+    digest = hashlib.sha256()
+    for entry in entries:
+        digest.update(repr(entry).encode())
+    pin = PINS["stream"]["9"]
+    assert total == pin["graphs"] == 274668  # A000088
+    assert connected == pin["connected"] == 261080  # A001349
+    assert digest.hexdigest() == pin["sha256"]
+
+
+def _oracle_children(parent: Graph) -> List[Graph]:
+    """Accepted children of ``parent`` by the per-graph canonical search."""
+    n = parent.n
+    children = []
+    for mask in _subset_candidates(parent, canonical_record(parent)):
+        child = parent.add_vertex(iter_bits(int(mask)))
+        record = _compute_record(child)
+        if record.orbit_ids[n] == record.orbit_ids[record.ordering[-1]]:
+            child._canon = record
+            children.append(canonical_graph(child))
+    return children
+
+
+def _signature(g: Graph):
+    canon = canonical_graph(g)
+    record = canonical_record(canon)
+    return (canon.edge_key(), record.bits, record.orbit_ids, record.group_order())
+
+
+@pytest.mark.parametrize(
+    "root,level",
+    [
+        (Graph(9, [(i, i + 1) for i in range(8)]), 10),
+        (Graph(10), 11),
+        (Graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]), 11),
+        (Graph(11, [(i, (i + 1) % 11) for i in range(11)]), 12),
+        (Graph(11, [(0, v) for v in range(1, 11)] + [(1, 2), (3, 4)]), 12),
+    ],
+)
+def test_wide_levels_match_per_graph_oracle(root, level):
+    # Levels 10-12 need two-word leaf certificates (n = 12) and hit the
+    # per-graph fallback (the empty and near-star roots).
+    expected = [root]
+    for _ in range(root.n, level):
+        expected = [c for p in expected for c in _oracle_children(p)]
+    streamed = list(iter_graphs_from(root, level))
+    assert sorted(map(_signature, streamed)) == sorted(map(_signature, expected))
 
 
 def test_class_sort_key_is_public_and_orders_enumerations():
