@@ -419,8 +419,8 @@ def bench_ucg_engine(stride: int = 16) -> Dict[str, float]:
     """Vectorised UCG α-interval engine vs the per-graph orientation backtrack.
 
     The engine computes the Nash-supportability interval set of **all** 853
-    connected classes on 7 vertices in one batched pass (vertex-deleted
-    distance tables + superset-min interval tables + the class-quotient
+    connected classes on 7 vertices in one batched pass (distance sums over
+    the masks of V∖{p} + superset-min interval tables + the class-quotient
     orientation DP).  The backtracking reference takes minutes for the full
     set, so it is timed on every ``stride``-th class and extrapolated
     (same precedent as the amortised-ensemble projection); endpoints are

@@ -14,18 +14,22 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    *opponent-bought* neighbour mask ``A = N(p) \\ T``: the deviation
    candidates are ``C = V \\ ({p} ∪ A)`` and every purchase set ``S ⊆ C``
    contributes a constraint through ``D_p(A ∪ S)``, the distance sum from
-   ``p`` when its neighbour set is ``A ∪ S``.  All ``2^n`` values of
-   ``D_p(·)`` come from one vertex-deleted all-pairs distance pass (batched
-   boolean matmuls, exactly the :mod:`repro.engine.batch` frontier idiom)
-   followed by a mask-major subset-min DP.  Distance sums are small
-   integers, so they live in ``uint8`` with 255 as ∞, and the per-``A``
-   interval endpoints reduce to size-grouped superset minima taken on a
-   mask-major ``uint8`` tensor (an n-pass sum-over-subsets transform).  Only
-   then does a float64 fold turn the minima into quotients, and only for the
-   opponent masks ``A ⊆ N(p)`` that can occur (batched by degree).
-   Division by the (positive) purchase-count difference is weakly monotone,
-   so taking the group extremum *before* the division produces bit-identical
-   endpoints to the reference's per-subset fold.
+   ``p`` when its neighbour set is ``A ∪ S``.  Every neighbour set of ``p``
+   lies in ``V∖{p}``, so player ``p``'s tables are indexed by the
+   ``2^(n-1)`` masks of ``V∖{p}`` (bit ``p`` dropped, :func:`_compress`).
+   All of ``D_p(·)`` comes from one multi-source bitset BFS in ``G - p``
+   over every row of a chunk at once: the radius-``l`` balls of all
+   vertices grow a level at a time, a subset-OR doubling unions them into
+   the reach of every mask, and one popcount gather per level adds the
+   vertices still unreached.  Distance sums are small integers, so they
+   live in ``uint8`` with 255 as ∞, and the per-``A`` interval endpoints
+   reduce to per-size superset minima, taken size-major by ``n - 1``
+   in-place minimum passes.  Only then does a float64 fold turn the minima
+   into quotients, one size plane at a time and only for the opponent
+   masks ``A ⊆ N(p)`` that can occur (batched by degree).  Division by the
+   (positive) purchase-count difference is weakly monotone, so taking the
+   group extremum *before* the division produces bit-identical endpoints
+   to the reference's per-subset fold.
 
 2. **Vertex-orbit pruning.**  ``D_p`` tables (and, in the scalar game, the
    final option tables) of automorphic players are permuted copies of each
@@ -58,8 +62,9 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    transitions and merges equal ``(graph, state)`` keys with one sort and a
    ``bitwise_or.reduceat``.
 
-The weighted game (:func:`weighted_ucg_t_sets`) shares the model-independent
-``D_p`` tables (distances are unweighted hops) and replaces purchase counts
+The weighted game (:func:`weighted_ucg_t_sets`) reads the same
+model-independent ``D_p`` tables (distances are unweighted hops), gathered
+into full-mask rows of ``V``, and replaces purchase counts
 by exact link-cost sums: a high-bit DP replays
 :meth:`CostModel.player_link_cost`'s ascending left fold bit-for-bit, with
 :class:`UniformCost`'s ``α·|S|`` closed form special-cased, so the weighted
@@ -81,19 +86,25 @@ from ..graphs.isomorphism import cached_canonical_record
 
 INFINITY = float("inf")
 
-#: Largest ``n`` the table pipeline handles (2^n-entry tables per player).
+#: Largest ``n`` the table pipeline handles (2^(n-1)-entry tables per player).
 _MAX_TABLE_N = 12
 
-#: Byte budget per internal batch: bounds the mask-major 2^n × rows × n
-#: uint8 DP and superset-min tensors, the float64 fold over A ⊆ N(p), the
-#: int64 option codes and the class-kernel and DP arrays (see
-#: :func:`_row_budget`).
+#: Byte budget per internal batch: bounds the distance-sum and reach tables
+#: over the 2^(n-1) masks of V∖{p}, the n × 2^(n-1) × rows uint8
+#: superset-min tensor, the float64 fold over A ⊆ N(p), the int64 option
+#: codes and the class-kernel and DP arrays (see :func:`_row_budget`).
 _TABLE_BYTE_BUDGET = 24 << 20
 
 #: ∞ in the uint8 distance-sum tables.  A finite ``D_p(B)`` adds ``n - 1``
-#: hop counts of at most ``n - 1`` each, so it is at most ``(n - 1)² = 121``
-#: for ``n ≤ _MAX_TABLE_N = 12`` and never reaches the sentinel.
+#: terms ``1 + d_{G-p}(B, j)`` of at most ``n - 1`` each, so it is at most
+#: ``(n - 1)² = 121`` for ``n ≤ _MAX_TABLE_N = 12`` and never reaches the
+#: sentinel.  The level sum of :func:`_distance_sums` runs at most ``n - 1``
+#: levels, so even for a mask whose reach stops short it stays below
+#: ``(n - 1)·n = 132`` before it is set to ∞.
 _INF8 = 255
+
+#: float64 value of every uint8 distance sum, ``inf`` for ``_INF8``.
+_FLOAT_SUMS = np.where(np.arange(256) == _INF8, np.inf, np.arange(256.0))
 
 #: ``_LOW_BITS[k]`` has the ``k`` lowest bits of a 64-bit word set.
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
@@ -164,24 +175,28 @@ def _orbit_plan(graph, image_ids: Dict):
 def _chunk_rows(graphs):
     """Representative rows and the orbit gather for one same-``n`` chunk.
 
-    Returns ``(rows_idx, src, image_of, images)``: ``rows_idx`` lists the
-    ``(graph, player)`` rows whose tables are computed, and entry ``A`` of
-    full row ``r = g·n + p`` of a per-player table is entry
-    ``images[image_of[r], A]`` of representative row ``src[r]``.
+    Returns ``(row_graph, row_player, src, image_of, images)``: representative
+    row ``i`` is player ``row_player[i]`` of graph ``row_graph[i]``, whose
+    tables are computed, and entry ``A`` of full row ``r = g·n + p`` of a
+    per-player table is entry ``images[image_of[r], A]`` of representative
+    row ``src[r]``.
     """
     n = graphs[0].n
     image_ids = {tuple(range(n)): 0}
-    rows_idx: List[Tuple[int, int]] = []
+    row_graph: List[int] = []
+    row_player: List[int] = []
     src: List[int] = []
     image_of: List[int] = []
     for gi, graph in enumerate(graphs):
         reps, rep_of, images = _orbit_plan(graph, image_ids)
-        row_of = {p: len(rows_idx) + k for k, p in enumerate(reps)}
-        rows_idx.extend((gi, p) for p in reps)
+        row_of = {p: len(row_player) + k for k, p in enumerate(reps)}
+        row_graph.extend([gi] * len(reps))
+        row_player.extend(reps)
         src.extend(row_of[rep] for rep in rep_of)
         image_of.extend(images)
     return (
-        rows_idx,
+        np.asarray(row_graph, dtype=np.int64),
+        np.asarray(row_player, dtype=np.int64),
         np.asarray(src, dtype=np.int64),
         np.asarray(image_of, dtype=np.int64),
         _mask_images(list(image_ids), n),
@@ -189,7 +204,7 @@ def _chunk_rows(graphs):
 
 
 # --------------------------------------------------------------------------- #
-# Distance-sum tables: D_p(B) for every neighbour mask B, batched
+# Distance-sum tables: D_p(B) for every mask B of V∖{p}, batched
 # --------------------------------------------------------------------------- #
 
 
@@ -217,73 +232,60 @@ def _submask_matrix(masks, d: int):
     return subs
 
 
+def _compress(masks, p):
+    """``masks`` with bit ``p`` dropped: the bits above ``p`` shift down one.
+
+    Maps a mask of ``V`` to the (n − 1)-bit mask of ``V∖{p}`` that indexes
+    player ``p``'s tables (bit ``k`` is vertex ``k`` below ``p`` and vertex
+    ``k + 1`` from ``p`` on).
+    """
+    low = (np.int64(1) << p) - 1
+    return (masks & low) | ((masks >> 1) & ~low)
+
+
 def _float_sums(table):
     """float64 copy of a uint8 distance-sum table (``inf`` for ``_INF8``)."""
-    return np.where(table == _INF8, np.inf, table)
+    return np.take(_FLOAT_SUMS, table)
 
 
-def _vertex_deleted_distances(graphs, rows_idx, n: int):
-    """Hop distances within ``G - p`` for every requested ``(graph, p)`` row.
+def _distance_sums(adjacency, p_arr):
+    """``dsum[B, r]`` = D_p(B) for every mask ``B`` of ``V∖{p}``, mask-major.
 
-    Returns ``dist[r, k, j]`` as uint8 (``_INF8`` when unreachable) computed
-    by the lock-step frontier matmul of
-    :func:`repro.engine.batch._batch_group`, with row/column ``p`` zeroed out
-    of each adjacency copy.
+    Row ``r`` is player ``p = p_arr[r]`` of the graph with neighbour masks
+    ``adjacency[r]``, indexed by the :func:`_compress` masks.  ``D_p(B) =
+    Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j))`` is the distance sum from ``p``
+    when its neighbour set is exactly ``B`` (shortest paths from ``p`` never
+    revisit ``p``).  With ``reach_0(B) = B`` and ``reach_{l+1}(B) =
+    reach_l(B) ∪ N_{G-p}(reach_l(B))`` it is ``(n - 1) + Σ_l ((n - 1) -
+    |reach_l(B)|)``, finite only when the reach covers ``V∖{p}``.
+    ``reach_l(B)`` unions the radius-``l`` balls of ``B``'s members (a
+    subset-OR doubling), the next balls are ``ball_{l+1}(j) =
+    reach_l(N[j])``, and each level adds one popcount gather until no ball
+    grows.  Sums are held exactly as uint8 with ``_INF8`` for ∞
+    (:func:`_float_sums` gives the float64 values).
     """
-    R = len(rows_idx)
-    rows = np.array(
-        [graphs[gi].adjacency_rows() for gi, _ in rows_idx], dtype=np.int64
-    )
-    A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(np.uint8)
-    p_arr = np.asarray([p for _, p in rows_idx], dtype=np.int64)
-    rr = np.arange(R)
-    A[rr, p_arr, :] = 0
-    A[rr, :, p_arr] = 0
-    eye = np.eye(n, dtype=bool)
-    visited = np.broadcast_to(eye, (R, n, n)).copy()
-    frontier = visited.astype(np.uint8)
-    dist = np.full((R, n, n), _INF8, dtype=np.uint8)
-    dist[:, eye] = 0
-    for level in range(1, n):
-        nxt = (np.matmul(frontier, A) > 0) & ~visited
-        if not nxt.any():
+    R, n = adjacency.shape
+    k = n - 1
+    others = np.arange(n) != p_arr[:, None]
+    nbrs = _compress(adjacency[others].reshape(R, k), p_arr[:, None])
+    bit = np.int64(1) << np.arange(k)
+    closed = ((nbrs | bit) * R + np.arange(R)[:, None]).T  # flat reach index
+    dtype = np.uint8 if k <= 8 else np.uint16
+    ball = np.broadcast_to(bit[:, None], (k, R)).astype(dtype)
+    pop = _popcounts(k).astype(np.uint8)
+    reach = np.zeros((1 << k, R), dtype=dtype)
+    total = np.full((1 << k, R), k, dtype=np.uint8)
+    while True:
+        for b in range(k):
+            np.bitwise_or(reach[: 1 << b], ball[b], out=reach[1 << b : 2 << b])
+        gap = k - np.take(pop, reach)
+        total += gap
+        grown = np.take(reach, closed)
+        if np.array_equal(grown, ball):
             break
-        dist[nxt] = level
-        visited |= nxt
-        frontier = nxt.astype(np.uint8)
-    return dist, p_arr
-
-
-def _distance_sum_tables(graphs, rows_idx, n: int):
-    """``dsum[B, r]`` = Σ_{j≠p} min_{k∈B} (1 + d_{G-p}(k, j)), mask-major.
-
-    ``D_p(B)`` is the distance sum from ``p`` when its neighbour set is
-    exactly ``B`` (shortest paths from ``p`` never revisit ``p``, so the
-    remainder of each path lives in ``G - p``).  It is a small integer or
-    ∞, held exactly as uint8 with ``_INF8`` for ∞ (:func:`_float_sums`
-    gives the float64 values).  The subset-min DP runs mask-major, so each
-    of its ``2^n - 1`` steps is one contiguous ``(n, rows)`` slab, and the
-    sum over ``j`` adds whole ``(2^n, rows)`` planes.
-    """
-    dist, p_arr = _vertex_deleted_distances(graphs, rows_idx, n)
-    R = dist.shape[0]
-    size = 1 << n
-    rr = np.arange(R)
-    hops = dist + 1
-    hops[dist == _INF8] = _INF8
-    hops[rr, p_arr, :] = _INF8  # masks containing p: poisoned
-    hops = np.ascontiguousarray(hops.transpose(1, 2, 0))  # (k, j, rows)
-    table = np.empty((size, n, R), dtype=np.uint8)
-    table[0] = _INF8
-    for mask in range(1, size):
-        low = mask & -mask
-        np.minimum(
-            table[mask ^ low], hops[low.bit_length() - 1], out=table[mask]
-        )
-    # j = p contributes nothing to the sum (and makes D_p(∅) = 0 at n = 1).
-    table[:, p_arr, rr] = 0
-    dsum = np.minimum(table.sum(axis=1, dtype=np.uint16), _INF8)
-    return dsum.astype(np.uint8), p_arr
+        ball = grown
+    total[gap > 0] = _INF8  # the reach of B stopped short of V∖{p}
+    return total
 
 
 # --------------------------------------------------------------------------- #
@@ -301,39 +303,50 @@ def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
     bit-for-bit because IEEE division by a fixed signed integer is monotone
     in the numerator and ``(-x)/(-d) ≡ x/d``.  The float64 fold runs only
     for ``A ⊆ N(p)``, one batch per degree: no other mask is an ownership
-    split.
+    split.  It reads one size plane at a time, keeping a running maximum of
+    the growth quotients (``lo``) and a running minimum of the shrink
+    quotients (``hi``): max and min over the reference's quotient multiset
+    are exact, up to the sign of a zero, which :func:`_option_codes` drops.
+    ``A`` comes back as a mask of ``V``.
     """
     size, R = dsum.shape
-    pop = _popcounts(n)
-    masks = np.arange(size, dtype=np.int64)
-    rr = np.arange(R)
-    contains_p = ((masks[:, None] >> p_arr[None, :]) & 1).astype(bool)
-    dvalid = np.where(contains_p, _INF8, dsum)
-    # grouped[B, r, m] = D_p(B) when |B| = m, else ∞.  The full mask always
-    # contains p, so no entry needs the size m = n.
-    grouped = np.full((size, R, n), _INF8, dtype=np.uint8)
-    grouped[masks[:-1, None], rr, pop[:-1, None]] = dvalid[:-1]
-    for b in range(n):  # superset-min sum-over-subsets, one bit per pass
-        view = grouped.reshape(size >> (b + 1), 2, -1)
+    # sup[m, B, r] = min of D_p(C) over C ⊇ B with |C| = m, size-major:
+    # plane m starts as the sums of the size-m masks (∞ elsewhere), and one
+    # in-place minimum pass per bit folds every mask's supersets into it.
+    sup = np.full((n, size, R), _INF8, dtype=np.uint8)
+    sup[_popcounts(n - 1), np.arange(size)] = dsum
+    for b in range(n - 1):
+        view = sup.reshape(n * (size >> (b + 1)), 2, (1 << b) * R)
         np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
-    base = _float_sums(dsum[nbr_arr, rr])
-    deg = pop[nbr_arr]
-    sizes = np.arange(n, dtype=np.float64)
+    sup = sup.reshape(n, -1)
+    base = _float_sums(dsum[_compress(nbr_arr, p_arr), np.arange(R)])
+    deg = _popcounts(n)[nbr_arr]
     entries = []
     for d in range(n):
         rows = np.flatnonzero(deg == d)
         if not len(rows):
             continue
         opp = _submask_matrix(nbr_arr[rows], d)
-        minima = _float_sums(grouped[opp, rows[:, None]])  # (rows, 2^d, n)
-        with np.errstate(invalid="ignore"):
-            delta = minima - base[rows, None, None]
-        np.nan_to_num(delta, copy=False, nan=0.0, posinf=np.inf, neginf=-np.inf)
-        grow = np.negative(delta[..., d + 1 :]) / (sizes[d + 1 :] - d)
-        shrink = np.negative(delta[..., :d]) / (sizes[:d] - d)
-        lo = np.maximum(grow.max(axis=2, initial=-np.inf), 0.0)
-        hi = shrink.min(axis=2, initial=np.inf)
-        ok = ~(delta[..., d] < -1e-12) & (lo <= hi)
+        flat = _compress(opp, p_arr[rows, None]) * R + rows[:, None]
+        opp_size = _popcounts(d)  # |A| of each column of ``opp``
+        lo = np.full(opp.shape, -np.inf)
+        hi = np.full(opp.shape, np.inf)
+        for m in range(n):
+            delta = _float_sums(sup[m].take(flat))  # (rows, 2^d) minima
+            with np.errstate(invalid="ignore"):
+                delta -= base[rows, None]
+            delta[np.isnan(delta)] = 0.0  # ∞ - ∞ counts as no change
+            if m == d:
+                ok = ~(delta < -1e-12)
+                continue
+            quotient = np.negative(delta, out=delta)
+            quotient /= m - d
+            if m > d:
+                np.maximum(lo, quotient, out=lo)
+            else:  # no B ⊇ A has m < |A| members: no constraint there
+                np.minimum(hi, quotient, out=hi, where=opp_size <= m)
+        lo = np.maximum(lo, 0.0)
+        ok &= lo <= hi
         entries.append(
             (np.broadcast_to(rows[:, None], ok.shape)[ok], opp[ok], lo[ok], hi[ok])
         )
@@ -641,29 +654,30 @@ def _adjacency(graphs):
 def _scalar_chunk_sets(graphs):
     """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
     n = graphs[0].n
-    rows_idx, src, image_of, images = _chunk_rows(graphs)
-    dsum, p_arr = _distance_sum_tables(graphs, rows_idx, n)
-    nbr_arr = np.asarray(
-        [graphs[gi].adjacency_rows()[p] for gi, p in rows_idx], dtype=np.int64
-    )
-    row_graph = np.asarray([gi for gi, _ in rows_idx], dtype=np.int64)
+    nbrs = _adjacency(graphs)
+    row_graph, p_arr, src, image_of, images = _chunk_rows(graphs)
+    dsum = _distance_sums(nbrs[row_graph], p_arr)
     codes, values, feasible = _option_codes(
-        row_graph, *_scalar_intervals(dsum, p_arr, nbr_arr, n), 1 << n
+        row_graph,
+        *_scalar_intervals(dsum, p_arr, nbrs[row_graph, p_arr], n),
+        1 << n,
     )
     pairs = _chunk_intervals(
         lambda rows, masks: codes[src[rows], images[image_of[rows], masks]],
         values,
         feasible,
-        _adjacency(graphs),
+        nbrs,
     )
     return [_interval_set(p) for p in pairs]
 
 
 def _row_budget(n: int) -> int:
-    # Per row and mask: the uint8 subset-min and superset-min tensors (2n
-    # bytes), then the float64 fold over A ⊆ N(p), the int64 option codes and
-    # the class-kernel and DP arrays, which peak at ~56 bytes on the densest
-    # n = 8 chunk (tracemalloc).
+    # Per row and mask of V: 2n bytes for the uint8 tables (the distance
+    # sums, reach and size-major superset minima over V∖{p} need about
+    # (n + 3)/2 of them), then the float64 fold over A ⊆ N(p), the int64
+    # option codes and the class-kernel and DP arrays, which peak at ~56
+    # bytes on the densest n = 8 chunk (tracemalloc).  That peak, not the
+    # tables, sets the chunk's memory, so the 2n is not tightened.
     per_row = (1 << n) * (2 * n + 64)
     return max(n, min(4096, _TABLE_BYTE_BUDGET // per_row))
 
@@ -821,9 +835,16 @@ def _weighted_chunk_sets(graphs, model):
     """Engine-path weighted Nash t-sets for one same-``n`` chunk."""
     n = graphs[0].n
     pop = _popcounts(n)
-    rows_idx, src, image_of, images = _chunk_rows(graphs)
-    dsum, _ = _distance_sum_tables(graphs, rows_idx, n)
-    dsum_full = _float_sums(dsum).T[src[:, None], images[image_of]]
+    nbrs = _adjacency(graphs)
+    row_graph, p_arr, src, image_of, images = _chunk_rows(graphs)
+    dsum = _distance_sums(nbrs[row_graph], p_arr)
+    # Full row r = g·n + p reads its representative's V∖{p} masks; masks
+    # containing p are never read and stay ∞.
+    own = (np.arange(1 << n) >> (np.arange(len(src)) % n)[:, None]) & 1 == 1
+    dsum_full = _float_sums(dsum)[
+        _compress(images[image_of], p_arr[src, None]), src[:, None]
+    ]
+    dsum_full[own] = np.inf
     submask_cache: Dict[int, object] = {}
     wsum_tables = [
         _link_cost_table(model, n, player, pop) for player in range(n)
@@ -833,17 +854,17 @@ def _weighted_chunk_sets(graphs, model):
     entry_lo: List[float] = []
     entry_hi: List[float] = []
     for gi, graph in enumerate(graphs):
-        nbrs = graph.adjacency_rows()
+        adjacency = graph.adjacency_rows()
         for player in range(n):
             row = dsum_full[gi * n + player]
             with np.errstate(invalid="ignore"):
                 opps, los, his = _weighted_player_rows(
                     n,
                     player,
-                    nbrs[player],
+                    adjacency[player],
                     row,
                     wsum_tables[player],
-                    float(row[nbrs[player]]),
+                    float(row[adjacency[player]]),
                     submask_cache,
                 )
             if not opps:  # no feasible ownership: the graph's set is empty
@@ -861,7 +882,7 @@ def _weighted_chunk_sets(graphs, model):
         1 << n,
     )
     pairs = _chunk_intervals(
-        lambda rows, masks: codes[rows, masks], values, feasible, _adjacency(graphs)
+        lambda rows, masks: codes[rows, masks], values, feasible, nbrs
     )
     return [_interval_set(p) for p in pairs]
 

@@ -12,13 +12,19 @@ instances, so a memo can never go stale).
 
 import hashlib
 import math
+import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.scenarios import available_scenarios, build_scenario
 from repro.core.stability_intervals import AlphaIntervalSet
-from repro.core.unilateral import ucg_nash_alpha_set
+from repro.core.unilateral import (
+    ownership_best_response_interval,
+    ucg_nash_alpha_set,
+)
 from repro.costmodels import UniformCost
 from repro.costmodels.stability import weighted_ucg_nash_t_set
 from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
@@ -29,6 +35,10 @@ from repro.graphs import (
     empty_graph,
     enumerate_connected_graphs,
     path_graph,
+    petersen_graph,
+    random_graph,
+    random_tree,
+    star_graph,
 )
 from repro.graphs.isomorphism import canonical_record
 
@@ -43,6 +53,57 @@ def endpoints(interval_set: AlphaIntervalSet):
 def fresh(graph: Graph) -> Graph:
     """A new instance of the same topology (no memo, no canonical record)."""
     return Graph(graph.n, graph.sorted_edges())
+
+
+def sets_digest(interval_sets) -> str:
+    """sha256 over the ``float.hex`` endpoints, one line per interval set."""
+    digest = hashlib.sha256()
+    for interval_set in interval_sets:
+        line = ";".join(
+            f"{float.hex(lo)},{float.hex(hi)}" for lo, hi in endpoints(interval_set)
+        )
+        digest.update(line.encode("ascii") + b"\n")
+    return digest.hexdigest()
+
+
+def tree_with_chords(n: int, seed: int, chords: int) -> Graph:
+    """A seeded random tree on ``n`` vertices plus ``chords`` extra edges."""
+    rng = random.Random(seed)
+    tree = random_tree(n, rng)
+    extra = []
+    while len(extra) < chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        if not tree.has_edge(u, v) and (u, v) not in extra:
+            extra.append((u, v))
+    return tree.add_edges(extra)
+
+
+#: Sparse graphs with 9 ≤ n ≤ 12, where a player's (n − 1)-bit masks no
+#: longer fit a byte and the backtracking reference is still cheap (~1.3 s
+#: for all of them).  Stars and two of the trees have non-empty α-sets.
+SPARSE_WIDE_GRAPHS = {
+    **{f"S{n}": star_graph(n) for n in range(9, 13)},
+    **{
+        f"tree{n}_seed{seed}": random_tree(n, random.Random(seed))
+        for n, seed in [(9, 1), (10, 2), (11, 3), (12, 4)]
+    },
+    **{
+        f"tree{n}_seed{seed}+{k}": tree_with_chords(n, seed, k)
+        for n, seed, k in [(9, 5, 1), (10, 6, 2), (11, 7, 1), (12, 8, 2), (10, 9, 1)]
+    },
+}
+
+
+def dense_wide_graphs():
+    """Graphs with 9 ≤ n ≤ 12 that the backtracking reference cannot reach."""
+    graphs = [complete_graph(n) for n in range(9, 13)]
+    for n in range(9, 13):
+        for p in (0.5, 0.7):
+            graphs.append(random_graph(n, p, random.Random(1000 * n + int(10 * p))))
+    graphs.append(petersen_graph())
+    graphs.append(empty_graph(10))
+    graphs.append(Graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]))
+    return graphs
 
 
 # --------------------------------------------------------------------------- #
@@ -86,6 +147,12 @@ class TestScalarParity:
         assert endpoints(interval_set) == endpoints(ucg_nash_alpha_set(graph))
         assert endpoints(interval_set) == []
 
+    @pytest.mark.parametrize("name", sorted(SPARSE_WIDE_GRAPHS))
+    def test_sparse_wide_mask_graphs(self, name):
+        graph = SPARSE_WIDE_GRAPHS[name]
+        (engine_set,) = ucg_alpha_sets([fresh(graph)])
+        assert endpoints(engine_set) == endpoints(ucg_nash_alpha_set(fresh(graph)))
+
     def test_mixed_sizes_one_call(self):
         graphs = [
             empty_graph(1),
@@ -116,17 +183,22 @@ ALPHA_SET_DIGESTS = {
 }
 
 
+#: The same digest over :func:`dense_wide_graphs` (K_9–K_12, seeded
+#: G(n, 0.5) and G(n, 0.7) for n = 9–12, the Petersen graph, an edgeless and
+#: a disconnected n = 10 graph), captured before the tables moved to the
+#: (n − 1)-bit masks of V∖{p}.
+WIDE_MASK_DIGEST = "74de300a414bea8e53e5d137441dcff37976c010cbabf0f81bcb752c01fe992b"
+
+#: The same digest over ``weighted_ucg_t_sets`` of every connected n = 7
+#: class under ``random_weights`` (seed 3), captured at the same point.
+WEIGHTED_N7_DIGEST = "c7dc0b37dd7dc5a965083b04e33e809f1b7893016f17d21a4fbbfabf8fe29737"
+
+
 def alpha_set_digest(n: int) -> str:
     graphs = enumerate_connected_graphs(n)
     for graph in graphs:
         graph._ucg_set = None  # recompute through the engine, not the memo
-    digest = hashlib.sha256()
-    for interval_set in ucg_alpha_sets(graphs):
-        line = ";".join(
-            f"{float.hex(lo)},{float.hex(hi)}" for lo, hi in endpoints(interval_set)
-        )
-        digest.update(line.encode("ascii") + b"\n")
-    return digest.hexdigest()
+    return sets_digest(ucg_alpha_sets(graphs))
 
 
 class TestPinnedCensusDigests:
@@ -138,6 +210,10 @@ class TestPinnedCensusDigests:
     def test_enumerated_classes_n8(self):
         # The exact path a cold n = 8 census build times (~5 s).
         assert alpha_set_digest(8) == ALPHA_SET_DIGESTS[8]
+
+    def test_dense_wide_mask_graphs(self):
+        graphs = [fresh(g) for g in dense_wide_graphs()]
+        assert sets_digest(ucg_alpha_sets(graphs)) == WIDE_MASK_DIGEST
 
 
 class TestWeightedParity:
@@ -176,6 +252,15 @@ class TestWeightedParity:
                 weighted_ucg_nash_t_set(graph, model)
             ), f"weighted UCG mismatch (n=6) {graph.sorted_edges()}"
 
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="the n=7 weighted sweep takes ~2 s; set REPRO_SLOW_TESTS=1 to run",
+    )
+    def test_random_weights_n7_digest(self):
+        model = build_scenario("random_weights", 7, seed=3).model
+        sets = weighted_ucg_t_sets(enumerate_connected_graphs(7), model)
+        assert sets_digest(sets) == WEIGHTED_N7_DIGEST
+
     def test_uniform_cost_reduces_to_scalar(self):
         # With UniformCost the weighted t-sets must equal the scalar α-sets
         # float-exactly — same closed-form link-cost table, same intervals.
@@ -196,6 +281,103 @@ class TestWeightedParity:
             assert endpoints(engine_set) == endpoints(
                 weighted_ucg_nash_t_set(graph, model)
             )
+
+
+# --------------------------------------------------------------------------- #
+# Oracles for the distance-sum tables and the interval fold
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def any_graphs(draw, max_n):
+    """Random graphs on 2..max_n vertices, edgeless and disconnected included."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+def brute_distance_sum(graph: Graph, p: int, sources: int) -> float:
+    """``Σ_{j≠p} (1 + d(sources, j))`` by a BFS in ``G - p``, ∞ if one is cut off."""
+    rows = graph.adjacency_rows()
+    allowed = ((1 << graph.n) - 1) & ~(1 << p)
+    seen = frontier = sources
+    total, level = 0, 1
+    while frontier:
+        total += level * bin(frontier).count("1")
+        reached = 0
+        for v in range(graph.n):
+            if frontier >> v & 1:
+                reached |= rows[v]
+        frontier = reached & allowed & ~seen
+        seen |= frontier
+        level += 1
+    return float(total) if seen == allowed else INF
+
+
+def spread(mask: int, p: int) -> int:
+    """The mask of ``V`` whose bits, with bit ``p`` left out, are ``mask``."""
+    low = mask & ((1 << p) - 1)
+    return low | ((mask ^ low) << 1)
+
+
+def every_player_tables(graph: Graph):
+    """``(dsum, p_arr, nbr_arr)`` of every player of ``graph``, unpruned."""
+    import numpy as np
+
+    from repro.engine.ucg import _adjacency, _distance_sums
+
+    adjacency = _adjacency([graph])
+    p_arr = np.arange(graph.n)
+    dsum = _distance_sums(np.repeat(adjacency, graph.n, axis=0), p_arr)
+    return dsum, p_arr, adjacency[0]
+
+
+class TestTableOracles:
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=any_graphs(max_n=11))
+    @example(graph=empty_graph(6))
+    @example(graph=Graph(10, [(0, 1), (1, 2), (4, 5), (7, 9)]))
+    @example(graph=complete_graph(11))
+    def test_distance_sums_match_bfs(self, graph):
+        dsum, _, _ = every_player_tables(graph)
+        assert dsum.shape == (1 << (graph.n - 1), graph.n)
+        for p in range(graph.n):
+            got = [INF if v == 255 else float(v) for v in dsum[:, p].tolist()]
+            want = [
+                brute_distance_sum(graph, p, spread(mask, p))
+                for mask in range(1 << (graph.n - 1))
+            ]
+            assert got == want, f"D_{p} differs on {graph.sorted_edges()}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=any_graphs(max_n=7))
+    @example(graph=empty_graph(4))
+    @example(graph=Graph(6, [(0, 1), (1, 2), (3, 4)]))
+    @example(graph=complete_graph(7))
+    def test_fold_matches_ownership_intervals(self, graph):
+        from repro.engine.ucg import _scalar_intervals, _submasks
+
+        dsum, p_arr, nbrs = every_player_tables(graph)
+        rows, opponents, lo, hi = _scalar_intervals(dsum, p_arr, nbrs, graph.n)
+        got = {
+            (r, a): (x, y)
+            for r, a, x, y in zip(rows.tolist(), opponents.tolist(), lo, hi)
+        }
+        want = {}
+        for p in range(graph.n):
+            nbr = int(nbrs[p])
+            for opp in _submasks(nbr):
+                owned = frozenset(
+                    (min(p, v), max(p, v))
+                    for v in range(graph.n)
+                    if (nbr & ~opp) >> v & 1
+                )
+                interval = ownership_best_response_interval(graph, p, owned)
+                if not interval.is_empty():
+                    want[p, opp] = (interval.lo, interval.hi)
+        assert got == want, f"fold differs on {graph.sorted_edges()}"
 
 
 # --------------------------------------------------------------------------- #
