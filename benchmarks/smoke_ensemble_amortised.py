@@ -1,13 +1,19 @@
 """Smoke test: amortised ensembles answer exactly like the per-draw path.
 
-Runs a seeded ``random_weights`` ensemble three ways — once per draw with
-``batch_draws=1`` (every draw answered as a stack of one), once per draw
-with a small streaming window buffer, and once through the shared
-:class:`~repro.analysis.delta_store.DeltaStore` + stacked-weight kernels
-in blocks with that same buffer — and asserts the counts matrix and count
-summaries are bit-identical across all three, and that the two streamed
-runs' window summaries (P² quantiles included) are bit-identical: block
-size never changes a number.  Then exercises the artifact plumbing:
+The per-draw path is each draw's own
+:class:`~repro.analysis.weighted_store.WeightedStore`
+(``WeightedStore.from_delta(delta, model)``), answered by the per-draw
+weighted kernels: every draw's count row must equal its
+``stable_counts(ts)``, and the exact-regime window ``min``/``max``/``mean``
+must equal those of its ``stability_windows()`` rows, bit for bit.
+
+Block size must not change a number either.  A seeded ``random_weights``
+ensemble runs three ways — with ``batch_draws=1`` (every draw a stacked
+block of one), with ``batch_draws=1`` and a small streaming window buffer,
+and in blocks of 4 with that same buffer — and the counts matrix and count
+summaries must be bit-identical across all three, as must the two streamed
+runs' window summaries (P² quantiles included).  Then exercises the
+artifact plumbing:
 ``--delta-cache`` writes a memory-mappable delta directory on the first
 run and reuses it untouched on the second, and a ``--save-dir`` resume
 reports its draws as resumed rather than recomputed.
@@ -31,6 +37,8 @@ import numpy as np
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.ensembles import run_ensemble
+from repro.analysis.scenarios import build_scenario
+from repro.analysis.weighted_store import WeightedStore
 
 
 def assert_same_stats(a, b, context):
@@ -45,6 +53,35 @@ def assert_same_stats(a, b, context):
         )
 
 
+def check_against_weighted_stores(result, delta) -> None:
+    """Re-answer every draw through its own per-draw ``WeightedStore``."""
+    t_min_rows, t_max_rows = [], []
+    for k, seed in enumerate(result.seeds):
+        model = build_scenario(result.scenario, result.n, seed=seed).model
+        store = WeightedStore.from_delta(delta, model)
+        counts = np.asarray(store.stable_counts(result.ts), dtype=np.int64)
+        assert np.array_equal(result.counts[k], counts), (
+            f"draw {k} counts diverged from its WeightedStore"
+        )
+        t_min, t_max = store.stability_windows()
+        t_min_rows.append(t_min)
+        t_max_rows.append(t_max)
+    for label, rows, stats in (
+        ("t_min", t_min_rows, result.t_min_stats),
+        ("t_max", t_max_rows, result.t_max_stats),
+    ):
+        stacked = np.stack(rows)
+        expected = {
+            "mean": stacked.mean(axis=0).tolist(),
+            "min": stacked.min(axis=0).tolist(),
+            "max": stacked.max(axis=0).tolist(),
+        }
+        for key, values in expected.items():
+            assert json.dumps(stats[key]) == json.dumps(values), (
+                f"{label} {key} diverged from the per-draw WeightedStore windows"
+            )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=5, help="players (default 5)")
@@ -52,9 +89,10 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=6, help="t-grid points")
     args = parser.parse_args(argv)
 
+    # An exact window buffer of every draw keeps the window stats dense.
     per_draw = run_ensemble(
         "random_weights", n=args.n, draws=args.draws, seed=1,
-        grid=args.grid, jobs=1, batch_draws=1,
+        grid=args.grid, jobs=1, batch_draws=1, window_exact_buffer=args.draws,
     )
     per_draw_streamed = run_ensemble(
         "random_weights", n=args.n, draws=args.draws, seed=1,
@@ -64,8 +102,9 @@ def main(argv=None) -> int:
         "random_weights", n=args.n, draws=args.draws, seed=1,
         grid=args.grid, jobs=1, batch_draws=4, window_exact_buffer=2,
     )
+    check_against_weighted_stores(per_draw, DeltaStore.build(args.n))
     assert np.array_equal(per_draw.counts, stacked.counts), (
-        "stacked counts diverged from the per-draw path"
+        "block-of-4 counts diverged from the blocks of one"
     )
     assert np.array_equal(per_draw_streamed.counts, stacked.counts)
     assert_same_stats(per_draw.count_stats, stacked.count_stats, "count_stats")
@@ -111,7 +150,8 @@ def main(argv=None) -> int:
     print(
         f"amortised ensemble smoke OK: n = {args.n}, {per_draw.classes} "
         f"classes, {args.draws} draws x {len(per_draw.ts)} scales — "
-        f"stacked/per-draw counts and streamed windows identical, "
+        f"counts and windows equal the per-draw WeightedStores, "
+        f"block sizes 1/4 identical, "
         f"delta cache reused, "
         f"{resumed.resumed}/{args.draws} draws resumed"
     )

@@ -19,8 +19,9 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   :func:`repro.engine.columnar.stacked_weight_columns`);
 * **query = the stacked kernels** — K draws are answered at once by
   :meth:`stable_counts_multi` / :meth:`stability_windows_multi` (one
-  kernel call per :data:`DRAW_SLICE` draws), each row bit-identical to the
-  per-draw weighted kernels over that draw's own
+  weight gather and one kernel call per :data:`DRAW_SLICE` draws; the
+  counts call can fill the windows from the same pass), each row
+  bit-identical to the per-draw weighted kernels over that draw's own
   :class:`~repro.analysis.weighted_store.WeightedStore`;
 * **same persistence story as the census stores** — the shared
   :class:`~repro.analysis.artifact.ColumnArtifact` base: one versioned
@@ -176,32 +177,46 @@ class DeltaStore(ColumnArtifact):
         )
 
     def _sliced_weights(self, weight_matrices):
-        """:meth:`stacked_weights` of the K matrices, :data:`DRAW_SLICE` at a time."""
+        """``(rows, stacks)`` per :data:`DRAW_SLICE` draws of the K matrices.
+
+        ``rows`` is the slice's ``slice`` of the K draws and ``stacks`` its
+        :meth:`stacked_weights`.
+        """
         stack = np.asarray(weight_matrices, dtype=np.float64)
         if stack.ndim == 2:
             stack = stack[None]
         # An empty stack still yields one (empty) slice.
         for first in range(0, stack.shape[0], DRAW_SLICE) or [0]:
-            yield self.stacked_weights(stack[first:first + DRAW_SLICE])
+            rows = slice(first, first + DRAW_SLICE)
+            yield rows, self.stacked_weights(stack[rows])
 
-    def stable_mask_multi(self, weight_matrices, ts: Sequence[float]):
+    def stable_mask_multi(self, weight_matrices, ts: Sequence[float], windows=None):
         """``bool[K, n_classes, n_ts]`` stability for K draws at once.
 
         Row ``k`` is bit-identical to
-        ``WeightedStore.from_delta(self, model_k).stable_mask(ts)``.
+        ``WeightedStore.from_delta(self, model_k).stable_mask(ts)``.  Each
+        :data:`DRAW_SLICE` of draws is one pass: one weight gather and one
+        :func:`~repro.engine.columnar.weighted_bcg_stable_mask_multi` call.
+        With ``windows=(t_min, t_max)``, two writable float64
+        ``(K, n_classes)`` arrays, that same pass fills them slice by slice
+        with :meth:`stability_windows_multi`'s rows.
         """
         return np.concatenate([
             weighted_bcg_stable_mask_multi(
                 self.rem_delta, self.rem_indptr,
                 self.add_s_u, self.add_s_v, self.add_indptr,
-                rem_w, add_w_u, add_w_v, ts,
+                *stacks, ts,
+                windows=None if windows is None else tuple(w[rows] for w in windows),
             )
-            for rem_w, add_w_u, add_w_v in self._sliced_weights(weight_matrices)
+            for rows, stacks in self._sliced_weights(weight_matrices)
         ])
 
-    def stable_counts_multi(self, weight_matrices, ts: Sequence[float]):
-        """``int64[K, n_ts]`` stable-class counts for K draws at once."""
-        return self.stable_mask_multi(weight_matrices, ts).sum(
+    def stable_counts_multi(self, weight_matrices, ts: Sequence[float], windows=None):
+        """``int64[K, n_ts]`` stable-class counts for K draws at once.
+
+        ``windows`` is filled as in :meth:`stable_mask_multi`.
+        """
+        return self.stable_mask_multi(weight_matrices, ts, windows=windows).sum(
             axis=1, dtype=np.int64
         )
 
@@ -211,9 +226,9 @@ class DeltaStore(ColumnArtifact):
             weighted_stability_windows_multi(
                 self.rem_delta, self.rem_indptr,
                 self.add_s_u, self.add_s_v, self.add_indptr,
-                rem_w, add_w_u, add_w_v,
+                *stacks,
             )
-            for rem_w, add_w_u, add_w_v in self._sliced_weights(weight_matrices)
+            for _rows, stacks in self._sliced_weights(weight_matrices)
         ))
         return np.concatenate(t_min), np.concatenate(t_max)
 

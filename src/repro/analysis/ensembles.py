@@ -16,11 +16,14 @@ part across the whole ensemble instead of paying it per draw:
   :class:`~repro.analysis.delta_store.DeltaStore` (reused from the process
   LRU, or persisted/mmapped via ``delta_cache``);
 * draws are chunked into ``batch_draws``-sized blocks, each answered by
-  the stacked multi-draw kernels
-  (:func:`repro.engine.columnar.weighted_bcg_stable_mask_multi` /
-  :func:`~repro.engine.columnar.weighted_stability_windows_multi`) — one
-  dense ``(K, P)`` pass whose per-draw rows are **bit-identical** to the
-  per-draw weighted kernels, so amortisation never changes a number;
+  one :meth:`DeltaStore.stable_counts_multi
+  <repro.analysis.delta_store.DeltaStore.stable_counts_multi>` call: per
+  slice of :data:`~repro.analysis.delta_store.DRAW_SLICE` draws, one dense
+  ``(K, P)`` weight gather and one stacked mask pass
+  (:func:`repro.engine.columnar.weighted_bcg_stable_mask_multi`) whose
+  window ratios also fill the block's ``t_min``/``t_max`` rows.  Every
+  per-draw row is **bit-identical** to the per-draw weighted kernels, so
+  amortisation never changes a number;
 * blocks fan out over ``jobs`` pool workers in bounded waves and feed one
   :class:`~repro.engine.streaming.StreamingEnsembleStats` aggregator in
   draw order — each draw's ``t_min`` and ``t_max`` windows side by side as
@@ -177,8 +180,12 @@ def _ensemble_batch_body(name, n, block, params, ts, delta_spec, save_format):
 
     if fresh:
         matrices = [scenario.model.coefficient_matrix(n) for _, scenario, _ in fresh]
-        counts_multi = delta.stable_counts_multi(matrices, ts)
-        t_min_multi, t_max_multi = delta.stability_windows_multi(matrices)
+        t_min_multi = np.empty((len(fresh), len(delta)))
+        t_max_multi = np.empty_like(t_min_multi)
+        # One pass per draw slice answers the counts and fills the windows.
+        counts_multi = delta.stable_counts_multi(
+            matrices, ts, windows=(t_min_multi, t_max_multi)
+        )
         for row, (position, scenario, save_path) in enumerate(fresh):
             counts_rows[position] = counts_multi[row]
             t_min_rows[position] = t_min_multi[row]

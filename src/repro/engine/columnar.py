@@ -453,19 +453,6 @@ def weighted_stability_windows(
     return t_min, t_max
 
 
-def _segment_reduce_stack(values, indptr, ufunc, empty: float):
-    counts = np.diff(indptr)
-    rows = values.shape[0]
-    out = np.full((rows, counts.shape[0]), empty, dtype=np.float64)
-    if values.shape[1] == 0 or counts.shape[0] == 0:
-        return out
-    values = values.astype(np.float64, copy=False)
-    nonempty = counts > 0
-    reduced = ufunc.reduceat(values, indptr[:-1][nonempty], axis=1)
-    out[:, nonempty] = reduced
-    return out
-
-
 def stacked_weight_columns(weight_matrices, rem_pay, rem_other, add_u, add_v):
     """Gather per-draw probe coefficients into dense ``(K, P)`` weight stacks.
 
@@ -503,6 +490,7 @@ def weighted_bcg_stable_mask_multi(
     rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
     rem_w, add_w_u, add_w_v,
     ts,
+    windows=None,
 ):
     """Weighted pairwise stability of K draws × all classes × a ``t`` grid.
 
@@ -518,35 +506,91 @@ def weighted_bcg_stable_mask_multi(
     holds on a suffix of the sorted grid and an addition violation on a
     prefix, and each (draw, class) pair is stable on one run
     ``[start, stop)`` of it.  The run's ends are guessed from the class
-    window thresholds (the ratios of :func:`weighted_stability_windows`)
-    and each guess is checked at the two sorted points around it with the
-    per-draw kernel's own float expressions; a pair whose guess fails is
-    settled exactly over the whole sorted grid.  That is four probe passes
-    instead of one per grid point.  The passes run probe-major, on the
-    ``(P, K)`` transposes of the stacks, which is the layout
+    window ratios (the minimum ``Δ / w`` and the unclamped maximum
+    least-interested ``save / w``, see :func:`_window_extrema`) and each
+    guess is checked at the two sorted points around it with the per-draw
+    kernel's own float expressions; a pair whose guess fails is settled
+    exactly over the whole sorted grid.  That is four probe passes instead
+    of one per grid point.  The passes run probe-major, on the ``(P, K)``
+    transposes of the stacks, which is the layout
     :func:`stacked_weight_columns` gathers.
+
+    Those ratios are the weighted windows, so ``windows=(t_min, t_max)``,
+    two writable float64 ``(K, n_classes)`` arrays, receives exactly what
+    :func:`weighted_stability_windows_multi` returns for the same stacks
+    (NumPy's ``out=`` idiom: the returned mask does not change).  One call
+    then answers a draw slice's counts and windows from one set of
+    divisions.
 
     Returns ``bool[K, n_classes, n_ts]``.
     """
-    _check_weight_columns(rem_w, add_w_u, add_w_v)
-    rem_w = np.asarray(rem_w).astype(np.float64, copy=False).T
-    w_u = np.asarray(add_w_u).astype(np.float64, copy=False).T
-    w_v = np.asarray(add_w_v).astype(np.float64, copy=False).T
-    rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[:, None]
-    s_u = np.asarray(add_s_u).astype(np.float64, copy=False)[:, None]
-    s_v = np.asarray(add_s_v).astype(np.float64, copy=False)[:, None]
+    rem_delta, s_u, s_v, rem_w, w_u, w_v = _probe_major(
+        rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v
+    )
+    rem_indptr, add_indptr = np.asarray(rem_indptr), np.asarray(add_indptr)
+    add_max, rem_min = _window_extrema(
+        rem_delta, rem_indptr, s_u, s_v, add_indptr, rem_w, w_u, w_v
+    )
+    if windows is not None:
+        _fill_windows(windows, add_max, rem_min)
     ordered, position, nan = _sorted_grid(ts)
     # Sorted indices -1 and len(ordered) read this NaN pad, where every
     # comparison is false: nothing severs or adds there.
     padded = np.append(ordered, np.nan)
-    stop = _sever_start(padded, rem_delta, np.asarray(rem_indptr), rem_w)
-    start = _add_stop(padded, s_u, s_v, np.asarray(add_indptr), w_u, w_v)
+    stop = _sever_start(padded, rem_delta, rem_indptr, rem_w, rem_min)
+    start = _add_stop(padded, s_u, s_v, add_indptr, w_u, w_v, add_max)
     out = np.empty((rem_w.shape[1], stop.shape[0], position.shape[0]), dtype=bool)
     np.greater_equal(position, start.T[:, :, None], out=out)
     out &= position < stop.T[:, :, None]
     # At a NaN t every comparison is false: nothing violates stability.
     out[:, :, nan] = True
     return out
+
+
+def _probe_major(rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v):
+    """Float64 ``(P, 1)`` Δdist columns and ``(P, K)`` views of the stacks."""
+    _check_weight_columns(rem_w, add_w_u, add_w_v)
+    columns = (
+        np.asarray(values).astype(np.float64, copy=False)[:, None]
+        for values in (rem_delta, add_s_u, add_s_v)
+    )
+    stacks = (
+        np.asarray(values).astype(np.float64, copy=False).T
+        for values in (rem_w, add_w_u, add_w_v)
+    )
+    return (*columns, *stacks)
+
+
+def _window_extrema(delta, rem_indptr, s_u, s_v, add_indptr, w, w_u, w_v):
+    """Per (class, draw): ``(add_max, rem_min)``, each ``(n_classes, K)``.
+
+    ``rem_min`` is the minimum ``Δ / w`` over a class's removal probes
+    (``inf`` on an empty segment); ``add_max`` is the maximum of
+    ``min(s_u / w_u, s_v / w_v)`` over its non-edges, *not* clamped at 0
+    (``-inf`` on an empty segment).  ``(max(add_max, 0), rem_min)`` is the
+    weighted window ``(t_min, t_max)``; the stacked mask guesses its runs
+    from the unclamped pair, since a clamped ``-inf`` would send an empty
+    addition segment to the exact settle.
+    """
+    rem_min = _segment_reduce_rows(delta / w, rem_indptr, np.minimum, float("inf"))
+    ratio = s_u / w_u
+    np.minimum(ratio, s_v / w_v, out=ratio)
+    add_max = _segment_reduce_rows(ratio, add_indptr, np.maximum, float("-inf"))
+    return add_max, rem_min
+
+
+def _fill_windows(windows, add_max, rem_min) -> None:
+    """Write the ``(t_min[K, C], t_max[K, C])`` window rows into ``windows``."""
+    t_min, t_max = windows
+    shape = rem_min.shape[::-1]
+    for rows in (t_min, t_max):
+        if rows.shape != shape or rows.dtype != np.float64:
+            raise ValueError(
+                f"windows must be two float64 arrays of shape {shape}, "
+                f"got {rows.dtype} {rows.shape}"
+            )
+    np.maximum(add_max.T, 0.0, out=t_min)
+    np.copyto(t_max, rem_min.T)
 
 
 def _segment_reduce_rows(values, indptr, ufunc, empty):
@@ -577,20 +621,17 @@ def _failing_probes(bad, indptr, draws):
     return probe, np.repeat(draw, counts), starts[:-1]
 
 
-def _sever_start(padded, delta, indptr, w):
+def _sever_start(padded, delta, indptr, w, rem_min):
     """Per (class, draw): the first sorted grid index where a removal severs.
 
     ``delta`` is a ``(P, 1)`` column and ``w`` a ``(P, K)`` stack.  A probe
     severs at ``t`` iff ``Δ < t·w - tol``, which holds on a suffix of the
-    sorted grid; ``len(ordered)`` means never.
+    sorted grid; ``len(ordered)`` means never.  The guess is the grid
+    position of ``rem_min``, the minimum ``Δ / w``.
     """
     size = padded.shape[0] - 1
     counts = np.diff(indptr)
-    guess = np.searchsorted(
-        padded[:size],
-        _segment_reduce_rows(delta / w, indptr, np.minimum, float("inf")),
-        side="right",
-    )
+    guess = np.searchsorted(padded[:size], rem_min, side="right")
     flags = np.empty(w.shape, dtype=bool)
 
     def severs(index):
@@ -615,25 +656,18 @@ def _sever_start(padded, delta, indptr, w):
     return guess
 
 
-def _add_stop(padded, s_u, s_v, indptr, w_u, w_v):
+def _add_stop(padded, s_u, s_v, indptr, w_u, w_v, add_max):
     """Per (class, draw): how many sorted grid points some non-edge adds at.
 
     ``s_u``/``s_v`` are ``(P, 1)`` columns and ``w_u``/``w_v`` ``(P, K)``
     stacks.  A non-edge adds at ``t`` iff one endpoint has
     ``save > t·w + tol`` while the other has ``save >= t·w - tol``, which
-    holds on a prefix of the sorted grid.
+    holds on a prefix of the sorted grid.  The guess is the grid position
+    of ``add_max``, the unclamped maximum least-interested ``save / w``.
     """
     size = padded.shape[0] - 1
     counts = np.diff(indptr)
-    ratio = s_u / w_u
-    np.minimum(ratio, s_v / w_v, out=ratio)
-    guess = np.searchsorted(
-        padded[:size],
-        _segment_reduce_rows(ratio, indptr, np.maximum, float("-inf")),
-        side="left",
-    )
-    # Freed before the check buffers, so at most two (P, K) floats live.
-    del ratio
+    guess = np.searchsorted(padded[:size], add_max, side="left")
     work = np.empty(w_u.shape, dtype=np.float64)
     one, two, three = (np.empty(w_u.shape, dtype=bool) for _ in range(3))
 
@@ -687,22 +721,18 @@ def weighted_stability_windows_multi(
     shared Δdist columns and ``(K, P)`` coefficient stacks; row ``k`` is
     bit-identical to the per-draw kernel on draw ``k``'s columns (same
     elementwise divisions, same ``reduceat`` reductions — min/max are
-    order-insensitive).  Returns ``(t_min[K, C], t_max[K, C])``.
+    order-insensitive).  The ratios are :func:`_window_extrema`'s, which
+    :func:`weighted_bcg_stable_mask_multi` reduces too and can hand back
+    through its ``windows`` output.  Returns ``(t_min[K, C], t_max[K, C])``.
     """
-    _check_weight_columns(rem_w, add_w_u, add_w_v)
-    rem_w = np.asarray(rem_w).astype(np.float64, copy=False)
-    rem_delta = np.asarray(rem_delta).astype(np.float64, copy=False)[None, :]
-    t_max = _segment_reduce_stack(
-        rem_delta / rem_w, rem_indptr, np.minimum, float("inf")
+    rem_delta, s_u, s_v, rem_w, w_u, w_v = _probe_major(
+        rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v
     )
-    ratio = np.minimum(
-        np.asarray(add_s_u).astype(np.float64, copy=False)[None, :]
-        / np.asarray(add_w_u).astype(np.float64, copy=False),
-        np.asarray(add_s_v).astype(np.float64, copy=False)[None, :]
-        / np.asarray(add_w_v).astype(np.float64, copy=False),
+    add_max, rem_min = _window_extrema(
+        rem_delta, np.asarray(rem_indptr), s_u, s_v, np.asarray(add_indptr),
+        rem_w, w_u, w_v,
     )
-    t_min = np.maximum(_segment_reduce_stack(ratio, add_indptr, np.maximum, 0.0), 0.0)
-    return t_min, t_max
+    return np.maximum(add_max, 0.0).T, rem_min.T
 
 
 @obs.timed_kernel("stability_windows")

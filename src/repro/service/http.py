@@ -380,14 +380,19 @@ class ArtifactServer:
 
         Every potentially-expensive call goes through here so the event
         loop stays free and concurrent requests genuinely overlap on
-        threads (which is what the grid batcher coalesces).
+        threads (which is what the grid batcher coalesces).  A
+        :class:`KeyError` is the catalog's unknown-artifact error, whose
+        message is served as is.  Malformed body fields are refused by the
+        endpoint bodies before any work, so a :class:`TypeError` here is a
+        server fault and stays a 500.
         """
         try:
             return await self._loop.run_in_executor(
                 self._pool, lambda: fn(*args)
             )
         except KeyError as error:
-            raise HTTPError(404, f"unknown artifact {error.args[0]!r}")
+            message = error.args[0] if error.args else "unknown artifact"
+            raise HTTPError(404, str(message))
         except (ValueError, FileNotFoundError) as error:
             raise HTTPError(400, str(error))
 
@@ -422,12 +427,16 @@ class ArtifactServer:
         optional ``"game"``) answers raw grid aggregates on that exact
         grid instead.
         """
-        ref = _required_field(request, "artifact")
+        ref = _artifact_field(request, "artifact")
         if "alphas" in request:
             alphas = request["alphas"]
             if not isinstance(alphas, list) or not alphas:
                 raise HTTPError(400, "'alphas' must be a non-empty list")
             _check_limit("alphas", len(alphas), MAX_ALPHAS)
+            try:
+                alphas = [float(alpha) for alpha in alphas]
+            except (TypeError, ValueError, OverflowError):
+                raise HTTPError(400, "'alphas' must be a list of numbers")
             return self.api.grid_aggregates(
                 ref, alphas, str(request.get("game", "bcg"))
             )
@@ -438,7 +447,7 @@ class ArtifactServer:
         )
 
     def _query_windows(self, request: Dict[str, object]) -> Dict[str, object]:
-        ref = _required_field(request, "artifact")
+        ref = _artifact_field(request, "artifact")
         return self.api.windows(ref, game=str(request.get("game", "bcg")))
 
     def _query_ensemble(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -446,9 +455,9 @@ class ArtifactServer:
             scenario=str(request.get("scenario", "random_weights")),
             n=_int_field(request, "n", 6, MAX_ENSEMBLE_N),
             draws=_int_field(request, "draws", 8, MAX_DRAWS),
-            seed=int(request.get("seed", 0)),
+            seed=_int_field(request, "seed", 0),
             grid=_int_field(request, "grid", 8, MAX_GRID),
-            delta=request.get("delta"),
+            delta=_artifact_field(request, "delta", required=False),
         )
 
 
@@ -470,17 +479,26 @@ def _parse_json(body: bytes) -> Dict[str, object]:
         return {}
     try:
         parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers undecodable bytes, bad JSON and integer
+        # literals past the int() digit limit; RecursionError deep nesting.
         raise HTTPError(400, f"invalid JSON body: {error}")
     if not isinstance(parsed, dict):
         raise HTTPError(400, "request body must be a JSON object")
     return parsed
 
 
-def _required_field(request: Dict[str, object], name: str):
+def _artifact_field(
+    request: Dict[str, object], name: str, required: bool = True
+) -> Optional[str]:
+    """An artifact id body field: a string (``None`` if optional and absent)."""
     value = request.get(name)
     if value is None:
-        raise HTTPError(400, f"missing required field {name!r}")
+        if required:
+            raise HTTPError(400, f"missing required field {name!r}")
+        return None
+    if not isinstance(value, str):
+        raise HTTPError(400, f"{name!r} must be an artifact id string")
     return value
 
 
@@ -491,14 +509,18 @@ def _check_limit(name: str, size: int, limit: int) -> None:
 
 
 def _int_field(
-    request: Dict[str, object], name: str, default: int, limit: int
+    request: Dict[str, object],
+    name: str,
+    default: int,
+    limit: Optional[int] = None,
 ) -> int:
-    """An integer body field, refused above ``limit``."""
+    """An integer body field, refused above ``limit`` when one is given."""
     try:
         value = int(request.get(name, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise HTTPError(400, f"{name!r} must be an integer")
-    _check_limit(name, value, limit)
+    if limit is not None:
+        _check_limit(name, value, limit)
     return value
 
 

@@ -22,6 +22,7 @@ from repro.engine.columnar import (
     weighted_bcg_stable_mask,
     weighted_bcg_stable_mask_multi,
     weighted_stability_windows,
+    weighted_stability_windows_multi,
 )
 
 
@@ -94,6 +95,9 @@ EDGE_GRIDS = {
     "empty": [],
 }
 
+#: A scale grid reaching below zero, in quarter steps.
+NEGATIVE_GRID = [0.25 * j for j in range(-4, 30)]
+
 
 def random_weight_matrices(n, draws):
     """Coefficient matrices of ``random_weights`` seeds ``0 .. draws - 1``."""
@@ -113,6 +117,23 @@ def per_draw_masks(rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
         )
         for k in range(rem_w.shape[0])
     ]
+
+
+def hand_built_columns(draws):
+    """Probe columns with NaN, ±inf, zero and empty segments, K weight rows."""
+    nan, inf = float("nan"), float("inf")
+    rem_delta = np.array([1.0, nan, inf, 2.0, 0.5, inf, nan, 3.0, 1.0, 1.0])
+    rem_indptr = np.array([0, 2, 3, 3, 6, 8, 10])
+    add_s_u = np.array([1.0, nan, inf, 2.0, 0.0, 3.0, 1.0, 2.0])
+    add_s_v = np.array([2.0, 1.0, 1.0, inf, 0.0, nan, 2.0, 1.0])
+    add_indptr = np.array([0, 1, 3, 5, 5, 6, 8])
+    rng = np.random.default_rng(draws)
+    choices = np.array([0.5, 1.0, 1.0, 2.0, 3.0])
+    rem_w = rng.choice(choices, size=(draws, rem_delta.shape[0]))
+    add_w_u = rng.choice(choices, size=(draws, add_s_u.shape[0]))
+    add_w_v = rng.choice(choices, size=(draws, add_s_u.shape[0]))
+    return (rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
+            rem_w, add_w_u, add_w_v)
 
 
 class TestStackedMaskRuns:
@@ -160,23 +181,110 @@ class TestStackedMaskRuns:
     @pytest.mark.parametrize("draws", [1, 16])
     def test_hand_built_columns_with_nan_and_inf(self, draws):
         """Non-finite Δ and savings never place a run; rows still match."""
-        nan, inf = float("nan"), float("inf")
-        rem_delta = np.array([1.0, nan, inf, 2.0, 0.5, inf, nan, 3.0, 1.0, 1.0])
-        rem_indptr = np.array([0, 2, 3, 3, 6, 8, 10])
-        add_s_u = np.array([1.0, nan, inf, 2.0, 0.0, 3.0, 1.0, 2.0])
-        add_s_v = np.array([2.0, 1.0, 1.0, inf, 0.0, nan, 2.0, 1.0])
-        add_indptr = np.array([0, 1, 3, 5, 5, 6, 8])
-        rng = np.random.default_rng(draws)
-        choices = np.array([0.5, 1.0, 1.0, 2.0, 3.0])
-        rem_w = rng.choice(choices, size=(draws, rem_delta.shape[0]))
-        add_w_u = rng.choice(choices, size=(draws, add_s_u.shape[0]))
-        add_w_v = rng.choice(choices, size=(draws, add_s_u.shape[0]))
-        columns = (rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr,
-                   rem_w, add_w_u, add_w_v)
-        for ts in list(EDGE_GRIDS.values()) + [[0.25 * j for j in range(-4, 30)]]:
+        columns = hand_built_columns(draws)
+        for ts in list(EDGE_GRIDS.values()) + [NEGATIVE_GRID]:
             multi = weighted_bcg_stable_mask_multi(*columns, ts)
             for k, mask in enumerate(per_draw_masks(*columns, ts)):
                 assert np.array_equal(multi[k], mask), (k, ts)
+
+
+#: Draw counts around ``DRAW_SLICE`` (8): part of a slice, one slice, one
+#: slice plus one draw, two slices.
+SLICE_DRAWS = [1, 7, 8, 9, 16]
+
+
+def mixed_matrices(n, draws):
+    """Unit weights first, then ``random_weights`` draws (none below n = 2)."""
+    unit = UniformCost(1.0).coefficient_matrix(n)
+    if n < 2:
+        return [unit] * draws
+    return ([unit] + random_weight_matrices(n, draws))[:draws]
+
+
+class TestWindowsOutput:
+    """The stacked mask's ``windows`` output pair holds the bits of both
+    window kernels, whatever the slicing, and leaves the mask unchanged."""
+
+    @staticmethod
+    def sentinel_pair(draws, classes):
+        # -7 is no window value: a row the pass never writes cannot match.
+        return np.full((draws, classes), -7.0), np.full((draws, classes), -7.0)
+
+    @staticmethod
+    def assert_same_bits(pair, expected):
+        for got, want in zip(pair, expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def assert_store_windows(self, delta, matrices, ts):
+        draws = len(matrices)
+        from_mask = self.sentinel_pair(draws, len(delta))
+        from_counts = self.sentinel_pair(draws, len(delta))
+        mask = delta.stable_mask_multi(matrices, ts, windows=from_mask)
+        counts = delta.stable_counts_multi(matrices, ts, windows=from_counts)
+        assert mask.tobytes() == delta.stable_mask_multi(matrices, ts).tobytes()
+        assert counts.tobytes() == delta.stable_counts_multi(matrices, ts).tobytes()
+        expected = delta.stability_windows_multi(matrices)
+        self.assert_same_bits(from_mask, expected)
+        self.assert_same_bits(from_counts, expected)
+        rem_w, add_w_u, add_w_v = delta.stacked_weights(matrices)
+        for k in range(draws):
+            per_draw = weighted_stability_windows(
+                rem_w[k], delta.rem_delta, delta.rem_indptr,
+                add_w_u[k], delta.add_s_u, add_w_v[k], delta.add_s_v,
+                delta.add_indptr,
+            )
+            self.assert_same_bits((from_mask[0][k], from_mask[1][k]), per_draw)
+
+    @pytest.mark.parametrize("grid", sorted(EDGE_GRIDS))
+    @pytest.mark.parametrize("draws", SLICE_DRAWS)
+    def test_edge_grids(self, grid, draws):
+        delta = DeltaStore.build(6)
+        self.assert_store_windows(
+            delta, random_weight_matrices(6, draws), EDGE_GRIDS[grid]
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("draws", SLICE_DRAWS)
+    def test_empty_segments(self, n, draws):
+        delta = DeltaStore.build(n)
+        for ts in EDGE_GRIDS.values():
+            self.assert_store_windows(delta, mixed_matrices(n, draws), ts)
+
+    @pytest.mark.parametrize("draws", SLICE_DRAWS)
+    def test_hand_built_columns_with_nan_and_inf(self, draws):
+        columns = hand_built_columns(draws)
+        rem_delta, rem_indptr, add_s_u, add_s_v, add_indptr = columns[:5]
+        rem_w, add_w_u, add_w_v = columns[5:]
+        expected = weighted_stability_windows_multi(*columns)
+        for ts in list(EDGE_GRIDS.values()) + [NEGATIVE_GRID]:
+            pair = self.sentinel_pair(draws, rem_indptr.shape[0] - 1)
+            mask = weighted_bcg_stable_mask_multi(*columns, ts, windows=pair)
+            assert mask.tobytes() == weighted_bcg_stable_mask_multi(
+                *columns, ts
+            ).tobytes()
+            self.assert_same_bits(pair, expected)
+            for k in range(draws):
+                per_draw = weighted_stability_windows(
+                    rem_w[k], rem_delta, rem_indptr,
+                    add_w_u[k], add_s_u, add_w_v[k], add_s_v, add_indptr,
+                )
+                self.assert_same_bits((pair[0][k], pair[1][k]), per_draw)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (np.zeros((3, 6)), np.zeros((2, 6))),
+            (np.zeros((2, 6)), np.zeros((2, 5))),
+            (np.zeros((2, 6), dtype=np.float32), np.zeros((2, 6))),
+        ],
+        ids=["rows", "classes", "float32"],
+    )
+    def test_rejects_a_misshapen_pair(self, pair):
+        with pytest.raises(ValueError, match="windows must be"):
+            weighted_bcg_stable_mask_multi(
+                *hand_built_columns(2), [1.0], windows=pair
+            )
 
 
 class TestFromDelta:

@@ -17,6 +17,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.delta_store import DeltaStore
 from repro.analysis.scenarios import build_scenario, default_t_grid
@@ -38,6 +40,23 @@ from repro.service.http import (
     MAX_GRID,
     MAX_HEADERS,
     MAX_POINTS,
+)
+
+
+GRID, WINDOWS, ENSEMBLE = (
+    "/v1/query/grid", "/v1/query/windows", "/v1/query/ensemble-stats",
+)
+
+#: A small ensemble body (n <= 4, draws <= 2) every field case extends.
+SMALL_ENSEMBLE = {"n": 3, "draws": 2, "grid": 3}
+
+#: Arbitrary JSON values: scalars (NaN and ±inf included, which Python's
+#: ``json`` writes and reads back), lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
 )
 
 
@@ -770,3 +789,88 @@ class TestHTTPServer:
         detail.value.close()
         assert detail.value.code == 404
         assert json.loads(self._get(server, "/artifacts")) == listing
+
+    @pytest.mark.parametrize(
+        "path, body, status, message",
+        [
+            (ENSEMBLE, {"seed": None}, 400, "'seed' must be an integer"),
+            (ENSEMBLE, {"seed": [1]}, 400, "'seed' must be an integer"),
+            (ENSEMBLE, {"seed": float("inf")}, 400, "'seed' must be an integer"),
+            (ENSEMBLE, {"n": float("inf")}, 400, "'n' must be an integer"),
+            (ENSEMBLE, {"delta": 7}, 400, "'delta' must be an artifact id string"),
+            (ENSEMBLE, {"delta": ["a"]}, 400, "'delta' must be an artifact id string"),
+            (ENSEMBLE, {"delta": "nope"}, 404, "unknown artifact 'nope'"),
+            (GRID, {"artifact": "census4.npz", "alphas": [None]}, 400,
+             "'alphas' must be a list of numbers"),
+            (GRID, {"artifact": "census4.npz", "alphas": [[1]]}, 400,
+             "'alphas' must be a list of numbers"),
+            (GRID, {"artifact": "census4.npz", "alphas": [10 ** 400]}, 400,
+             "'alphas' must be a list of numbers"),
+            (GRID, {"artifact": ["c5"]}, 400,
+             "'artifact' must be an artifact id string"),
+            (GRID, {"artifact": "nope"}, 404, "unknown artifact 'nope'"),
+            (WINDOWS, {"artifact": {"a": 1}}, 400,
+             "'artifact' must be an artifact id string"),
+            (WINDOWS, {"artifact": "nope"}, 404, "unknown artifact 'nope'"),
+        ],
+        ids=[
+            "seed-null", "seed-list", "seed-inf", "n-inf", "delta-int",
+            "delta-list", "delta-unknown", "alphas-null", "alphas-nested",
+            "alphas-overflow", "grid-artifact-list", "grid-artifact-unknown",
+            "windows-artifact-object", "windows-artifact-unknown",
+        ],
+    )
+    def test_malformed_fields_are_client_errors(
+        self, server, path, body, status, message
+    ):
+        if path == ENSEMBLE:
+            body = dict(SMALL_ENSEMBLE, **body)
+        assert self._reply(server, path, body) == (
+            status, {"error": message, "status": status},
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"n": ' + b"1" * 5000 + b"}"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_unparseable_bodies_are_400(self, server, data):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}{ENSEMBLE}", data=data
+        )
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            urllib.request.urlopen(request)
+        with refused.value as error:
+            assert error.code == 400
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        case=st.sampled_from([
+            (ENSEMBLE, SMALL_ENSEMBLE, "seed"),
+            (ENSEMBLE, SMALL_ENSEMBLE, "delta"),
+            (ENSEMBLE, SMALL_ENSEMBLE, "scenario"),
+            (ENSEMBLE, SMALL_ENSEMBLE, "grid"),
+            (GRID, {"artifact": "census4.npz", "alphas": [1.0, 2.0]}, "alphas"),
+            (GRID, {"artifact": "census4.npz", "alphas": [1.0]}, "artifact"),
+            (GRID, {"artifact": "census4.npz", "alphas": [1.0]}, "game"),
+            (GRID, {"artifact": "census4.npz", "points": 4}, "quantity"),
+            (WINDOWS, {"artifact": "weighted4.npz"}, "artifact"),
+            (WINDOWS, {"artifact": "weighted4.npz"}, "game"),
+        ]),
+        value=JSON_VALUES,
+    )
+    def test_arbitrary_field_values_never_get_a_500(self, server, case, value):
+        """Any JSON value in a query field gets an answer or a client error,
+        and the server keeps serving."""
+        path, body, field = case
+        status, reply = self._reply(server, path, dict(body, **{field: value}))
+        assert status in (200, 400, 404), reply
+        if status != 200:
+            assert reply["status"] == status
+        if field in ("artifact", "delta") and not isinstance(value, (str, type(None))):
+            assert status == 400, reply
+        assert json.loads(self._get(server, "/healthz"))["status"] == "ok"
