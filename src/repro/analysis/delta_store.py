@@ -16,7 +16,8 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   The endpoint indices are what make the artifact model-independent — any
   draw's coefficient columns are one dense gather
   ``W[rem_pay, rem_other]`` away (see
-  :func:`repro.engine.columnar.stacked_weight_columns`);
+  :func:`repro.engine.columnar.stacked_weight_columns`, which reads flat
+  ``i·n + j`` positions the store derives once, on first use);
 * **query = the stacked kernels** — K draws are answered at once by
   :meth:`stable_counts_multi` / :meth:`stability_windows_multi` (one
   weight gather and one kernel call per :data:`DRAW_SLICE` draws; the
@@ -97,6 +98,10 @@ class DeltaStore(ColumnArtifact):
         removal_per_edge=2,
     )
 
+    def __init__(self, n: int, columns: Dict[str, object]) -> None:
+        super().__init__(n, columns)
+        self._flat = None  # lazy flat gather positions of the probe endpoints
+
     def _describe(self) -> Dict[str, object]:
         return {
             "removal_probes": int(self.rem_indptr[-1]),
@@ -170,10 +175,25 @@ class DeltaStore(ColumnArtifact):
     # Stacked multi-draw queries
     # ------------------------------------------------------------------ #
 
+    def _flat_positions(self) -> Tuple:
+        """Intp ``i·n + j`` positions of every probe's coefficient.
+
+        ``(rem, add_uv, add_vu)``: ``(payer, other)`` of each removal probe
+        and ``(u, v)``, ``(v, u)`` of each addition probe.  Derived on first
+        use, so building or loading a store does not pay for them.
+        """
+        if self._flat is None:
+            pay, other, u, v = (
+                np.asarray(column, dtype=np.intp)
+                for column in (self.rem_pay, self.rem_other, self.add_u, self.add_v)
+            )
+            self._flat = (pay * self.n + other, u * self.n + v, v * self.n + u)
+        return self._flat
+
     def stacked_weights(self, weight_matrices) -> Tuple:
         """``(rem_w, add_w_u, add_w_v)`` ``(K, P)`` stacks for K matrices."""
         return stacked_weight_columns(
-            weight_matrices, self.rem_pay, self.rem_other, self.add_u, self.add_v
+            weight_matrices, self.n, *self._flat_positions()
         )
 
     def _sliced_weights(self, weight_matrices):

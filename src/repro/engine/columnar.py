@@ -453,36 +453,46 @@ def weighted_stability_windows(
     return t_min, t_max
 
 
-def stacked_weight_columns(weight_matrices, rem_pay, rem_other, add_u, add_v):
+def stacked_weight_columns(weight_matrices, n, rem_flat, add_flat_uv, add_flat_vu):
     """Gather per-draw probe coefficients into dense ``(K, P)`` weight stacks.
 
     ``weight_matrices`` is a ``(K, n, n)`` stack of dense coefficient
-    matrices (one per draw, each a ``CostModel.coefficient_matrix``);
-    ``rem_pay``/``rem_other`` index the paying and receiving endpoint of
-    every removal probe and ``add_u``/``add_v`` the endpoints of every
-    addition probe (the :class:`~repro.analysis.delta_store.DeltaStore`
-    endpoint columns).  Returns
+    matrices (one per draw, each a ``CostModel.coefficient_matrix``).  The
+    three index arrays hold flat ``i·n + j`` positions in one such matrix:
+    ``(payer, other)`` of every removal probe, then ``(u, v)`` and
+    ``(v, u)`` of every addition probe (the
+    :class:`~repro.analysis.delta_store.DeltaStore` endpoint columns,
+    flattened once per store).  Returns
     ``(rem_w[K, P_rem], add_w_u[K, P_add], add_w_v[K, P_add])`` — exactly
     the coefficient columns of each draw's
-    :class:`~repro.analysis.weighted_store.WeightedStore`, gathered in one
-    fancy-indexing pass instead of K per-draw gathers.
+    :class:`~repro.analysis.weighted_store.WeightedStore`.  Each stack is
+    one row ``take`` from the ``(n·n, K)`` transpose of the matrices,
+    handed back transposed, so its memory order is the ``(P, K)``
+    probe-major layout the stacked kernels read.
     """
     stack = np.asarray(weight_matrices, dtype=np.float64)
     if stack.ndim == 2:
         stack = stack[None, :, :]
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.shape[1:] != (n, n):
         raise ValueError(
-            "weight_matrices must be a (K, n, n) stack of square matrices, "
+            f"weight_matrices must be a (K, {n}, {n}) stack of matrices, "
             f"got shape {stack.shape}"
         )
-    rem_pay = np.asarray(rem_pay, dtype=np.intp)
-    rem_other = np.asarray(rem_other, dtype=np.intp)
-    add_u = np.asarray(add_u, dtype=np.intp)
-    add_v = np.asarray(add_v, dtype=np.intp)
-    rem_w = stack[:, rem_pay, rem_other]
-    add_w_u = stack[:, add_u, add_v]
-    add_w_v = stack[:, add_v, add_u]
-    return rem_w, add_w_u, add_w_v
+    table = stack.reshape(stack.shape[0], n * n).T
+    return tuple(
+        table.take(flat, axis=0).T for flat in (rem_flat, add_flat_uv, add_flat_vu)
+    )
+
+
+#: Relative margin ``c·u`` of the stable-run certificate, with the unit
+#: roundoff ``u = 2⁻⁵³``: ``c = 8`` is fixed by the error bound in
+#: :func:`weighted_bcg_stable_mask_multi` (``c ≤ 5`` leaves it no slack).
+_MARGIN = 8 * 2.0 ** -53
+
+#: Floor of the certificate's ``τ = tol / w_min``.  It keeps ``_MARGIN·τ``
+#: a normal float far above every underflow error, and still bounds
+#: ``tol / w`` where that quotient underflows.
+_TAU_FLOOR = 2.0 ** -960
 
 
 @obs.timed_kernel("weighted_bcg_stable_mask_multi")
@@ -505,17 +515,81 @@ def weighted_bcg_stable_mask_multi(
     positive, so — as in :func:`bcg_stable_mask` — a removal violation
     holds on a suffix of the sorted grid and an addition violation on a
     prefix, and each (draw, class) pair is stable on one run
-    ``[start, stop)`` of it.  The run's ends are guessed from the class
-    window ratios (the minimum ``Δ / w`` and the unclamped maximum
-    least-interested ``save / w``, see :func:`_window_extrema`) and each
-    guess is checked at the two sorted points around it with the per-draw
-    kernel's own float expressions; a pair whose guess fails is settled
-    exactly over the whole sorted grid.  That is four probe passes instead
-    of one per grid point.  The passes run probe-major, on the ``(P, K)``
-    transposes of the stacks, which is the layout
-    :func:`stacked_weight_columns` gathers.
+    ``[start, stop)`` of it.  Each end is guessed from a class window
+    ratio, the minimum ``r`` of ``Δ / w`` or the unclamped maximum ``a``
+    of the least-interested ``save / w`` (see :func:`_window_extrema`): its
+    sorted position ``g`` is the end iff the pair violates at
+    ``t⁺ = ordered[g]`` and not at ``t⁻ = ordered[g - 1]`` (the other way
+    round for additions).  A margin certificate proves that from the ratio
+    alone.  Only the pairs it leaves unsure run the per-draw float
+    expressions, on their own probes: at ``t⁻`` and ``t⁺``, then over the
+    whole grid where the guess fails.  Those passes read the ``(P, K)``
+    transposes of the stacks, the layout :func:`stacked_weight_columns`
+    gathers.
 
-    Those ratios are the weighted windows, so ``windows=(t_min, t_max)``,
+    **Certificate.**  With ``u = 2⁻⁵³``, ``C = 8u``, ``tol`` =
+    :data:`BCG_TOL`, ``τ = max(tol / w_min, 2⁻⁹⁶⁰)`` for the smallest
+    coefficient ``w_min`` in the stacks, and ``e(t) = C·(|t| + τ)``, each
+    evaluated in float64 as written:
+
+    * a removal end holds if ``r - C·|r| >= t⁻ + e(t⁻)`` and
+      ``r + C·|r| < (t⁺ - τ) - e(t⁺)``;
+    * an addition end holds if ``a - C·|a| > (t⁻ + τ) + e(t⁻)`` and
+      ``a + C·|a| < (t⁺ - τ) - e(t⁺)``;
+
+    where a side without its grid point (``g = 0`` or ``g = len(grid)``)
+    holds.  A NaN or infinite ratio or grid point fails a side.  Two exact
+    rules complete it: a class whose every ``Δ`` is ``+inf`` (every tree;
+    an empty segment) never severs, and an empty addition segment never
+    adds.  A class with a ``-inf`` saving is left unsure.
+
+    *Proof.*  Binary64 rounds to nearest, monotonically.  A rounded sum is
+    within ``u|x|`` of its exact value ``x`` (a sum that underflows is
+    exact); a rounded product or quotient is within ``u|x| + η``, with
+    ``η = 2⁻¹⁰⁷⁵`` on underflow.  For a probe with coefficient ``w``, let
+    ``τ_w = tol / w``.  Then ``τ_w <= τ / (1 - u)``: the floor covers an
+    underflowing ``tol / w_min``, and an overflowing one makes ``τ``
+    infinite, which fails every side.
+
+    1. *One probe.*  ``fl(fl(t·w) ∓ tol)`` differs from ``t·w ∓ tol`` by
+       at most ``(2 + u)·u·|t|·w + u·tol + 2η``, and ``2η < u·tol``.
+       Dividing by ``w > 0`` turns the kernel's ``Δ < fl(fl(t·w) - tol)``
+       into ``Δ / w < t - τ_w`` and ``save > fl(fl(t·w) + tol)`` into
+       ``save / w > t + τ_w``, each decided correctly when the exact
+       sides differ by more than ``δ(t) = (2 + u)·u·|t| + 2u·τ_w``.
+    2. *One pair.*  By monotone rounding, ``r`` is the rounded minimum
+       ``ρ`` of the exact ratios ``Δ / w``, so ``|r - ρ| <= u|ρ| + η``.
+       Likewise ``a`` is the rounded maximum ``α`` over non-edges of the
+       lesser exact ``save / w``.
+    3. *The certificate's own roundings.*  ``C`` is a power of two and
+       ``C·τ`` is normal, so ``e(t)`` is ``C·fl(|t| + τ)`` exactly.  The
+       ratio side is off by at most ``u|x|(1 + C) + η`` and the grid side
+       by ``(2u + u²)·(|t| + τ)``.  With ``C = 8u``, the ratio terms cancel
+       against ``C·|x|``, and ``(C(1 - u)² - 2u - u²)·(|t| + τ) - 3η``
+       exceeds ``(2 + u)·u·|t| + 3u·τ / (1 - u)``, which covers ``δ(t)``
+       and the ``τ_w`` bound.  So a certified removal has
+       ``ρ >= t⁻ + δ(t⁻)``: no probe severs at ``t⁻``, as every
+       ``Δ / w >= ρ``.  It also has ``ρ < t⁺ - τ_w - δ(t⁺)`` for every
+       ``w``, so the minimising probe severs at ``t⁺``.  A certified
+       addition has ``α > t⁻ + τ_w + δ(t⁻)``, so the maximising non-edge
+       adds at ``t⁻``: both of its savings clear ``fl(fl(t·w) + tol)``,
+       or one is ``+inf`` and clears ``fl(fl(t·w) - tol)``.  It also has
+       ``α < t⁺ - τ_w - δ(t⁺)``, so every non-edge's lesser saving falls
+       below ``fl(fl(t⁺·w) - tol)``, which both adding disjuncts need.
+    4. *Overflow.*  Against a finite payoff, a certified ``t⁻·w`` stays
+       below it and cannot overflow to ``+inf``; a ``+inf`` payoff passes
+       its ``t⁻`` test (it never severs, and clears
+       ``fl(fl(t·w) - tol)``) whatever ``t·w`` is.  Overflow to ``-inf``
+       at ``t⁻`` severs nothing and lets every saving above ``-inf``
+       clear, as certified.  At ``t⁺``, overflow to ``+inf`` severs every finite
+       ``Δ`` and stops every finite saving, as certified.  Overflow to
+       ``-inf`` there needs a payoff below ``t⁺·w``, so a ``-inf`` one:
+       a ``-inf`` ratio fails, and a ``-inf`` saving leaves its class
+       unsure.  An overflow inside the certificate itself only moves its
+       side the failing way (``t + e(t)`` up, ``(t - τ) - e(t)`` down,
+       ``x ∓ C·|x|`` away from ``x``).
+
+    The ratios are the weighted windows, so ``windows=(t_min, t_max)``,
     two writable float64 ``(K, n_classes)`` arrays, receives exactly what
     :func:`weighted_stability_windows_multi` returns for the same stacks
     (NumPy's ``out=`` idiom: the returned mask does not change).  One call
@@ -524,7 +598,7 @@ def weighted_bcg_stable_mask_multi(
 
     Returns ``bool[K, n_classes, n_ts]``.
     """
-    rem_delta, s_u, s_v, rem_w, w_u, w_v = _probe_major(
+    rem_delta, s_u, s_v, rem_w, w_u, w_v, w_min = _probe_major(
         rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v
     )
     rem_indptr, add_indptr = np.asarray(rem_indptr), np.asarray(add_indptr)
@@ -537,8 +611,9 @@ def weighted_bcg_stable_mask_multi(
     # Sorted indices -1 and len(ordered) read this NaN pad, where every
     # comparison is false: nothing severs or adds there.
     padded = np.append(ordered, np.nan)
-    stop = _sever_start(padded, rem_delta, rem_indptr, rem_w, rem_min)
-    start = _add_stop(padded, s_u, s_v, add_indptr, w_u, w_v, add_max)
+    bounds = _run_bounds(ordered, _tolerance_ratio(w_min))
+    stop = _sever_start(padded, rem_delta, rem_indptr, rem_w, rem_min, bounds)
+    start = _add_stop(padded, s_u, s_v, add_indptr, w_u, w_v, add_max, bounds)
     out = np.empty((rem_w.shape[1], stop.shape[0], position.shape[0]), dtype=bool)
     np.greater_equal(position, start.T[:, :, None], out=out)
     out &= position < stop.T[:, :, None]
@@ -548,17 +623,26 @@ def weighted_bcg_stable_mask_multi(
 
 
 def _probe_major(rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v):
-    """Float64 ``(P, 1)`` Δdist columns and ``(P, K)`` views of the stacks."""
-    _check_weight_columns(rem_w, add_w_u, add_w_v)
+    """Float64 ``(P, 1)`` Δdist columns, ``(P, K)`` views of the stacks and
+    their smallest coefficient (``inf`` when they are empty).
+
+    Rejects exactly the stacks :func:`_check_weight_columns` rejects, from
+    one minimum and one maximum per stack.
+    """
     columns = (
         np.asarray(values).astype(np.float64, copy=False)[:, None]
         for values in (rem_delta, add_s_u, add_s_v)
     )
-    stacks = (
+    stacks = [
         np.asarray(values).astype(np.float64, copy=False).T
         for values in (rem_w, add_w_u, add_w_v)
-    )
-    return (*columns, *stacks)
+    ]
+    # A NaN entry makes both extrema NaN, which fails the test too.
+    w_min = float(np.min([w.min(initial=np.inf) for w in stacks]))
+    w_max = float(np.max([w.max(initial=-np.inf) for w in stacks]))
+    if not (w_min > 0.0 and w_max < np.inf):
+        _check_weight_columns(*(w.T for w in stacks))
+    return (*columns, *stacks, w_min)
 
 
 def _window_extrema(delta, rem_indptr, s_u, s_v, add_indptr, w, w_u, w_v):
@@ -569,8 +653,8 @@ def _window_extrema(delta, rem_indptr, s_u, s_v, add_indptr, w, w_u, w_v):
     ``min(s_u / w_u, s_v / w_v)`` over its non-edges, *not* clamped at 0
     (``-inf`` on an empty segment).  ``(max(add_max, 0), rem_min)`` is the
     weighted window ``(t_min, t_max)``; the stacked mask guesses its runs
-    from the unclamped pair, since a clamped ``-inf`` would send an empty
-    addition segment to the exact settle.
+    from the unclamped pair, since a clamped ``-inf`` would misplace the
+    start of a class that never adds.
     """
     rem_min = _segment_reduce_rows(delta / w, rem_indptr, np.minimum, float("inf"))
     ratio = s_u / w_u
@@ -607,21 +691,106 @@ def _segment_reduce_rows(values, indptr, ufunc, empty):
     return out
 
 
-def _failing_probes(bad, indptr, draws):
-    """The probes of the flat (class, draw) pairs ``bad``, pair by pair.
+def _tolerance_ratio(w_min: float) -> float:
+    """The certificate's ``τ``: ``tol / w_min``, floored at :data:`_TAU_FLOOR`."""
+    return max(BCG_TOL / w_min, _TAU_FLOOR)
+
+
+def _run_bounds(ordered, tau: float):
+    """The certificate's grid sides, each of length ``len(ordered) + 1``.
+
+    Returns ``(removal_lower, addition_lower, upper)``.  Entry ``g`` of the
+    lower sides bounds ``t⁻ = ordered[g - 1]`` (``-inf`` at ``g = 0``) and
+    entry ``g`` of ``upper`` bounds ``t⁺ = ordered[g]`` (``+inf`` at
+    ``g = len(ordered)``), so a side without its grid point holds.
+    """
+    # Infinite or overflowing points give NaN or inf sides: unsure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = _MARGIN * (np.abs(ordered) + tau)
+        return (
+            np.r_[-np.inf, ordered + margin],
+            np.r_[-np.inf, (ordered + tau) + margin],
+            np.r_[(ordered - tau) - margin, np.inf],
+        )
+
+
+def _certified(ratio, guess, lower, upper, strict):
+    """Per (class, draw): whether the certificate proves ``guess`` right."""
+    slack = _MARGIN * np.abs(ratio)
+    # Infinite or overflowing ratios give NaN or inf sides: unsure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = ratio - slack
+        sure = below > lower[guess] if strict else below >= lower[guess]
+        sure &= ratio + slack < upper[guess]
+    return sure
+
+
+def _pair_probes(pairs, indptr, draws):
+    """The probes of the flat (class, draw) pairs ``pairs``, pair by pair.
 
     Returns ``(probe, draw, starts)``: the probe and draw index of every
     probe of every listed pair, and each pair's first entry in them.
     """
-    cls, draw = np.divmod(bad, draws)
+    cls, draw = np.divmod(pairs, draws)
     counts = np.diff(indptr)[cls]
-    starts = np.zeros(bad.shape[0] + 1, dtype=np.intp)
+    starts = np.zeros(pairs.shape[0] + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
     probe = np.repeat(indptr[cls] - starts[:-1], counts) + np.arange(starts[-1])
     return probe, np.repeat(draw, counts), starts[:-1]
 
 
-def _sever_start(padded, delta, indptr, w, rem_min):
+def _settle(guess, unsure, padded, indptr, gather, violates, suffix):
+    """Exact run ends of the flat (class, draw) pairs ``unsure``, in place.
+
+    ``gather(probe, draw)`` returns the per-probe values of those pairs
+    (each pair has at least one probe) and ``violates(t, *values)`` the
+    per-draw kernel's float expression on them, for a scalar ``t`` or one
+    ``t`` per probe.  Violations hold on a suffix (``suffix``: the run
+    stops at the first) or a prefix (it starts after the last) of the
+    sorted grid.  Each guess is checked at the two sorted points around
+    it; a pair whose guess fails is counted over the whole grid.
+    """
+    size = padded.shape[0] - 1
+    probe, draw, starts = _pair_probes(unsure, indptr, guess.shape[1])
+    values = gather(probe, draw)
+    counts = np.diff(starts, append=probe.shape[0])
+    flat = guess.reshape(-1)
+    index = flat[unsure]
+
+    def hits(at):
+        t = np.repeat(padded[at], counts)
+        return np.logical_or.reduceat(violates(t, *values), starts)
+
+    if suffix:
+        ok = ~hits(index - 1) & (hits(index) | (index == size))
+    else:
+        ok = (hits(index - 1) | (index == 0)) & ~hits(index)
+    bad = ~ok
+    if not bool(bad.any()):
+        return
+    keep = np.repeat(bad, counts)
+    values = [v[keep] for v in values]
+    starts = np.zeros(int(bad.sum()), dtype=np.intp)
+    np.cumsum(counts[bad][:-1], out=starts[1:])
+    total = np.zeros(starts.shape[0], dtype=np.intp)
+    for t in padded[:size]:
+        total += np.logical_or.reduceat(violates(t, *values), starts)
+    flat[unsure[bad]] = size - total if suffix else total
+
+
+def _severs(t, delta, w):
+    # The per-draw kernel's removal test: Δ < t·w - tol.
+    return delta < t * w - BCG_TOL
+
+
+def _adds(t, s_u, s_v, w_u, w_v):
+    # The per-draw kernel's addition test.
+    return ((s_u > t * w_u + BCG_TOL) & (s_v >= t * w_v - BCG_TOL)) | (
+        (s_v > t * w_v + BCG_TOL) & (s_u >= t * w_u - BCG_TOL)
+    )
+
+
+def _sever_start(padded, delta, indptr, w, rem_min, bounds):
     """Per (class, draw): the first sorted grid index where a removal severs.
 
     ``delta`` is a ``(P, 1)`` column and ``w`` a ``(P, K)`` stack.  A probe
@@ -630,33 +799,22 @@ def _sever_start(padded, delta, indptr, w, rem_min):
     position of ``rem_min``, the minimum ``Δ / w``.
     """
     size = padded.shape[0] - 1
-    counts = np.diff(indptr)
     guess = np.searchsorted(padded[:size], rem_min, side="right")
-    flags = np.empty(w.shape, dtype=bool)
-
-    def severs(index):
-        t_w = np.repeat(padded[index], counts, axis=0)
-        np.multiply(t_w, w, out=t_w)
-        np.subtract(t_w, BCG_TOL, out=t_w)
-        np.less(delta, t_w, out=flags)
-        return _segment_reduce_rows(flags, indptr, np.logical_or, False)
-
-    ok = ~severs(guess - 1) & (severs(guess) | (guess == size))
-    # Empty segments never sever and always pass, so every failing pair
-    # has at least one probe.
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        probe, draw, starts = _failing_probes(bad, indptr, w.shape[1])
-        d = delta[probe, 0]
-        pw = w[probe, draw]
-        hits = np.zeros(bad.shape[0], dtype=np.intp)
-        for t in padded[:size]:
-            hits += np.logical_or.reduceat(d < t * pw - BCG_TOL, starts)
-        guess.reshape(-1)[bad] = size - hits
+    lower, _lower_add, upper = bounds
+    sure = _certified(rem_min, guess, lower, upper, strict=False)
+    # A class whose every Δ is +inf severs nowhere, whatever the draw.
+    sure |= _segment_reduce_rows(delta, indptr, np.minimum, np.inf) == np.inf
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        _settle(
+            guess, unsure, padded, indptr,
+            lambda probe, draw: (delta[probe, 0], w[probe, draw]),
+            _severs, suffix=True,
+        )
     return guess
 
 
-def _add_stop(padded, s_u, s_v, indptr, w_u, w_v, add_max):
+def _add_stop(padded, s_u, s_v, indptr, w_u, w_v, add_max, bounds):
     """Per (class, draw): how many sorted grid points some non-edge adds at.
 
     ``s_u``/``s_v`` are ``(P, 1)`` columns and ``w_u``/``w_v`` ``(P, K)``
@@ -666,47 +824,24 @@ def _add_stop(padded, s_u, s_v, indptr, w_u, w_v, add_max):
     of ``add_max``, the unclamped maximum least-interested ``save / w``.
     """
     size = padded.shape[0] - 1
-    counts = np.diff(indptr)
     guess = np.searchsorted(padded[:size], add_max, side="left")
-    work = np.empty(w_u.shape, dtype=np.float64)
-    one, two, three = (np.empty(w_u.shape, dtype=bool) for _ in range(3))
-
-    def adds(index):
-        # ((s_u > t·w_u + tol) & (s_v >= t·w_v - tol))
-        #   | ((s_v > t·w_v + tol) & (s_u >= t·w_u - tol))
-        t_w = np.repeat(padded[index], counts, axis=0)
-        np.multiply(t_w, w_u, out=work)
-        np.add(work, BCG_TOL, out=work)
-        np.greater(s_u, work, out=one)
-        np.multiply(t_w, w_u, out=work)
-        np.subtract(work, BCG_TOL, out=work)
-        np.greater_equal(s_u, work, out=two)
-        np.multiply(t_w, w_v, out=t_w)
-        np.add(t_w, BCG_TOL, out=work)
-        np.greater(s_v, work, out=three)
-        np.logical_and(two, three, out=two)
-        np.subtract(t_w, BCG_TOL, out=t_w)
-        np.greater_equal(s_v, t_w, out=three)
-        np.logical_and(one, three, out=one)
-        np.logical_or(one, two, out=one)
-        return _segment_reduce_rows(one, indptr, np.logical_or, False)
-
-    ok = (adds(guess - 1) | (guess == 0)) & ~adds(guess)
-    # Empty segments never add and always pass, so every failing pair has
-    # at least one probe.
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        probe, draw, starts = _failing_probes(bad, indptr, w_u.shape[1])
-        pu, pv = s_u[probe, 0], s_v[probe, 0]
-        qu, qv = w_u[probe, draw], w_v[probe, draw]
-        hits = np.zeros(bad.shape[0], dtype=np.intp)
-        for t in padded[:size]:
-            hits += np.logical_or.reduceat(
-                ((pu > t * qu + BCG_TOL) & (pv >= t * qv - BCG_TOL))
-                | ((pv > t * qv + BCG_TOL) & (pu >= t * qu - BCG_TOL)),
-                starts,
-            )
-        guess.reshape(-1)[bad] = hits
+    _lower, lower, upper = bounds
+    sure = _certified(add_max, guess, lower, upper, strict=True)
+    # A -inf saving adds where t·w overflows to -inf: its class stays exact.
+    sure &= ~_segment_reduce_rows(
+        np.isneginf(s_u) | np.isneginf(s_v), indptr, np.logical_or, False
+    )
+    # An empty segment adds nowhere, whatever the draw.
+    sure |= (np.diff(indptr) == 0)[:, None]
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        _settle(
+            guess, unsure, padded, indptr,
+            lambda probe, draw: (
+                s_u[probe, 0], s_v[probe, 0], w_u[probe, draw], w_v[probe, draw]
+            ),
+            _adds, suffix=False,
+        )
     return guess
 
 
@@ -725,7 +860,7 @@ def weighted_stability_windows_multi(
     :func:`weighted_bcg_stable_mask_multi` reduces too and can hand back
     through its ``windows`` output.  Returns ``(t_min[K, C], t_max[K, C])``.
     """
-    rem_delta, s_u, s_v, rem_w, w_u, w_v = _probe_major(
+    rem_delta, s_u, s_v, rem_w, w_u, w_v, _w_min = _probe_major(
         rem_delta, add_s_u, add_s_v, rem_w, add_w_u, add_w_v
     )
     add_max, rem_min = _window_extrema(

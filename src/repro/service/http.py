@@ -22,8 +22,9 @@ which is what lets the :class:`~repro.service.batching.GridBatcher` see
 genuinely concurrent threads and coalesce them into shared kernel calls.
 The event loop itself never blocks on NumPy.
 
-Shutdown is graceful: SIGTERM/SIGINT stop the listener, in-flight requests
-get a drain grace period, then the loop exits.  Binding port ``0`` picks a
+Shutdown is graceful: SIGTERM/SIGINT stop the listener, connections that
+wait for a request line are closed, in-flight requests get a drain grace
+period, then the loop exits.  Binding port ``0`` picks a
 free port and prints the actual one (used by the smoke test and benches).
 """
 
@@ -122,6 +123,10 @@ class ArtifactServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._stop: Optional[asyncio.Event] = None
         self._inflight = 0
+        # Open connections, each mapped to whether its handler waits for a
+        # request line (idle) rather than serving one.
+        self._connections: Dict[asyncio.StreamWriter, bool] = {}
+        self._draining = False
         self._start_time = 0.0
 
     # ------------------------------------------------------------------ #
@@ -156,13 +161,25 @@ class ArtifactServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def _drain(self) -> None:
-        """Stop accepting, wait out in-flight requests, release the pool."""
+        """Stop accepting, close idle connections, wait out in-flight
+        requests, release the pool.
+
+        An idle connection's handler sees end-of-stream and returns, and a
+        busy one closes its connection after its response, so no handler
+        is left for the loop's teardown to cancel.
+        """
+        self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for writer, idle in list(self._connections.items()):
+            if idle:
+                writer.close()
         deadline = time.monotonic() + self.drain_grace
-        while self._inflight > 0 and time.monotonic() < deadline:
+        while self._connections and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        if self._server is not None and not self._connections:
+            # Since Python 3.12 this also waits for every connection.
+            await self._server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         self.started.clear()
@@ -175,9 +192,10 @@ class ArtifactServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
+            while not self._draining:
+                self._connections[writer] = True
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except HTTPError as error:
                     # The body was left unread, so the stream cannot carry
                     # another request: answer, then close.
@@ -204,6 +222,7 @@ class ArtifactServer:
                 status, payload, content_type = await self._dispatch(
                     method, path, body
                 )
+                keep_alive = keep_alive and not self._draining
                 await self._write_response(
                     writer, status, payload, content_type, keep_alive
                 )
@@ -212,6 +231,7 @@ class ArtifactServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -219,7 +239,7 @@ class ArtifactServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
             request_line = await reader.readline()
@@ -227,8 +247,11 @@ class ArtifactServer:
             return None
         except ValueError:  # the line outgrew the stream limit
             raise HTTPError(414, "request line too long")
-        if not request_line:
+        # A line cut short by end-of-stream (a drain closing the
+        # connection, or a client leaving) is no request.
+        if not request_line.endswith(b"\n"):
             return None
+        self._connections[writer] = False
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None
@@ -443,7 +466,7 @@ class ArtifactServer:
         return self.api.figure(
             ref,
             quantity=str(request.get("quantity", "average_poa")),
-            points=_int_field(request, "points", 24, MAX_POINTS),
+            points=_int_field(request, "points", 24, MAX_POINTS, minimum=1),
         )
 
     def _query_windows(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -456,7 +479,7 @@ class ArtifactServer:
             n=_int_field(request, "n", 6, MAX_ENSEMBLE_N),
             draws=_int_field(request, "draws", 8, MAX_DRAWS),
             seed=_int_field(request, "seed", 0),
-            grid=_int_field(request, "grid", 8, MAX_GRID),
+            grid=_int_field(request, "grid", 8, MAX_GRID, minimum=1),
             delta=_artifact_field(request, "delta", required=False),
         )
 
@@ -513,12 +536,16 @@ def _int_field(
     name: str,
     default: int,
     limit: Optional[int] = None,
+    minimum: Optional[int] = None,
 ) -> int:
-    """An integer body field, refused above ``limit`` when one is given."""
+    """An integer body field, refused outside ``[minimum, limit]`` (each
+    bound only when given)."""
     try:
         value = int(request.get(name, default))
     except (TypeError, ValueError, OverflowError):
         raise HTTPError(400, f"{name!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise HTTPError(400, f"{name!r} is {value}; it must be at least {minimum}")
     if limit is not None:
         _check_limit(name, value, limit)
     return value

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.delta_store import DeltaStore, cached_delta_store
+from repro.engine import columnar
 from repro.engine.shardwork import load_shard
 from repro.analysis.scenarios import SCENARIOS, build_scenario, default_t_grid
 from repro.analysis.store import clear_store_cache
 from repro.analysis.weighted_store import WeightedStore
 from repro.costmodels.models import UniformCost
 from repro.engine.columnar import (
+    BCG_TOL,
     weighted_bcg_stable_mask,
     weighted_bcg_stable_mask_multi,
     weighted_stability_windows,
@@ -99,11 +101,11 @@ EDGE_GRIDS = {
 NEGATIVE_GRID = [0.25 * j for j in range(-4, 30)]
 
 
-def random_weight_matrices(n, draws):
-    """Coefficient matrices of ``random_weights`` seeds ``0 .. draws - 1``."""
+def random_weight_matrices(n, draws, first=0):
+    """Coefficient matrices of ``random_weights`` seeds ``first ..``."""
     return [
         build_scenario("random_weights", n, seed=seed).model.coefficient_matrix(n)
-        for seed in range(draws)
+        for seed in range(first, first + draws)
     ]
 
 
@@ -178,6 +180,19 @@ class TestStackedMaskRuns:
         for ts in EDGE_GRIDS.values():
             self.assert_rows_match(delta, matrices, ts)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("stack", [5, 6, 7], ids=["rem_w", "add_w_u", "add_w_v"])
+    def test_rejects_bad_coefficients_in_any_stack(self, stack, bad):
+        columns = list(hand_built_columns(3))
+        columns[stack] = columns[stack].copy()
+        columns[stack][1, 2] = bad
+        for kernel, extra in (
+            (weighted_bcg_stable_mask_multi, ([1.0],)),
+            (weighted_stability_windows_multi, ()),
+        ):
+            with pytest.raises(ValueError, match="strictly positive"):
+                kernel(*columns, *extra)
+
     @pytest.mark.parametrize("draws", [1, 16])
     def test_hand_built_columns_with_nan_and_inf(self, draws):
         """Non-finite Δ and savings never place a run; rows still match."""
@@ -186,6 +201,236 @@ class TestStackedMaskRuns:
             multi = weighted_bcg_stable_mask_multi(*columns, ts)
             for k, mask in enumerate(per_draw_masks(*columns, ts)):
                 assert np.array_equal(multi[k], mask), (k, ts)
+
+
+def ulp_moved(values, steps):
+    """``values`` moved ``steps`` ulps (up for ``steps > 0``)."""
+    moved = np.asarray(values, dtype=np.float64)
+    for _ in range(abs(steps)):
+        moved = np.nextafter(moved, np.inf if steps > 0 else -np.inf)
+    return moved
+
+
+def near_tie_grids(ratios, tau, seed=0, picks=6):
+    """Scale grids within rounding or tolerance distance of sampled ratios.
+
+    ``picks`` finite values of ``ratios`` (window ends) are sampled; the
+    grids put points exactly on them (``on``), 1–4 ulps either side
+    (``ulps``), ``±{0.5, 1 ± 1e-3, 1, 2}·τ`` off them (``tolerance``),
+    those offsets on one side only with ``2τ`` on the other (``below``,
+    ``above``: the far point lets the certificate decide the near side),
+    0–2 ulps around ``±τ`` off them (``tolerance_ulps``), and mix the ulp
+    points with ``t <= 0`` and ``±inf`` (``signed``).
+    """
+    finite = np.unique(ratios[np.isfinite(ratios)])
+    pick = np.random.default_rng(seed).choice(
+        finite, size=min(picks, finite.size), replace=False
+    )
+    ulps = np.concatenate(
+        [pick] + [ulp_moved(pick, k) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    )
+    near = {
+        sign: np.concatenate([
+            pick + sign * scale * tau for scale in (0.5, 0.999, 1.0, 1.001)
+        ])
+        for sign in (-1, 1)
+    }
+    grids = {
+        "on": pick,
+        "ulps": ulps,
+        "tolerance": np.concatenate(
+            [near[-1], near[1], pick - 2 * tau, pick + 2 * tau]
+        ),
+        "below": np.concatenate([near[-1], pick + 2 * tau]),
+        "above": np.concatenate([near[1], pick - 2 * tau]),
+        "tolerance_ulps": np.concatenate([
+            ulp_moved(pick + sign * tau, k) for sign in (-1, 1) for k in range(-2, 3)
+        ]),
+        "signed": np.concatenate([ulps, -pick, [0.0, -0.0, -1.0, np.inf, -np.inf]]),
+    }
+    return {name: [float(t) for t in grid] for name, grid in grids.items()}
+
+
+def draw_groups(n):
+    """Coefficient stacks whose runs sit near grid points in different ways.
+
+    Each group is its own stack, so its ``τ = tol / w_min`` is its own:
+    random draws, the same scaled by 1e-9 and 1e9 and rounded to quarters,
+    and two uniform costs, whose every probe has ``tol / w = τ``.
+    """
+    random = [np.asarray(m, dtype=np.float64) for m in random_weight_matrices(n, 8)]
+    return {
+        "random": random,
+        "tiny": [m * 1e-9 for m in random[:4]],
+        "huge": [m * 1e9 for m in random[:4]],
+        "quarters": [np.round(m * 4) / 4 for m in random[:4]],
+        "unit": [np.asarray(UniformCost(1.0).coefficient_matrix(n))],
+        "uniform": [np.asarray(UniformCost(1.37).coefficient_matrix(n))] * 2,
+    }
+
+
+def big_payoff_columns(classes=256, seed=5):
+    """One removal probe and one non-edge per class, with payoffs so large
+    that an ulp of them exceeds ``tol``: wherever ``fl(fl(Δ/w)·w) > Δ``, a
+    grid point exactly on the ratio ``Δ/w`` already severs."""
+    rng = np.random.default_rng(seed)
+    indptr = np.arange(classes + 1)
+    payoff = rng.integers(10**7, 10**12, size=(3, classes)).astype(np.float64)
+    weights = rng.uniform(0.5, 2.0, size=(3, 1, classes))
+    return (payoff[0], indptr, payoff[1], payoff[2], indptr, *weights)
+
+
+def edge_case_columns():
+    """Hand-built column sets at the certificate's edges, one ``τ`` each.
+
+    ``overflow``: a finite Δ over a subnormal ``w`` (``Δ / w`` overflows
+    to ``+inf``, yet ``Δ`` severs at ``t = inf``) beside a class whose
+    every Δ is ``+inf``.  ``underflow``: Δ and savings of ``1e-300`` over
+    ``w = 1e10``, whose ratios are subnormal.  ``negative_infinity``: a
+    non-edge with a ``-inf`` saving and ``w`` near the float maximum,
+    which adds wherever ``t·w`` overflows to ``-inf`` (``t <= -2``),
+    beside one whose ratio is ``-5``, and a ``-inf`` Δ.  ``symmetric``:
+    non-edges whose two savings tie under a uniform ``w``, so at
+    ``t = save / w - τ / 2`` neither endpoint clears ``t·w + tol``.
+    """
+    big = 1.7e308
+    return {
+        "overflow": (
+            np.array([1.0, np.inf, np.inf]), np.array([0, 1, 3]),
+            np.array([1.0]), np.array([2.0]), np.array([0, 1, 1]),
+            np.array([[1e-310, 1.0, 2.0]]), np.array([[1e-310]]), np.array([[1.0]]),
+        ),
+        "underflow": (
+            np.array([1e-300, 3e-300]), np.array([0, 1, 2]),
+            np.array([1e-300, 2e-300]), np.array([2e-300, 1e-300]),
+            np.array([0, 1, 2]),
+            np.array([[1e10, 3e10]]),
+            np.array([[1e10, 2e10]]),
+            np.array([[1e10, 1e10]]),
+        ),
+        "negative_infinity": (
+            np.array([2.0, -np.inf]), np.array([0, 1, 2]),
+            np.array([-np.inf, -5.0, 1.0]), np.array([5.0, -5.0, 1.0]),
+            np.array([0, 2, 3]),
+            np.ones((1, 2)), np.array([[big, 1.0, 1.0]]), np.array([[big, 1.0, 1.0]]),
+        ),
+        "symmetric": (
+            np.array([4.0, 3.0, 6.0]), np.array([0, 1, 2, 3]),
+            np.array([2.0, 1.0, 3.0]), np.array([2.0, 1.0, 3.0]),
+            np.array([0, 1, 2, 3]),
+            np.full((2, 3), 1.37), np.full((2, 3), 1.37), np.full((2, 3), 1.37),
+        ),
+    }
+
+
+#: Scale points around and beyond the float range, for edge_case_columns.
+EXTREME_GRID = [
+    -np.inf, -1e300, -3.0, -2.0, -1.0, -0.0, 0.0, 5e-324, 1e-315, 1e-310,
+    1e-12, 1.0, 1e300, 1.7976931348623157e308, np.inf,
+]
+
+
+def stack_cases(n):
+    """``(columns, grid)`` kernel cases: every draw group of the n store,
+    and the hand-built non-finite columns, each on its own near-tie grids."""
+    delta = DeltaStore.build(n)
+    shared = (
+        delta.rem_delta, delta.rem_indptr,
+        delta.add_s_u, delta.add_s_v, delta.add_indptr,
+    )
+    groups = [
+        (*shared, *delta.stacked_weights(matrices))
+        for matrices in draw_groups(n).values()
+    ]
+    return [
+        (columns, grid)
+        for seed, columns in enumerate(groups + [hand_built_columns(8)])
+        for grid in near_tie_grids(
+            np.concatenate(weighted_stability_windows_multi(*columns), axis=None),
+            BCG_TOL / min(float(np.min(w)) for w in columns[5:]),
+            seed=seed,
+        ).values()
+    ]
+
+
+def big_payoff_cases():
+    """The big-payoff columns on grids exactly on and one ulp above their
+    window ratios."""
+    columns = big_payoff_columns()
+    ratios = np.concatenate(weighted_stability_windows_multi(*columns), axis=None)
+    return [
+        (columns, [float(t) for t in grid])
+        for grid in (ratios, ulp_moved(ratios, 1))
+    ]
+
+
+def mismatching_cells(cases):
+    """Cells where the stacked mask differs from the per-draw kernel."""
+    return sum(
+        int(np.count_nonzero(
+            weighted_bcg_stable_mask_multi(*columns, grid)
+            != np.array(per_draw_masks(*columns, grid))
+        ))
+        for columns, grid in cases
+    )
+
+
+class TestCertifiedRuns:
+    """The stacked mask trusts a guessed run end where its rounding-and-
+    tolerance margin proves it; every row must still equal the per-t
+    reference on grids placed right at the ratios the guesses come from,
+    and the row tests must fail once either margin term is dropped."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_near_tie_grids(self, n):
+        assert mismatching_cells(stack_cases(n)) == 0
+
+    def test_big_payoffs_on_their_ratios(self):
+        assert mismatching_cells(big_payoff_cases()) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(edge_case_columns()))
+    def test_edge_case_columns(self, case):
+        columns = edge_case_columns()[case]
+        ratios = np.concatenate(weighted_stability_windows_multi(*columns), axis=None)
+        tau = BCG_TOL / min(float(np.min(w)) for w in columns[5:])
+        grids = [EXTREME_GRID] + list(near_tie_grids(ratios, tau, picks=8).values())
+        assert mismatching_cells([(columns, grid) for grid in grids]) == 0
+
+    def test_rounding_term_is_load_bearing(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_MARGIN", 0.0)
+        assert mismatching_cells(big_payoff_cases()) > 0
+
+    def test_tolerance_term_is_load_bearing(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_tolerance_ratio", lambda w_min: 0.0)
+        assert mismatching_cells(stack_cases(6)) > 0
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="512 n = 7 draws take ~13 s; set REPRO_SLOW_TESTS=1 to run",
+    )
+    def test_randomized_near_ties(self):
+        """512 ``random_weights`` draws at n = 7 and every registry scenario
+        at n = 6, each slice on grids within a few ulps of its own ratios."""
+        cases = []
+        for n, matrices in (
+            (7, random_weight_matrices(7, 512, first=1000)),
+            (6, [sc.model.coefficient_matrix(6) for seed in range(8)
+                 for sc in scenario_models(6, seed=seed)]),
+        ):
+            delta = DeltaStore.build(n)
+            shared = (
+                delta.rem_delta, delta.rem_indptr,
+                delta.add_s_u, delta.add_s_v, delta.add_indptr,
+            )
+            for first in range(0, len(matrices), 8):
+                columns = (*shared, *delta.stacked_weights(matrices[first:first + 8]))
+                ratios = np.concatenate(
+                    weighted_stability_windows_multi(*columns), axis=None
+                )
+                grids = near_tie_grids(ratios, 0.0, seed=first, picks=8)
+                cases.append((columns, grids["ulps"]))
+        assert mismatching_cells(cases) == 0
 
 
 #: Draw counts around ``DRAW_SLICE`` (8): part of a slice, one slice, one

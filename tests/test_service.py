@@ -772,6 +772,67 @@ class TestHTTPServer:
         )
         assert (status, served[field]) == (200, limit)
 
+    @pytest.mark.parametrize(
+        "path, field, value",
+        [(GRID, "points", 0), (GRID, "points", -1),
+         (ENSEMBLE, "grid", 0), (ENSEMBLE, "grid", -2)],
+        ids=["points-zero", "points-negative", "grid-zero", "grid-negative"],
+    )
+    def test_non_positive_sizes_are_refused(
+        self, server, monkeypatch, path, field, value
+    ):
+        """A size below 1 is refused before any work, instead of being
+        answered on a 2-point grid the client never asked for."""
+        calls = []
+        for name in ("figure", "ensemble_stats"):
+            monkeypatch.setattr(
+                server.api, name, lambda *args, **kw: calls.append(kw) or {}
+            )
+        body = {"artifact": "census4.npz"} if path == GRID else SMALL_ENSEMBLE
+        assert self._reply(server, path, dict(body, **{field: value})) == (
+            400,
+            {"error": f"'{field}' is {value}; it must be at least 1", "status": 400},
+        )
+        assert calls == []
+
+    def test_one_point_figure_keeps_its_two_point_grid(self, server):
+        one = self._post(server, GRID, {"artifact": "census4.npz", "points": 1})
+        two = self._post(server, GRID, {"artifact": "census4.npz", "points": 2})
+        assert one["points"] == 2
+        assert one == two
+
+    def test_shutdown_closes_idle_keep_alive_connections_cleanly(
+        self, artifact_dir, caplog
+    ):
+        """A connection waiting for its next request is closed by the
+        drain: its handler returns instead of being cancelled at loop
+        teardown (which logs a CancelledError traceback), and the client
+        reads a clean end of stream."""
+        server, thread = start_in_thread(
+            api=QueryAPI(ArtifactCatalog(root=str(artifact_dir)))
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(65536)
+            assert b"Connection: keep-alive" in head
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.shutdown()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            length = int(
+                head.split(b"Content-Length: ")[1].split(b"\r\n")[0]
+            )
+            rest = head.partition(b"\r\n\r\n")[2]
+            while len(rest) < length:
+                rest += sock.recv(65536)
+            assert json.loads(rest)["status"] == "ok"
+            assert sock.recv(1) == b""
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
     def test_refs_outside_the_root_are_404_and_never_listed(
         self, server, tmp_path
     ):
