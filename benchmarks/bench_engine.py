@@ -49,8 +49,8 @@ repository root so future PRs have a perf trajectory to compare against:
   extrapolated from a measured prefix of the same seed sequence; the
   overlapping draws' counts are asserted bit-identical and the O(classes)
   streaming aggregation state is recorded as the peak-memory proxy;
-* **UCG orientation engine at n = 7** (schema v8) — the vectorised,
-  orbit-pruned α-interval engine (:func:`repro.engine.ucg_alpha_sets`) over
+* **UCG orientation engine at n = 7** (schema v8) — the vectorised
+  α-interval engine (:func:`repro.engine.ucg_alpha_sets`) over
   all 853 connected classes vs the per-graph orientation backtracking
   (timed on a strided sample and extrapolated — the full reference run
   takes minutes); interval endpoints asserted float-identical on the

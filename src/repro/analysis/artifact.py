@@ -607,8 +607,8 @@ def _stream_shard(task: Tuple) -> dict:
 
     def flush() -> None:
         parts.append(analyse(pending, n, oracle, **options))
-        # Graphs arrive canonical with their automorphism record memoised
-        # (so the batched UCG engine orbit-prunes); drop it once analysed.
+        # Graphs arrive canonical with the automorphism record the
+        # enumerator memoised; no engine reads it, so drop it once analysed.
         for graph in pending:
             clear_canonical_record(graph)
         obs.counter(

@@ -251,8 +251,13 @@ def scenario_from_params(params: Dict[str, object]) -> Scenario:
 
 
 def default_t_grid(n: int, count: int = 12) -> List[float]:
-    """The default scale grid of a scenario sweep (log-spaced, like figures)."""
+    """The default scale grid of a scenario sweep (log-spaced, like figures).
+
+    ``max(2, count)`` points; ``count < 1`` asks for none and is refused.
+    """
     if n < 1:
         raise ValueError(f"an n = {n} scenario has no scale grid")
+    if count < 1:
+        raise ValueError(f"a grid needs at least one point, got {count}")
     return log_spaced_alphas(0.2, float(n * n), max(2, count))
 

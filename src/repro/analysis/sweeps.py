@@ -55,10 +55,13 @@ def figure_cost_grid(n: int, points: int) -> List[float]:
 
     ``max(2, points)`` costs, log-spaced over ``[0.4, 2n²]``: the BCG link
     costs of the aligned games then span ``[0.2, n²]``, the range of
-    :func:`default_alpha_grid`.  An ``n < 1`` census has no such grid.
+    :func:`default_alpha_grid`.  An ``n < 1`` census has no such grid, and
+    ``points < 1`` asks for none.
     """
     if n < 1:
         raise ValueError(f"an n = {n} census has no link-cost grid")
+    if points < 1:
+        raise ValueError(f"a grid needs at least one point, got {points}")
     return log_spaced_alphas(0.4, 2.0 * n * n, max(2, points))
 
 

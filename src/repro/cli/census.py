@@ -126,6 +126,9 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         parser.print_usage(sys.stderr)
         print("exactly one of --n and --load is required", file=sys.stderr)
         return 2
+    if args.grid < 0:
+        print("--grid must be positive, or 0 for no table", file=sys.stderr)
+        return 2
     if require_streamed(
         args, ("--shard-dir", "--shard-timeout", "--shard-retries", "--progress")
     ):

@@ -121,6 +121,9 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         for name in available_scenarios():
             print(name)
         return 0
+    if args.grid < 1:
+        print("--grid must be positive", file=sys.stderr)
+        return 2
     if args.verify and not (args.save or args.load):
         print("--verify audits an artifact; add --save or --load", file=sys.stderr)
         return 2

@@ -35,11 +35,9 @@ both, so the core/analysis/experiments layers never re-derive them ad hoc:
     matrix products (see :mod:`repro.engine.batch`) and returns them as
     the delta columns every store reduces: per-probe Δ values with their
     endpoint indices in ragged CSR layout, plus edge counts and distance
-    totals.  Graphs with ``n > 63`` take the per-graph oracle path, which
-    orbit-prunes its probes (one representative per orbit of ordered
-    vertex pairs, results expanded across the orbit) whenever automorphism
-    data is already memoised on the graph.  Numerically identical to the
-    oracle path.
+    totals.  Graphs with ``n > 63`` take the per-graph oracle path
+    (:meth:`DistanceOracle.stability_deltas`).  Numerically identical to
+    the oracle path.
 
 :func:`parallel_map`
     A process-pool fan-out with a deterministic serial fallback.  ``jobs``

@@ -22,50 +22,27 @@ triangle walks each graph's edges and non-edges in ``sorted_edges`` /
 per-probe Python loop.
 
 Graphs with ``n > 63`` no longer fit an int64 adjacency lane and take the
-per-graph oracle path, where every removal probe is a real BFS.  There
-probes are **orbit-pruned** whenever the graph's canonical record is already
-memoised on the instance (as it is for every graph the canonical-augmentation
-enumerator produces), so no caller pays a canonical search it did not
-already need: the deviation payoff of endpoint ``u`` toggling ``{u, v}`` is
-constant on each automorphism orbit of ordered vertex pairs (see
-:func:`repro.graphs.isomorphism.ordered_pair_orbits`), so one representative
-per orbit is probed and the result expanded across the orbit.
+per-graph path, :meth:`DistanceOracle.stability_deltas
+<repro.engine.oracle.DistanceOracle.stability_deltas>`, where every
+non-bridge removal probe is a real BFS.
 
 The numeric contract is identical to :class:`repro.engine.DistanceOracle`
 (and therefore to the seed's per-probe BFS): hop counts, ``inf`` for
-unreachable pairs, and the ``∞ - ∞ = 0`` delta convention.  Orbit expansion
-is exact, not approximate: orbit-mates are relabellings of the same probe and
-all quantities are integer-valued (or infinite), so expanded tables are
-bit-identical to full probing.
+unreachable pairs, and the ``∞ - ∞ = 0`` delta convention.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..graphs.graph import Graph
-from ..graphs.isomorphism import cached_canonical_record, ordered_pair_orbits
-from ..graphs.properties import bridges
 from .columnar import concat_csr, gather_segments
-from .oracle import (
-    DeltaTables,
-    DistanceOracle,
-    addition_probe,
-    get_default_oracle,
-    removal_probe,
-)
-
-Edge = Tuple[int, int]
-
-#: An orbit-pruned probe plan: ``(removal_orbits, addition_orbits)`` where
-#: each orbit is a list of ordered pairs ``(endpoint, other)`` sharing one
-#: deviation value.
-ProbePlan = Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]
+from .oracle import DistanceOracle, get_default_oracle
 
 #: Dtypes of the dense and flat delta columns (CSR offsets are int64).
 _DTYPES = {
@@ -125,24 +102,6 @@ def _instrument_batch(name: str):
     return decorate
 
 
-def _probe_plan(graph: Graph) -> Optional[ProbePlan]:
-    """The orbit-pruned probe plan for ``graph``, or ``None`` for full probing.
-
-    Pruning engages only when the canonical record is already memoised on
-    the instance; graphs with a trivial automorphism group gain nothing from
-    pruning and use full probing.
-    """
-    record = cached_canonical_record(graph) if graph.n > 1 else None
-    if record is None or not record.generators:
-        return None
-    removal: List[List[Tuple[int, int]]] = []
-    addition: List[List[Tuple[int, int]]] = []
-    for orbit in ordered_pair_orbits(graph, record):
-        u, v = orbit[0]
-        (removal if graph.has_edge(u, v) else addition).append(orbit)
-    return (removal, addition)
-
-
 @_instrument_batch("batch_stability_deltas")
 def batch_stability_deltas(
     graphs: Sequence[Graph], oracle: Optional[DistanceOracle] = None
@@ -150,9 +109,8 @@ def batch_stability_deltas(
     """Every single-link deviation payoff of a batch of graphs, as columns.
 
     Graphs are grouped by vertex count: groups with ``n <= 63`` run the
-    tensorised kernels below, wider graphs the per-graph ``oracle`` path
-    (orbit-pruned where a canonical record is memoised; see the module
-    docstring).  Each value equals the matching entry of
+    tensorised kernels below, wider graphs the per-graph ``oracle`` path.
+    Each value equals the matching entry of
     :meth:`DistanceOracle.stability_deltas
     <repro.engine.oracle.DistanceOracle.stability_deltas>`.  Rows are in
     input order:
@@ -296,10 +254,9 @@ def _per_graph_columns(
     rem_counts: List[int] = []
     add_counts: List[int] = []
     for graph in graphs:
-        removal, addition = _per_graph_deltas(graph, _probe_plan(graph), oracle)
+        removal, addition = oracle.stability_deltas(graph)
         values["num_edges"].append(graph.num_edges)
-        # The probes above memoised every source sum they touched, so this
-        # costs at most a few extra single-source BFS runs.
+        # The probes above memoised every source sum, so this runs no BFS.
         values["dist_total"].append(
             float(sum(oracle.distance_sum(graph, v) for v in range(graph.n)))
         )
@@ -317,63 +274,6 @@ def _per_graph_columns(
             values["add_v"].append(v)
         add_counts.append(len(non_edges))
     return _delta_columns(rem_counts, add_counts, **values)
-
-
-def _per_graph_deltas(
-    graph: Graph, plan: Optional[ProbePlan], oracle: DistanceOracle
-) -> DeltaTables:
-    """Per-graph deviation tables, honouring an orbit-pruned probe plan.
-
-    The pruned path evaluates the same per-probe primitives as
-    :meth:`DistanceOracle.stability_deltas`
-    (:func:`repro.engine.oracle.removal_probe` /
-    :func:`~repro.engine.oracle.addition_probe`, so the exact-delta contract
-    lives in one place) — but only one representative per orbit, so it does
-    strictly less work than full probing whenever the graph has any
-    symmetry.
-    """
-    if plan is None:
-        return oracle.stability_deltas(graph)
-    cached = oracle.cached_stability_deltas(graph)
-    if cached is not None:
-        return cached
-    removal_orbits, addition_orbits = plan
-    vectors: Dict[int, List[float]] = {}
-    shifted: Dict[int, List[float]] = {}
-    sums: Dict[int, float] = {}
-
-    def base_sum(vertex: int) -> float:
-        value = sums.get(vertex)
-        if value is None:
-            vector = oracle.distance_vector(graph, vertex)
-            vectors[vertex] = vector
-            value = sum(vector)
-            sums[vertex] = value
-        return value
-
-    def expand(table: Dict[Tuple[Edge, int], float], orbit, value: float) -> None:
-        for a, b in orbit:
-            table[((a, b) if a < b else (b, a), a)] = value
-
-    removal: Dict[Tuple[Edge, int], float] = {}
-    bridge_edges = set(bridges(graph)) if removal_orbits else set()
-    for orbit in removal_orbits:
-        u, v = orbit[0]
-        edge = (u, v) if u < v else (v, u)
-        expand(removal, orbit, removal_probe(graph, edge, u, base_sum(u), bridge_edges))
-
-    addition: Dict[Tuple[Edge, int], float] = {}
-    for orbit in addition_orbits:
-        u, v = orbit[0]
-        base = base_sum(u)
-        base_sum(v)
-        shifted_v = shifted.get(v)
-        if shifted_v is None:
-            shifted_v = [d + 1 for d in vectors[v]]
-            shifted[v] = shifted_v
-        expand(addition, orbit, addition_probe(vectors[u], shifted_v, base))
-    oracle.store_stability_deltas(graph, removal, addition)
-    return (removal, addition)
 
 
 def _removal_without_sums(A, n, probe_g, sources, others):

@@ -44,12 +44,10 @@ def removal_probe(
 ) -> float:
     """Exact removal increase for one ``(edge, source)`` probe.
 
-    The single authoritative per-probe implementation shared by the oracle's
-    batched :meth:`DistanceOracle.stability_deltas` pass and the
-    orbit-pruned path of :mod:`repro.engine.batch`: severing a *bridge*
-    disconnects the source from the far side (``∞``, or 0 when the source's
-    cost was already infinite); any other edge costs one forbidden-edge
-    bitset BFS.
+    The per-probe step of :meth:`DistanceOracle.stability_deltas`: severing
+    a *bridge* disconnects the source from the far side (``∞``, or 0 when
+    the source's cost was already infinite); any other edge costs one
+    forbidden-edge bitset BFS.
     """
     if edge in bridge_edges:
         return INFINITY if base != INFINITY else 0.0
@@ -64,8 +62,8 @@ def addition_probe(
 
     ``shifted_other`` is the other endpoint's distance vector plus one; with
     a single new edge the updated distances from the source are exactly
-    ``min(d_source, 1 + d_other)``, so no BFS is needed.  Shared by the
-    oracle and the orbit-pruned batch path.
+    ``min(d_source, 1 + d_other)``, so no BFS is needed.  The per-probe
+    step of :meth:`DistanceOracle.stability_deltas`.
     """
     return distance_delta(base, sum(map(min, vector, shifted_other)))
 
@@ -212,38 +210,6 @@ class DistanceOracle:
         else:
             self.hits += 1
         return value
-
-    def cached_stability_deltas(self, graph: Graph) -> Optional[DeltaTables]:
-        """The memoised deviation tables if present (fresh copies), else ``None``.
-
-        Lets external probe strategies (e.g. the orbit-pruned per-graph path
-        of :mod:`repro.engine.batch`) reuse a profile that
-        :meth:`stability_deltas` already computed without recomputing it.
-        """
-        entry = self._entries.get(graph)
-        if entry is None or entry.profile is None:
-            return None
-        self._entries.move_to_end(graph)
-        self.hits += 1
-        return (dict(entry.profile[0]), dict(entry.profile[1]))
-
-    def store_stability_deltas(
-        self,
-        graph: Graph,
-        removal: Dict[EndpointKey, float],
-        addition: Dict[EndpointKey, float],
-    ) -> None:
-        """Seed the per-graph profile memo with externally computed tables.
-
-        The inverse of :meth:`cached_stability_deltas`: a caller that derived
-        the complete deviation tables some other exact way (orbit expansion,
-        the vectorised batch kernel) deposits them so later
-        :meth:`stability_deltas` calls hit the cache.  Stored copies are
-        private to the oracle.
-        """
-        entry = self._entry(graph)
-        if entry.profile is None:
-            entry.profile = (dict(removal), dict(addition))
 
     def stability_deltas(self, graph: Graph) -> DeltaTables:
         """All single-link deviation payoffs of ``graph`` in one batched pass.

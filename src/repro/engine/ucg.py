@@ -1,4 +1,4 @@
-"""Vectorised, orbit-pruned UCG Nash-supportability engine.
+"""Vectorised UCG Nash-supportability engine.
 
 :func:`repro.core.unilateral.ucg_nash_alpha_set` decides graph-level Nash
 supportability of the unilateral game by backtracking over edge
@@ -31,14 +31,10 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    group extremum *before* the division produces bit-identical endpoints
    to the reference's per-subset fold.
 
-2. **Vertex-orbit pruning.**  ``D_p`` tables (and, in the scalar game, the
-   final option tables) of automorphic players are permuted copies of each
-   other: ``table_{σp}[σ(A)] = table_p[A]``.  When a graph carries a
-   memoised canonical record (the census generator always does), tables are
-   computed for one representative per vertex orbit and expanded by a
-   mask-permutation gather.
+   Every ``(graph, player)`` row of a chunk gets its own tables, so the
+   result depends on the graph alone, not on what its instance memoises.
 
-3. **Chunk-batched, bit-parallel orientation search.**  Backtracking over
+2. **Chunk-batched, bit-parallel orientation search.**  Backtracking over
    orientations is replaced by a dynamic program over vertices that runs in
    lock-step over every graph of a chunk.  The search only ever *selects*
    interval endpoints (max lo, min hi, gluing of touching intervals), so
@@ -63,8 +59,9 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    ``bitwise_or.reduceat``.
 
 The weighted game (:func:`weighted_ucg_t_sets`) reads the same
-model-independent ``D_p`` tables (distances are unweighted hops), gathered
-into full-mask rows of ``V``, and replaces purchase counts
+model-independent ``D_p`` tables (distances are unweighted hops), each row
+gathered from its own ``V∖{p}`` masks into full masks of ``V``, and
+replaces purchase counts
 by exact link-cost sums: a high-bit DP replays
 :meth:`CostModel.player_link_cost`'s ascending left fold bit-for-bit, with
 :class:`UniformCost`'s ``α·|S|`` closed form special-cased, so the weighted
@@ -77,12 +74,11 @@ backtracking reference, which is also what every test asserts against.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from .. import obs
-from ..graphs.isomorphism import cached_canonical_record
 
 INFINITY = float("inf")
 
@@ -108,99 +104,6 @@ _FLOAT_SUMS = np.where(np.arange(256) == _INF8, np.inf, np.arange(256.0))
 
 #: ``_LOW_BITS[k]`` has the ``k`` lowest bits of a 64-bit word set.
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
-
-
-# --------------------------------------------------------------------------- #
-# Orbit plans: one representative player per vertex orbit + mask gathers
-# --------------------------------------------------------------------------- #
-
-
-def _mask_images(perms, n: int):
-    """``images[k, mask]`` = image of ``mask`` under vertex permutation ``k``."""
-    perms = np.asarray(perms, dtype=np.int64).reshape(-1, n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    images = np.zeros((len(perms), 1 << n), dtype=np.int64)
-    for b in range(n):
-        images |= ((masks >> b) & 1) << perms[:, b, None]
-    return images
-
-
-def _orbit_plan(graph, image_ids: Dict):
-    """``(reps, rep_of, image_of)`` for one graph.
-
-    ``reps`` lists the players whose tables must actually be computed;
-    player ``p`` reads representative ``rep_of[p]``'s table through the
-    ``σ^{-1}`` vertex permutation numbered ``image_of[p]`` in ``image_ids``
-    (which maps permutation tuples to ids and starts with the identity as
-    id 0).  Pruning engages only when the canonical record is already
-    memoised on the instance, so the engine never runs a canonical search.
-    """
-    n = graph.n
-    trivial = list(range(n)), list(range(n)), [0] * n
-    record = cached_canonical_record(graph) if n > 1 else None
-    if record is None or not record.generators:
-        return trivial
-    gens = record.generators
-    assign: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    reps: List[int] = []
-    identity = tuple(range(n))
-    for v in range(n):
-        if v in assign:
-            continue
-        reps.append(v)
-        assign[v] = (v, identity)
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            sigma_x = assign[x][1]
-            for g in gens:
-                y = g[x]
-                if y not in assign:
-                    # (g ∘ σ_x)(v) = g(x) = y keeps the transversal property.
-                    assign[y] = (v, tuple(g[sigma_x[i]] for i in range(n)))
-                    queue.append(y)
-    if len(reps) == n:
-        return trivial
-    rep_of, image_of = [], []
-    for p in range(n):
-        rep, sigma = assign[p]
-        rep_of.append(rep)
-        inverse = [0] * n
-        for i, image in enumerate(sigma):
-            inverse[image] = i
-        image_of.append(image_ids.setdefault(tuple(inverse), len(image_ids)))
-    return reps, rep_of, image_of
-
-
-def _chunk_rows(graphs):
-    """Representative rows and the orbit gather for one same-``n`` chunk.
-
-    Returns ``(row_graph, row_player, src, image_of, images)``: representative
-    row ``i`` is player ``row_player[i]`` of graph ``row_graph[i]``, whose
-    tables are computed, and entry ``A`` of full row ``r = g·n + p`` of a
-    per-player table is entry ``images[image_of[r], A]`` of representative
-    row ``src[r]``.
-    """
-    n = graphs[0].n
-    image_ids = {tuple(range(n)): 0}
-    row_graph: List[int] = []
-    row_player: List[int] = []
-    src: List[int] = []
-    image_of: List[int] = []
-    for gi, graph in enumerate(graphs):
-        reps, rep_of, images = _orbit_plan(graph, image_ids)
-        row_of = {p: len(row_player) + k for k, p in enumerate(reps)}
-        row_graph.extend([gi] * len(reps))
-        row_player.extend(reps)
-        src.extend(row_of[rep] for rep in rep_of)
-        image_of.extend(images)
-    return (
-        np.asarray(row_graph, dtype=np.int64),
-        np.asarray(row_player, dtype=np.int64),
-        np.asarray(src, dtype=np.int64),
-        np.asarray(image_of, dtype=np.int64),
-        _mask_images(list(image_ids), n),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -655,7 +558,7 @@ def _scalar_chunk_sets(graphs):
     """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
     n = graphs[0].n
     nbrs = _adjacency(graphs)
-    row_graph, p_arr, src, image_of, images = _chunk_rows(graphs)
+    row_graph, p_arr = np.divmod(np.arange(len(graphs) * n), n)
     dsum = _distance_sums(nbrs[row_graph], p_arr)
     codes, values, feasible = _option_codes(
         row_graph,
@@ -663,10 +566,7 @@ def _scalar_chunk_sets(graphs):
         1 << n,
     )
     pairs = _chunk_intervals(
-        lambda rows, masks: codes[src[rows], images[image_of[rows], masks]],
-        values,
-        feasible,
-        nbrs,
+        lambda rows, masks: codes[rows, masks], values, feasible, nbrs
     )
     return [_interval_set(p) for p in pairs]
 
@@ -836,13 +736,14 @@ def _weighted_chunk_sets(graphs, model):
     n = graphs[0].n
     pop = _popcounts(n)
     nbrs = _adjacency(graphs)
-    row_graph, p_arr, src, image_of, images = _chunk_rows(graphs)
+    row_graph, p_arr = np.divmod(np.arange(len(graphs) * n), n)
     dsum = _distance_sums(nbrs[row_graph], p_arr)
-    # Full row r = g·n + p reads its representative's V∖{p} masks; masks
-    # containing p are never read and stay ∞.
-    own = (np.arange(1 << n) >> (np.arange(len(src)) % n)[:, None]) & 1 == 1
+    # Row r = g·n + p reads its own V∖{p} masks; masks containing p are
+    # never read and stay ∞.
+    masks = np.arange(1 << n)
+    own = (masks >> p_arr[:, None]) & 1 == 1
     dsum_full = _float_sums(dsum)[
-        _compress(images[image_of], p_arr[src, None]), src[:, None]
+        _compress(masks, p_arr[:, None]), np.arange(len(p_arr))[:, None]
     ]
     dsum_full[own] = np.inf
     submask_cache: Dict[int, object] = {}
@@ -892,12 +793,11 @@ def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
     """Weighted Nash-supportability t-sets of many graphs, engine-batched.
 
     Element-for-element float-exact against
-    :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`; the
-    model-independent distance tables are shared across players via the
-    orbit gather (weights break symmetry, so only the distance layer is
-    orbit-pruned).  Falls back to the per-graph reference when ``n``
-    exceeds the table range.  No per-instance memo: results depend on the
-    cost model, not just the graph.
+    :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`; each
+    player's model-independent distance table is the one the scalar game
+    builds.  Falls back to the per-graph reference when ``n`` exceeds the
+    table range.  No per-instance memo: results depend on the cost model,
+    not just the graph.
     """
     graphs = list(graphs)
     results: List = [None] * len(graphs)

@@ -25,13 +25,11 @@ Two pieces of symmetry machinery make that affordable, and both live here:
    :class:`~repro.graphs.graph.Graph` instance, so censuses and sweeps that
    revisit a graph never re-run the search.
 
-The orbits feed two hot paths: canonical-augmentation enumeration
+The orbits feed canonical-augmentation enumeration
 (:mod:`repro.graphs.enumeration` extends only along orbit representatives and
 accepts a child only if the new vertex lies in the canonical last-vertex
-orbit) and orbit-pruned stability probing (on its per-graph ``n > 63`` path,
-:func:`repro.engine.batch_stability_deltas` probes one deviation per orbit
-of a graph whose record is memoised and expands the results across each
-orbit).
+orbit).  The stability engines never read a record: their answers depend on
+the graph alone.
 
 The enumeration does not run this search per candidate: it labels whole
 blocks of candidate children in lock-step NumPy
@@ -421,11 +419,6 @@ def canonical_record(graph: Graph) -> CanonicalRecord:
     return record
 
 
-def cached_canonical_record(graph: Graph) -> Optional[CanonicalRecord]:
-    """The memoised record if one exists, ``None`` otherwise (never computes)."""
-    return graph._canon
-
-
 def clear_canonical_record(graph: Graph) -> None:
     """Drop the memoised record (e.g. to release memory on long-lived graphs).
 
@@ -458,9 +451,9 @@ def canonical_graph(graph: Graph) -> Graph:
     """The canonical representative of ``graph``'s isomorphism class.
 
     The returned graph inherits a conjugated copy of the canonical record
-    (identity ordering, relabelled generators and orbits), so downstream
-    symmetry consumers — e.g. orbit-pruned stability probing — get the
-    graph's automorphism data without another search.
+    (identity ordering, relabelled generators and orbits), so later orbit
+    and automorphism queries on it — e.g. the enumerator's augmentation
+    step — need no other search.
     """
     if graph.n == 0:
         return graph
@@ -571,22 +564,16 @@ def nonedge_orbits(graph: Graph) -> List[List[Edge]]:
     )
 
 
-def ordered_pair_orbits(
-    graph: Graph, record: Optional[CanonicalRecord] = None
-) -> List[List[Tuple[int, int]]]:
+def ordered_pair_orbits(graph: Graph) -> List[List[Tuple[int, int]]]:
     """Orbits of *ordered* vertex pairs ``(u, v)``, ``u != v``.
 
     This is the granularity of the stability probes: the deviation payoff of
-    endpoint ``u`` toggling the pair ``{u, v}`` is constant on each orbit, so
-    the per-graph path of :func:`repro.engine.batch_stability_deltas`
-    evaluates one representative per orbit and expands.  Orbits never mix
-    edges with non-edges.
+    endpoint ``u`` toggling the pair ``{u, v}`` is constant on each orbit.
+    Orbits never mix edges with non-edges.
     """
-    if record is None:
-        record = canonical_record(graph)
     n = graph.n
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    return _orbits_of_pairs(pairs, record.generators, ordered=True)
+    return _orbits_of_pairs(pairs, canonical_record(graph).generators, ordered=True)
 
 
 def are_isomorphic(first: Graph, second: Graph) -> bool:

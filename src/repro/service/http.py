@@ -23,7 +23,7 @@ genuinely concurrent threads and coalesce them into shared kernel calls.
 The event loop itself never blocks on NumPy.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the listener, connections that
-wait for a request line are closed, in-flight requests get a drain grace
+hold no complete request are closed, in-flight requests get a drain grace
 period, then the loop exits.  Binding port ``0`` picks a
 free port and prints the actual one (used by the smoke test and benches).
 """
@@ -123,8 +123,9 @@ class ArtifactServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._stop: Optional[asyncio.Event] = None
         self._inflight = 0
-        # Open connections, each mapped to whether its handler waits for a
-        # request line (idle) rather than serving one.
+        # Open connections, each mapped to whether its handler still waits
+        # for a complete request (idle, or mid-request) rather than serving
+        # one.
         self._connections: Dict[asyncio.StreamWriter, bool] = {}
         self._draining = False
         self._start_time = 0.0
@@ -161,12 +162,12 @@ class ArtifactServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def _drain(self) -> None:
-        """Stop accepting, close idle connections, wait out in-flight
-        requests, release the pool.
+        """Stop accepting, close connections without a complete request,
+        wait out in-flight requests, release the pool.
 
-        An idle connection's handler sees end-of-stream and returns, and a
-        busy one closes its connection after its response, so no handler
-        is left for the loop's teardown to cancel.
+        A handler still reading a request sees end-of-stream and returns,
+        and a busy one closes its connection after its response, so no
+        handler is left for the loop's teardown to cancel.
         """
         self._draining = True
         if self._server is not None:
@@ -195,7 +196,7 @@ class ArtifactServer:
             while not self._draining:
                 self._connections[writer] = True
                 try:
-                    request = await self._read_request(reader, writer)
+                    request = await self._read_request(reader)
                 except HTTPError as error:
                     # The body was left unread, so the stream cannot carry
                     # another request: answer, then close.
@@ -215,6 +216,7 @@ class ArtifactServer:
                     break
                 if request is None:
                     break
+                self._connections[writer] = False
                 method, path, headers, body = request
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower() != "close"
@@ -239,7 +241,7 @@ class ArtifactServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
             request_line = await reader.readline()
@@ -251,7 +253,6 @@ class ArtifactServer:
         # connection, or a client leaving) is no request.
         if not request_line.endswith(b"\n"):
             return None
-        self._connections[writer] = False
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None
@@ -262,7 +263,9 @@ class ArtifactServer:
                 line = await reader.readline()
             except ValueError:
                 raise HTTPError(431, "header line too long")
-            if line in (b"\r\n", b"\n", b""):
+            if not line.endswith(b"\n"):  # the head was cut short
+                return None
+            if line in (b"\r\n", b"\n"):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()

@@ -196,6 +196,45 @@ def test_scenarios_verify_roundtrip(capsys, tmp_path):
     assert "checksum ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenarios", "--name", "random_weights", "--n", "3", "--grid", "0"],
+        ["scenarios", "--name", "random_weights", "--n", "3", "--grid", "-3"],
+        ["ensemble", "--scenario", "random_weights", "--n", "3", "--draws", "2",
+         "--grid", "0"],
+        ["ensemble", "--scenario", "random_weights", "--n", "3", "--draws", "2",
+         "--grid", "-1"],
+        ["census", "--n", "3", "--grid", "-2"],
+    ],
+    ids=["scenarios-0", "scenarios-neg", "ensemble-0", "ensemble-neg", "census-neg"],
+)
+def test_non_positive_grid_is_refused_before_any_work(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no build summary, scenario line or draw
+    assert captured.err.count("\n") == 1 and "grid" in captured.err
+
+
+def test_census_grid_zero_prints_no_table(capsys):
+    assert main(["census", "--n", "3", "--grid", "0"]) == 0
+    assert "grid points" not in capsys.readouterr().out
+
+
+def test_grid_helpers_refuse_non_positive_sizes():
+    from repro.analysis.ensembles import run_ensemble
+    from repro.analysis.scenarios import default_t_grid
+    from repro.analysis.sweeps import figure_cost_grid
+
+    for make in (figure_cost_grid, default_t_grid):
+        assert len(make(3, 1)) == 2  # one point still gives a 2-point grid
+        for points in (0, -5):
+            with pytest.raises(ValueError, match="at least one point"):
+                make(3, points)
+    with pytest.raises(ValueError, match="at least one point"):
+        run_ensemble(scenario="random_weights", n=3, draws=2, grid=-5)
+
+
 #: The ``scenarios`` commands whose stdout is pinned in
 #: ``tests/data/golden_cli/scenarios_<name>.txt``, run in this order (the
 #: ``--load`` lines read what the ``--save`` lines before them wrote).

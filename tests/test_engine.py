@@ -215,12 +215,12 @@ def test_batch_stability_deltas_match_oracle(delta_tables):
     pool.append(Graph(1))
     pool.append(Graph(4))  # disconnected, no edges
     # The n = 0 corner and wide graphs (n > 63: the per-graph path, fresh
-    # and orbit-pruned) interleaved with the tensor groups must all come
-    # back in input order.
-    pruned = path_graph(66)
-    canonical_record(pruned)
+    # and with a memoised record) interleaved with the tensor groups must
+    # all come back in input order.
+    memoised = path_graph(66)
+    canonical_record(memoised)
     pool[40:40] = [Graph(0), cycle_graph(70)]
-    pool[90:90] = [pruned]
+    pool[90:90] = [memoised]
     columns = batch_stability_deltas(pool, oracle=DistanceOracle())
     oracle = DistanceOracle()
     tables = delta_tables(pool, columns)
@@ -249,10 +249,9 @@ def test_batch_falls_back_to_oracle_for_wide_graphs(delta_tables):
     """Graphs with n > 63 exceed the int64 tensor lanes; the batch API must
     answer them through the per-graph oracle instead of crashing.
 
-    A fresh instance probes fully; an instance whose canonical record is
-    memoised probes one representative per orbit (the path's and the
-    cycle's automorphisms give it orbits to expand).  Both must agree with
-    full oracle probing, and neither may start a canonical search.
+    A fresh instance and one whose canonical record is memoised take the
+    same path.  Both must agree with full oracle probing, and the fresh one
+    must not start a canonical search.
     """
     from repro.graphs import cycle_graph, path_graph
     from repro.graphs.isomorphism import canonical_record

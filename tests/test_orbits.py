@@ -1,4 +1,5 @@
-"""Unit tests for automorphism groups, orbits and orbit-pruned probing."""
+"""Unit tests for automorphism groups, orbits, and stability probes of graphs
+that carry a canonical record."""
 
 import random
 
@@ -143,6 +144,10 @@ class TestCanonicalRecord:
 
 
 class TestOrbitPrunedProbes:
+    """The Δ probes never depend on a memoised canonical record: instances
+    with the graph's own record, with another graph's record and with none
+    all equal the oracle's full probing."""
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equal_to_full_probing_on_all_connected_graphs(self, n, delta_tables):
         # Enumerated classes carry their canonical records; the tensor path
@@ -160,7 +165,7 @@ class TestOrbitPrunedProbes:
             assert fresh._canon is None
             batch_stability_deltas([fresh], oracle=DistanceOracle())
             assert fresh._canon is None
-        # ... while a memoised record prunes the wide path to the same values.
+        # ... and a memoised record leaves the wide path's values unchanged.
         memoised = cycle_graph(64)
         canonical_record(memoised)
         columns = batch_stability_deltas([memoised], oracle=DistanceOracle())
@@ -170,7 +175,7 @@ class TestOrbitPrunedProbes:
 
     def test_disconnected_graphs(self, delta_tables):
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        # Two disjoint 32-cycles: wide, disconnected and orbit-pruned.
+        # Two disjoint 32-cycles: wide and disconnected.
         two_cycles = Graph(
             64, [(base + i, base + (i + 1) % 32) for base in (0, 32) for i in range(32)]
         )
@@ -180,3 +185,13 @@ class TestOrbitPrunedProbes:
             assert delta_tables([graph], columns) == [
                 DistanceOracle().stability_deltas(graph)
             ]
+
+    def test_foreign_record_changes_nothing(self, delta_tables):
+        # P_66 carrying C_66's record: the wide path must probe the path's
+        # own edges, not the cycle's automorphism orbits.
+        carrier = path_graph(66)
+        carrier._canon = canonical_record(cycle_graph(66))
+        columns = batch_stability_deltas([carrier], oracle=DistanceOracle())
+        assert delta_tables([carrier], columns) == [
+            DistanceOracle().stability_deltas(path_graph(66))
+        ]

@@ -833,6 +833,53 @@ class TestHTTPServer:
             assert sock.recv(1) == b""
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
+    def test_shutdown_closes_partial_request_connections_cleanly(
+        self, artifact_dir, caplog
+    ):
+        """A connection that sent only part of a request head holds no
+        request: the drain closes it at once, as it does an idle one, so
+        its handler is not cancelled at loop teardown and the client reads
+        a clean end of stream before the grace period is over."""
+        grace = 2.0
+        server, thread = start_in_thread(
+            api=QueryAPI(ArtifactCatalog(root=str(artifact_dir))),
+            drain_grace=grace,
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            # The pipelined request line is read in the same handler step
+            # that answers the first request, so once the answer arrives the
+            # handler waits inside the second request's head.
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n"
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(65536)
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            rest = head.partition(b"\r\n\r\n")[2]
+            while len(rest) < length:
+                rest += sock.recv(65536)
+            assert len(rest) == length  # the cut-short head is not answered
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.monotonic()
+                server.shutdown()
+                assert sock.recv(1) == b""
+                elapsed = time.monotonic() - started
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert elapsed < grace
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_head_cut_short_by_end_of_stream_is_not_served(self, server):
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""
+
     def test_refs_outside_the_root_are_404_and_never_listed(
         self, server, tmp_path
     ):

@@ -1,11 +1,12 @@
-"""Tests for the vectorised, orbit-pruned UCG orientation engine.
+"""Tests for the vectorised UCG orientation engine.
 
 Pins the acceptance contract of the batched UCG path: the engine's
 α-interval sets are **float-exact** (endpoint-for-endpoint, with the same
 edgeless/disconnected conventions) against the per-graph orientation
 backtracking of :func:`repro.core.unilateral.ucg_nash_alpha_set` and
-:func:`repro.costmodels.stability.weighted_ucg_nash_t_set`, orbit pruning
-changes nothing, uniform weights reduce to the scalar path, and the
+:func:`repro.costmodels.stability.weighted_ucg_nash_t_set`, a memoised
+canonical record (the graph's own or another's) changes nothing, uniform
+weights reduce to the scalar path, and the
 per-``Graph`` memo obeys the staleness contract (mutations build new
 instances, so a memo can never go stale).
 """
@@ -168,8 +169,8 @@ class TestScalarParity:
 
 #: sha256 over the ``float.hex`` endpoints of ``ucg_alpha_sets`` on every
 #: connected class of ``enumerate_connected_graphs(n)``, one line per class in
-#: census order.  The enumerated graphs carry memoised canonical records, so
-#: these pin the orbit-pruned path that the ``fresh()`` parity tests skip.
+#: census order: the exact path a census build runs on the enumerated graphs,
+#: which carry memoised canonical records that the engine does not read.
 #: Pinned from the float64 superset-min engine.
 ALPHA_SET_DIGESTS = {
     1: "f1d0fd456de2b9f596d4dd1df121a334b987dde617f32dd6325bf7d1081c4ceb",
@@ -522,11 +523,16 @@ class TestVertexClasses:
 
 
 # --------------------------------------------------------------------------- #
-# Orbit pruning
+# Memoised canonical records
 # --------------------------------------------------------------------------- #
 
 
 class TestOrbitPruning:
+    """The engine's answers never depend on a memoised canonical record.
+
+    Instances with the graph's own record, with another graph's record and
+    with none must all agree with the backtracking reference.
+    """
 
     @pytest.mark.parametrize(
         "graph",
@@ -534,22 +540,31 @@ class TestOrbitPruning:
         ids=["C5", "C6", "K4", "K6"],
     )
     def test_vertex_transitive_expansion(self, graph):
-        # On vertex-transitive graphs orbit pruning computes one player's
-        # tables and expands the rest through automorphism images.  An
-        # instance with a memoised canonical record (pruned), a fresh
-        # instance (unpruned) and the backtracking reference must agree
+        # Every player of a vertex-transitive graph is automorphic to every
+        # other.  An instance with a memoised canonical record, a fresh
+        # instance and the backtracking reference must agree
         # endpoint-for-endpoint, and the engine never runs a canonical
         # search of its own.
-        from repro.engine.ucg import _orbit_plan
-
-        memoised, unpruned = fresh(graph), fresh(graph)
+        memoised, bare = fresh(graph), fresh(graph)
         canonical_record(memoised)
-        reps, _, _ = _orbit_plan(memoised, {tuple(range(graph.n)): 0})
-        assert reps == [0]
-        pruned = endpoints(ucg_alpha_sets([memoised])[0])
-        plain = endpoints(ucg_alpha_sets([unpruned])[0])
-        assert unpruned._canon is None
-        assert pruned == plain == endpoints(ucg_nash_alpha_set(fresh(graph)))
+        with_record = endpoints(ucg_alpha_sets([memoised])[0])
+        without = endpoints(ucg_alpha_sets([bare])[0])
+        assert bare._canon is None
+        assert with_record == without == endpoints(ucg_nash_alpha_set(fresh(graph)))
+
+    @pytest.mark.parametrize(
+        "graph, donor",
+        [(path_graph(5), cycle_graph(5)), (star_graph(6), complete_graph(6))],
+        ids=["P5-C5", "S6-K6"],
+    )
+    def test_foreign_record_changes_nothing(self, graph, donor):
+        # A record is a cache of the graph's symmetry; one copied from
+        # another graph (here with the wrong automorphisms) must not leak
+        # into the answer.
+        carrier = fresh(graph)
+        carrier._canon = canonical_record(fresh(donor))
+        (got,) = ucg_alpha_sets([carrier])
+        assert endpoints(got) == endpoints(ucg_nash_alpha_set(fresh(graph)))
 
     def test_weighted_orbit_equivalence(self):
         model = build_scenario("line_metric", 6, seed=0).model
@@ -557,11 +572,19 @@ class TestOrbitPruning:
         memoised = [fresh(g) for g in graphs]
         for graph in memoised:
             canonical_record(graph)
-        pruned = weighted_ucg_t_sets(memoised, model)
-        plain = weighted_ucg_t_sets([fresh(g) for g in graphs], model)
-        for a, b, graph in zip(pruned, plain, graphs):
+        with_record = weighted_ucg_t_sets(memoised, model)
+        without = weighted_ucg_t_sets([fresh(g) for g in graphs], model)
+        for a, b, graph in zip(with_record, without, graphs):
             assert endpoints(a) == endpoints(b)
             assert endpoints(a) == endpoints(weighted_ucg_nash_t_set(graph, model))
+
+    def test_weighted_foreign_record_changes_nothing(self):
+        model = build_scenario("line_metric", 6, seed=0).model
+        carrier = path_graph(6)
+        carrier._canon = canonical_record(cycle_graph(6))
+        (got,) = weighted_ucg_t_sets([carrier], model)
+        reference = weighted_ucg_nash_t_set(path_graph(6), model)
+        assert endpoints(got) == endpoints(reference)
 
 
 # --------------------------------------------------------------------------- #
