@@ -59,14 +59,17 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    ``bitwise_or.reduceat``.
 
 The weighted game (:func:`weighted_ucg_t_sets`) reads the same
-model-independent ``D_p`` tables (distances are unweighted hops), each row
-gathered from its own ``V∖{p}`` masks into full masks of ``V``, and
-replaces purchase counts
-by exact link-cost sums: a high-bit DP replays
+model-independent ``D_p`` tables (distances are unweighted hops) through
+the same :func:`_compress` masks, and replaces purchase counts by exact
+link-cost sums, one table per player and call: a high-bit DP replays
 :meth:`CostModel.player_link_cost`'s ascending left fold bit-for-bit, with
-:class:`UniformCost`'s ``α·|S|`` closed form special-cased, so the weighted
-endpoints match the per-graph reference exactly as well.  Its option tables
-feed the same class kernel and DP.
+:class:`UniformCost`'s ``α·|S|`` closed form special-cased.  Weight sums
+are not monotone in ``|S|``, so no superset minimum applies: its fold
+(:func:`_weighted_intervals`) evaluates the reference's per-purchase-set
+terms for every opponent mask of a degree and opponent count at once and
+reduces them with masked extrema, so the weighted endpoints match the
+per-graph reference exactly as well.  Both games share the chunk loop
+(:func:`_engine_sets`), the option codes, the class kernel and the DP.
 
 Graphs with ``n`` outside the table-friendly range fall back to the
 backtracking reference, which is also what every test asserts against.
@@ -74,13 +77,12 @@ backtracking reference, which is also what every test asserts against.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from .. import obs
-
-INFINITY = float("inf")
 
 #: Largest ``n`` the table pipeline handles (2^(n-1)-entry tables per player).
 _MAX_TABLE_N = 12
@@ -122,9 +124,9 @@ def _popcounts(n: int):
 def _submask_matrix(masks, d: int):
     """``subs[i]`` = every submask of ``masks[i]`` (all of popcount ``d``).
 
-    Row-wise :func:`_submasks`: empty set first, doubled by each low bit,
-    so column ``j`` holds the submask whose members are the bits of ``j``
-    mapped onto the mask's members in increasing order.
+    Empty set first, doubled by each low bit, so column ``j`` holds the
+    submask whose members are the bits of ``j`` mapped onto the mask's
+    members in increasing order.
     """
     subs = np.zeros((len(masks), 1), dtype=np.int64)
     rest = np.asarray(masks, dtype=np.int64).copy()
@@ -363,9 +365,9 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
     at a time, then refined one earlier bit ``b`` at a time, ``class(I) ←
     (class(I), class(I ∪ {b}))`` — each step a 1-D :func:`numpy.unique`
     over pair ids.  Classes are numbered per row by first appearance in
-    :func:`_submasks` order, so class 0 is the empty mask and every ``I``
-    made of the ``k`` lowest earlier neighbours has a class below ``2^k``.
-    The relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so
+    :func:`_submask_matrix` order, so class 0 is the empty mask and every
+    ``I`` made of the ``k`` lowest earlier neighbours has a class below
+    ``2^k``.  The relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so
     transitions live on classes.  Returns the tables of ``rows`` in order.
     """
     n = nbrs.shape[1]
@@ -534,7 +536,7 @@ def _chunk_intervals(option_code, values, feasible, nbrs):
 
 
 # --------------------------------------------------------------------------- #
-# Scalar game: per-chunk assembly and the batch entry point
+# Shared chunk loop and the scalar entry point
 # --------------------------------------------------------------------------- #
 
 
@@ -554,15 +556,19 @@ def _adjacency(graphs):
     return np.asarray([g.adjacency_rows() for g in graphs], dtype=np.int64)
 
 
-def _scalar_chunk_sets(graphs):
-    """Engine-path Nash α-sets for one same-``n`` chunk (``2 <= n``)."""
+def _chunk_sets(graphs, intervals):
+    """Engine-path sets of one same-``n`` chunk (``2 <= n``).
+
+    ``intervals(dsum, p_arr, nbr_arr, n)`` is the game's fold, with
+    :func:`_scalar_intervals`' arguments and ``(row, A, lo, hi)`` result.
+    """
     n = graphs[0].n
     nbrs = _adjacency(graphs)
     row_graph, p_arr = np.divmod(np.arange(len(graphs) * n), n)
     dsum = _distance_sums(nbrs[row_graph], p_arr)
     codes, values, feasible = _option_codes(
         row_graph,
-        *_scalar_intervals(dsum, p_arr, nbrs[row_graph, p_arr], n),
+        *intervals(dsum, p_arr, nbrs[row_graph, p_arr], n),
         1 << n,
     )
     pairs = _chunk_intervals(
@@ -574,12 +580,41 @@ def _scalar_chunk_sets(graphs):
 def _row_budget(n: int) -> int:
     # Per row and mask of V: 2n bytes for the uint8 tables (the distance
     # sums, reach and size-major superset minima over V∖{p} need about
-    # (n + 3)/2 of them), then the float64 fold over A ⊆ N(p), the int64
-    # option codes and the class-kernel and DP arrays, which peak at ~56
-    # bytes on the densest n = 8 chunk (tracemalloc).  That peak, not the
-    # tables, sets the chunk's memory, so the 2n is not tightened.
+    # (n + 3)/2 of them), then the float64 fold over A ⊆ N(p) (the weighted
+    # one over every (A, S) pair of a degree and opponent count: ~37 bytes
+    # at n = 8), the int64 option codes and the class-kernel and DP arrays,
+    # which peak at ~56 bytes on the densest n = 8 chunk (tracemalloc).
+    # That peak, not the tables, sets the chunk's memory, so the 2n is not
+    # tightened.
     per_row = (1 << n) * (2 * n + 64)
     return max(n, min(4096, _TABLE_BYTE_BUDGET // per_row))
+
+
+def _engine_sets(graphs, fold, reference) -> List:
+    """The sets of ``graphs``, in order, chunk-batched where ``n`` allows.
+
+    Graphs are grouped by ``n``.  A group with ``n <= 1`` gets the full
+    range, one with ``n > _MAX_TABLE_N`` the per-graph ``reference(graph)``;
+    any other runs in chunks of :func:`_row_budget` rows through the
+    interval fold ``fold(n)``, which is built once per group.
+    """
+    results: List = [None] * len(graphs)
+    by_n: Dict[int, List[int]] = {}
+    for i, graph in enumerate(graphs):
+        by_n.setdefault(graph.n, []).append(i)
+    for n, indices in sorted(by_n.items()):
+        if n <= 1 or n > _MAX_TABLE_N:
+            for i in indices:
+                results[i] = _full_set() if n <= 1 else reference(graphs[i])
+            continue
+        intervals = fold(n)
+        budget = max(1, _row_budget(n) // n)
+        for start in range(0, len(indices), budget):
+            batch = indices[start : start + budget]
+            sets = _chunk_sets([graphs[i] for i in batch], intervals)
+            for i, interval_set in zip(batch, sets):
+                results[i] = interval_set
+    return results
 
 
 @obs.timed_kernel("ucg_alpha_sets")
@@ -594,39 +629,25 @@ def ucg_alpha_sets(graphs, oracle=None) -> List:
     instance (edge mutations return new instances, so memos can never go
     stale).
     """
+    from ..core.unilateral import ucg_nash_alpha_set
+
     graphs = list(graphs)
     results: List = [None] * len(graphs)
-    pending_by_n: Dict[int, List[int]] = {}
+    pending: List[int] = []
     for i, graph in enumerate(graphs):
         cached = getattr(graph, "_ucg_set", None)
         if cached is not None:
             results[i] = _interval_set(cached)
-        elif graph.n <= 1:
-            results[i] = _full_set()
-            graph._ucg_set = tuple(
-                (iv.lo, iv.hi) for iv in results[i].intervals
-            )
         else:
-            pending_by_n.setdefault(graph.n, []).append(i)
-    fallback: List[int] = []
-    for n, indices in sorted(pending_by_n.items()):
-        if n > _MAX_TABLE_N:
-            fallback.extend(indices)
-            continue
-        budget = max(1, _row_budget(n) // n)
-        for start in range(0, len(indices), budget):
-            batch = indices[start : start + budget]
-            sets = _scalar_chunk_sets([graphs[i] for i in batch])
-            for i, interval_set in zip(batch, sets):
-                results[i] = interval_set
-                graphs[i]._ucg_set = tuple(
-                    (iv.lo, iv.hi) for iv in interval_set.intervals
-                )
-    if fallback:
-        from ..core.unilateral import ucg_nash_alpha_set
-
-        for i in fallback:
-            results[i] = ucg_nash_alpha_set(graphs[i], oracle=oracle)
+            pending.append(i)
+    sets = _engine_sets(
+        [graphs[i] for i in pending],
+        lambda n: _scalar_intervals,
+        lambda graph: ucg_nash_alpha_set(graph, oracle=oracle),
+    )
+    for i, interval_set in zip(pending, sets):
+        results[i] = interval_set
+        graphs[i]._ucg_set = tuple((iv.lo, iv.hi) for iv in interval_set.intervals)
     return results
 
 
@@ -635,19 +656,8 @@ def ucg_alpha_sets(graphs, oracle=None) -> List:
 # --------------------------------------------------------------------------- #
 
 
-def _submasks(mask: int) -> List[int]:
-    """Every submask of ``mask``, empty set first (deterministic order)."""
-    subs = [0]
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        subs += [s | bit for s in subs]
-    return subs
-
-
-def _link_cost_table(model, n: int, player: int, pop):
-    """``wsum[S]`` = ``model.player_link_cost(player, targets(S))``, exact.
+def _link_cost_tables(model, n: int):
+    """``wsum[p, S]`` = ``model.player_link_cost(p, targets(S))``, exact.
 
     Three branches, each replaying the reference float-for-float: the
     uniform closed form ``α·|S|``, a high-bit DP that unrolls to the base
@@ -658,134 +668,81 @@ def _link_cost_table(model, n: int, player: int, pop):
 
     size = 1 << n
     if type(model) is UniformCost:
-        return model.alpha * pop.astype(np.float64)
+        return np.tile(model.alpha * _popcounts(n).astype(np.float64), (n, 1))
     if type(model).player_link_cost is CostModel.player_link_cost:
-        weights = [
-            model.weight(player, v) if v != player else 0.0 for v in range(n)
-        ]
-        table = [0.0] * size
-        for mask in range(1, size):
-            high = mask.bit_length() - 1
-            table[mask] = table[mask ^ (1 << high)] + weights[high]
-        return np.asarray(table, dtype=np.float64)
-    table = [
-        model.player_link_cost(
-            player, tuple(v for v in range(n) if (mask >> v) & 1)
-        )
-        for mask in range(size)
-    ]
-    return np.asarray(table, dtype=np.float64)
-
-
-def _weighted_player_rows(
-    n, player, nbr, dsum_row, wsum, base, submask_cache
-):
-    """``(opponents, lo, hi)`` lists of one weighted player's feasible splits.
-
-    Vectorises :func:`repro.costmodels.stability.weighted_ownership_interval`
-    per ownership set: candidates, deltas and weight differences are
-    evaluated for every purchase set at once; max/min over the identical
-    quotient multiset reproduce the reference's running fold exactly.
-    """
-    full = (1 << n) - 1
-    opps: List[int] = []
-    los: List[float] = []
-    his: List[float] = []
-    base_inf = base == INFINITY
-    owned = nbr
-    while True:
-        opponents = nbr ^ owned
-        candidates = full & ~(opponents | (1 << player))
-        subs = submask_cache.get(candidates)
-        if subs is None:
-            subs = np.asarray(_submasks(candidates), dtype=np.int64)
-            submask_cache[candidates] = subs
-        deltas = dsum_row[subs | opponents] - base
-        if base_inf:
-            deltas = np.where(np.isnan(deltas), 0.0, deltas)
-        dw = wsum[subs] - wsum[owned]
-        positive = dw > 0.0
-        negative = dw < 0.0
-        empty = bool(
-            (deltas[~positive & ~negative] < -1e-12).any()
-        )
-        lo = 0.0
-        if not empty and positive.any():
-            grow = float((np.negative(deltas[positive]) / dw[positive]).max())
-            if grow > lo:
-                lo = grow
-        hi = INFINITY
-        if not empty and negative.any():
-            shrink = float(
-                (deltas[negative] / np.negative(dw[negative])).min()
+        tables = [[0.0] * size for _ in range(n)]
+        for player, table in enumerate(tables):
+            weights = [
+                model.weight(player, v) if v != player else 0.0 for v in range(n)
+            ]
+            for mask in range(1, size):
+                high = mask.bit_length() - 1
+                table[mask] = table[mask ^ (1 << high)] + weights[high]
+        return np.asarray(tables, dtype=np.float64)
+    tables = [
+        [
+            model.player_link_cost(
+                player, tuple(v for v in range(n) if (mask >> v) & 1)
             )
-            if shrink < hi:
-                hi = shrink
-        if not empty and lo <= hi:
-            opps.append(opponents)
-            los.append(lo)
-            his.append(hi)
-        if owned == 0:
-            break
-        owned = (owned - 1) & nbr
-    return opps, los, his
+            for mask in range(size)
+        ]
+        for player in range(n)
+    ]
+    return np.asarray(tables, dtype=np.float64)
 
 
-def _weighted_chunk_sets(graphs, model):
-    """Engine-path weighted Nash t-sets for one same-``n`` chunk."""
-    n = graphs[0].n
-    pop = _popcounts(n)
-    nbrs = _adjacency(graphs)
-    row_graph, p_arr = np.divmod(np.arange(len(graphs) * n), n)
-    dsum = _distance_sums(nbrs[row_graph], p_arr)
-    # Row r = g·n + p reads its own V∖{p} masks; masks containing p are
-    # never read and stay ∞.
-    masks = np.arange(1 << n)
-    own = (masks >> p_arr[:, None]) & 1 == 1
-    dsum_full = _float_sums(dsum)[
-        _compress(masks, p_arr[:, None]), np.arange(len(p_arr))[:, None]
-    ]
-    dsum_full[own] = np.inf
-    submask_cache: Dict[int, object] = {}
-    wsum_tables = [
-        _link_cost_table(model, n, player, pop) for player in range(n)
-    ]
-    entry_row: List[int] = []
-    entry_mask: List[int] = []
-    entry_lo: List[float] = []
-    entry_hi: List[float] = []
-    for gi, graph in enumerate(graphs):
-        adjacency = graph.adjacency_rows()
-        for player in range(n):
-            row = dsum_full[gi * n + player]
+def _weighted_intervals(dsum, p_arr, nbr_arr, n: int, wsum):
+    """``(row, A, lo, hi)`` arrays of the weighted game, as :func:`_scalar_intervals`.
+
+    Exactly :func:`repro.costmodels.stability.weighted_ownership_interval`
+    vectorised, with ``wsum[p, S]`` player ``p``'s link cost of the
+    purchase set ``S`` (:func:`_link_cost_tables`).  Rows are batched by
+    degree ``d`` and opponent count ``a``: every opponent mask ``A ⊆ N(p)``
+    with ``|A| = a`` lays the purchase sets ``S`` of its ``n - 1 - a``
+    candidates ``V∖({p} ∪ A)`` along the last axis, where the reference's
+    terms ``Δ = D_p(S ∪ A) - D_p(N(p))`` (∞ - ∞ reads as 0) and ``dw =
+    w_p(S) - w_p(N(p)∖A)`` are evaluated elementwise.  Its running fold is
+    then a maximum of ``-Δ/dw`` over ``dw > 0`` from 0 (``lo``), a minimum
+    over ``dw < 0`` from ∞ (``hi``; IEEE division is sign-symmetric, so
+    ``-Δ/dw`` is its ``Δ/(-dw)`` bit for bit) and an empty test: some
+    ``dw == 0`` term with ``Δ < -1e-12``, or ``lo > hi``.
+    """
+    R = len(p_arr)
+    size = 1 << n
+    base = _float_sums(dsum[_compress(nbr_arr, p_arr), np.arange(R)])
+    deg = _popcounts(n)[nbr_arr]
+    entries = []
+    for d in range(n):
+        rows = np.flatnonzero(deg == d)
+        if not len(rows):
+            continue
+        p = p_arr[rows, None]
+        opp_size = _popcounts(d)  # |A| of each column of ``every``
+        every = _submask_matrix(nbr_arr[rows], d)
+        for a in range(d + 1):
+            opp = every[:, opp_size == a]
+            candidates = (size - 1) & ~(opp | (1 << p))
+            subs = _submask_matrix(candidates.ravel(), n - 1 - a)
+            subs = subs.reshape(*opp.shape, -1)
+            flat = _compress(subs | opp[..., None], p[..., None]) * R
+            delta = _float_sums(dsum.take(flat + rows[:, None, None]))
             with np.errstate(invalid="ignore"):
-                opps, los, his = _weighted_player_rows(
-                    n,
-                    player,
-                    adjacency[player],
-                    row,
-                    wsum_tables[player],
-                    float(row[adjacency[player]]),
-                    submask_cache,
-                )
-            if not opps:  # no feasible ownership: the graph's set is empty
-                break
-            entry_row.extend([gi * n + player] * len(opps))
-            entry_mask.extend(opps)
-            entry_lo.extend(los)
-            entry_hi.extend(his)
-    codes, values, feasible = _option_codes(
-        np.repeat(np.arange(len(graphs), dtype=np.int64), n),
-        np.asarray(entry_row, dtype=np.int64),
-        np.asarray(entry_mask, dtype=np.int64),
-        np.asarray(entry_lo, dtype=np.float64),
-        np.asarray(entry_hi, dtype=np.float64),
-        1 << n,
-    )
-    pairs = _chunk_intervals(
-        lambda rows, masks: codes[rows, masks], values, feasible, nbrs
-    )
-    return [_interval_set(p) for p in pairs]
+                delta -= base[rows, None, None]
+            delta[np.isnan(delta)] = 0.0  # ∞ - ∞ counts as no change
+            owned = wsum.take(p * size + (nbr_arr[rows, None] ^ opp))
+            dw = wsum.take(p[..., None] * size + subs)
+            dw -= owned[..., None]
+            empty = ((dw == 0.0) & (delta < -1e-12)).any(axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quotient = np.negative(delta, out=delta)
+                quotient /= dw
+            lo = quotient.max(axis=-1, where=dw > 0.0, initial=0.0)
+            hi = quotient.min(axis=-1, where=dw < 0.0, initial=np.inf)
+            ok = ~empty & (lo <= hi)
+            entries.append(
+                (np.broadcast_to(rows[:, None], ok.shape)[ok], opp[ok], lo[ok], hi[ok])
+            )
+    return [np.concatenate(column) for column in zip(*entries)]
 
 
 @obs.timed_kernel("weighted_ucg_t_sets")
@@ -797,32 +754,18 @@ def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
     player's model-independent distance table is the one the scalar game
     builds.  Falls back to the per-graph reference when ``n`` exceeds the
     table range.  No per-instance memo: results depend on the cost model,
-    not just the graph.
+    not just the graph.  A model bound to another player count than some
+    graph with ``n >= 2`` is a :class:`ValueError`, raised before any work.
     """
-    graphs = list(graphs)
-    results: List = [None] * len(graphs)
-    pending_by_n: Dict[int, List[int]] = {}
-    for i, graph in enumerate(graphs):
-        if graph.n <= 1:
-            results[i] = _full_set()
-        else:
-            pending_by_n.setdefault(graph.n, []).append(i)
-    fallback: List[int] = []
-    for n, indices in sorted(pending_by_n.items()):
-        if n > _MAX_TABLE_N:
-            fallback.extend(indices)
-            continue
-        budget = max(1, _row_budget(n) // n)
-        for start in range(0, len(indices), budget):
-            batch = indices[start : start + budget]
-            sets = _weighted_chunk_sets([graphs[i] for i in batch], model)
-            for i, interval_set in zip(batch, sets):
-                results[i] = interval_set
-    if fallback:
-        from ..costmodels.stability import weighted_ucg_nash_t_set
+    from ..costmodels.models import as_cost_model
+    from ..costmodels.stability import weighted_ucg_nash_t_set
 
-        for i in fallback:
-            results[i] = weighted_ucg_nash_t_set(
-                graphs[i], model, oracle=oracle
-            )
-    return results
+    graphs = list(graphs)
+    for n in sorted({graph.n for graph in graphs if graph.n > 1}):
+        as_cost_model(model, n)
+
+    return _engine_sets(
+        graphs,
+        lambda n: partial(_weighted_intervals, wsum=_link_cost_tables(model, n)),
+        lambda graph: weighted_ucg_nash_t_set(graph, model, oracle=oracle),
+    )

@@ -622,15 +622,19 @@ class TestHTTPServer:
     def test_error_statuses(self, server):
         with pytest.raises(urllib.error.HTTPError) as not_found:
             self._get(server, "/nope")
+        not_found.value.close()
         assert not_found.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as missing_field:
             self._post(server, "/v1/query/grid", {})
+        missing_field.value.close()
         assert missing_field.value.code == 400
         with pytest.raises(urllib.error.HTTPError) as unknown:
             self._post(server, "/v1/query/grid", {"artifact": "ghost.npz"})
+        unknown.value.close()
         assert unknown.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as wrong_method:
             self._get(server, "/v1/query/grid")
+        wrong_method.value.close()
         assert wrong_method.value.code == 405
 
     def _exchange(self, server, request: bytes):

@@ -26,8 +26,11 @@ from repro.core.unilateral import (
     ownership_best_response_interval,
     ucg_nash_alpha_set,
 )
-from repro.costmodels import UniformCost
-from repro.costmodels.stability import weighted_ucg_nash_t_set
+from repro.costmodels import PerPlayerCost, UniformCost
+from repro.costmodels.stability import (
+    weighted_ownership_interval,
+    weighted_ucg_nash_t_set,
+)
 from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
 from repro.graphs import (
     Graph,
@@ -54,6 +57,17 @@ def endpoints(interval_set: AlphaIntervalSet):
 def fresh(graph: Graph) -> Graph:
     """A new instance of the same topology (no memo, no canonical record)."""
     return Graph(graph.n, graph.sorted_edges())
+
+
+def submasks(mask: int):
+    """Every submask of ``mask``, empty set first (deterministic order)."""
+    subs = [0]
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        subs += [s | bit for s in subs]
+    return subs
 
 
 def sets_digest(interval_sets) -> str:
@@ -194,6 +208,13 @@ WIDE_MASK_DIGEST = "74de300a414bea8e53e5d137441dcff37976c010cbabf0f81bcb752c01fe
 #: class under ``random_weights`` (seed 3), captured at the same point.
 WEIGHTED_N7_DIGEST = "c7dc0b37dd7dc5a965083b04e33e809f1b7893016f17d21a4fbbfabf8fe29737"
 
+#: The same digest over every connected n = 8 class (seed 3), captured from
+#: the per-owned-set weighted loop that the weighted fold replaced.
+WEIGHTED_N8_DIGESTS = {
+    "random_weights": "5bb39a2a1487a3a4c1409f043b5b50bf084187f3b2928d06d7f6ab1b9f37e52e",
+    "two_tier_isp": "7ebf2a77f7e7db5551643dd8deec83395c9cd73426e3f52f28369be474438ae1",
+}
+
 
 def alpha_set_digest(n: int) -> str:
     graphs = enumerate_connected_graphs(n)
@@ -253,14 +274,20 @@ class TestWeightedParity:
                 weighted_ucg_nash_t_set(graph, model)
             ), f"weighted UCG mismatch (n=6) {graph.sorted_edges()}"
 
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_SLOW_TESTS"),
-        reason="the n=7 weighted sweep takes ~2 s; set REPRO_SLOW_TESTS=1 to run",
-    )
     def test_random_weights_n7_digest(self):
         model = build_scenario("random_weights", 7, seed=3).model
         sets = weighted_ucg_t_sets(enumerate_connected_graphs(7), model)
         assert sets_digest(sets) == WEIGHTED_N7_DIGEST
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_SLOW_TESTS"),
+        reason="each n=8 weighted sweep takes ~4 s; set REPRO_SLOW_TESTS=1 to run",
+    )
+    @pytest.mark.parametrize("name", sorted(WEIGHTED_N8_DIGESTS))
+    def test_weighted_n8_digest(self, name):
+        model = build_scenario(name, 8, seed=3).model
+        sets = weighted_ucg_t_sets(enumerate_connected_graphs(8), model)
+        assert sets_digest(sets) == WEIGHTED_N8_DIGESTS[name]
 
     def test_uniform_cost_reduces_to_scalar(self):
         # With UniformCost the weighted t-sets must equal the scalar α-sets
@@ -282,6 +309,22 @@ class TestWeightedParity:
             assert endpoints(engine_set) == endpoints(
                 weighted_ucg_nash_t_set(graph, model)
             )
+
+    @pytest.mark.parametrize("players", [8, 3])
+    def test_model_bound_to_another_player_count(self, monkeypatch, players):
+        # A model for more players must not silently price P_5 with the
+        # first five rates, nor one for fewer fail on an index.  Every n
+        # group is checked before any chunk runs, so the model's own n
+        # group (first when players = 3) never runs either.
+        import repro.engine.ucg as ucg
+
+        monkeypatch.setattr(
+            ucg, "_chunk_sets", lambda *args: pytest.fail("a chunk ran")
+        )
+        model = PerPlayerCost([float(k) for k in range(1, players + 1)])
+        for graphs in ([path_graph(5)], [path_graph(players), path_graph(5)]):
+            with pytest.raises(ValueError, match=f"bound to n = {players}"):
+                weighted_ucg_t_sets(graphs, model)
 
 
 # --------------------------------------------------------------------------- #
@@ -334,6 +377,67 @@ def every_player_tables(graph: Graph):
     return dsum, p_arr, adjacency[0]
 
 
+def fold_entries(rows, opponents, lo, hi):
+    """``{(row, A): (lo, hi)}`` of a fold's entry arrays."""
+    return {
+        (r, a): (x, y)
+        for r, a, x, y in zip(rows.tolist(), opponents.tolist(), lo, hi)
+    }
+
+
+def reference_entries(graph: Graph, interval):
+    """``{(p, A): (lo, hi)}`` of every non-empty ``interval(p, owned)``.
+
+    ``owned`` is the edge set of ``N(p) ∖ A``, for every opponent mask
+    ``A ⊆ N(p)`` of every player ``p``.
+    """
+    want = {}
+    for p, nbr in enumerate(graph.adjacency_rows()):
+        for opp in submasks(nbr):
+            owned = frozenset(
+                (min(p, v), max(p, v))
+                for v in range(graph.n)
+                if (nbr & ~opp) >> v & 1
+            )
+            result = interval(p, owned)
+            if not result.is_empty():
+                want[p, opp] = (result.lo, result.hi)
+    return want
+
+
+class BulkDiscount(PerPlayerCost):
+    """Per-player rates with a custom ``player_link_cost``.
+
+    A purchase of two or more links costs a quarter less than its rates.
+    """
+
+    def player_link_cost(self, player, others):
+        total = super().player_link_cost(player, others)
+        return 0.75 * total if len(others) >= 2 else total
+
+
+@st.composite
+def weighted_cases(draw, max_n):
+    """A graph of :func:`any_graphs` and a cost model bound to its ``n``.
+
+    The model is a registry scenario draw, or per-player rates tied to a
+    few values (so ``dw == 0`` holds for every equal-size purchase), plain
+    or with :class:`BulkDiscount`'s custom link-cost sum.
+    """
+    graph = draw(any_graphs(max_n))
+    kind = draw(st.sampled_from(["scenario", "tied", "custom"]))
+    if kind == "scenario":
+        name = draw(st.sampled_from(sorted(available_scenarios())))
+        seed = draw(st.integers(min_value=0, max_value=9))
+        return graph, build_scenario(name, graph.n, seed=seed).model
+    rates = draw(
+        st.lists(
+            st.sampled_from([0.5, 1.0, 3.0]), min_size=graph.n, max_size=graph.n
+        )
+    )
+    return graph, (PerPlayerCost if kind == "tied" else BulkDiscount)(rates)
+
+
 class TestTableOracles:
 
     @settings(max_examples=40, deadline=None)
@@ -358,27 +462,36 @@ class TestTableOracles:
     @example(graph=Graph(6, [(0, 1), (1, 2), (3, 4)]))
     @example(graph=complete_graph(7))
     def test_fold_matches_ownership_intervals(self, graph):
-        from repro.engine.ucg import _scalar_intervals, _submasks
+        from repro.engine.ucg import _scalar_intervals
 
         dsum, p_arr, nbrs = every_player_tables(graph)
-        rows, opponents, lo, hi = _scalar_intervals(dsum, p_arr, nbrs, graph.n)
-        got = {
-            (r, a): (x, y)
-            for r, a, x, y in zip(rows.tolist(), opponents.tolist(), lo, hi)
-        }
-        want = {}
-        for p in range(graph.n):
-            nbr = int(nbrs[p])
-            for opp in _submasks(nbr):
-                owned = frozenset(
-                    (min(p, v), max(p, v))
-                    for v in range(graph.n)
-                    if (nbr & ~opp) >> v & 1
-                )
-                interval = ownership_best_response_interval(graph, p, owned)
-                if not interval.is_empty():
-                    want[p, opp] = (interval.lo, interval.hi)
+        got = fold_entries(*_scalar_intervals(dsum, p_arr, nbrs, graph.n))
+        want = reference_entries(
+            graph, lambda p, owned: ownership_best_response_interval(graph, p, owned)
+        )
         assert got == want, f"fold differs on {graph.sorted_edges()}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=weighted_cases(max_n=7))
+    @example(case=(empty_graph(4), PerPlayerCost([1.0, 1.0, 3.0, 1.0])))
+    @example(case=(Graph(6, [(0, 1), (1, 2), (3, 4)]), BulkDiscount([1.0] * 6)))
+    @example(case=(path_graph(5), PerPlayerCost([1.0] * 5)))
+    @example(case=(star_graph(5), BulkDiscount([0.5, 1.0, 1.0, 3.0, 0.5])))
+    @example(
+        case=(complete_graph(7), build_scenario("hub_discounted", 7, seed=5).model)
+    )
+    def test_weighted_fold_matches_ownership_intervals(self, case):
+        from repro.engine.ucg import _link_cost_tables, _weighted_intervals
+
+        graph, model = case
+        dsum, p_arr, nbrs = every_player_tables(graph)
+        wsum = _link_cost_tables(model, graph.n)
+        got = fold_entries(*_weighted_intervals(dsum, p_arr, nbrs, graph.n, wsum))
+        want = reference_entries(
+            graph,
+            lambda p, owned: weighted_ownership_interval(graph, p, owned, model),
+        )
+        assert got == want, f"weighted fold differs on {graph.sorted_edges()}"
 
 
 # --------------------------------------------------------------------------- #
@@ -391,19 +504,17 @@ def signature_tuple_classes(v, nbr, lo_row, hi_row, ok_row):
 
     The class of an inherited mask ``I`` is the tuple of option-set ids of
     ``I ∪ D`` over every earlier-neighbour mask ``D`` (O(4^e) work for ``e``
-    earlier neighbours), numbered by first appearance in ``_submasks`` order.
-    Returns ``(classes, options_by_class, transitions)`` with ``classes`` in
-    ``_submasks(earlier)`` order.
+    earlier neighbours), numbered by first appearance in :func:`submasks`
+    order.  Returns ``(classes, options_by_class, transitions)`` with
+    ``classes`` in ``submasks(earlier)`` order.
     """
-    from repro.engine.ucg import _submasks
-
     earlier = nbr & ((1 << v) - 1)
     local = nbr & ~((1 << (v + 1)) - 1)
-    j_list = _submasks(earlier)
+    j_list = submasks(earlier)
     option_ids, option_id, options_of = {}, {}, {}
     for inherited in j_list:
         options = []
-        for kept in _submasks(local):
+        for kept in submasks(local):
             opponents = nbr ^ (inherited | kept)
             if ok_row[opponents]:
                 options.append((lo_row[opponents], hi_row[opponents], local ^ kept))
@@ -430,7 +541,7 @@ def kernel_classes(n, v, nbr, lo_row, hi_row, ok_row):
     """The class kernel run on one ``(vertex, table)`` row.
 
     Returns ``(classes, options_by_class, trans)`` in the oracle's shape:
-    the class of each inherited mask in ``_submasks(earlier)`` order (found
+    the class of each inherited mask in ``submasks(earlier)`` order (found
     by walking the transitions up from class 0, one earlier bit at a time,
     as the DP does), each class's ``(lo, hi, deferred)`` options and the
     ``trans[u, class]`` table.
@@ -472,7 +583,7 @@ def kernel_classes(n, v, nbr, lo_row, hi_row, ok_row):
         )
     earlier = [u for u in range(v) if nbr >> u & 1]
     classes = [0]
-    for u in earlier:  # _submasks order: the next bit doubles the list
+    for u in earlier:  # submasks order: the next bit doubles the list
         classes += [int(trans[u, cls]) for cls in classes]
     return classes, options_by_class, trans
 
@@ -568,7 +679,7 @@ class TestOrbitPruning:
 
     def test_weighted_orbit_equivalence(self):
         model = build_scenario("line_metric", 6, seed=0).model
-        graphs = [cycle_graph(6), complete_graph(5), path_graph(6)]
+        graphs = [cycle_graph(6), complete_graph(6), path_graph(6)]
         memoised = [fresh(g) for g in graphs]
         for graph in memoised:
             canonical_record(graph)
