@@ -47,7 +47,7 @@ from ..core.stability_intervals import AlphaInterval, AlphaIntervalSet
 from ..engine import DistanceOracle, get_default_oracle
 from ..engine.oracle import distance_delta
 from ..graphs import Graph, INFINITY
-from .models import CostModel
+from .models import CostModel, as_cost_model
 
 Edge = Tuple[int, int]
 EndpointKey = Tuple[Edge, int]
@@ -175,8 +175,10 @@ def weighted_stability_profile(
     The distance deltas are exactly those of the scalar
     :func:`~repro.core.stability_intervals.pairwise_stability_profile`
     (shared oracle, shared ``∞ - ∞ = 0`` convention); the model only
-    contributes the per-probe prices.
+    contributes the per-probe prices.  A model bound to another player
+    count than ``graph.n`` is a :class:`ValueError`.
     """
+    model = as_cost_model(model, graph.n)
     if oracle is None:
         oracle = get_default_oracle()
     removal_deltas, addition_deltas = oracle.stability_deltas(graph)
@@ -337,10 +339,12 @@ def weighted_ownership_interval(
     Nash constraint ``c(owned) ≤ c(S)`` reads ``t·(w_S - w_owned) ≥ -Δdist``
     and is linear in ``t``, so the feasible region is a closed interval.
     Purchase *counts* become weight *sums*; with a uniform unit model the
-    two coincide float-exactly.
+    two coincide float-exactly.  A model bound to another player count than
+    ``graph.n`` is a :class:`ValueError`.
     """
     from ..core.unilateral import _source_distance_sum_with_extras
 
+    model = as_cost_model(model, graph.n)
     for (u, v) in owned:
         if player not in (u, v):
             raise ValueError(f"edge {(u, v)} is not incident to player {player}")

@@ -20,13 +20,14 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    All of ``D_p(·)`` comes from one multi-source bitset BFS in ``G - p``
    over every row of a chunk at once: the radius-``l`` balls of all
    vertices grow a level at a time, a subset-OR doubling unions them into
-   the reach of every mask, and one popcount gather per level adds the
-   vertices still unreached.  Distance sums are small integers, so they
+   the reach of every mask, and one bit count per level adds the vertices
+   still unreached.  Distance sums are small integers, so they
    live in ``uint8`` with 255 as ∞, and the per-``A`` interval endpoints
    reduce to per-size superset minima, taken size-major by ``n - 1``
    in-place minimum passes.  Only then does a float64 fold turn the minima
    into quotients, one size plane at a time and only for the opponent
-   masks ``A ⊆ N(p)`` that can occur (batched by degree).  Division by the
+   masks ``A ⊆ N(p)`` that can occur (batched by degree), each quotient
+   read from a table indexed by the two uint8 sums.  Division by the
    (positive) purchase-count difference is weakly monotone, so taking the
    group extremum *before* the division produces bit-identical endpoints
    to the reference's per-subset fold.
@@ -53,10 +54,18 @@ pipeline that produces the *identical* :class:`AlphaIntervalSet` per graph
    collapses ``K_8`` from ~10^6 raw states to a few hundred) — and the
    value is the bitset union over every orientation prefix reaching it.
    The classes of every ``(graph, vertex)`` row are built at once by
-   pair-id refinement with 1-D :func:`numpy.unique`; each DP step expands
-   all states by their options, ANDs the bitsets, applies the deferral
-   transitions and merges equal ``(graph, state)`` keys with one sort and a
-   ``bitwise_or.reduceat``.
+   pair-id refinement, each id a rank counted over a presence table of
+   the pair keys (:func:`_dense_ids`; no sort while the key span stays
+   small); each DP step expands all states by their options, ANDs the
+   bitsets, applies the deferral transitions and merges equal ``(graph,
+   state)`` keys with one sort and a ``bitwise_or.reduceat``, in slices of
+   a byte budget.
+
+3. **Chunks sized by their work.**  A chunk takes graphs in order while
+   their estimated bytes (:func:`_graph_bytes`: the tables over the masks
+   of ``V``, the opponent masks ``A ⊆ N(p)``, and the weighted fold's
+   ``(A, S)`` pairs) stay within one budget, so sparse graphs share a
+   chunk with many others and dense ones with few.
 
 The weighted game (:func:`weighted_ucg_t_sets`) reads the same
 model-independent ``D_p`` tables (distances are unweighted hops) through
@@ -77,7 +86,7 @@ backtracking reference, which is also what every test asserts against.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Dict, List, NamedTuple
 
 import numpy as np
@@ -87,11 +96,31 @@ from .. import obs
 #: Largest ``n`` the table pipeline handles (2^(n-1)-entry tables per player).
 _MAX_TABLE_N = 12
 
-#: Byte budget per internal batch: bounds the distance-sum and reach tables
-#: over the 2^(n-1) masks of V∖{p}, the n × 2^(n-1) × rows uint8
-#: superset-min tensor, the float64 fold over A ⊆ N(p), the int64 option
-#: codes and the class-kernel and DP arrays (see :func:`_row_budget`).
+#: Byte budget of one chunk of graphs, as :func:`_graph_bytes` estimates
+#: it, and of one slice of a DP step's expanded ``(state, option)`` pairs.
+#: The chunk estimate is conservative: the n = 8 census's chunks of 153
+#: graphs peak at 0.26–0.51 of theirs (tracemalloc).
 _TABLE_BYTE_BUDGET = 24 << 20
+
+#: :func:`_graph_bytes` per row and mask of V: the uint8 distance sums,
+#: reach, level temporaries and size-major superset minima over V∖{p},
+#: about ``(n + 5)/2`` bytes.
+_MASK_BYTES = 8
+
+#: :func:`_graph_bytes` per opponent mask A ⊆ N(p) of a row: its fold
+#: entry, option code, class-kernel and DP arrays.  These peak at ~20–70 B
+#: per mask on sparse n = 8 graphs and ~190 B on the densest (the 153 that
+#: hold ``K_8``), so 400 B keeps a chunk within about half the budget.
+_ENTRY_BYTES = 400
+
+#: :func:`_graph_bytes` per ``(A, S)`` pair of the weighted fold.  Its
+#: tracemalloc peak runs at 56–67 B per pair of its largest (degree,
+#: opponent count) batch, 8–11 B per pair of the chunk (n = 8).
+_PAIR_BYTES = 12
+
+#: Bytes per expanded ``(state, option)`` pair of a DP step besides its two
+#: bitset words (tracemalloc: ~90 B per one-word pair on ``K_12``).
+_DP_PAIR_BYTES = 80
 
 #: ∞ in the uint8 distance-sum tables.  A finite ``D_p(B)`` adds ``n - 1``
 #: terms ``1 + d_{G-p}(B, j)`` of at most ``n - 1`` each, so it is at most
@@ -148,6 +177,17 @@ def _compress(masks, p):
     return (masks & low) | ((masks >> 1) & ~low)
 
 
+def _bit_counts(masks):
+    """Set bits of each entry of a uint8 or uint16 array, as uint8 (SWAR)."""
+    ones = np.iinfo(masks.dtype).max
+    count = masks - ((masks >> 1) & (ones // 3))
+    count = (count & (ones // 5)) + ((count >> 2) & (ones // 5))
+    count = (count + (count >> 4)) & (ones // 17)
+    if masks.dtype == np.uint16:
+        count = (count + (count >> 8)) & 0x1F
+    return count.astype(np.uint8, copy=False)
+
+
 def _float_sums(table):
     """float64 copy of a uint8 distance-sum table (``inf`` for ``_INF8``)."""
     return np.take(_FLOAT_SUMS, table)
@@ -165,8 +205,8 @@ def _distance_sums(adjacency, p_arr):
     |reach_l(B)|)``, finite only when the reach covers ``V∖{p}``.
     ``reach_l(B)`` unions the radius-``l`` balls of ``B``'s members (a
     subset-OR doubling), the next balls are ``ball_{l+1}(j) =
-    reach_l(N[j])``, and each level adds one popcount gather until no ball
-    grows.  Sums are held exactly as uint8 with ``_INF8`` for ∞
+    reach_l(N[j])``, and each level adds one :func:`_bit_counts` pass until
+    no ball grows.  Sums are held exactly as uint8 with ``_INF8`` for ∞
     (:func:`_float_sums` gives the float64 values).
     """
     R, n = adjacency.shape
@@ -177,13 +217,12 @@ def _distance_sums(adjacency, p_arr):
     closed = ((nbrs | bit) * R + np.arange(R)[:, None]).T  # flat reach index
     dtype = np.uint8 if k <= 8 else np.uint16
     ball = np.broadcast_to(bit[:, None], (k, R)).astype(dtype)
-    pop = _popcounts(k).astype(np.uint8)
     reach = np.zeros((1 << k, R), dtype=dtype)
     total = np.full((1 << k, R), k, dtype=np.uint8)
     while True:
         for b in range(k):
             np.bitwise_or(reach[: 1 << b], ball[b], out=reach[1 << b : 2 << b])
-        gap = k - np.take(pop, reach)
+        gap = k - _bit_counts(reach)
         total += gap
         grown = np.take(reach, closed)
         if np.array_equal(grown, ball):
@@ -198,8 +237,43 @@ def _distance_sums(adjacency, p_arr):
 # --------------------------------------------------------------------------- #
 
 
+@cache
+def _fold_tables():
+    """``(quotients, nonnegative)`` read by :func:`_scalar_intervals`.
+
+    Both are indexed by ``s - b + _INF8`` for a superset minimum ``s`` and a
+    base sum ``b``, each a finite sum (at most ``(n - 1)² = 121``) or
+    ``_INF8``: finite pairs land on 134–376, ∞ − finite on 389–510, finite −
+    ∞ on 0–121 and ∞ − ∞ on 255, where a finite ``s == b`` also lands and
+    ``Δ = 0`` as well.  So the index determines ``Δ = s - b`` (∞ − ∞ reads
+    as 0), and ``quotients[k, index]`` is ``-Δ/k`` for the purchase-count
+    difference ``k = m - d`` (negative ``k`` from the end) and
+    ``nonnegative[index]`` is ``not Δ < -1e-12``, each from the fold's own
+    float expressions.  Only the reachable pairs are filled: an unreachable
+    one (a finite sum above 121) would overwrite another pair's index.
+    Built on first use (~2 ms) and shared read-only.
+    """
+    sums = np.r_[np.arange((_MAX_TABLE_N - 1) ** 2 + 1), _INF8].astype(np.uint8)
+    s, b = np.meshgrid(sums, sums, indexing="ij")
+    index = s.astype(np.intp) - b + _INF8
+    delta = _float_sums(s)
+    with np.errstate(invalid="ignore"):
+        delta -= _float_sums(b)
+    delta[np.isnan(delta)] = 0.0  # ∞ - ∞ counts as no change
+    quotients = np.zeros((2 * _MAX_TABLE_N - 1, 2 * _INF8 + 1))
+    for k in range(1 - _MAX_TABLE_N, _MAX_TABLE_N):
+        if k:
+            quotient = np.negative(delta)
+            quotient /= k
+            quotients[k, index] = quotient
+    nonnegative = np.zeros(2 * _INF8 + 1, dtype=bool)
+    nonnegative[index] = ~(delta < -1e-12)
+    quotients.flags.writeable = nonnegative.flags.writeable = False
+    return quotients, nonnegative
+
+
 def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
-    """``(row, A, lo, hi)`` arrays, one entry per feasible ownership split.
+    """``(row, sub, lo, hi)`` arrays, one entry per feasible ownership split.
 
     Exactly :func:`repro.core.unilateral.ownership_best_response_interval`
     vectorised: constraints are grouped by the size ``m`` of the deviation
@@ -212,7 +286,12 @@ def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
     the growth quotients (``lo``) and a running minimum of the shrink
     quotients (``hi``): max and min over the reference's quotient multiset
     are exact, up to the sign of a zero, which :func:`_option_codes` drops.
-    ``A`` comes back as a mask of ``V``.
+    Each quotient and the ``m == deg`` empty test are read from
+    :func:`_fold_tables` at ``s - b + _INF8`` of the uint8 minimum ``s``
+    and base sum ``b``, which hold the same float expressions' values.
+    Each entry names its ``A`` by the column of :func:`_submask_matrix`
+    over ``N(p)`` that holds it (bit ``k`` of the column picks the ``k``-th
+    lowest neighbour).
     """
     size, R = dsum.shape
     # sup[m, B, r] = min of D_p(C) over C ⊇ B with |C| = m, size-major:
@@ -224,7 +303,9 @@ def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
         view = sup.reshape(n * (size >> (b + 1)), 2, (1 << b) * R)
         np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
     sup = sup.reshape(n, -1)
-    base = _float_sums(dsum[_compress(nbr_arr, p_arr), np.arange(R)])
+    base = dsum[_compress(nbr_arr, p_arr), np.arange(R)]
+    shift = _INF8 - base.astype(np.intp)  # table index = minimum + shift
+    quotients, nonnegative = _fold_tables()
     deg = _popcounts(n)[nbr_arr]
     entries = []
     for d in range(n):
@@ -234,27 +315,23 @@ def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
         opp = _submask_matrix(nbr_arr[rows], d)
         flat = _compress(opp, p_arr[rows, None]) * R + rows[:, None]
         opp_size = _popcounts(d)  # |A| of each column of ``opp``
+        row_shift = shift[rows, None]
         lo = np.full(opp.shape, -np.inf)
         hi = np.full(opp.shape, np.inf)
         for m in range(n):
-            delta = _float_sums(sup[m].take(flat))  # (rows, 2^d) minima
-            with np.errstate(invalid="ignore"):
-                delta -= base[rows, None]
-            delta[np.isnan(delta)] = 0.0  # ∞ - ∞ counts as no change
+            index = sup[m].take(flat) + row_shift  # (rows, 2^d) minima
             if m == d:
-                ok = ~(delta < -1e-12)
+                ok = nonnegative.take(index)
                 continue
-            quotient = np.negative(delta, out=delta)
-            quotient /= m - d
+            quotient = quotients[m - d].take(index)
             if m > d:
                 np.maximum(lo, quotient, out=lo)
             else:  # no B ⊇ A has m < |A| members: no constraint there
                 np.minimum(hi, quotient, out=hi, where=opp_size <= m)
         lo = np.maximum(lo, 0.0)
         ok &= lo <= hi
-        entries.append(
-            (np.broadcast_to(rows[:, None], ok.shape)[ok], opp[ok], lo[ok], hi[ok])
-        )
+        row, sub = np.nonzero(ok)
+        entries.append((rows[row], sub, lo[ok], hi[ok]))
     return [np.concatenate(column) for column in zip(*entries)]
 
 
@@ -263,20 +340,23 @@ def _scalar_intervals(dsum, p_arr, nbr_arr, n: int):
 # --------------------------------------------------------------------------- #
 
 
-def _option_codes(row_graph, entry_row, entry_mask, entry_lo, entry_hi, size):
+def _option_codes(row_graph, entry_row, entry_sub, entry_lo, entry_hi, row_ptr):
     """Rank-coded option table of one chunk.
 
-    The entries are the feasible ``(row, A, lo, hi)`` ownership splits of
-    the rows (``row_graph[r]`` is row ``r``'s graph).  Each graph's distinct
-    endpoints are ranked with one lexsort over ``(graph, value)``;
-    ``values[g, k]`` is graph ``g``'s ``k``-th smallest endpoint (``-0.0``
-    reads as ``0.0``: the search's running lower bound starts at ``0.0``
-    and only ever grows, so it never ends on ``-0.0``).  Every interval is
-    then trimmed to its graph's hull — the intersection over rows of each
-    row's ``[min lo, max hi]`` — and coded as ``1 + lo_rank·K + hi_rank``
-    in ``codes[r, A]`` (0: no option).  A graph is ``feasible`` when its
-    hull is non-empty and every row keeps an option; infeasible graphs keep
-    no codes.  Returns ``(codes, values, feasible)``.
+    The entries are the feasible ``(row, sub, lo, hi)`` ownership splits of
+    the rows (``row_graph[r]`` is row ``r``'s graph, ``sub`` the column of
+    the opponent mask ``A`` among the ``2^deg`` submasks of the row's
+    neighbour set, which occupy ``codes[row_ptr[r] : row_ptr[r + 1]]``).
+    Each graph's distinct endpoints are ranked with one lexsort over
+    ``(graph, value)``; ``values[g, k]`` is graph ``g``'s ``k``-th smallest
+    endpoint (``-0.0`` reads as ``0.0``: the search's running lower bound
+    starts at ``0.0`` and only ever grows, so it never ends on ``-0.0``).
+    Every interval is then trimmed to its graph's hull — the intersection
+    over rows of each row's ``[min lo, max hi]`` — and coded as ``1 +
+    lo_rank·K + hi_rank`` in ``codes[row_ptr[r] + sub]`` (0: no option).  A
+    graph is ``feasible`` when its hull is non-empty and every row keeps an
+    option; infeasible graphs keep no codes.  Returns ``(codes, values,
+    feasible)``.
     """
     G = int(row_graph.max()) + 1
     R = len(row_graph)
@@ -312,8 +392,8 @@ def _option_codes(row_graph, entry_row, entry_mask, entry_lo, entry_hi, size):
     idle = np.bincount(entry_row[keep], minlength=R) == 0
     feasible[row_graph[idle]] = False
     keep &= feasible[entry_graph]
-    codes = np.zeros((R, size), dtype=np.int64)
-    codes[entry_row[keep], entry_mask[keep]] = (
+    codes = np.zeros(row_ptr[-1], dtype=np.int64)
+    codes[row_ptr[entry_row[keep]] + entry_sub[keep]] = (
         1 + lo_rank[keep] * K + hi_rank[keep]
     )
     return codes, values, feasible
@@ -324,11 +404,34 @@ def _option_codes(row_graph, entry_row, entry_mask, entry_lo, entry_hi, size):
 # --------------------------------------------------------------------------- #
 
 
+#: :func:`_dense_ids` ranks keys by counting while their span is at most
+#: this many times their number, and sorts them otherwise.
+_COUNTING_SPAN = 16
+
+
+def _dense_ids(key):
+    """``(ids, count)``: the rank of each key among the distinct keys, and
+    their number.
+
+    ``ids`` is :func:`numpy.unique`'s inverse in ``key``'s shape (keys are
+    non-negative).  Unless their span ``max + 1`` exceeds
+    :data:`_COUNTING_SPAN` per key, no sort runs: the ranks are the
+    cumulative sum of a presence table over the span.
+    """
+    span = int(key.max()) + 1
+    if span > _COUNTING_SPAN * key.size:
+        values, ids = np.unique(key.ravel(), return_inverse=True)
+        return ids.reshape(key.shape), len(values)
+    present = np.zeros(span, dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return rank[key], int(rank[-1]) + 1
+
+
 def _pair_ids(first, second):
     """Dense ids of the elementwise pairs ``(first, second)``."""
-    key = first * (int(second.max()) + 1) + second
-    _, ids = np.unique(key.ravel(), return_inverse=True)
-    return ids.reshape(key.shape)
+    return _dense_ids(first * (int(second.max()) + 1) + second)[0]
 
 
 class _ClassTables(NamedTuple):
@@ -352,19 +455,20 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
     """Future-equivalence classes, options and transitions of every row.
 
     Row ``r = g·n + v`` of a chunk is vertex ``v`` of graph ``g``, whose
-    neighbour masks are ``nbrs[g]``; ``option_code(r, A)`` gives the option
-    code of its opponent mask ``A`` (broadcasting over arrays).  An
+    neighbour masks are ``nbrs[g]``; ``option_code(r, sub)`` gives the
+    option code of its opponent mask ``A`` at column ``sub`` of
+    :func:`_submask_matrix` over ``N(v)`` (broadcasting over arrays).  An
     inherited mask ``I`` (earlier neighbours that deferred their shared
     edge to ``v``) offers one option per split of the later neighbours into
-    kept and deferred, ``(option_code(r, N(v) ^ I ^ kept), deferred)``,
-    where code 0 means no option.  Two inherited masks are interchangeable
+    kept and deferred, ``(code of A = N(v) ^ I ^ kept, deferred)``, where
+    code 0 means no option.  Two inherited masks are interchangeable
     for the rest of the search iff ``I ∪ D`` and ``I' ∪ D`` offer the same
     options for every further deferral ``D``.  Rows are grouped by their
     (#earlier, #later) neighbour counts ``(e, l)`` and each group is solved
     at once: the option vectors are folded into ids one later-neighbour bit
     at a time, then refined one earlier bit ``b`` at a time, ``class(I) ←
-    (class(I), class(I ∪ {b}))`` — each step a 1-D :func:`numpy.unique`
-    over pair ids.  Classes are numbered per row by first appearance in
+    (class(I), class(I ∪ {b}))`` — each step a :func:`_dense_ids` over
+    pair keys.  Classes are numbered per row by first appearance in
     :func:`_submask_matrix` order, so class 0 is the empty mask and every
     ``I`` made of the ``k`` lowest earlier neighbours has a class below
     ``2^k``.  The relation is compositional (``I ≡ I' ⇒ I∪D ≡ I'∪D``), so
@@ -386,8 +490,12 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
         e, l = divmod(key, n + 1)
         inherited = _submask_matrix(earlier[members], e)  # (m, 2^e)
         kept = _submask_matrix(later[members], l)  # (m, 2^l)
-        opponents = (nbr_arr[members, None] ^ inherited)[:, :, None]
-        options = option_code(rows[members, None, None], opponents ^ kept[:, None, :])
+        # The earlier neighbours are the e lowest of N(v): A = N(v) ∖ (I ∪
+        # kept) is the submask column complementing I's and kept's columns.
+        sub = (np.arange(1 << e)[:, None] | (np.arange(1 << l) << e)) ^ (
+            (1 << (e + l)) - 1
+        )
+        options = option_code(rows[members, None, None], sub)
         ids = options
         while ids.shape[2] > 1:  # fold the option vector, top kept bit first
             half = ids.shape[2] // 2
@@ -398,17 +506,18 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
             ids = _pair_ids(ids, ids[:, span | (1 << bit)])
         # Global ids in (row, first appearance) order: each row's classes
         # are contiguous and start with its empty mask.
-        flat = np.arange(len(members))[:, None] * (int(ids.max()) + 1) + ids
-        _, first, inverse = np.unique(
-            flat.ravel(), return_index=True, return_inverse=True
+        flat, count = _dense_ids(
+            np.arange(len(members))[:, None] * (int(ids.max()) + 1) + ids
         )
-        order = np.argsort(first)
-        classes = total + np.arange(len(order))
-        gid = np.empty_like(classes)
-        gid[order] = classes
-        cls = gid[inverse].reshape(ids.shape)
+        first = np.full(count, flat.size)
+        np.minimum.at(first, flat.ravel(), np.arange(flat.size))
+        heads = np.zeros(flat.size, dtype=bool)  # first appearances
+        heads[first] = True
+        rank = np.cumsum(heads)
+        cls = total - 1 + rank[first[flat]]
+        classes = total + np.arange(count)
         base[members] = cls[:, 0]
-        rep_row, rep_i = np.divmod(first[order], 1 << e)  # one (row, I) per class
+        rep_row, rep_i = np.divmod(np.flatnonzero(heads), 1 << e)  # one per class
         own = cls[rep_row, 0]
         local.append(classes - own)
         for bit in range(e):
@@ -419,7 +528,7 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
         counts.append(live.sum(axis=1))
         codes.append(vec[live])
         deferrals.append((later[members[rep_row], None] ^ kept[rep_row])[live])
-        total += len(order)
+        total += count
     trans = np.tile(np.concatenate(local), (n, 1))
     for u, gid, target in moves:
         trans[u, gid] = target
@@ -436,11 +545,24 @@ def _class_tables(option_code, rows, nbrs) -> _ClassTables:
 
 
 def _run_bits(lo_rank, hi_rank, words: int):
-    """``(m, words)`` uint64 bitsets with bits ``2·lo … 2·hi`` set."""
-    offset = 64 * np.arange(words)
-    start = np.clip(2 * lo_rank[:, None] - offset, 0, 64)
-    stop = np.clip(2 * hi_rank[:, None] + 1 - offset, 0, 64)
+    """``(words, m)`` uint64 bitsets with bits ``2·lo … 2·hi`` set.
+
+    Word-major: each word of the ``m`` bitsets is one contiguous row, so
+    the DP gathers, filters and merges whole rows.
+    """
+    offset = 64 * np.arange(words)[:, None]
+    start = np.clip(2 * lo_rank - offset, 0, 64)
+    stop = np.clip(2 * hi_rank + 1 - offset, 0, 64)
     return _LOW_BITS[stop] & ~_LOW_BITS[start]
+
+
+def _or_merge(keys, bits):
+    """The distinct ``keys``, ascending, and the OR of each one's ``bits`` columns."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    bits = np.bitwise_or.reduceat(bits.take(order, axis=1), heads, axis=1)
+    return keys[heads], bits
 
 
 def _frontier_dp(tables: _ClassTables, opt_bits, nbrs):
@@ -454,6 +576,12 @@ def _frontier_dp(tables: _ClassTables, opt_bits, nbrs):
     neighbours ``≤ u`` — its lowest ``k`` earlier neighbours — so its class
     is below ``2^k`` (see :func:`_class_tables`) and its key field is ``k``
     bits wide: the key holds at most ``(u + 1)(n - 1 - u) ≤ n²/4`` bits.
+    A step expands its states in slices of at most ``_TABLE_BYTE_BUDGET``
+    worth of ``(state, option)`` pairs, merges each slice's equal ``(graph,
+    key)`` states, then ORs the slices' states together in one more merge
+    (one slice on every chunk of the n ≤ 8 scalar census; ``K_12`` would
+    expand 2.1 M pairs in one).  OR is associative and commutative, so the
+    bits do not depend on the slicing.
     Returns the surviving graphs and their final bitsets.
     """
     base, opt_ptr, _, opt_def, trans = tables
@@ -468,43 +596,54 @@ def _frontier_dp(tables: _ClassTables, opt_bits, nbrs):
     field = (1 << width) - 1
     graph = np.arange(F)
     key = np.zeros(F, dtype=np.int64)
-    bits = np.full((F, opt_bits.shape[1]), _LOW_BITS[64])
+    bits = np.full((len(opt_bits), F), _LOW_BITS[64])
+    pair_bytes = _DP_PAIR_BYTES + 16 * len(opt_bits)
     for u in range(n):
         gid = base[graph * n + u] + ((key >> shift[u, u]) & field[u, u])
         first = opt_ptr[gid]
         count = opt_ptr[gid + 1] - first
-        parent = np.repeat(np.arange(len(gid)), count)
-        option = np.arange(len(parent)) + np.repeat(
-            first - (np.cumsum(count) - count), count
-        )
-        value = bits[parent] & opt_bits[option]
-        live = np.bitwise_or.reduce(value, axis=1) != 0
-        parent, option, value = parent[live], option[live], value[live]
-        if not len(parent):
-            return graph[:0], bits[:0]
-        old, deferred = key[parent], opt_def[option]
-        g = graph[parent]
-        new = np.zeros(len(parent), dtype=np.int64)
-        for w in range(u + 1, n):
-            if not width[u + 1, w]:  # no neighbour of w is processed yet
+        keep = int(width[u + 1].sum())  # key bits after this step
+        keys, unions = [], []
+        for part in _slices(count * pair_bytes, _TABLE_BYTE_BUDGET):
+            take = count[part]
+            parent = part.start + np.repeat(np.arange(len(take)), take)
+            option = np.arange(len(parent)) + np.repeat(
+                first[part] - (np.cumsum(take) - take), take
+            )
+            value = bits.take(parent, axis=1) & opt_bits.take(option, axis=1)
+            live = (value != 0).any(axis=0)
+            parent, option = parent.compress(live), option.compress(live)
+            value = value.compress(live, axis=1)
+            if not len(parent):
                 continue
-            cls = (old >> shift[u, w]) & field[u, w]
-            moved = trans[u][base[g * n + w] + cls]
-            cls = np.where((deferred >> w) & 1, moved, cls)
-            new |= cls << shift[u + 1, w]
-        merged = (g << int(width[u + 1].sum())) | new
-        order = np.argsort(merged)
-        merged = merged[order]
-        heads = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])
-        bits = np.bitwise_or.reduceat(value[order], heads, axis=0)
-        graph, key = g[order[heads]], new[order[heads]]
+            old, deferred = key[parent], opt_def[option]
+            g = graph[parent]
+            new = np.zeros(len(parent), dtype=np.int64)
+            for w in range(u + 1, n):
+                if not width[u + 1, w]:  # no neighbour of w is processed yet
+                    continue
+                cls = (old >> shift[u, w]) & field[u, w]
+                moved = trans[u][base[g * n + w] + cls]
+                cls = np.where((deferred >> w) & 1, moved, cls)
+                new |= cls << shift[u + 1, w]
+            new |= g << keep
+            del parent, option, old, deferred, g  # freed before the merge sort
+            new, value = _or_merge(new, value)
+            keys.append(new)
+            unions.append(value)
+        if not keys:
+            return graph[:0], bits[:, :0]
+        merged, bits = keys[0], unions[0]
+        if len(keys) > 1:  # OR the slices' states together
+            merged, bits = _or_merge(np.concatenate(keys), np.concatenate(unions, 1))
+        graph, key = merged >> keep, merged & ((1 << keep) - 1)
     return graph, bits
 
 
 def _chunk_intervals(option_code, values, feasible, nbrs):
     """Exact ``(lo, hi)`` unions of every graph of one chunk.
 
-    ``option_code(g·n + p, A)`` reads player ``p``'s option codes and
+    ``option_code(g·n + p, sub)`` reads player ``p``'s option codes and
     ``values``/``feasible`` come from :func:`_option_codes`; returns one
     sorted, disjoint, non-touching pair list per graph (empty when
     infeasible), which is the exact union the backtracking reference's
@@ -522,7 +661,9 @@ def _chunk_intervals(option_code, values, feasible, nbrs):
     opt_bits = _run_bits(lo_rank, hi_rank, words=(2 * K - 1 + 63) // 64)
     alive, bits = _frontier_dp(tables, opt_bits, nbrs[graphs])
     flags = np.unpackbits(
-        bits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+        np.ascontiguousarray(bits.T, dtype="<u8").view(np.uint8),
+        axis=1,
+        bitorder="little",
     ).astype(np.int8)
     edge = np.diff(flags, axis=1, prepend=0, append=0)
     row, lo_bit = np.nonzero(edge == 1)
@@ -556,47 +697,67 @@ def _adjacency(graphs):
     return np.asarray([g.adjacency_rows() for g in graphs], dtype=np.int64)
 
 
-def _chunk_sets(graphs, intervals):
-    """Engine-path sets of one same-``n`` chunk (``2 <= n``).
+def _chunk_sets(nbrs, intervals):
+    """Engine-path sets of one chunk of same-``n`` graphs (``2 <= n``).
 
+    ``nbrs`` holds the graphs' neighbour masks, one row per graph, and
     ``intervals(dsum, p_arr, nbr_arr, n)`` is the game's fold, with
-    :func:`_scalar_intervals`' arguments and ``(row, A, lo, hi)`` result.
+    :func:`_scalar_intervals`' arguments and ``(row, sub, lo, hi)`` result.
     """
-    n = graphs[0].n
-    nbrs = _adjacency(graphs)
-    row_graph, p_arr = np.divmod(np.arange(len(graphs) * n), n)
+    G, n = nbrs.shape
+    row_graph, p_arr = np.divmod(np.arange(G * n), n)
+    nbr_arr = nbrs[row_graph, p_arr]
+    row_ptr = np.zeros(G * n + 1, dtype=np.int64)
+    np.cumsum(np.int64(1) << _popcounts(n)[nbr_arr], out=row_ptr[1:])
     dsum = _distance_sums(nbrs[row_graph], p_arr)
     codes, values, feasible = _option_codes(
-        row_graph,
-        *intervals(dsum, p_arr, nbrs[row_graph, p_arr], n),
-        1 << n,
+        row_graph, *intervals(dsum, p_arr, nbr_arr, n), row_ptr
     )
+    del dsum  # the class kernel and the DP read only the codes
     pairs = _chunk_intervals(
-        lambda rows, masks: codes[rows, masks], values, feasible, nbrs
+        lambda rows, subs: codes[row_ptr[rows] + subs], values, feasible, nbrs
     )
     return [_interval_set(p) for p in pairs]
 
 
-def _row_budget(n: int) -> int:
-    # Per row and mask of V: 2n bytes for the uint8 tables (the distance
-    # sums, reach and size-major superset minima over V∖{p} need about
-    # (n + 3)/2 of them), then the float64 fold over A ⊆ N(p) (the weighted
-    # one over every (A, S) pair of a degree and opponent count: ~37 bytes
-    # at n = 8), the int64 option codes and the class-kernel and DP arrays,
-    # which peak at ~56 bytes on the densest n = 8 chunk (tracemalloc).
-    # That peak, not the tables, sets the chunk's memory, so the 2n is not
-    # tightened.
-    per_row = (1 << n) * (2 * n + 64)
-    return max(n, min(4096, _TABLE_BYTE_BUDGET // per_row))
+def _slices(cost, budget):
+    """Consecutive slices of ``cost``'s items whose sums stay within ``budget``.
+
+    Each slice is as long as that allows, and at least one item long.
+    """
+    total = np.cumsum(cost)
+    start = 0
+    while start < len(total):
+        spent = total[start - 1] if start else 0
+        stop = int(np.searchsorted(total, spent + budget, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
-def _engine_sets(graphs, fold, reference) -> List:
+def _graph_bytes(nbrs, pair_bytes):
+    """Estimated bytes each graph (a row of neighbour masks) adds to a chunk.
+
+    Its ``n`` rows' tables over the ``2^n`` masks of ``V``, then per player
+    ``p`` the ``2^deg(p)`` opponent masks ``A ⊆ N(p)`` that the fold, the
+    option codes and the class kernel carry, and ``pair_bytes`` per
+    ``(A, S)`` pair a fold lays out: the weighted fold's ``2^(n-1) ·
+    (3/2)^deg(p)`` (``Σ_a C(d, a) 2^(n-1-a)``).
+    """
+    n = nbrs.shape[1]
+    deg = _popcounts(n)[nbrs]
+    players = _ENTRY_BYTES * 2.0**deg + pair_bytes * 2.0 ** (n - 1) * 1.5**deg
+    return n * (1 << n) * _MASK_BYTES + players.sum(axis=1)
+
+
+def _engine_sets(graphs, fold, reference, pair_bytes=0) -> List:
     """The sets of ``graphs``, in order, chunk-batched where ``n`` allows.
 
     Graphs are grouped by ``n``.  A group with ``n <= 1`` gets the full
     range, one with ``n > _MAX_TABLE_N`` the per-graph ``reference(graph)``;
-    any other runs in chunks of :func:`_row_budget` rows through the
-    interval fold ``fold(n)``, which is built once per group.
+    any other runs through the interval fold ``fold(n)``, built once per
+    group, in consecutive chunks whose :func:`_graph_bytes` (with the
+    fold's ``pair_bytes``) stay within ``_TABLE_BYTE_BUDGET``.
     """
     results: List = [None] * len(graphs)
     by_n: Dict[int, List[int]] = {}
@@ -608,11 +769,11 @@ def _engine_sets(graphs, fold, reference) -> List:
                 results[i] = _full_set() if n <= 1 else reference(graphs[i])
             continue
         intervals = fold(n)
-        budget = max(1, _row_budget(n) // n)
-        for start in range(0, len(indices), budget):
-            batch = indices[start : start + budget]
-            sets = _chunk_sets([graphs[i] for i in batch], intervals)
-            for i, interval_set in zip(batch, sets):
+        nbrs = _adjacency([graphs[i] for i in indices])
+        cost = _graph_bytes(nbrs, pair_bytes)
+        for part in _slices(cost, _TABLE_BYTE_BUDGET):
+            sets = _chunk_sets(nbrs[part], intervals)
+            for i, interval_set in zip(indices[part], sets):
                 results[i] = interval_set
     return results
 
@@ -692,7 +853,7 @@ def _link_cost_tables(model, n: int):
 
 
 def _weighted_intervals(dsum, p_arr, nbr_arr, n: int, wsum):
-    """``(row, A, lo, hi)`` arrays of the weighted game, as :func:`_scalar_intervals`.
+    """``(row, sub, lo, hi)`` arrays of the weighted game, as :func:`_scalar_intervals`.
 
     Exactly :func:`repro.costmodels.stability.weighted_ownership_interval`
     vectorised, with ``wsum[p, S]`` player ``p``'s link cost of the
@@ -720,7 +881,8 @@ def _weighted_intervals(dsum, p_arr, nbr_arr, n: int, wsum):
         opp_size = _popcounts(d)  # |A| of each column of ``every``
         every = _submask_matrix(nbr_arr[rows], d)
         for a in range(d + 1):
-            opp = every[:, opp_size == a]
+            columns = np.flatnonzero(opp_size == a)
+            opp = every[:, columns]
             candidates = (size - 1) & ~(opp | (1 << p))
             subs = _submask_matrix(candidates.ravel(), n - 1 - a)
             subs = subs.reshape(*opp.shape, -1)
@@ -739,9 +901,8 @@ def _weighted_intervals(dsum, p_arr, nbr_arr, n: int, wsum):
             lo = quotient.max(axis=-1, where=dw > 0.0, initial=0.0)
             hi = quotient.min(axis=-1, where=dw < 0.0, initial=np.inf)
             ok = ~empty & (lo <= hi)
-            entries.append(
-                (np.broadcast_to(rows[:, None], ok.shape)[ok], opp[ok], lo[ok], hi[ok])
-            )
+            row, sub = np.nonzero(ok)
+            entries.append((rows[row], columns[sub], lo[ok], hi[ok]))
     return [np.concatenate(column) for column in zip(*entries)]
 
 
@@ -768,4 +929,5 @@ def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
         graphs,
         lambda n: partial(_weighted_intervals, wsum=_link_cost_tables(model, n)),
         lambda graph: weighted_ucg_nash_t_set(graph, model, oracle=oracle),
+        pair_bytes=_PAIR_BYTES,
     )

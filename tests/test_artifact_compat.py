@@ -43,6 +43,16 @@ def test_census_checksums(n, ucg):
     assert store.content_checksum() == PINS["census"][f"n{n}-{_tag(ucg)}"]
 
 
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW_TESTS"),
+    reason="the n = 8 census builds take ~3 s; set REPRO_SLOW_TESTS=1 to run",
+)
+@pytest.mark.parametrize("ucg", [False, True])
+def test_census_checksums_n8(ucg):
+    store = CensusStore.build(8, include_ucg=ucg)
+    assert store.content_checksum() == PINS["census"][f"n8-{_tag(ucg)}"]
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_delta_checksums(n):
     assert DeltaStore.build(n).content_checksum() == PINS["delta"][f"n{n}"]

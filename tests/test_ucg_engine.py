@@ -29,6 +29,7 @@ from repro.core.unilateral import (
 from repro.costmodels import PerPlayerCost, UniformCost
 from repro.costmodels.stability import (
     weighted_ownership_interval,
+    weighted_stability_profile,
     weighted_ucg_nash_t_set,
 )
 from repro.engine import ucg_alpha_sets, weighted_ucg_t_sets
@@ -305,7 +306,8 @@ class TestWeightedParity:
         graphs = [empty_graph(1), empty_graph(5), Graph(5, [(0, 1), (2, 3)])]
         engine_sets = weighted_ucg_t_sets([fresh(g) for g in graphs], model)
         assert endpoints(engine_sets[0]) == [(0.0, INF)]
-        for graph, engine_set in zip(graphs, engine_sets):
+        # The reference refuses the 5-player model on the 1-vertex graph.
+        for graph, engine_set in zip(graphs[1:], engine_sets[1:]):
             assert endpoints(engine_set) == endpoints(
                 weighted_ucg_nash_t_set(graph, model)
             )
@@ -325,6 +327,21 @@ class TestWeightedParity:
         for graphs in ([path_graph(5)], [path_graph(players), path_graph(5)]):
             with pytest.raises(ValueError, match=f"bound to n = {players}"):
                 weighted_ucg_t_sets(graphs, model)
+
+    @pytest.mark.parametrize("players", [8, 3])
+    def test_references_refuse_another_player_count(self, players):
+        # The per-graph references check the model's player count as the
+        # engine does: an 8-player model must not price P_5 with its first
+        # five rates (it read [4, inf]), nor a 3-player one fail on an index.
+        model = PerPlayerCost([float(k) for k in range(1, players + 1)])
+        graph = path_graph(5)
+        match = f"bound to n = {players}"
+        with pytest.raises(ValueError, match=match):
+            weighted_ucg_nash_t_set(graph, model)
+        with pytest.raises(ValueError, match=match):
+            weighted_ownership_interval(graph, 0, frozenset({(0, 1)}), model)
+        with pytest.raises(ValueError, match=match):
+            weighted_stability_profile(graph, model)
 
 
 # --------------------------------------------------------------------------- #
@@ -377,11 +394,15 @@ def every_player_tables(graph: Graph):
     return dsum, p_arr, adjacency[0]
 
 
-def fold_entries(rows, opponents, lo, hi):
-    """``{(row, A): (lo, hi)}`` of a fold's entry arrays."""
+def fold_entries(nbrs, rows, subs, lo, hi):
+    """``{(row, A): (lo, hi)}`` of a fold's entry arrays.
+
+    ``subs`` names each ``A`` by its :func:`submasks` position among the
+    subsets of its row's neighbour set ``nbrs[row]``.
+    """
     return {
-        (r, a): (x, y)
-        for r, a, x, y in zip(rows.tolist(), opponents.tolist(), lo, hi)
+        (r, submasks(int(nbrs[r]))[s]): (x, y)
+        for r, s, x, y in zip(rows.tolist(), subs.tolist(), lo, hi)
     }
 
 
@@ -465,7 +486,7 @@ class TestTableOracles:
         from repro.engine.ucg import _scalar_intervals
 
         dsum, p_arr, nbrs = every_player_tables(graph)
-        got = fold_entries(*_scalar_intervals(dsum, p_arr, nbrs, graph.n))
+        got = fold_entries(nbrs, *_scalar_intervals(dsum, p_arr, nbrs, graph.n))
         want = reference_entries(
             graph, lambda p, owned: ownership_best_response_interval(graph, p, owned)
         )
@@ -486,12 +507,124 @@ class TestTableOracles:
         graph, model = case
         dsum, p_arr, nbrs = every_player_tables(graph)
         wsum = _link_cost_tables(model, graph.n)
-        got = fold_entries(*_weighted_intervals(dsum, p_arr, nbrs, graph.n, wsum))
+        got = fold_entries(
+            nbrs, *_weighted_intervals(dsum, p_arr, nbrs, graph.n, wsum)
+        )
         want = reference_entries(
             graph,
             lambda p, owned: weighted_ownership_interval(graph, p, owned, model),
         )
         assert got == want, f"weighted fold differs on {graph.sorted_edges()}"
+
+
+class TestFoldTables:
+
+    @staticmethod
+    def reference_delta(s: int, b: int) -> float:
+        """The fold's ``Δ = s - b`` of two uint8 distance sums (255 is ∞)."""
+        delta = (INF if s == 255 else float(s)) - (INF if b == 255 else float(b))
+        return 0.0 if delta != delta else delta  # ∞ - ∞ counts as no change
+
+    def test_every_reachable_pair_and_step(self):
+        # Every distance sum of n ≤ 12 is at most (n - 1)² = 121 or ∞, and
+        # every purchase-count step m - d lies in ±1..±11: the tables must
+        # hold the fold's -Δ/(m - d), sign of zero included, and its empty
+        # test at each (s, b) index.
+        from repro.engine.ucg import _fold_tables
+
+        quotients, nonnegative = _fold_tables()
+        sums = [*range(122), 255]
+        for s in sums:
+            for b in sums:
+                index = s - b + 255
+                delta = self.reference_delta(s, b)
+                assert nonnegative[index] == (not delta < -1e-12), (s, b)
+                for k in [*range(-11, 0), *range(1, 12)]:
+                    want = -delta / k
+                    got = float(quotients[k, index])
+                    assert (got, math.copysign(1.0, got)) == (
+                        want,
+                        math.copysign(1.0, want),
+                    ), (s, b, k)
+
+
+class TestDenseIds:
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=1, max_value=12),
+        ),
+        per_key=st.sampled_from([1, 4, 16, 17, 64, 10**6]),
+        data=st.data(),
+    )
+    def test_matches_numpy_unique(self, shape, per_key, data):
+        # Key spans of up to 16 per key are ranked by counting, wider ones
+        # by np.unique: both must give np.unique's inverse and count.
+        import numpy as np
+
+        from repro.engine.ucg import _dense_ids
+
+        size = shape[0] * shape[1]
+        top = per_key * size - 1
+        values = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=top),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        key = np.asarray(values, dtype=np.int64).reshape(shape)
+        ids, count = _dense_ids(key)
+        distinct, inverse = np.unique(key.ravel(), return_inverse=True)
+        assert ids.shape == key.shape
+        assert ids.ravel().tolist() == inverse.tolist()
+        assert count == len(distinct)
+
+
+class TestChunking:
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["per-graph", "one-chunk"])
+    def test_budget_extremes_keep_every_set(self, monkeypatch, budget):
+        # A budget of one byte gives every graph its own chunk and every DP
+        # state its own expansion slice; a huge one puts every graph in one
+        # chunk and never slices.  Neither may move an endpoint.
+        import repro.engine.ucg as ucg
+
+        model = build_scenario("random_weights", 6, seed=3).model
+        graphs = enumerate_connected_graphs(6)
+        weighted = [endpoints(s) for s in weighted_ucg_t_sets(graphs, model)]
+        chunks = []
+        real = ucg._chunk_sets
+
+        def spy(nbrs, intervals):
+            chunks.append(len(nbrs))
+            return real(nbrs, intervals)
+
+        monkeypatch.setattr(ucg, "_chunk_sets", spy)
+        monkeypatch.setattr(ucg, "_TABLE_BYTE_BUDGET", budget)
+        assert alpha_set_digest(7) == ALPHA_SET_DIGESTS[7]
+        patched = weighted_ucg_t_sets(graphs, model)
+        assert [endpoints(s) for s in patched] == weighted
+        assert chunks == ([1] * 965 if budget == 1 else [853, 112])
+
+    def test_dense_graph_expansion_is_sliced(self):
+        # One K_12 expands 2,048 DP states by 1,024 options at its second
+        # step (2.1 M pairs, ~195 MB at once); sliced by the byte budget
+        # the whole call stays within twice that budget (48 MB).
+        import tracemalloc
+
+        import repro.engine.ucg as ucg
+
+        tracemalloc.start()
+        try:
+            (interval_set,) = ucg_alpha_sets([fresh(complete_graph(12))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert endpoints(interval_set) == [(0.0, 1.0)]
+        assert peak <= 2 * ucg._TABLE_BYTE_BUDGET
 
 
 # --------------------------------------------------------------------------- #
@@ -550,19 +683,20 @@ def kernel_classes(n, v, nbr, lo_row, hi_row, ok_row):
 
     from repro.engine.ucg import _class_tables, _option_codes
 
-    masks = [mask for mask in range(1 << n) if ok_row[mask]]
+    subs = [s for s, mask in enumerate(submasks(nbr)) if ok_row[mask]]
+    masks = [submasks(nbr)[s] for s in subs]
     codes, values, _ = _option_codes(
         np.zeros(1, dtype=np.int64),
         np.zeros(len(masks), dtype=np.int64),
-        np.asarray(masks, dtype=np.int64),
+        np.asarray(subs, dtype=np.int64),
         np.asarray([lo_row[mask] for mask in masks], dtype=np.float64),
         np.asarray([hi_row[mask] for mask in masks], dtype=np.float64),
-        1 << n,
+        np.asarray([0, 1 << bin(nbr).count("1")], dtype=np.int64),
     )
     nbrs = np.zeros((1, n), dtype=np.int64)
     nbrs[0, v] = nbr
     base, opt_ptr, opt_code, opt_def, trans = _class_tables(
-        lambda rows, opponents: codes[rows - v, opponents],
+        lambda rows, sub: codes[(rows - v) + sub],
         np.asarray([v], dtype=np.int64),
         nbrs,
     )
