@@ -250,7 +250,7 @@ def bench_census_n7(jobs_grid: List[int]) -> Dict[str, float]:
             _naive_profile(g)
 
     def run_engine_serial():
-        batch_stability_deltas(graphs, oracle=DistanceOracle())
+        batch_stability_deltas(graphs)
 
     naive_s = _time(run_naive, repeats=2)
     engine_s = _time(run_engine_serial, repeats=2)

@@ -18,12 +18,14 @@ that follows from that shape, driven by each kind's :class:`ColumnSpec`:
   :meth:`~ColumnArtifact.sort_canonical` and the part merge every build
   path funnels through;
 * **streamed builds** — one resumable, sharded generate → canonicalise →
-  analyse worker behind every kind's ``build_streamed``;
+  analyse worker behind the census and delta ``build_streamed`` (the
+  weighted one prices the delta store's);
 * **the store LRU** — :func:`cached` / :func:`cached_load`, one bounded,
   thread-safe, single-flight cache for every kind.
 
 Each kind keeps only what differs: its column spec and metadata, its
-per-chunk analysis, its in-memory build and its queries.
+queries and how its columns are made — the census and delta stores by
+their own per-chunk analysis, the weighted store by pricing a delta store.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from ..engine.columnar import (
     gather_segments,
     pack_certificates,
 )
-from ..engine.oracle import DistanceOracle
 from ..graphs import (
     Graph,
     canonical_graph,
@@ -116,10 +117,11 @@ class ColumnArtifact:
 
     Subclasses set :attr:`KIND` (catalog kind, cache label and telemetry
     ``store`` label), :attr:`SCHEMA`, :attr:`FORMAT_VERSION`, :attr:`SPEC`
-    and :attr:`SHARD_PREFIX`; a kind with its own metadata overrides
-    :meth:`_meta` (what :meth:`save` writes next to the common header) and
-    :meth:`_restore` (what a load reads back, the keys in
-    :attr:`META_KEYS`), and :meth:`_verify_kind` adds kind-specific audits.
+    and, if they stream their own builds, :attr:`SHARD_PREFIX`; a kind with
+    its own metadata overrides :meth:`_meta` (what :meth:`save` writes next
+    to the common header) and :meth:`_restore` (what a load reads back, the
+    keys in :attr:`META_KEYS`), and :meth:`_verify_kind` adds kind-specific
+    audits.
     """
 
     KIND: str = ""
@@ -327,43 +329,26 @@ class ColumnArtifact:
         return merged
 
     @classmethod
-    def _from_parts(
-        cls,
-        n: int,
-        parts: List[dict],
-        include_ucg: bool = False,
-        constants: Optional[Dict[str, object]] = None,
-        meta: Optional[Dict[str, object]] = None,
-    ):
-        """One artifact from column chunks, per-artifact constants and metadata."""
-        columns = cls._merge_parts(parts, n, include_ucg)
-        columns.update(constants or {})
-        return cls._restore(n, columns, meta or {})
+    def _from_parts(cls, n: int, parts: List[dict], include_ucg: bool = False):
+        """One artifact from column chunks."""
+        return cls(n, cls._merge_parts(parts, n, include_ucg))
 
     # ------------------------------------------------------------------ #
     # Builds
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def _build(
-        cls,
-        n: int,
-        analyse: Callable,
-        options: Dict[str, object],
-        jobs: Optional[int],
-        constants: Optional[Dict[str, object]] = None,
-        meta: Optional[Dict[str, object]] = None,
-    ):
-        """``analyse(graphs, n, oracle, **options)`` over every connected
-        class on ``n`` vertices, fanned out in order-preserving pool chunks."""
+    def _build(cls, n: int, analyse: Callable, jobs: Optional[int]):
+        """``analyse(graphs, n)`` over every connected class on ``n``
+        vertices, fanned out in order-preserving pool chunks."""
         graphs = enumerate_connected_graphs(n)
         chunks = chunk_evenly(graphs, max(1, resolve_jobs(jobs) * 4))
-        tasks = [(analyse, chunk, n, options) for chunk in chunks]
-        parts = parallel_map(_analyse_chunk, tasks, jobs=jobs)
+        parts = parallel_map(
+            _analyse_chunk, [(analyse, chunk, n) for chunk in chunks], jobs=jobs
+        )
         # enumerate_connected_graphs is already canonically sorted and the
         # chunks preserve order, so no global sort is needed here.
-        include_ucg = bool(options.get("include_ucg", False))
-        return cls._from_parts(n, parts, include_ucg, constants, meta)
+        return cls._from_parts(n, parts)
 
     @classmethod
     def _build_streamed(
@@ -381,14 +366,12 @@ class ColumnArtifact:
         max_retries: Optional[int],
         progress,
         fault_plan,
-        constants: Optional[Dict[str, object]] = None,
-        meta: Optional[Dict[str, object]] = None,
     ):
         """Build by streaming the canonical-augmentation tree.
 
         Disjoint, jointly exhaustive subtrees below level-``shard_level``
         roots are generated, canonicalised and analysed in batches of
-        ``batch_size`` by ``analyse(graphs, n, oracle, **options)``.  The
+        ``batch_size`` by ``analyse(graphs, n, **options)``.  The
         fan-out runs through :func:`repro.engine.run_shards`: with
         ``shard_dir`` every finished shard persists as a checksummed
         ``<SHARD_PREFIX>_XXXX_of_YYYY.npz`` fingerprinted on the schema,
@@ -427,14 +410,13 @@ class ColumnArtifact:
             fault_plan=fault_plan,
         )
         include_ucg = bool(options.get("include_ucg", False))
-        store = cls._from_parts(n, report.parts, include_ucg, constants, meta)
-        return store.sort_canonical()
+        return cls._from_parts(n, report.parts, include_ucg).sort_canonical()
 
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
 
-    def save(self, path: str, format: Optional[str] = None, compress: bool = False) -> str:
+    def save(self, path: str, format: Optional[str] = None) -> str:
         """Write the artifact to ``path``; returns the path written.
 
         ``format="npz"`` (default for ``*.npz`` paths) writes one NumPy
@@ -466,7 +448,7 @@ class ColumnArtifact:
             payload = dict(columns)
             for key, value in list(meta.items()) + [("checksum", checksum)]:
                 payload.update(_npz_field(key, value))
-            (np.savez_compressed if compress else np.savez)(path, **payload)
+            np.savez(path, **payload)
         else:
             os.makedirs(path, exist_ok=True)
             meta.update(columns=sorted(columns), checksum=checksum)
@@ -594,19 +576,18 @@ def _npz_header(data, keys: Iterable[str]) -> Dict[str, object]:
 
 def _analyse_chunk(task: Tuple) -> dict:
     """One in-memory build chunk: ``analyse`` over a slice of the class list."""
-    analyse, graphs, n, options = task
-    return analyse(graphs, n, DistanceOracle(), **options)
+    analyse, graphs, n = task
+    return analyse(graphs, n)
 
 
 def _stream_shard(task: Tuple) -> dict:
     """Generate, canonicalise and analyse one generation-tree shard."""
     cls, analyse, roots, n, batch_size, options = task
-    oracle = DistanceOracle()
     parts: List[dict] = []
     pending: List[Graph] = []
 
     def flush() -> None:
-        parts.append(analyse(pending, n, oracle, **options))
+        parts.append(analyse(pending, n, **options))
         # Graphs arrive canonical with the automorphism record the
         # enumerator memoised; no engine reads it, so drop it once analysed.
         for graph in pending:

@@ -30,12 +30,12 @@ per ``n`` and shared by every cost model, draw and ensemble that follows.
   :meth:`build_streamed`, and the one process-wide store LRU
   (:func:`cached_delta_store`).
 
-Delta columns are also what every weighted build prices:
-:class:`~repro.analysis.weighted_store.WeightedStore` runs :func:`_delta_part`
-over each build chunk and gathers the coefficients in one pricing function,
-and :meth:`WeightedStore.from_delta <repro.analysis.weighted_store.WeightedStore.from_delta>`
-prices a whole delta store the same way — so a per-draw artifact is
-float-for-float identical to building that store from scratch, and the
+Delta columns are also what every weighted build prices: each
+:class:`~repro.analysis.weighted_store.WeightedStore` path builds (or is
+handed) one delta store and gathers the coefficients over it in one
+pricing function — so a per-draw artifact from
+:meth:`WeightedStore.from_delta <repro.analysis.weighted_store.WeightedStore.from_delta>`
+is float-for-float identical to building that store from scratch, and the
 delta artifact composes with every existing kernel, file format and test.
 """
 
@@ -126,12 +126,11 @@ class DeltaStore(ColumnArtifact):
     def build(cls, n: int, jobs: Optional[int] = None) -> "DeltaStore":
         """Delta columns for every connected class on ``n`` vertices.
 
-        The class list, order and deviation analysis are exactly those of
-        :meth:`WeightedStore.build`, which prices these very columns chunk
-        by chunk — minus the coefficients, which is the point: one build
-        serves every cost model on ``n`` players.
+        :meth:`WeightedStore.build` prices these very columns — minus the
+        coefficients, which is the point: one build serves every cost model
+        on ``n`` players.
         """
-        return cls._build(n, _delta_part, {}, jobs)
+        return cls._build(n, _delta_part, jobs)
 
     @classmethod
     def build_streamed(
@@ -153,8 +152,9 @@ class DeltaStore(ColumnArtifact):
         <repro.analysis.artifact.ColumnArtifact._build_streamed>`), with
         ``dshard_XXXX_of_YYYY.npz`` shard files.  Shards are fingerprinted
         on ``n`` only — delta columns are model-independent, so one shard
-        directory serves every cost model.  The result is
-        element-for-element identical to :meth:`build`.
+        directory serves every cost model, including every streamed
+        :class:`~repro.analysis.weighted_store.WeightedStore` build.  The
+        result is element-for-element identical to :meth:`build`.
         """
         return cls._build_streamed(
             n,
@@ -258,9 +258,9 @@ class DeltaStore(ColumnArtifact):
 # --------------------------------------------------------------------------- #
 
 
-def _delta_part(graphs: List[Graph], n: int, oracle) -> dict:
+def _delta_part(graphs: List[Graph], n: int) -> dict:
     """One column chunk: delta probe columns + certificates for ``graphs``."""
-    part = batch_stability_deltas(graphs, oracle=oracle)
+    part = batch_stability_deltas(graphs)
     part["cert_words"] = pack_certificates(
         [graph.adjacency_bitstring() for graph in graphs], n
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.dynamics import sample_nash_networks_ucg, sample_stable_networks_bcg
 from ..core.equilibria import is_pairwise_stable
-from ..engine import DistanceOracle, batch_stability_deltas, ucg_alpha_sets
+from ..engine import batch_stability_deltas, ucg_alpha_sets
 from ..engine.columnar import bcg_stable_mask, segment_min
 from ..graphs import Graph, canonical_form
 from .store import census_bcg_columns
@@ -42,9 +42,7 @@ def deduplicate_up_to_isomorphism(graphs: Sequence[Graph]) -> List[Graph]:
 # --------------------------------------------------------------------------- #
 
 
-def sampled_bcg_columns(
-    graphs: Sequence[Graph], oracle: Optional[DistanceOracle] = None
-):
+def sampled_bcg_columns(graphs: Sequence[Graph]):
     """BCG α-decision columns for a sampled graph list.
 
     One :func:`repro.engine.batch_stability_deltas` call probes every
@@ -55,7 +53,7 @@ def sampled_bcg_columns(
     Returns ``(rem_min, add_lo, add_hi, add_indptr)`` in float64, the
     layout of :func:`repro.analysis.store.bcg_alpha_columns`.
     """
-    bcg = census_bcg_columns(batch_stability_deltas(list(graphs), oracle=oracle))
+    bcg = census_bcg_columns(batch_stability_deltas(list(graphs)))
     return (
         segment_min(bcg["rem_values"], bcg["rem_indptr"]),
         bcg["add_lo"].astype(np.float64),
@@ -64,27 +62,21 @@ def sampled_bcg_columns(
     )
 
 
-def sampled_stable_mask(
-    graphs: Sequence[Graph],
-    alphas: Sequence[float],
-    oracle: Optional[DistanceOracle] = None,
-):
+def sampled_stable_mask(graphs: Sequence[Graph], alphas: Sequence[float]):
     """``bool[n_graphs, n_alphas]`` pairwise-stability mask of sampled graphs.
 
     Vectorised through :func:`repro.engine.columnar.bcg_stable_mask`
     (bit-identical to the per-graph Definition 3 check).
     """
-    rem_min, add_lo, add_hi, add_indptr = sampled_bcg_columns(graphs, oracle=oracle)
+    rem_min, add_lo, add_hi, add_indptr = sampled_bcg_columns(graphs)
     return bcg_stable_mask(rem_min, add_lo, add_hi, add_indptr, alphas)
 
 
 def sampled_stable_counts(
-    graphs: Sequence[Graph],
-    alphas: Sequence[float],
-    oracle: Optional[DistanceOracle] = None,
+    graphs: Sequence[Graph], alphas: Sequence[float]
 ) -> List[int]:
     """Stable-graph counts of a sampled list at every grid point."""
-    mask = sampled_stable_mask(graphs, alphas, oracle=oracle)
+    mask = sampled_stable_mask(graphs, alphas)
     return [
         sum(1 for row in mask if row[column]) for column in range(len(alphas))
     ]

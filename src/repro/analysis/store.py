@@ -36,12 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.efficiency import efficient_social_cost
+from ..core.efficiency import _check_game, efficient_social_cost
 from ..core.stability_intervals import AlphaIntervalSet, PairwiseStabilityProfile
 from ..engine import (
     batch_stability_deltas,
     chunk_evenly,
-    get_default_oracle,
     parallel_map,
     resolve_jobs,
     ucg_alpha_sets,
@@ -64,13 +63,6 @@ FORMAT_VERSION = 1
 
 #: Schema tag written into every artifact (guards against loading foreign files).
 SCHEMA = "repro-census-store"
-
-
-def _check_game(game: str) -> str:
-    game = game.lower()
-    if game not in ("bcg", "ucg"):
-        raise ValueError("game must be 'bcg' or 'ucg'")
-    return game
 
 
 class CensusStore(ColumnArtifact):
@@ -449,21 +441,16 @@ def bcg_alpha_columns(profiles: Sequence[PairwiseStabilityProfile]):
 # --------------------------------------------------------------------------- #
 
 
-def _analyse_columns(
-    graphs: List[Graph], n: int, oracle, include_ucg: bool
-) -> dict:
+def _analyse_columns(graphs: List[Graph], n: int, include_ucg: bool) -> dict:
     """Column chunk for a batch of graphs: Δ probes, totals and UCG sets."""
-    deltas = batch_stability_deltas(graphs, oracle=oracle)
+    deltas = batch_stability_deltas(graphs)
     cols = _ColumnAccumulator(n, include_ucg)
-    cols.append(
-        graphs, deltas, ucg_alpha_sets(graphs, oracle=oracle) if include_ucg else None
-    )
+    cols.append(graphs, deltas, ucg_alpha_sets(graphs) if include_ucg else None)
     return cols.arrays()
 
 
 def _columns_chunk(task: Tuple[List[Graph], int, bool]) -> dict:
-    graphs, n, include_ucg = task
-    return _analyse_columns(graphs, n, get_default_oracle(), include_ucg)
+    return _analyse_columns(*task)
 
 
 def cached_store(

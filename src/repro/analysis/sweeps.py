@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
+from ..core.efficiency import _check_game
 from ..engine import parallel_map
 
 GridValue = TypeVar("GridValue")
@@ -71,12 +72,8 @@ def per_edge_cost_axis(alpha: float, game: str) -> float:
     ``log(α)`` in the UCG and ``log(2α)`` in the BCG, i.e. the logarithm of
     the *total* cost of building one edge.
     """
-    game = game.lower()
-    if game == "ucg":
-        return math.log(alpha)
-    if game == "bcg":
-        return math.log(2.0 * alpha)
-    raise ValueError("game must be 'bcg' or 'ucg'")
+    per_edge = 2.0 if _check_game(game) == "bcg" else 1.0
+    return math.log(per_edge * alpha)
 
 
 def aligned_link_costs(total_edge_cost: float) -> Tuple[float, float]:

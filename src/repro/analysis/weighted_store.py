@@ -10,9 +10,8 @@ model)`` pair, built once and queried for any scale grid:
   certificate, the edge count, the total ordered-pair distance sum, the
   unscaled link spend ``Σ_e (w(u,v) + w(v,u))``, and ragged CSR probe
   columns (removal ``(w, Δ)`` pairs, per-non-edge endpoint ``(w, save)``
-  4-tuples).  Every build path runs the model-independent delta pass of
-  :class:`~repro.analysis.delta_store.DeltaStore` and prices it in one
-  place (:func:`_priced_columns`);
+  4-tuples), priced from the model-independent delta columns in one place
+  (:func:`_priced_columns`);
 * **query = the existing kernels** — stability masks, windows and sweep
   aggregates come straight from
   :func:`repro.engine.columnar.weighted_bcg_stable_mask` /
@@ -29,12 +28,15 @@ model)`` pair, built once and queried for any scale grid:
   :func:`repro.analysis.scenarios.scenario_from_params` can rebuild the
   model bit-for-bit.
 
-Persistence, the audit, ordering, part merging and the streamed build
-come from the shared :class:`~repro.analysis.artifact.ColumnArtifact`
-base: :meth:`build` chunks the canonical class list over pool workers;
-:meth:`build_streamed` walks the sharded canonical-augmentation tree
-(resumable via ``shard_dir``) and sorts the merged columns into canonical
-census order, element-for-element identical to :meth:`build`.
+Every build path is one :class:`~repro.analysis.delta_store.DeltaStore`
+priced under the model: :meth:`build` and :meth:`build_streamed` run the
+delta store's own builds (so a streamed build writes the model-independent
+``dshard_*`` files, and one shard directory resumes for every cost model)
+and :meth:`from_delta` prices an existing delta store.  With
+``include_ucg`` the weighted orientation engine runs after the delta pass,
+over row-order chunks that decode their own representatives.  Persistence,
+the audit and ordering come from the shared
+:class:`~repro.analysis.artifact.ColumnArtifact` base.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..costmodels.models import CostModel
+from ..engine import parallel_map, resolve_jobs
 from ..engine.batch import batch_ucg_columns
 from ..engine.columnar import (
+    certificate_to_graph,
+    concat_csr,
     ucg_nash_mask,
     weighted_bcg_stable_mask,
     weighted_stability_windows,
@@ -53,7 +58,7 @@ from ..engine.columnar import (
 )
 from ..graphs import Graph
 from .artifact import ColumnArtifact, ColumnSpec
-from .delta_store import _delta_part
+from .delta_store import DeltaStore
 
 #: On-disk format version; bump on any incompatible schema change.
 #: v2: optional UCG t-interval CSR columns (``ucg_lo``/``ucg_hi``/``ucg_indptr``).
@@ -77,7 +82,6 @@ class WeightedStore(ColumnArtifact):
     KIND = "weighted"
     SCHEMA = SCHEMA
     FORMAT_VERSION = FORMAT_VERSION
-    SHARD_PREFIX = "wshard"
     META_KEYS = ("scenario",)
     #: The priced delta layout (:func:`_priced_columns`) — removal
     #: ``(w, Δ)`` pairs, two per edge, and per-non-edge endpoint
@@ -158,25 +162,18 @@ class WeightedStore(ColumnArtifact):
     ) -> "WeightedStore":
         """Weighted columns for every connected class on ``n`` vertices.
 
-        The class list, order and deviation analysis are exactly those of
-        :meth:`DeltaStore.build <repro.analysis.delta_store.DeltaStore.build>`:
-        each pool worker runs the delta pass over its chunk and prices it
-        (:func:`_priced_columns`), emitting column chunks (a dict of NumPy
-        arrays), so the artifact never exists as per-graph Python objects.
-        ``include_ucg`` additionally runs the vectorised orientation engine
-        per class and persists the UCG Nash t-interval endpoints
+        :meth:`DeltaStore.build <repro.analysis.delta_store.DeltaStore.build>`
+        over ``jobs`` pool workers, priced under ``model`` as in
+        :meth:`from_delta`, so the class list, order and deviation analysis
+        are exactly the delta store's.  ``include_ucg`` additionally runs
+        the vectorised orientation engine per class, fanned out over the
+        same ``jobs``, and persists the UCG Nash t-interval endpoints
         (float-exact against
         :func:`~repro.costmodels.stability.weighted_ucg_nash_t_set`).
         """
         weights = _weights(model, n)
-        return cls._build(
-            n,
-            _weighted_part,
-            {"model": model, "weights": weights, "include_ucg": include_ucg},
-            jobs,
-            constants={"weight_matrix": weights},
-            meta={"scenario": scenario_params},
-        )
+        delta = DeltaStore.build(n, jobs=jobs)
+        return cls._priced(delta, model, weights, scenario_params, include_ucg, jobs)
 
     @classmethod
     def from_scenario(
@@ -234,23 +231,19 @@ class WeightedStore(ColumnArtifact):
     ) -> "WeightedStore":
         """Build the columns by streaming the canonical-augmentation tree.
 
-        Same sharding, resume and ordering contract as the census store
-        (:meth:`ColumnArtifact._build_streamed
-        <repro.analysis.artifact.ColumnArtifact._build_streamed>`), with
-        ``wshard_XXXX_of_YYYY.npz`` shard files.  Workers canonicalise each
-        generated graph before pricing it, so the weights land on the same
-        labelled representatives as :meth:`build`; shards are fingerprinted
-        over ``n``, ``include_ucg`` *and* the weight matrix, so a directory
-        reused with a different cost model raises instead of merging
-        silently.  The result is element-for-element identical to
+        :meth:`DeltaStore.build_streamed
+        <repro.analysis.delta_store.DeltaStore.build_streamed>`, priced under
+        ``model`` as in :meth:`from_delta`: the shards under ``shard_dir``
+        are the delta store's ``dshard_XXXX_of_YYYY.npz`` files,
+        fingerprinted on ``n`` only, so one directory resumes for every
+        cost model.  ``include_ucg`` runs the orientation engine after the
+        merge, as in :meth:`build`; those columns are not persisted per
+        shard.  The result is element-for-element identical to
         :meth:`build`.
         """
         weights = _weights(model, n)
-        return cls._build_streamed(
+        delta = DeltaStore.build_streamed(
             n,
-            _weighted_part,
-            {"model": model, "weights": weights, "include_ucg": include_ucg},
-            {"include_ucg": bool(include_ucg), "matrix": weights},
             jobs=jobs,
             shard_level=shard_level,
             batch_size=batch_size,
@@ -259,9 +252,8 @@ class WeightedStore(ColumnArtifact):
             max_retries=max_retries,
             progress=progress,
             fault_plan=fault_plan,
-            constants={"weight_matrix": weights},
-            meta={"scenario": scenario_params},
         )
+        return cls._priced(delta, model, weights, scenario_params, include_ucg, jobs)
 
     @classmethod
     def from_delta(
@@ -274,23 +266,32 @@ class WeightedStore(ColumnArtifact):
         """Materialise one draw's artifact from a shared model-independent
         :class:`~repro.analysis.delta_store.DeltaStore` — no deviation pass.
 
-        The columns are the delta store's, priced by the same function
-        every build path prices its chunks with (:func:`_priced_columns`),
-        so the result is float-for-float identical to :meth:`build` with the
-        same model (asserted across the scenario registry in the test
-        suite) at a tiny fraction of the cost.  This is what makes
-        ``WeightedStore`` a thin (DeltaStore, weight-vector) view: every
-        existing kernel, artifact format and test keeps working, while
-        ensembles pay the delta pass once per ``n``.
+        The columns are the delta store's, priced by :func:`_priced_columns`,
+        which every build path goes through, so the result is
+        float-for-float identical to :meth:`build` with the same model
+        (asserted across the scenario registry in the test suite) at a tiny
+        fraction of the cost.  This is what makes ``WeightedStore`` a thin
+        (DeltaStore, weight-vector) view: every existing kernel, artifact
+        format and test keeps working, while ensembles pay the delta pass
+        once per ``n``.  ``include_ucg`` runs the orientation engine
+        serially.
         """
         weights = _weights(model, delta.n)
-        columns = _priced_columns(delta._columns(), model, weights)
-        columns["weight_matrix"] = weights
+        return cls._priced(delta, model, weights, scenario_params, include_ucg)
+
+    @classmethod
+    def _priced(
+        cls, delta, model, weights, scenario_params, include_ucg, jobs=None
+    ) -> "WeightedStore":
+        """``delta`` priced under ``model``, plus UCG columns over ``jobs``."""
+        columns = {"weight_matrix": weights}
         if include_ucg:
             # The delta columns are model-independent, so UCG intervals
             # cannot be gathered from them — run the orientation engine over
-            # the decoded class representatives instead.
-            columns.update(batch_ucg_columns(delta.graphs(), model=model))
+            # the class representatives instead (before pricing, so its
+            # tables never sit beside the priced columns).
+            columns.update(_ucg_columns(delta.cert_words, delta.n, model, jobs))
+        columns.update(_priced_columns(delta._columns(), model, weights))
         return cls(delta.n, columns, scenario_params)
 
     # ------------------------------------------------------------------ #
@@ -404,7 +405,7 @@ class WeightedStore(ColumnArtifact):
 
 
 # --------------------------------------------------------------------------- #
-# Pricing and per-chunk analysis (module-level for pickling)
+# Pricing and the UCG pass (module-level for pickling)
 # --------------------------------------------------------------------------- #
 
 
@@ -425,7 +426,7 @@ def _priced_columns(delta: Dict[str, object], model: CostModel, weights) -> dict
     integer-valued float or ``±inf``) and the link spend is the vectorised
     replay :func:`_edge_cost_totals`.  :meth:`WeightedStore.build`,
     :meth:`~WeightedStore.build_streamed` and :meth:`~WeightedStore.from_delta`
-    all price here, so their columns cannot drift apart.
+    all price a whole delta store here, so their columns cannot drift apart.
     """
     rem_w = weights[delta["rem_pay"], delta["rem_other"]]
     return {
@@ -470,16 +471,28 @@ def _edge_cost_totals(delta: Dict[str, object], model: CostModel, rem_w):
     return totals
 
 
-def _weighted_part(
-    graphs: List[Graph],
-    n: int,
-    oracle,
-    model: CostModel,
-    weights,
-    include_ucg: bool = False,
-) -> dict:
-    """One column chunk: the chunk's delta columns priced, plus UCG."""
-    part = _priced_columns(_delta_part(graphs, n, oracle), model, weights)
-    if include_ucg:
-        part.update(batch_ucg_columns(graphs, model=model, oracle=oracle))
-    return part
+def _ucg_columns(cert_words, n: int, model: CostModel, jobs=None) -> dict:
+    """UCG t-interval CSR columns of the classes ``cert_words`` encode.
+
+    The weighted orientation engine runs over row-order chunks fanned out
+    over ``jobs`` pool workers (serially for ``None``), and the chunks'
+    columns are concatenated in row order.  Each chunk decodes its own
+    representatives (:func:`_ucg_chunk`), so no process holds every class
+    as a :class:`~repro.graphs.graph.Graph` at once.
+    """
+    words = np.asarray(cert_words)
+    pieces = max(1, min(len(words), resolve_jobs(jobs) * 4))
+    tasks = [(chunk, n, model) for chunk in np.array_split(words, pieces)]
+    # Denser classes sit later in canonical order and cost the engine more,
+    # so the pool takes the chunks last first; the parts return in row order.
+    parts = parallel_map(_ucg_chunk, tasks[::-1], jobs=jobs)[::-1]
+    lo, indptr = concat_csr([(part["ucg_lo"], part["ucg_indptr"]) for part in parts])
+    hi = np.concatenate([part["ucg_hi"] for part in parts])
+    return {"ucg_lo": lo, "ucg_hi": hi, "ucg_indptr": indptr}
+
+
+def _ucg_chunk(task) -> dict:
+    """One UCG chunk: decode its certificates, run the weighted engine."""
+    words, n, model = task
+    graphs = [certificate_to_graph(row, n) for row in words]
+    return batch_ucg_columns(graphs, model=model)

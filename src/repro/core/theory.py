@@ -13,6 +13,11 @@ import math
 from typing import Optional, Tuple
 
 from ..graphs import moore_bound
+from .efficiency import _check_game
+from .efficiency import (  # noqa: F401 - the closed forms, re-exported here
+    complete_graph_social_cost,
+    star_social_cost,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -49,21 +54,9 @@ def path_total_distance(n: int) -> int:
     return (n ** 3 - n) // 3
 
 
-def star_social_cost(n: int, alpha: float, game: str = "bcg") -> float:
-    """Closed-form social cost of the star under BCG or UCG accounting."""
-    per_edge = 2.0 if game.lower() == "bcg" else 1.0
-    return per_edge * alpha * (n - 1) + star_total_distance(n)
-
-
-def complete_graph_social_cost(n: int, alpha: float, game: str = "bcg") -> float:
-    """Closed-form social cost of the complete graph."""
-    per_edge = 2.0 if game.lower() == "bcg" else 1.0
-    return per_edge * alpha * (n * (n - 1) // 2) + complete_graph_total_distance(n)
-
-
 def cycle_social_cost(n: int, alpha: float, game: str = "bcg") -> float:
     """Closed-form social cost of the cycle ``C_n``."""
-    per_edge = 2.0 if game.lower() == "bcg" else 1.0
+    per_edge = 2.0 if _check_game(game) == "bcg" else 1.0
     return per_edge * alpha * n + cycle_total_distance(n)
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -103,13 +103,12 @@ def _instrument_batch(name: str):
 
 
 @_instrument_batch("batch_stability_deltas")
-def batch_stability_deltas(
-    graphs: Sequence[Graph], oracle: Optional[DistanceOracle] = None
-) -> Dict[str, np.ndarray]:
+def batch_stability_deltas(graphs: Sequence[Graph]) -> Dict[str, np.ndarray]:
     """Every single-link deviation payoff of a batch of graphs, as columns.
 
     Graphs are grouped by vertex count: groups with ``n <= 63`` run the
-    tensorised kernels below, wider graphs the per-graph ``oracle`` path.
+    tensorised kernels below, wider graphs the per-graph path through the
+    process-wide oracle (:func:`~repro.engine.oracle.get_default_oracle`).
     Each value equals the matching entry of
     :meth:`DistanceOracle.stability_deltas
     <repro.engine.oracle.DistanceOracle.stability_deltas>`.  Rows are in
@@ -141,9 +140,7 @@ def batch_stability_deltas(
         if n > 63:
             # Adjacency rows no longer fit an int64 lane; answer these
             # through the per-graph oracle instead of the tensor path.
-            if oracle is None:
-                oracle = get_default_oracle()
-            parts.append(_per_graph_columns(group, oracle))
+            parts.append(_per_graph_columns(group, get_default_oracle()))
         else:
             parts.append(_batch_group(group, n))
         order.extend(indices)
@@ -186,11 +183,7 @@ def validate_weight_matrix(
     return weight_matrix
 
 
-def batch_ucg_columns(
-    graphs: Sequence[Graph],
-    model=None,
-    oracle: Optional[DistanceOracle] = None,
-):
+def batch_ucg_columns(graphs: Sequence[Graph], model=None):
     """UCG interval-endpoint CSR columns for a batch of graphs.
 
     Runs the vectorised orientation engine (:mod:`repro.engine.ucg`) over
@@ -208,9 +201,9 @@ def batch_ucg_columns(
     from .ucg import ucg_alpha_sets, weighted_ucg_t_sets
 
     if model is None:
-        sets = ucg_alpha_sets(graphs, oracle=oracle)
+        sets = ucg_alpha_sets(graphs)
     else:
-        sets = weighted_ucg_t_sets(graphs, model, oracle=oracle)
+        sets = weighted_ucg_t_sets(graphs, model)
     lo, hi, indptr = ucg_interval_columns(sets)
     return {"ucg_lo": lo, "ucg_hi": hi, "ucg_indptr": indptr}
 

@@ -19,8 +19,8 @@ file loads".
   (:class:`~concurrent.futures.BrokenExecutor`: a worker was killed, the
   executor cannot say which shard did it), only the shards that were in
   flight are re-queued; completed work is never recomputed.  The pool is
-  rebuilt after an exponential backoff (``backoff_base·2^k``, capped at
-  ``backoff_max``);
+  rebuilt after an exponential backoff (:data:`DEFAULT_BACKOFF_BASE`
+  ``·2^k`` seconds, capped at :data:`DEFAULT_BACKOFF_MAX`);
 * **survives hangs** — a shard past its deadline has its pool killed
   (``ProcessPoolExecutor`` cannot cancel a running task; terminating the
   worker processes is the only way to reclaim them), the timed-out shard
@@ -41,7 +41,8 @@ file loads".
   directory records done/total, per-shard attempt tallies and state,
   resume/retry/timeout counters, the config fingerprint and last-heartbeat
   timestamps, rewritten atomically on every event and at least every
-  ``heartbeat`` seconds; ``progress`` receives the same snapshot dict;
+  :data:`DEFAULT_HEARTBEAT` seconds; ``progress`` receives the same
+  snapshot dict;
 * **in-order streaming** — pass ``consume`` to have ``(index, result)``
   delivered strictly in shard order as results become available (buffered
   past gaps), so streaming aggregations stay bit-identical to the serial
@@ -362,9 +363,6 @@ def run_shards(
     fingerprint: Optional[Dict[str, object]] = None,
     timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    backoff_base: float = DEFAULT_BACKOFF_BASE,
-    backoff_max: float = DEFAULT_BACKOFF_MAX,
-    heartbeat: float = DEFAULT_HEARTBEAT,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
     consume: Optional[Callable[[int, object], None]] = None,
     manifest_dir: Optional[str] = None,
@@ -590,9 +588,8 @@ def run_shards(
             _stop_pool(pool)
             pool = None
         report.pool_rebuilds += 1
-        delay = min(backoff_max, backoff_base * (2 ** (report.pool_rebuilds - 1)))
-        if delay > 0:
-            time.sleep(delay)
+        delay = DEFAULT_BACKOFF_BASE * (2 ** (report.pool_rebuilds - 1))
+        time.sleep(min(DEFAULT_BACKOFF_MAX, delay))
         emit()
 
     run_span = obs.span(f"run_shards:{prefix}")
@@ -636,7 +633,7 @@ def run_shards(
                 inflight[future] = (index, deadline)
 
             if not pool_broke and inflight:
-                tick = max(0.0, heartbeat)
+                tick = DEFAULT_HEARTBEAT
                 deadlines = [d for _, d in inflight.values() if d is not None]
                 if deadlines:
                     tick = min(
@@ -695,7 +692,7 @@ def run_shards(
                     rebuild_after_failure()
                     continue
 
-            if time.monotonic() - last_beat >= heartbeat:
+            if time.monotonic() - last_beat >= DEFAULT_HEARTBEAT:
                 emit()
     finally:
         if pool is not None and inflight:

@@ -779,16 +779,16 @@ def _engine_sets(graphs, fold, reference, pair_bytes=0) -> List:
 
 
 @obs.timed_kernel("ucg_alpha_sets")
-def ucg_alpha_sets(graphs, oracle=None) -> List:
+def ucg_alpha_sets(graphs) -> List:
     """Nash-supportability α-sets of many graphs, engine-batched.
 
     Element-for-element float-exact against
     :func:`repro.core.unilateral.ucg_nash_alpha_set` (the per-graph
     backtracking reference, asserted in the test suite and the parity
-    smoke); falls back to it per graph when ``n`` exceeds the table range.
-    Results are memoised on each :class:`~repro.graphs.graph.Graph`
-    instance (edge mutations return new instances, so memos can never go
-    stale).
+    smoke); falls back to it per graph, over the process-wide distance
+    oracle, when ``n`` exceeds the table range.  Results are memoised on
+    each :class:`~repro.graphs.graph.Graph` instance (edge mutations return
+    new instances, so memos can never go stale).
     """
     from ..core.unilateral import ucg_nash_alpha_set
 
@@ -804,7 +804,7 @@ def ucg_alpha_sets(graphs, oracle=None) -> List:
     sets = _engine_sets(
         [graphs[i] for i in pending],
         lambda n: _scalar_intervals,
-        lambda graph: ucg_nash_alpha_set(graph, oracle=oracle),
+        ucg_nash_alpha_set,
     )
     for i, interval_set in zip(pending, sets):
         results[i] = interval_set
@@ -907,16 +907,17 @@ def _weighted_intervals(dsum, p_arr, nbr_arr, n: int, wsum):
 
 
 @obs.timed_kernel("weighted_ucg_t_sets")
-def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
+def weighted_ucg_t_sets(graphs, model) -> List:
     """Weighted Nash-supportability t-sets of many graphs, engine-batched.
 
     Element-for-element float-exact against
     :func:`repro.costmodels.stability.weighted_ucg_nash_t_set`; each
     player's model-independent distance table is the one the scalar game
-    builds.  Falls back to the per-graph reference when ``n`` exceeds the
-    table range.  No per-instance memo: results depend on the cost model,
-    not just the graph.  A model bound to another player count than some
-    graph with ``n >= 2`` is a :class:`ValueError`, raised before any work.
+    builds.  Falls back to the per-graph reference, over the process-wide
+    distance oracle, when ``n`` exceeds the table range.  No per-instance
+    memo: results depend on the cost model, not just the graph.  A model
+    bound to another player count than some graph with ``n >= 2`` is a
+    :class:`ValueError`, raised before any work.
     """
     from ..costmodels.models import as_cost_model
     from ..costmodels.stability import weighted_ucg_nash_t_set
@@ -928,6 +929,6 @@ def weighted_ucg_t_sets(graphs, model, oracle=None) -> List:
     return _engine_sets(
         graphs,
         lambda n: partial(_weighted_intervals, wsum=_link_cost_tables(model, n)),
-        lambda graph: weighted_ucg_nash_t_set(graph, model, oracle=oracle),
+        lambda graph: weighted_ucg_nash_t_set(graph, model),
         pair_bytes=_PAIR_BYTES,
     )

@@ -24,8 +24,8 @@ from .._version import __version__
 from ..analysis.figure_series import census_figure_series, figure_to_payload
 from ..analysis.report import summary_dict
 from ..analysis.scenarios import available_scenarios, default_t_grid
-from ..analysis.store import _check_game
 from ..analysis.sweeps import figure_cost_grid
+from ..core.efficiency import _check_game
 from .batching import GridBatcher
 from .catalog import ArtifactCatalog
 

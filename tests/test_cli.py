@@ -596,7 +596,7 @@ class TestTelemetryCLI:
         ) == 0
         captured = capsys.readouterr()
         assert "saved to" in captured.out
-        assert "[wshard]" in captured.err
+        assert "[dshard]" in captured.err
 
     def test_shard_counters_match_manifest(self, capsys, tmp_path):
         import json as jsonlib

@@ -221,7 +221,7 @@ def test_batch_stability_deltas_match_oracle(delta_tables):
     canonical_record(memoised)
     pool[40:40] = [Graph(0), cycle_graph(70)]
     pool[90:90] = [memoised]
-    columns = batch_stability_deltas(pool, oracle=DistanceOracle())
+    columns = batch_stability_deltas(pool)
     oracle = DistanceOracle()
     tables = delta_tables(pool, columns)
     assert len(tables) == len(pool)
@@ -263,7 +263,7 @@ def test_batch_falls_back_to_oracle_for_wide_graphs(delta_tables):
         reference = DistanceOracle().stability_deltas(fresh)
         canonical_record(memoised)
         for wide in (fresh, memoised):
-            columns = batch_stability_deltas([wide], oracle=DistanceOracle())
+            columns = batch_stability_deltas([wide])
             assert delta_tables([wide], columns) == [reference]
             assert columns["dist_total"].tolist() == [total]
         assert fresh._canon is None

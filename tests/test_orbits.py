@@ -163,12 +163,12 @@ class TestOrbitPrunedProbes:
         # canonical search, on the tensor path or the wide per-graph path ...
         for fresh in (cycle_graph(6), cycle_graph(64)):
             assert fresh._canon is None
-            batch_stability_deltas([fresh], oracle=DistanceOracle())
+            batch_stability_deltas([fresh])
             assert fresh._canon is None
         # ... and a memoised record leaves the wide path's values unchanged.
         memoised = cycle_graph(64)
         canonical_record(memoised)
-        columns = batch_stability_deltas([memoised], oracle=DistanceOracle())
+        columns = batch_stability_deltas([memoised])
         assert delta_tables([memoised], columns) == [
             DistanceOracle().stability_deltas(cycle_graph(64))
         ]
@@ -181,7 +181,7 @@ class TestOrbitPrunedProbes:
         )
         for graph in (two_triangles, two_cycles):
             canonical_record(graph)
-            columns = batch_stability_deltas([graph], oracle=DistanceOracle())
+            columns = batch_stability_deltas([graph])
             assert delta_tables([graph], columns) == [
                 DistanceOracle().stability_deltas(graph)
             ]
@@ -191,7 +191,7 @@ class TestOrbitPrunedProbes:
         # own edges, not the cycle's automorphism orbits.
         carrier = path_graph(66)
         carrier._canon = canonical_record(cycle_graph(66))
-        columns = batch_stability_deltas([carrier], oracle=DistanceOracle())
+        columns = batch_stability_deltas([carrier])
         assert delta_tables([carrier], columns) == [
             DistanceOracle().stability_deltas(path_graph(66))
         ]

@@ -391,7 +391,7 @@ def _build_delta(**kwargs):
 
 STORES = {
     "census": (_build_census, "shard"),
-    "weighted": (_build_weighted, "wshard"),
+    "weighted": (_build_weighted, "dshard"),
     "delta": (_build_delta, "dshard"),
 }
 
@@ -480,7 +480,7 @@ def test_store_rejects_wrong_config_shards(tmp_path, store_name):
             N, include_ucg=True, shard_level=2, shard_dir=shard_dir
         ),
         "weighted": lambda: WeightedStore.build_streamed(
-            N, UniformCost(2.0), shard_level=2, shard_dir=shard_dir
+            N + 1, UniformCost(1.0), shard_level=2, shard_dir=shard_dir
         ),
         "delta": lambda: DeltaStore.build_streamed(
             N + 1, shard_level=2, shard_dir=shard_dir

@@ -42,6 +42,19 @@ class TestSocialCostFormulas:
             cycle_graph(n), alpha, "bcg"
         )
 
+    def test_degenerate_star(self):
+        # A star on fewer than two players has no links and no pairs.
+        assert theory.star_social_cost(0, 1.0) == 0.0
+        assert theory.star_social_cost(1, 1.0, "ucg") == 0.0
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["star_social_cost", "complete_graph_social_cost", "cycle_social_cost"],
+    )
+    def test_unknown_game_is_refused(self, formula):
+        with pytest.raises(ValueError, match="game must be 'bcg' or 'ucg'"):
+            getattr(theory, formula)(4, 1.0, "foo")
+
 
 class TestCycleWindow:
     def test_window_cases(self):

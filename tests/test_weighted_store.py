@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.costmodels import (
     weighted_stability_profile,
 )
 from repro.engine import DistanceOracle
+from repro.engine.shardwork import manifest_path
 from repro.graphs import enumerate_connected_graphs, total_distance
 
 #: Every column of the artifact.
@@ -204,7 +206,7 @@ class TestBuildPaths:
         # A resume run must reuse the shards (delete one to prove the others
         # are loaded: only the victim is recomputed, and the merge is equal).
         victim = sorted(
-            name for name in os.listdir(shard_dir) if name.startswith("wshard_")
+            name for name in os.listdir(shard_dir) if name.startswith("dshard_")
         )[0]
         os.remove(os.path.join(shard_dir, victim))
         resumed = WeightedStore.build_streamed(
@@ -215,16 +217,37 @@ class TestBuildPaths:
         )
         assert_stores_equal(first, resumed)
 
-    def test_shard_dir_rejects_foreign_model(self, tmp_path):
-        """A shard directory is bound to one (n, weight matrix) pair."""
+    def test_shard_dir_resumes_for_every_model(self, tmp_path):
+        """The shards hold model-independent delta columns, so a directory
+        written under one model resumes in full under another."""
         shard_dir = str(tmp_path / "shards")
         model_a = build_scenario("random_weights", 5, seed=1).model
         model_b = build_scenario("random_weights", 5, seed=2).model
         WeightedStore.build_streamed(5, model_a, shard_level=2, shard_dir=shard_dir)
-        with pytest.raises(ValueError):
-            WeightedStore.build_streamed(
-                5, model_b, shard_level=2, shard_dir=shard_dir
-            )
+        resumed = WeightedStore.build_streamed(
+            5, model_b, shard_level=2, shard_dir=shard_dir
+        )
+        manifest = json.loads(
+            Path(manifest_path(shard_dir)).read_text(encoding="utf-8")
+        )
+        assert manifest["resumed"] == manifest["total"] > 0
+        assert (
+            resumed.content_checksum()
+            == WeightedStore.build(5, model_b).content_checksum()
+        )
+
+    @pytest.mark.parametrize("name", ["random_weights", "two_tier_isp"])
+    def test_ucg_build_paths_agree(self, name):
+        """Every build path runs the one UCG pass over the same rows."""
+        model = build_scenario(name, 6, seed=4).model
+        stores = [
+            WeightedStore.build(6, model, jobs=1, include_ucg=True),
+            WeightedStore.build(6, model, jobs=2, include_ucg=True),
+            WeightedStore.build_streamed(6, model, jobs=2, include_ucg=True),
+            WeightedStore.from_delta(DeltaStore.build(6), model, include_ucg=True),
+        ]
+        assert stores[0].include_ucg
+        assert len({store.content_checksum() for store in stores}) == 1
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_builds_match_from_delta(self, n):
